@@ -55,6 +55,9 @@ python benchmarks/bench_adaptive_refresh.py --check
 echo "== benchmark smoke: joint graph planner check (joint beats greedy, solvers exact) =="
 python benchmarks/bench_graph_planner.py --check
 
+echo "== benchmark smoke: cold_mix answers vs reference + scalar re-pricing of every winner =="
+python benchmarks/e2e/run.py --workload cold_mix --seconds 3
+
 echo "== docs: markdown link check + executable-doc snippet smoke =="
 python scripts/check_docs.py
 

@@ -30,9 +30,6 @@ from repro.core.slicing import (
     check_coverage,
     generate_all_ops,
     generate_local_ops,
-    generate_stationary_a_ops,
-    generate_stationary_b_ops,
-    generate_stationary_c_ops,
 )
 from repro.core.graph import ComputationGraph, DataNode
 from repro.core.ir import IRCommOp, IRComputeOp, IRProgram, IRStep
@@ -66,9 +63,6 @@ __all__ = [
     "check_coverage",
     "generate_all_ops",
     "generate_local_ops",
-    "generate_stationary_a_ops",
-    "generate_stationary_b_ops",
-    "generate_stationary_c_ops",
     "ComputationGraph",
     "DataNode",
     "IRCommOp",

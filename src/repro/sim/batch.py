@@ -6,24 +6,31 @@ simulation), each one rebuilding ``Runtime``/``DistributedMatrix`` objects
 and walking Python ``LocalMatmulOp`` dataclasses.  This module collapses all
 of that into a compile-once / price-vectorized / replay-incremental pipeline:
 
-1. **Candidate compilation** (:meth:`BatchEvaluator.compile`) — each
-   (scheme, replication, stationary) candidate is compiled exactly once into
-   a :class:`CandidateProgram`: a flat numpy event table (one row per
-   generated op, columns for rank, shape, operand owners/tiles/bytes and the
-   remote/first-fetch flags) produced by a primitive-int re-implementation of
-   the slicing op generator that allocates no per-op objects.  Symbolic
-   matrices, the tile-byte memo, and the replica-reduction term are cached
-   per (scheme, replication) class and shared by every stationary variant.
+1. **Candidate compilation** (:meth:`BatchEvaluator.compile`,
+   :meth:`BatchEvaluator.frontier_occupancy_bounds`) — each (scheme,
+   replication, stationary) candidate is compiled exactly once into a
+   :class:`CandidateProgram`: numpy event columns, one row per generated op
+   (rank, shape and bound starts, operand owners/tiles/bytes, the
+   remote/first-fetch flags).  The rows come from the slicing table
+   generator :func:`repro.core.slicing.slice_table` — the same rows
+   ``generate_all_ops`` turns into op objects — and the frontier pass builds
+   every uncompiled candidate of the frontier in one call, because numpy's
+   per-call overhead would dominate tables of a few dozen rows built one at
+   a time.  Structured workloads price each distinct (m, k, n) cuboid once
+   and drop fully masked rows before the first-fetch flags are computed.
+   Symbolic matrices, whole-tile bytes, and the replica-reduction term are
+   cached per (scheme, replication) class and shared by every stationary
+   variant.
 
 2. **Vectorized frontier pricing**
-   (:meth:`BatchEvaluator.frontier_occupancy_bounds`) — the eager occupancy
-   bound for the whole enumerated frontier is one array program: every
-   candidate's event table is priced with the cost model's formulas
+   (:meth:`BatchEvaluator.frontier_occupancy_bounds`) — the table build also
+   prices it: every row is priced with the cost model's formulas
    elementwise (identical operation order, so the results are bit-equal to
-   the scalar path), stacked into (slot, value) pairs in the scalar loop's
-   emission order, and reduced with a single grouped segment-sum
-   (``np.bincount``) followed by a per-device max.  The replica-reduction
-   term is computed once per (scheme, replication) class, not per candidate.
+   the scalar path), the terms are laid out as (slot, value) pairs in the
+   scalar loop's emission order, and one grouped segment-sum
+   (``np.bincount``) followed by a per-device max gives every built
+   program's occupancy bound.  The replica-reduction term is computed once
+   per (scheme, replication) class, not per candidate.
 
 3. **Delta re-simulation** (:meth:`BatchEvaluator.critical_bound`) — the
    critical-path refinement replays the executor's event stream on the
@@ -46,9 +53,8 @@ MoE-ragged workloads.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,8 +64,16 @@ from repro.core.config import ExecutionConfig
 from repro.core.cost_model import CostModel
 from repro.core.direct import DirectExecutor
 from repro.core.matmul import model_reduce_time
-from repro.core.slicing import apply_iteration_offset, check_coverage, generate_all_ops
-from repro.core.stationary import Stationary, parse_stationary
+from repro.core.slicing import (
+    OperandLayout,
+    apply_iteration_offset,
+    check_coverage,
+    first_occurrence,
+    generate_all_ops,
+    slice_table,
+    stack_distinct,
+)
+from repro.core.stationary import parse_stationary
 from repro.core.structure import (
     ROLE_A,
     ROLE_B,
@@ -83,16 +97,6 @@ _NUM_ENGINES = 5
 _CHECKPOINT_EVERY = 8
 #: Cached relaxed-replay traces kept per rank (oldest evicted first).
 _TRACES_PER_RANK = 8
-
-#: Row layout of the enumeration: one flat tuple per op, split into typed
-#: columns once at the end (every value — tile indices, extents, byte counts
-#: — is far below 2**53, so the float64 staging is exact).
-_INT_COLUMNS = ("rank", "m", "n", "k",
-                "a_owner", "b_owner", "c_owner", "a_key", "b_key",
-                "stat_i", "stat_j")
-_BOOL_COLUMNS = ("a_remote", "b_remote", "c_remote", "a_first", "b_first")
-_FLOAT_COLUMNS = ("a_bytes", "b_bytes", "c_bytes", "gemm")
-_ROW_COLUMNS = _INT_COLUMNS + _BOOL_COLUMNS + _FLOAT_COLUMNS
 
 
 class _OpView:
@@ -121,54 +125,24 @@ class _OpView:
 
 
 class _MatrixGeom:
-    """Flat geometry of one distributed operand: splits, owners, tile bytes."""
+    """One operand's table layout plus its whole-tile fetch bytes, built once."""
 
-    __slots__ = ("matrix", "label", "row_splits", "col_splits", "ncols",
-                 "positions", "rpr", "itemsize", "tiles_by_position",
-                 "tile_bytes")
+    __slots__ = ("layout", "tile_bytes")
 
-    def __init__(self, matrix: DistributedMatrix, label: str) -> None:
-        self.matrix = matrix
-        self.label = label
-        self.row_splits = matrix.grid.row_splits
-        self.col_splits = matrix.grid.col_splits
-        self.ncols = matrix.grid.num_col_tiles
-        # Position (per-replica owner slot) of each tile, row-major.
-        self.positions = [int(p) for p in matrix._owners.ravel()]
-        self.rpr = matrix.replication.ranks_per_replica
-        self.itemsize = matrix.dtype.itemsize
-        # Same insertion order as the matrix's own position index (row-major
-        # grid walk), which is what ``my_tiles`` iterates.
-        self.tiles_by_position: Dict[int, List[Tuple[int, int]]] = {}
-        for flat, position in enumerate(self.positions):
-            self.tiles_by_position.setdefault(position, []).append(
-                divmod(flat, self.ncols)
-            )
-        self.tile_bytes: Dict[int, float] = {}
-
-    def full_tile_bytes(self, flat: int, structure) -> float:
-        """Whole-tile fetch bytes (structure-scaled), memoized per tile."""
-        cached = self.tile_bytes.get(flat)
-        if cached is None:
-            i, j = divmod(flat, self.ncols)
-            r0, r1 = self.row_splits[i], self.row_splits[i + 1]
-            c0, c1 = self.col_splits[j], self.col_splits[j + 1]
-            cached = (r1 - r0) * (c1 - c0) * self.itemsize
-            if structure is not None:
-                cached *= structure.live_fraction(self.label, Interval(r0, r1),
-                                                  Interval(c0, c1))
-            self.tile_bytes[flat] = cached
-        return cached
-
-
-def _axis_range(splits: Tuple[int, ...], start: int, stop: int) -> range:
-    """Tile-index range overlapping ``[start, stop)`` (TileGrid._axis_range)."""
-    lo = start if start > 0 else 0
-    extent = splits[-1]
-    hi = stop if stop < extent else extent
-    if hi <= lo:
-        return range(0)
-    return range(bisect_right(splits, lo) - 1, bisect_left(splits, hi))
+    def __init__(self, matrix: DistributedMatrix, label: str, structure) -> None:
+        self.layout = OperandLayout(matrix)
+        grid = matrix.grid
+        itemsize = matrix.dtype.itemsize
+        # Int bytes per tile, times the live fraction when structured.
+        tile_bytes = [
+            (r1 - r0) * (c1 - c0) * itemsize if structure is None else
+            (r1 - r0) * (c1 - c0) * itemsize
+            * structure.live_fraction(label, Interval(r0, r1), Interval(c0, c1))
+            for r0, r1 in zip(grid.row_splits, grid.row_splits[1:])
+            for c0, c1 in zip(grid.col_splits, grid.col_splits[1:])
+        ]
+        #: Fetch bytes per flat tile index, row-major.
+        self.tile_bytes = np.asarray(tile_bytes, dtype=np.float64)
 
 
 @dataclass
@@ -184,125 +158,92 @@ class _ClassData:
     reduce_time: float
 
 
-def _split_columns(table: np.ndarray) -> Dict[str, np.ndarray]:
-    """Split a flat ``(num_ops, 20)`` float64 table into typed named columns.
-
-    All values are staged exactly in float64 (tile indices, extents, and byte
-    counts are far below 2**53), so the int64/bool round-trips here are
-    lossless and the split can run lazily — or once over a whole stacked
-    frontier — without changing a single bit.
-    """
-    columns: Dict[str, np.ndarray] = {}
-    for pos, name in enumerate(_ROW_COLUMNS):
-        raw = table[:, pos]
-        if name in _FLOAT_COLUMNS:
-            columns[name] = raw
-        elif name in _BOOL_COLUMNS:
-            columns[name] = raw != 0.0
-        else:
-            columns[name] = raw.astype(np.int64)
-    return columns
-
-
 class CandidateProgram:
-    """One compiled candidate: the flat event table plus lazy derived views.
+    """One compiled candidate: its priced event table plus lazy derived views.
 
-    The raw table is in *generation* order (the slicing generator's emission
-    order, rank-major).  Typed column views are split lazily — the eager
-    frontier pass works on one stacked table instead, so only candidates that
-    reach refinement pay for their own split.  Priced duration columns are
-    attached by the evaluator's vectorized pricing pass; execution-order
-    views (iteration offset applied) are derived lazily as well.
+    The table is in *generation* order (the slicing generator's order,
+    rank-major) and is a set of views into the table of the frontier it was
+    built with, as are the duration columns priced with it.  Execution-order
+    views (iteration offset applied) are derived lazily.
     """
 
-    def __init__(self, candidate, cls: _ClassData, table: np.ndarray,
-                 rank_starts: np.ndarray) -> None:
+    def __init__(self, candidate, cls: _ClassData, frame: Dict[str, np.ndarray],
+                 durations: Dict[str, np.ndarray], lo: int, hi: int,
+                 rank_starts: np.ndarray, occupancy: float) -> None:
         self.candidate = candidate
         self.cls = cls
-        self.table = table
+        self.frame = frame
+        self.durations = durations
+        self.lo = lo
+        self.hi = hi
         self.rank_starts = rank_starts
-        self.num_ops = int(table.shape[0])
-        self.priced = False
-        #: Occupancy bound term (pre reduce-time), generation order.
-        self.occupancy: Optional[float] = None
+        self.num_ops = hi - lo
+        #: Occupancy bound summed in generation order (no reduce term).
+        self.occupancy = occupancy
         #: Occupancy floor summed in execution order — the critical-path
         #: bound recomputes its floor over the offset stream, whose different
         #: summation order rounds differently in general.
         self.occupancy_exec: Optional[float] = None
+        self._table: Optional[Dict[str, np.ndarray]] = None
         self._col: Optional[Dict[str, np.ndarray]] = None
-        self._dur: Optional[Dict[str, np.ndarray]] = None
-        self._exec: Optional[Dict[str, np.ndarray]] = None
+        self._exec: Dict[bool, Dict[str, np.ndarray]] = {}
         self._real_ops = None
 
     @property
-    def col(self) -> Dict[str, np.ndarray]:
-        """Typed named columns, split from the flat table on first access."""
-        if self._col is None:
-            self._col = _split_columns(self.table)
-            if self._dur is not None:
-                self._col.update(self._dur)
-        return self._col
+    def table(self) -> Dict[str, np.ndarray]:
+        """The event columns of this program's rows."""
+        if self._table is None:
+            self._table = {name: arr[self.lo:self.hi]
+                           for name, arr in self.frame.items()}
+        return self._table
 
-    def attach_durations(self, durations: Dict[str, np.ndarray]) -> None:
-        """Install the priced duration columns from the vectorized pass."""
-        self._dur = durations
-        if self._col is not None:
-            self._col.update(durations)
-        self.priced = True
+    @property
+    def col(self) -> Dict[str, np.ndarray]:
+        """Event columns plus the priced duration columns."""
+        if self._col is None:
+            self._col = dict(self.table)
+            self._col.update((name, arr[self.lo:self.hi])
+                             for name, arr in self.durations.items())
+        return self._col
 
     # ------------------------------------------------------------------ #
     def exec_columns(self, iteration_offset: bool) -> Dict[str, np.ndarray]:
         """Priced columns permuted into execution order (offset applied)."""
-        if self._exec is None:
+        cols = self._exec.get(iteration_offset)
+        if cols is None:
+            cols = self.col
             if iteration_offset:
                 perm = self._offset_permutation()
-            else:
-                perm = np.arange(self.num_ops, dtype=np.int64)
-            cols = {name: arr[perm] for name, arr in self.col.items()}
-            # First-occurrence flags depend on stream order: recompute them
-            # over the permuted stream exactly as the executor's per-rank
-            # tile cache sees it.
-            for key_name, remote_name, first_name in (
-                ("a_key", "a_remote", "a_first"),
-                ("b_key", "b_remote", "b_first"),
-            ):
-                first = np.zeros(self.num_ops, dtype=bool)
-                keys = cols[key_name]
-                remote = cols[remote_name]
-                ranks = cols["rank"]
-                seen: set = set()
-                for i in range(self.num_ops):
-                    if remote[i]:
-                        token = (int(ranks[i]), int(keys[i]))
-                        if token not in seen:
-                            seen.add(token)
-                            first[i] = True
-                cols[first_name] = first
-            self._exec = cols
-        return self._exec
+                cols = {name: arr[perm] for name, arr in cols.items()}
+                # First-fetch flags depend on stream order: recompute them
+                # over the permuted stream, as the executor's per-rank tile
+                # cache sees it.  Generation order already has them.
+                for side in ("a", "b"):
+                    cols[f"{side}_first"] = first_occurrence(
+                        cols["rank"], cols[f"{side}_key"], cols[f"{side}_remote"])
+            self._exec[iteration_offset] = cols
+        return cols
 
     def _offset_permutation(self) -> np.ndarray:
-        """Per-rank iteration-offset rotation as an index permutation."""
-        stat_i = self.col["stat_i"]
-        stat_j = self.col["stat_j"]
-        perm: List[int] = []
-        starts = self.rank_starts
-        for rank in range(len(starts) - 1):
-            lo, hi = int(starts[rank]), int(starts[rank + 1])
-            groups: Dict[Tuple[int, int], List[int]] = {}
-            order: List[Tuple[int, int]] = []
-            for idx in range(lo, hi):
-                key = (int(stat_i[idx]), int(stat_j[idx]))
-                if key not in groups:
-                    groups[key] = []
-                    order.append(key)
-                groups[key].append(idx)
-            for key in order:
-                group = groups[key]
-                offset = (key[0] + key[1]) % len(group)
-                perm.extend(group[offset:])
-                perm.extend(group[:offset])
-        return np.asarray(perm, dtype=np.int64)
+        """Per-rank iteration-offset rotation as an index permutation.
+
+        A stationary tile's ops are one contiguous run of its rank's stream;
+        the run is rotated left by ``(i + j) % len(run)``, exactly as
+        :func:`repro.core.slicing.apply_iteration_offset` rotates op lists.
+        """
+        col = self.col
+        rank, stat_i, stat_j = col["rank"], col["stat_i"], col["stat_j"]
+        num = self.num_ops
+        if num == 0:
+            return np.zeros(0, dtype=np.int64)
+        new_run = np.ones(num, dtype=bool)
+        new_run[1:] = ((rank[1:] != rank[:-1]) | (stat_i[1:] != stat_i[:-1])
+                       | (stat_j[1:] != stat_j[:-1]))
+        starts = np.flatnonzero(new_run)
+        run = np.cumsum(new_run) - 1
+        first = starts[run]
+        length = np.diff(np.append(starts, num))[run]
+        return first + (np.arange(num) - first + (stat_i + stat_j) % length) % length
 
 
 @dataclass
@@ -373,7 +314,11 @@ class BatchEvaluator:
         # touch runtime state, and rebuilding heaps/pools per class is pure
         # overhead on the cold path.
         self._runtime = Runtime(machine=machine)
-        self._axis_ranges: Dict[Tuple[Tuple[int, ...], int, int], range] = {}
+        #: Axis segment lists of the slicing table, shared across frontiers.
+        self._axes: dict = {}
+        #: Structured pricing per distinct (m, k, n) cuboid:
+        #: bounds -> (any live flops, c bytes, gemm seconds).
+        self._cuboids: Dict[Tuple[int, ...], Tuple[bool, float, float]] = {}
         self._classes: Dict[Tuple[int, Tuple[int, int, int]], _ClassData] = {}
         self._programs: Dict[Tuple[int, Tuple[int, int, int], str],
                              CandidateProgram] = {}
@@ -414,239 +359,144 @@ class BatchEvaluator:
                                          name="C", materialize=False)
             data = _ClassData(
                 a=a, b=b, c=c,
-                a_geom=_MatrixGeom(a, ROLE_A),
-                b_geom=_MatrixGeom(b, ROLE_B),
-                c_geom=_MatrixGeom(c, ROLE_C),
+                a_geom=_MatrixGeom(a, ROLE_A, self.structure),
+                b_geom=_MatrixGeom(b, ROLE_B, self.structure),
+                c_geom=_MatrixGeom(c, ROLE_C, self.structure),
                 reduce_time=model_reduce_time(c, self.cost_model,
                                               structure=self.structure),
             )
             self._classes[key] = data
         return data
 
+    @staticmethod
+    def _program_key(candidate) -> Tuple[int, Tuple[int, int, int], str]:
+        return (id(candidate.scheme), tuple(candidate.replication),
+                candidate.stationary)
+
     def compile(self, candidate) -> CandidateProgram:
-        """Build (or fetch) the candidate's flat event table."""
-        key = (id(candidate.scheme), tuple(candidate.replication),
-               candidate.stationary)
+        """Build (or fetch) the candidate's event table."""
+        key = self._program_key(candidate)
         program = self._programs.get(key)
         if program is None:
-            started = time.perf_counter()
-            cls = self._class_data(candidate)
-            table, rank_starts = self._enumerate(
-                cls, parse_stationary(candidate.stationary)
-            )
-            program = CandidateProgram(candidate, cls, table, rank_starts)
-            self._programs[key] = program
-            self.opgen_seconds += time.perf_counter() - started
+            self._build([candidate])
+            program = self._programs[key]
         return program
 
-    def _enumerate(self, cls: _ClassData, stationary: Stationary):
-        """Primitive-int re-implementation of ``generate_all_ops`` + pruning.
+    def _build(self, candidates) -> None:
+        """Compile and price every not-yet-compiled candidate in one pass.
 
-        Emits the exact op stream (same order, same dedup discipline) as the
-        slicing generator followed by ``prune_structured_ops``, without
-        constructing any per-op objects.  The property suite pins equality
-        against the reference generator.
+        One :func:`repro.core.slicing.slice_table` call enumerates every
+        candidate's ops; fully masked rows of structured workloads are then
+        dropped (as ``prune_structured_ops`` does) before the first-fetch
+        flags are computed, and each program keeps views of its own rows.
+        The rows are then priced and reduced to each program's occupancy
+        bound with one grouped segment-sum: each program's terms land in its
+        own slot range, ``np.bincount`` accumulates them sequentially in
+        emission order (bit-equal to the scalar loop), and a per-device max
+        finishes the bound.
         """
-        out: List[tuple] = []
-        num_ranks = self.machine.num_devices
-        rank_starts = np.zeros(num_ranks + 1, dtype=np.int64)
-        if stationary is Stationary.C:
-            emit_rank = self._emit_stationary_c
-        elif stationary is Stationary.B:
-            emit_rank = self._emit_stationary_b
+        todo: Dict[Tuple[int, Tuple[int, int, int], str], Tuple[object, _ClassData]] = {}
+        for candidate in candidates:
+            key = self._program_key(candidate)
+            if key not in self._programs and key not in todo:
+                todo[key] = (candidate, self._class_data(candidate))
+        if not todo:
+            return
+        started = time.perf_counter()
+        entries = list(todo.values())
+        table = slice_table(
+            [(cls.a_geom.layout, cls.b_geom.layout, cls.c_geom.layout,
+              parse_stationary(candidate.stationary)) for candidate, cls in entries],
+            cache=self._axes,
+        )
+        itemsize = entries[0][1].c.dtype.itemsize
+        m = table["m1"] - table["m0"]
+        n = table["n1"] - table["n0"]
+        if self.structure is None:
+            c_bytes = (m * n * itemsize).astype(np.float64)
+            gemm = np.zeros(m.size)  # dense GEMMs are priced vectorized later
         else:
-            emit_rank = self._emit_stationary_a
-        for rank in range(num_ranks):
-            emit_rank(cls, rank, out)
-            rank_starts[rank + 1] = len(out)
-        table = np.asarray(out, dtype=np.float64)
-        if table.size == 0:
-            table = table.reshape(0, len(_ROW_COLUMNS))
-        return table, rank_starts
+            live, c_bytes, gemm = self._structured_rows(table, itemsize)
+            table = {name: arr[live] for name, arr in table.items()}
+            m, n, c_bytes, gemm = m[live], n[live], c_bytes[live], gemm[live]
+        task, rank = table["task"], table["rank"]
+        p = self.machine.num_devices
+        frame = {
+            "rank": rank, "m": m, "n": n, "k": table["k1"] - table["k0"],
+            "m0": table["m0"], "k0": table["k0"], "n0": table["n0"],
+            "stat_i": table["stat_i"], "stat_j": table["stat_j"],
+            "c_owner": table["c_owner"], "c_remote": table["c_owner"] != rank,
+            "c_bytes": c_bytes, "gemm": gemm,
+        }
+        group = task * p + rank
+        for side in ("a", "b"):
+            key, owner = table[f"{side}_key"], table[f"{side}_owner"]
+            remote = owner != rank
+            frame[f"{side}_owner"] = owner
+            frame[f"{side}_key"] = key
+            frame[f"{side}_remote"] = remote
+            frame[f"{side}_first"] = first_occurrence(group, key, remote)
+            tile_bytes, at = stack_distinct(
+                [getattr(cls, f"{side}_geom").tile_bytes for _, cls in entries])
+            frame[f"{side}_bytes"] = tile_bytes[at[task] + key]
+        counts = np.bincount(group, minlength=len(entries) * p).reshape(-1, p)
+        rank_starts = np.zeros((len(entries), p + 1), dtype=np.int64)
+        np.cumsum(counts, axis=1, out=rank_starts[:, 1:])
+        bounds = np.zeros(len(entries) + 1, dtype=np.int64)
+        np.cumsum(rank_starts[:, -1], out=bounds[1:])
+        self.opgen_seconds += time.perf_counter() - started
 
-    def _axis_range_cached(self, splits: Tuple[int, ...], start: int,
-                           stop: int) -> range:
-        """Memoized ``_axis_range`` — split tuples repeat heavily across the
-        frontier (classes share operand grids), so the bisects amortize."""
-        key = (splits, start, stop)
-        cached = self._axis_ranges.get(key)
-        if cached is None:
-            cached = _axis_range(splits, start, stop)
-            self._axis_ranges[key] = cached
-        return cached
+        durations = self._duration_columns(frame, float(itemsize))
+        stride = p * _NUM_ENGINES + 1
+        slots, vals = self._occupancy_rows({**frame, **durations})
+        # Rows are program-major, so offsetting each row's 7 slots into its
+        # program's segment keeps every per-program accumulation order.
+        slots += np.repeat(task * stride, 7)
+        totals = np.bincount(slots, weights=vals, minlength=len(entries) * stride)
+        occupancy = totals.reshape(len(entries), stride)[:, :p * _NUM_ENGINES].max(axis=1)
+        for t, (key, (candidate, cls)) in enumerate(todo.items()):
+            self._programs[key] = CandidateProgram(
+                candidate, cls, frame, durations, int(bounds[t]), int(bounds[t + 1]),
+                rank_starts[t], float(occupancy[t]))
 
-    # -- shared per-op emission ----------------------------------------- #
-    def _emit_op(self, cls: _ClassData, rank: int, out: List[tuple],
-                 seen_a: set, seen_b: set,
-                 a_flat: int, b_flat: int, c_flat: int,
-                 m0: int, m1: int, k0: int, k1: int, n0: int, n1: int,
-                 stat: Tuple[int, int]) -> None:
+    def _structured_rows(self, table: Dict[str, np.ndarray], itemsize: int):
+        """``(live, c_bytes, gemm)`` per row, priced once per distinct cuboid.
+
+        ``live`` is False for fully masked cuboids (no flops survive), the
+        rows ``prune_structured_ops`` drops.  The scalar formulas run once
+        per distinct ``(m, k, n)`` bounds and are memoized per evaluator.
+        """
+        ids = []
+        for lo, hi in (("m0", "m1"), ("k0", "k1"), ("n0", "n1")):
+            packed = table[lo] * (int(table[hi].max(initial=0)) + 1) + table[hi]
+            uniq, inverse = np.unique(packed, return_inverse=True)
+            ids.append((uniq.size, inverse.reshape(-1)))
+        (_, m_id), (nk, k_id), (nn, n_id) = ids
+        _, first, inverse = np.unique((m_id * nk + k_id) * nn + n_id,
+                                      return_index=True, return_inverse=True)
         structure = self.structure
-        c_geom = cls.c_geom
-        m_ext = m1 - m0
-        k_ext = k1 - k0
-        n_ext = n1 - n0
-        if structure is not None:
-            mb = Interval(m0, m1)
-            kb = Interval(k0, k1)
-            nb = Interval(n0, n1)
-            # Mirror prune_structured_ops: fully masked cuboids are dropped
-            # before dedup bookkeeping and before any pricing.
-            if structure.flops_fraction(mb, kb, nb) <= 0.0:
-                return
-            fractions = structure.op_fractions(mb, kb, nb)
-            c_bytes = (m_ext * n_ext * c_geom.itemsize) * fractions[3]
-            gemm = self.cost_model.structured_op_compute_time(
-                _OpView(mb, kb, nb, c_geom.itemsize), structure, fractions
-            )
-        else:
-            c_bytes = m_ext * n_ext * c_geom.itemsize
-            gemm = 0.0  # dense GEMMs are priced vectorized later
-        a_geom, b_geom = cls.a_geom, cls.b_geom
-        a_owner = (rank // a_geom.rpr) * a_geom.rpr + a_geom.positions[a_flat]
-        b_owner = (rank // b_geom.rpr) * b_geom.rpr + b_geom.positions[b_flat]
-        c_owner = (rank // c_geom.rpr) * c_geom.rpr + c_geom.positions[c_flat]
-        a_remote = a_owner != rank
-        b_remote = b_owner != rank
-        a_first = False
-        if a_remote and a_flat not in seen_a:
-            seen_a.add(a_flat)
-            a_first = True
-        b_first = False
-        if b_remote and b_flat not in seen_b:
-            seen_b.add(b_flat)
-            b_first = True
-        out.append((
-            rank, m_ext, n_ext, k_ext,
-            a_owner, b_owner, c_owner, a_flat, b_flat, stat[0], stat[1],
-            a_remote, b_remote, c_owner != rank, a_first, b_first,
-            a_geom.full_tile_bytes(a_flat, structure),
-            b_geom.full_tile_bytes(b_flat, structure),
-            c_bytes, gemm,
-        ))
-
-    def _emit_stationary_c(self, cls: _ClassData, rank: int, out) -> None:
-        a, b, c = cls.a_geom, cls.b_geom, cls.c_geom
-        replica = rank // c.rpr
-        k_share0, k_share1 = cls.c.replication.work_share(replica, self.k)
-        seen_a: set = set()
-        seen_b: set = set()
-        for (ci, cj) in c.tiles_by_position.get(rank % c.rpr, ()):
-            c_r0, c_r1 = c.row_splits[ci], c.row_splits[ci + 1]
-            c_c0, c_c1 = c.col_splits[cj], c.col_splits[cj + 1]
-            a_cols = self._axis_range_cached(a.col_splits, k_share0, k_share1)
-            b_cols = self._axis_range_cached(b.col_splits, c_c0, c_c1)
-            for ai in self._axis_range_cached(a.row_splits, c_r0, c_r1):
-                a_r0, a_r1 = a.row_splits[ai], a.row_splits[ai + 1]
-                m0 = c_r0 if c_r0 > a_r0 else a_r0
-                m1 = c_r1 if c_r1 < a_r1 else a_r1
-                if m1 <= m0:
-                    continue
-                for aj in a_cols:
-                    a_c0, a_c1 = a.col_splits[aj], a.col_splits[aj + 1]
-                    ka0 = a_c0 if a_c0 > k_share0 else k_share0
-                    ka1 = a_c1 if a_c1 < k_share1 else k_share1
-                    if ka1 <= ka0:
-                        continue
-                    a_flat = ai * a.ncols + aj
-                    for bi in self._axis_range_cached(b.row_splits, ka0, ka1):
-                        b_r0, b_r1 = b.row_splits[bi], b.row_splits[bi + 1]
-                        kk0 = ka0 if ka0 > b_r0 else b_r0
-                        kk1 = ka1 if ka1 < b_r1 else b_r1
-                        if kk1 <= kk0:
-                            continue
-                        for bj in b_cols:
-                            b_c0, b_c1 = b.col_splits[bj], b.col_splits[bj + 1]
-                            nn0 = b_c0 if b_c0 > c_c0 else c_c0
-                            nn1 = b_c1 if b_c1 < c_c1 else c_c1
-                            if nn1 <= nn0:
-                                continue
-                            self._emit_op(cls, rank, out, seen_a, seen_b,
-                                          a_flat, bi * b.ncols + bj,
-                                          ci * c.ncols + cj,
-                                          m0, m1, kk0, kk1, nn0, nn1, (ci, cj))
-
-    def _emit_stationary_b(self, cls: _ClassData, rank: int, out) -> None:
-        a, b, c = cls.a_geom, cls.b_geom, cls.c_geom
-        replica = rank // b.rpr
-        m_share0, m_share1 = cls.b.replication.work_share(replica, self.m)
-        seen_a: set = set()
-        seen_b: set = set()
-        for (bi, bj) in b.tiles_by_position.get(rank % b.rpr, ()):
-            b_r0, b_r1 = b.row_splits[bi], b.row_splits[bi + 1]
-            b_c0, b_c1 = b.col_splits[bj], b.col_splits[bj + 1]
-            b_flat = bi * b.ncols + bj
-            a_cols = self._axis_range_cached(a.col_splits, b_r0, b_r1)
-            c_cols = self._axis_range_cached(c.col_splits, b_c0, b_c1)
-            for ai in self._axis_range_cached(a.row_splits, m_share0, m_share1):
-                a_r0, a_r1 = a.row_splits[ai], a.row_splits[ai + 1]
-                ma0 = a_r0 if a_r0 > m_share0 else m_share0
-                ma1 = a_r1 if a_r1 < m_share1 else m_share1
-                if ma1 <= ma0:
-                    continue
-                for aj in a_cols:
-                    a_c0, a_c1 = a.col_splits[aj], a.col_splits[aj + 1]
-                    kk0 = a_c0 if a_c0 > b_r0 else b_r0
-                    kk1 = a_c1 if a_c1 < b_r1 else b_r1
-                    if kk1 <= kk0:
-                        continue
-                    a_flat = ai * a.ncols + aj
-                    for ci in self._axis_range_cached(c.row_splits, ma0, ma1):
-                        c_r0, c_r1 = c.row_splits[ci], c.row_splits[ci + 1]
-                        m0 = ma0 if ma0 > c_r0 else c_r0
-                        m1 = ma1 if ma1 < c_r1 else c_r1
-                        if m1 <= m0:
-                            continue
-                        for cj in c_cols:
-                            c_c0, c_c1 = c.col_splits[cj], c.col_splits[cj + 1]
-                            nn0 = b_c0 if b_c0 > c_c0 else c_c0
-                            nn1 = b_c1 if b_c1 < c_c1 else c_c1
-                            if nn1 <= nn0:
-                                continue
-                            self._emit_op(cls, rank, out, seen_a, seen_b,
-                                          a_flat, b_flat, ci * c.ncols + cj,
-                                          m0, m1, kk0, kk1, nn0, nn1, (bi, bj))
-
-    def _emit_stationary_a(self, cls: _ClassData, rank: int, out) -> None:
-        a, b, c = cls.a_geom, cls.b_geom, cls.c_geom
-        replica = rank // a.rpr
-        n_share0, n_share1 = cls.a.replication.work_share(replica, self.n)
-        seen_a: set = set()
-        seen_b: set = set()
-        for (ai, aj) in a.tiles_by_position.get(rank % a.rpr, ()):
-            a_r0, a_r1 = a.row_splits[ai], a.row_splits[ai + 1]
-            a_c0, a_c1 = a.col_splits[aj], a.col_splits[aj + 1]
-            a_flat = ai * a.ncols + aj
-            b_cols = self._axis_range_cached(b.col_splits, n_share0, n_share1)
-            for bi in self._axis_range_cached(b.row_splits, a_c0, a_c1):
-                b_r0, b_r1 = b.row_splits[bi], b.row_splits[bi + 1]
-                kk0 = a_c0 if a_c0 > b_r0 else b_r0
-                kk1 = a_c1 if a_c1 < b_r1 else b_r1
-                if kk1 <= kk0:
-                    continue
-                for bj in b_cols:
-                    b_c0, b_c1 = b.col_splits[bj], b.col_splits[bj + 1]
-                    nb0 = b_c0 if b_c0 > n_share0 else n_share0
-                    nb1 = b_c1 if b_c1 < n_share1 else n_share1
-                    if nb1 <= nb0:
-                        continue
-                    b_flat = bi * b.ncols + bj
-                    c_cols = self._axis_range_cached(c.col_splits, nb0, nb1)
-                    for ci in self._axis_range_cached(c.row_splits, a_r0, a_r1):
-                        c_r0, c_r1 = c.row_splits[ci], c.row_splits[ci + 1]
-                        m0 = a_r0 if a_r0 > c_r0 else c_r0
-                        m1 = a_r1 if a_r1 < c_r1 else c_r1
-                        if m1 <= m0:
-                            continue
-                        for cj in c_cols:
-                            c_c0, c_c1 = c.col_splits[cj], c.col_splits[cj + 1]
-                            nn0 = nb0 if nb0 > c_c0 else c_c0
-                            nn1 = nb1 if nb1 < c_c1 else c_c1
-                            if nn1 <= nn0:
-                                continue
-                            self._emit_op(cls, rank, out, seen_a, seen_b,
-                                          a_flat, b_flat, ci * c.ncols + cj,
-                                          m0, m1, kk0, kk1, nn0, nn1, (ai, aj))
+        priced = []
+        for bounds in zip(*[table[name][first].tolist()
+                            for name in ("m0", "m1", "k0", "k1", "n0", "n1")]):
+            value = self._cuboids.get(bounds)
+            if value is None:
+                m0, m1, k0, k1, n0, n1 = bounds
+                mb, kb, nb = Interval(m0, m1), Interval(k0, k1), Interval(n0, n1)
+                if structure.flops_fraction(mb, kb, nb) <= 0.0:
+                    value = (False, 0.0, 0.0)
+                else:
+                    fractions = structure.op_fractions(mb, kb, nb)
+                    value = (True,
+                             ((m1 - m0) * (n1 - n0) * itemsize) * fractions[3],
+                             self.cost_model.structured_op_compute_time(
+                                 _OpView(mb, kb, nb, itemsize), structure, fractions))
+                self._cuboids[bounds] = value
+            priced.append(value)
+        inverse = inverse.reshape(-1)
+        live = np.array([value[0] for value in priced], dtype=bool)
+        c_bytes = np.array([value[1] for value in priced], dtype=np.float64)
+        gemm = np.array([value[2] for value in priced], dtype=np.float64)
+        return live[inverse], c_bytes[inverse], gemm[inverse]
 
     # ------------------------------------------------------------------ #
     # vectorized pricing
@@ -715,25 +565,6 @@ class BatchEvaluator:
                 "a_fetch": fetch["a"], "b_fetch": fetch["b"],
                 "a_egress": egress["a"], "b_egress": egress["b"]}
 
-    def _price_programs(self, programs: Sequence[CandidateProgram]) -> None:
-        """Attach duration columns to each unpriced program."""
-        todo = [p for p in programs if not p.priced]
-        if not todo:
-            return
-        if len(todo) == 1:
-            program = todo[0]
-            program.attach_durations(self._duration_columns(
-                program.col, float(program.cls.c_geom.itemsize)))
-            return
-        offsets = np.cumsum([0] + [p.num_ops for p in todo])
-        stacked = _split_columns(np.concatenate([p.table for p in todo]))
-        durations = self._duration_columns(
-            stacked, float(todo[0].cls.c_geom.itemsize))
-        for i, program in enumerate(todo):
-            lo, hi = int(offsets[i]), int(offsets[i + 1])
-            program.attach_durations(
-                {name: arr[lo:hi] for name, arr in durations.items()})
-
     def _occupancy_rows(self, cols: Dict[str, np.ndarray]
                         ) -> Tuple[np.ndarray, np.ndarray]:
         """(slot, value) pairs in the scalar occupancy loop's emission order.
@@ -773,45 +604,12 @@ class BatchEvaluator:
     def frontier_occupancy_bounds(self, candidates) -> List[float]:
         """Occupancy bound (+ class reduce term) for a whole frontier at once.
 
-        One grouped segment-sum over the stacked event tables: each
-        candidate's terms land in its own slot range, ``np.bincount``
-        accumulates them sequentially in emission order (bit-equal to the
-        scalar loop), and a per-device max finishes the bound.
+        Every not-yet-compiled candidate is built and priced by one
+        :meth:`_build` call; the rest reuse their cached programs.
         """
-        programs = [self.compile(candidate) for candidate in candidates]
-        if not programs:
-            return []
-        counts = np.asarray([p.num_ops for p in programs], dtype=np.int64)
-        offsets = np.zeros(len(programs) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        # One stacked split + one pricing pass for the whole frontier; the
-        # per-program duration slices are views into the stacked arrays.
-        stacked = _split_columns(np.concatenate([p.table for p in programs]))
-        durations = self._duration_columns(
-            stacked, float(programs[0].cls.c_geom.itemsize))
-        for i, program in enumerate(programs):
-            if not program.priced:
-                lo, hi = int(offsets[i]), int(offsets[i + 1])
-                program.attach_durations(
-                    {name: arr[lo:hi] for name, arr in durations.items()})
-        stacked.update(durations)
-        p = self.machine.num_devices
-        stride = p * _NUM_ENGINES + 1
-        slots, vals = self._occupancy_rows(stacked)
-        # Offset each row's 7 slots into its candidate's segment: rows are
-        # program-major, so the global accumulation order matches the
-        # per-program scalar loops chunk for chunk.
-        prog_idx = np.repeat(np.arange(len(programs), dtype=np.int64), counts)
-        slots += np.repeat(prog_idx * stride, 7)
-        totals = np.bincount(slots, weights=vals,
-                             minlength=len(programs) * stride)
-        per_engine = totals.reshape(len(programs), stride)[:, :p * _NUM_ENGINES]
-        occupancy = per_engine.max(axis=1)
-        bounds = []
-        for program, occ in zip(programs, occupancy):
-            program.occupancy = float(occ)
-            bounds.append(float(occ) + program.cls.reduce_time)
-        return bounds
+        self._build(candidates)
+        return [program.occupancy + program.cls.reduce_time
+                for program in map(self.compile, candidates)]
 
     def _single_occupancy(self, cols: Dict[str, np.ndarray]) -> float:
         slots, vals = self._occupancy_rows(cols)
@@ -834,16 +632,13 @@ class BatchEvaluator:
         ``CostModel.critical_path_lower_bound`` computes it.
         """
         program = self.compile(candidate)
-        self._price_programs([program])
         cols = program.exec_columns(self.config.iteration_offset)
         # Execution order is rank-major (the offset rotates within ranks),
-        # so each rank's stream is one contiguous slice.
-        boundaries = np.searchsorted(
-            cols["rank"], np.arange(self.machine.num_devices + 1)
-        )
+        # so each rank's stream is its generation-order slice.
+        boundaries = program.rank_starts.tolist()
         relaxed = 0.0
         for device in range(self.machine.num_devices):
-            lo, hi = int(boundaries[device]), int(boundaries[device + 1])
+            lo, hi = boundaries[device], boundaries[device + 1]
             finish = self._replay_rank(device, cols, lo, hi)
             if finish > relaxed:
                 relaxed = finish

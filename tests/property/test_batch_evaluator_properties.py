@@ -11,8 +11,11 @@ which the planner tests pin.  Four families:
 2. **Delta re-simulation** — the critical-path bound from a *warm* evaluator
    (replay caches populated by earlier candidates, checkpoint resumes taken)
    equals both the cold evaluator's answer and the scalar relaxed replay.
-3. **Compiled event tables** — the primitive-int enumerator emits exactly the
-   op stream of ``generate_all_ops`` + ``prune_structured_ops``, op for op.
+3. **Compiled event tables** — every column of the compiled table matches
+   the op stream of the paper-loop oracle (``tests/slicing_oracle.py``) +
+   ``prune_structured_ops``, op for op, on random workloads and on the
+   CuPy distributed-matmul index maps (uneven 60/110 and 110/70 splits, two
+   tiles per device).
 4. **End-to-end search** — ``search_partitionings`` returns identical
    recommendations and identical pruning counters under ``use_batch=True``
    and ``use_batch=False``.
@@ -20,25 +23,37 @@ which the planner tests pin.  Four families:
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bench.schemes import ua_schemes
+from repro.bench.schemes import PartitioningScheme, ua_schemes
 from repro.bench.sweep import run_ua_point, valid_replication_factors
 from repro.bench.workloads import Workload
 from repro.core.config import ExecutionConfig
-from repro.core.slicing import generate_all_ops
-from repro.core.stationary import parse_stationary
-from repro.core.structure import BlockSparse, MoERagged, prune_structured_ops, resolve_structure
+from repro.core.cost_model import CostModel
+from repro.core.slicing import check_coverage, generate_all_ops
+from repro.core.stationary import Stationary, parse_stationary
+from repro.core.structure import (
+    ROLE_A,
+    ROLE_B,
+    BlockSparse,
+    MoERagged,
+    prune_structured_ops,
+    resolve_structure,
+)
+from repro.dist.partition import CustomTiles
 from repro.planner.search import (
     BOUND_CRITICAL_PATH,
     BOUND_OCCUPANCY,
+    Candidate,
     candidate_lower_bound,
     enumerate_candidates,
     search_partitionings,
 )
 from repro.sim.batch import BatchEvaluator
 from repro.topology.machines import GB, uniform_system
+from tests.slicing_oracle import oracle_all_ops
 
 
 @st.composite
@@ -168,41 +183,132 @@ class TestDeltaReplayEqualsCold:
             assert batch_point == scalar_point, candidate
 
 
+def _assert_table_matches_oracle(machine, workload, config, candidate):
+    """Every column of the candidate's compiled table, row by row, against
+    the oracle's pruned op stream."""
+    evaluator = BatchEvaluator(machine, workload, config)
+    program = evaluator.compile(candidate)
+    cls = program.cls
+    per_rank_ops = oracle_all_ops(cls.a, cls.b, cls.c,
+                                  parse_stationary(candidate.stationary))
+    structure = resolve_structure(workload.structure)
+    if structure is not None:
+        per_rank_ops = prune_structured_ops(per_rank_ops, structure)
+    reference = [op for rank in sorted(per_rank_ops) for op in per_rank_ops[rank]]
+    assert program.num_ops == len(reference)
+    table = program.table
+    cost_model = CostModel(machine)
+
+    def tile_bytes(matrix, label, index):
+        bounds = matrix.tile_bounds(index)
+        nbytes = bounds.size * matrix.dtype.itemsize
+        if structure is not None:
+            nbytes *= structure.live_fraction(label, bounds.rows, bounds.cols)
+        return nbytes
+
+    fetched = set()
+    for i, op in enumerate(reference):
+        a_key = op.a.index[0] * cls.a.grid.num_col_tiles + op.a.index[1]
+        b_key = op.b.index[0] * cls.b.grid.num_col_tiles + op.b.index[1]
+        firsts = []
+        for side, remote, key in (("a", op.a_is_remote, a_key),
+                                  ("b", op.b_is_remote, b_key)):
+            firsts.append(remote and (op.rank, side, key) not in fetched)
+            if remote:
+                fetched.add((op.rank, side, key))
+        c_bytes = op.c_bytes
+        gemm = 0.0  # dense GEMMs are priced by the vectorized pass
+        if structure is not None:
+            c_bytes *= structure.op_fractions(op.m_bound, op.k_bound, op.n_bound)[3]
+            gemm = cost_model.structured_op_compute_time(op, structure)
+        expected = {
+            "rank": op.rank, "m": op.m, "n": op.n, "k": op.k,
+            "m0": op.m_bound.start, "k0": op.k_bound.start, "n0": op.n_bound.start,
+            "a_owner": op.a.owner, "b_owner": op.b.owner, "c_owner": op.c.owner,
+            "a_key": a_key, "b_key": b_key,
+            "stat_i": op.stationary_index[0], "stat_j": op.stationary_index[1],
+            "a_remote": op.a_is_remote, "b_remote": op.b_is_remote,
+            "c_remote": op.c_is_remote,
+            "a_first": firsts[0], "b_first": firsts[1],
+            "a_bytes": tile_bytes(cls.a, ROLE_A, op.a.index),
+            "b_bytes": tile_bytes(cls.b, ROLE_B, op.b.index),
+            "c_bytes": c_bytes, "gemm": gemm,
+        }
+        assert set(table) == set(expected)
+        for name, value in expected.items():
+            assert table[name][i] == value, (i, name)
+        assert program.col["gemm"][i] == cost_model.structured_op_compute_time(
+            op, structure), i
+
+
 class TestCompiledTableMatchesReference:
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(mc=machine_and_config(), workload=any_workload(),
            data=st.data())
     def test_event_table_mirrors_generate_all_ops(self, mc, workload, data):
-        """The primitive-int enumerator must emit the exact pruned op stream
-        of the reference generator: same count, order, shapes, and flags."""
+        """The compiled table must carry the exact pruned op stream of the
+        paper-loop oracle: same count, order, bounds, owners, tiles, flags,
+        bytes and GEMM times."""
         machine, config = mc
         candidates = _candidates(machine, workload)
         candidate = data.draw(st.sampled_from(candidates))
+        _assert_table_matches_oracle(machine, workload, config, candidate)
+
+
+#: CuPy's distributed-matmul index maps (A 100x200 cut at row 60 / col 110,
+#: B 200x120 cut at row 110 / col 70), refined so that every operand holds
+#: two tiles per device on 4 devices: per owner count of one replica, the
+#: (row splits, col splits) of each operand.
+CUPY_SPLITS = {
+    "A": {2: ([0, 60, 100], [0, 110, 200]),
+          4: ([0, 60, 100], [0, 55, 110, 155, 200])},
+    "B": {2: ([0, 110, 200], [0, 70, 120]),
+          4: ([0, 55, 110, 155, 200], [0, 70, 120])},
+    "C": {2: ([0, 60, 100], [0, 70, 120]),
+          4: ([0, 60, 100], [0, 35, 70, 95, 120])},
+}
+CUPY_SCHEME = PartitioningScheme(
+    name="cupy_index_map", label="CuPy index map",
+    a_factory=lambda _shape, owners: CustomTiles(*CUPY_SPLITS["A"][owners]),
+    b_factory=lambda _shape, owners: CustomTiles(*CUPY_SPLITS["B"][owners]),
+    c_factory=lambda _shape, owners: CustomTiles(*CUPY_SPLITS["C"][owners]),
+)
+CUPY_REPLICATIONS = [(1, 1, 1), (2, 2, 2), (2, 1, 1), (1, 2, 1), (1, 1, 2)]
+
+
+class TestCupyIndexMaps:
+    @pytest.mark.parametrize("replication", CUPY_REPLICATIONS)
+    @pytest.mark.parametrize("stationary", ["A", "B", "C"])
+    @pytest.mark.parametrize("iteration_offset", [False, True])
+    def test_table_and_bounds_match_oracle(self, replication, stationary,
+                                           iteration_offset):
+        machine = uniform_system(4, link_bandwidth=25 * GB)
+        workload = Workload("cupy_100x120x200", 100, 120, 200)
+        config = ExecutionConfig(simulate_only=True, iteration_offset=iteration_offset)
+        candidate = Candidate(index=0, scheme=CUPY_SCHEME, replication=replication,
+                              stationary=stationary, memory_per_device=0)
+        _assert_table_matches_oracle(machine, workload, config, candidate)
         evaluator = BatchEvaluator(machine, workload, config)
-        program = evaluator.compile(candidate)
-        cls = program.cls
-        per_rank_ops = generate_all_ops(cls.a, cls.b, cls.c,
-                                        parse_stationary(candidate.stationary))
-        structure = resolve_structure(workload.structure)
-        if structure is not None:
-            per_rank_ops = prune_structured_ops(per_rank_ops, structure)
-        reference = [op for rank in sorted(per_rank_ops)
-                     for op in per_rank_ops[rank]]
-        assert program.num_ops == len(reference)
-        col = program.col
-        for i, op in enumerate(reference):
-            assert col["rank"][i] == op.rank
-            assert col["m"][i] == op.m
-            assert col["n"][i] == op.n
-            assert col["k"][i] == op.k
-            assert col["c_bytes"][i] == (
-                op.c_bytes if structure is None
-                else op.c_bytes * structure.op_fractions(
-                    op.m_bound, op.k_bound, op.n_bound)[3])
-            assert bool(col["a_remote"][i]) == op.a_is_remote
-            assert bool(col["b_remote"][i]) == op.b_is_remote
-            assert bool(col["c_remote"][i]) == op.c_is_remote
+        for bound, value in (
+                (BOUND_OCCUPANCY, evaluator.frontier_occupancy_bounds([candidate])[0]),
+                (BOUND_CRITICAL_PATH, evaluator.critical_bound(candidate))):
+            assert value == candidate_lower_bound(machine, workload, candidate,
+                                                  config, bound)
+
+    @pytest.mark.parametrize("replication", CUPY_REPLICATIONS)
+    @pytest.mark.parametrize("stationary", list(Stationary))
+    def test_generated_ops_equal_oracle(self, replication, stationary):
+        machine = uniform_system(4)
+        workload = Workload("cupy_100x120x200", 100, 120, 200)
+        candidate = Candidate(index=0, scheme=CUPY_SCHEME, replication=replication,
+                              stationary=stationary.value, memory_per_device=0)
+        cls = BatchEvaluator(machine, workload).compile(candidate).cls
+        for matrix in (cls.a, cls.b, cls.c):
+            assert all(len(matrix.my_tiles(rank)) == 2 for rank in range(4))
+        ops = generate_all_ops(cls.a, cls.b, cls.c, stationary)
+        assert ops == oracle_all_ops(cls.a, cls.b, cls.c, stationary)
+        check_coverage(cls.a, cls.b, cls.c, ops)
 
 
 class TestSearchIdenticalUnderBothEvaluators:
