@@ -58,6 +58,12 @@ python benchmarks/bench_graph_planner.py --check
 echo "== benchmark smoke: cold_mix answers vs reference + scalar re-pricing of every winner =="
 python benchmarks/e2e/run.py --workload cold_mix --seconds 3
 
+echo "== benchmark smoke: warm_inproc answers (every plan and plan_graph hit checked in-process) =="
+python benchmarks/e2e/run.py --workload warm_inproc --seconds 3
+
+echo "== benchmark smoke: wire_warm answers (every plan and plan_graph hit checked over the socket) =="
+python benchmarks/e2e/run.py --workload wire_warm --seconds 3
+
 echo "== docs: markdown link check + executable-doc snippet smoke =="
 python scripts/check_docs.py
 

@@ -67,7 +67,6 @@ from repro.planner.cache import (
 from repro.planner.graph import (
     DEFAULT_LATTICE_SIZE,
     GraphPlanEntry,
-    op_workload,
     plan_graph_layouts,
 )
 from repro.planner.search import SearchStats, search_partitionings
@@ -109,42 +108,49 @@ class PlanResponse:
         """The best plan."""
         return self.recommendations[0]
 
+    @classmethod
+    def _from_entry(cls, signature, entry: PlanEntry, *, cache_hit, coalesced,
+                    planning_time, plan_age, stale, search_stats) -> "PlanResponse":
+        """The response serving ``entry`` with the request's outcome fields."""
+        return cls(signature=signature,
+                   recommendations=list(entry.recommendations),
+                   cache_hit=cache_hit, coalesced=coalesced,
+                   planning_time=planning_time, plan_age=plan_age, stale=stale,
+                   search_stats=search_stats)
+
 
 @dataclass
-class GraphPlanResponse:
-    """One served joint graph-planning answer.
+class GraphPlanResponse(PlanResponse):
+    """One served joint graph-planning answer: a plan plus the graph fields.
 
-    Field-compatible with :class:`PlanResponse` everywhere the serving
-    telemetry looks (``signature.key()``, outcome flags, timings,
-    ``search_stats``), so graph requests flow through the same outcome
-    counters, latency histograms, and request-log records as single-op ones.
+    ``signature`` is a :class:`~repro.planner.signature.GraphSignature` and
+    ``recommendations`` holds the chosen layout per op, aligned with
+    ``graph.ops``; everything else is served, counted, and logged exactly as
+    for a single-op :class:`PlanResponse`.
     """
 
-    signature: GraphSignature
-    #: The chosen recommendation per op, aligned with ``graph.ops``.
-    recommendations: List[PartitioningRecommendation]
     #: The (bucketed) graph the joint plan was computed for.
-    graph: Optional[OpGraph]
+    graph: Optional[OpGraph] = None
     #: Chosen candidate index per op (into each op's layout lattice).
-    assignment: Tuple[int, ...]
+    assignment: Tuple[int, ...] = ()
     #: End-to-end modelled makespan of the joint assignment.
-    makespan: float
+    makespan: float = 0.0
     #: Makespan of the per-op greedy baseline (every op's isolated winner).
-    greedy_makespan: float
+    greedy_makespan: float = 0.0
     #: Which solver produced the assignment (chain DP or branch-and-bound).
-    method: str
-    #: True when the answer came from the plan cache (or warm-start store).
-    cache_hit: bool
-    #: True when this request waited on an identical in-flight computation.
-    coalesced: bool
-    #: Wall-clock seconds this request spent being answered.
-    planning_time: float
-    #: Age in seconds of the served plan at serve time.
-    plan_age: float = 0.0
-    #: True when a grace-window (stale-while-revalidate) entry was served.
-    stale: bool = False
-    #: Accumulated per-op search bookkeeping; ``None`` unless computed here.
-    search_stats: Optional[SearchStats] = None
+    method: str = ""
+
+    @classmethod
+    def _from_entry(cls, signature, entry, *, cache_hit, coalesced,
+                    planning_time, plan_age, stale,
+                    search_stats) -> "GraphPlanResponse":
+        return cls(signature=signature,
+                   recommendations=list(entry.recommendations),
+                   cache_hit=cache_hit, coalesced=coalesced,
+                   planning_time=planning_time, plan_age=plan_age, stale=stale,
+                   search_stats=search_stats, graph=entry.graph,
+                   assignment=entry.assignment, makespan=entry.makespan,
+                   greedy_makespan=entry.greedy_makespan, method=entry.method)
 
 
 @dataclass
@@ -308,6 +314,8 @@ class PlannerService:
     ) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+        if top_k < 1:
+            raise ValueError(f"top_k must be >= 1, got {top_k}")
         self.machine = machine
         self.top_k = top_k
         self.memory_budget_bytes = memory_budget_bytes
@@ -365,7 +373,6 @@ class PlannerService:
             bucket_ratio=bucket_ratio,
             config=self.config,
         )
-        self._machine_digest = self._signatures.machine_digest
         #: Coarse compatibility digest stamped on every computed plan so a
         #: profile-matching machine elsewhere in the fleet can seed from it.
         self.machine_profile = machine_portability_profile(machine)
@@ -397,9 +404,6 @@ class PlannerService:
     # ------------------------------------------------------------------ #
     # signatures
     # ------------------------------------------------------------------ #
-    def _options_digest(self, top_k: int) -> str:
-        return self._signatures.options_digest(top_k)
-
     def signature_for(self, workload: Workload, top_k: Optional[int] = None) -> ProblemSignature:
         """Canonical signature a request maps to (its cache identity).
 
@@ -480,192 +484,83 @@ class PlannerService:
         ``planner.plan`` span (joining any ambient trace context, e.g. the
         serving worker's) and is recorded to the metrics registry and the
         request log on completion.
+
+        Raises:
+            ValueError: if ``top_k < 1`` (before any signature or cache work).
         """
+        if top_k is None:
+            top_k = self.top_k
+        elif top_k < 1:
+            raise ValueError(f"top_k must be >= 1, got {top_k}")
         telemetry = self._telemetry
         if telemetry is None:
-            return self._plan(workload, top_k=top_k)
+            return self._serve(PlannerService.signature_for, workload, top_k,
+                               PlannerService._compute_plan, PlanResponse,
+                               self._observer)
         with telemetry.tracer.span("planner.plan",
                                    workload=workload.name) as span:
-            response = self._plan(workload, top_k=top_k)
+            response = self._serve(PlannerService.signature_for, workload,
+                                   top_k, PlannerService._compute_plan,
+                                   PlanResponse, self._observer)
             span.set(signature=response.signature.key(),
                      outcome=_outcome_of(response))
             telemetry.record(response, workload.name)
         return response
 
-    def _plan(self, workload: Workload, *, top_k: Optional[int] = None) -> PlanResponse:
-        started = time.perf_counter()
-        effective_k = self.top_k if top_k is None else top_k
-        signature = self.signature_for(workload, effective_k)
-        key = signature.key()
-
-        leader = False
-        flight: Optional[_InFlight] = None
-        with self._lock:
-            self._stats.requests += 1
-            found = self.cache.get_for_serving(key)
-            if found is None:
-                flight = self._inflight.get(key)
-                if flight is None:
-                    flight = _InFlight()
-                    self._inflight[key] = flight
-                    leader = True
-        observer = self._observer
-        if found is not None:
-            entry, plan_age, stale = found
-            elapsed = time.perf_counter() - started
-            with self._lock:
-                self._stats.cache_hits += 1
-                if stale:
-                    self._stats.stale_hits += 1
-                self._stats.total_planning_time += elapsed
-                if elapsed > self._stats.max_planning_time:
-                    self._stats.max_planning_time = elapsed
-            if observer is not None:
-                observer.observe_request(signature, effective_k, workload,
-                                         stale=stale)
-            return PlanResponse(signature=signature,
-                                recommendations=list(entry.recommendations),
-                                cache_hit=True, coalesced=False,
-                                planning_time=elapsed, plan_age=plan_age,
-                                stale=stale)
-
-        assert flight is not None
-        if not leader:
-            flight.event.wait()
-            elapsed = time.perf_counter() - started
-            with self._lock:
-                self._stats.coalesced_requests += 1
-                self._stats.total_planning_time += elapsed
-                if elapsed > self._stats.max_planning_time:
-                    self._stats.max_planning_time = elapsed
-            if flight.error is not None:
-                raise flight.error
-            assert flight.entry is not None
-            if observer is not None:
-                observer.observe_request(signature, effective_k, workload,
-                                         stale=False)
-            return PlanResponse(signature=signature,
-                                recommendations=list(flight.entry.recommendations),
-                                cache_hit=False, coalesced=True,
-                                planning_time=elapsed)
-
-        search_stats: Optional[SearchStats] = None
-        try:
-            # Plan for the bucket's representative (its upper corner), not the
-            # raw request: every member of the bucket then receives the same
-            # deterministic answer regardless of arrival order, and the memory
-            # budget was checked against the largest shape the bucket admits.
-            planning_workload = signature.representative_workload(name=workload.name)
-            recommendations, search_stats = self._search(planning_workload,
-                                                         effective_k)
-            entry = PlanEntry(recommendations=recommendations,
-                              workload=planning_workload,
-                              num_simulated=search_stats.num_simulated,
-                              num_pruned=search_stats.num_pruned,
-                              fingerprint=self.cost_model_fingerprint,
-                              machine_profile=self.machine_profile)
-            self.cache.put(key, entry)
-            flight.entry = entry
-        except BaseException as error:
-            flight.error = error
-            raise
-        finally:
-            with self._lock:
-                self._inflight.pop(key, None)
-            flight.event.set()
-
-        if self.autosave and self.store_path is not None:
-            self.cache.save(self.store_path)
-
-        elapsed = time.perf_counter() - started
-        with self._lock:
-            self._stats.plans_computed += 1
-            self._stats.candidates_simulated += search_stats.num_simulated
-            self._stats.candidates_pruned += search_stats.num_pruned
-            if search_stats.num_seeded:
-                self._stats.portable_seeded += 1
-            self._stats.total_planning_time += elapsed
-            if elapsed > self._stats.max_planning_time:
-                self._stats.max_planning_time = elapsed
-        if observer is not None:
-            observer.observe_request(signature, effective_k, workload,
-                                     stale=False)
-        return PlanResponse(signature=signature,
-                            recommendations=list(entry.recommendations),
-                            cache_hit=False, coalesced=False,
-                            planning_time=elapsed, search_stats=search_stats)
-
     def graph_signature_for(self, graph: OpGraph,
                             lattice_size: Optional[int] = None) -> GraphSignature:
         """Canonical signature of one joint graph-planning request.
 
-        Each op buckets exactly like a single-op request (with the lattice
-        size folded into the per-op options digest, so plans computed under
-        different lattice widths never alias); the edge structure rides
-        alongside.  Structurally identical graphs share a cache entry
-        regardless of their display names.
+        Delegates to the shared :class:`~repro.planner.signature.SignatureFactory`
+        derivation, exactly as :meth:`signature_for` does for single ops.
         """
-        effective = DEFAULT_LATTICE_SIZE if lattice_size is None else lattice_size
-        return GraphSignature(
-            ops=tuple(self.signature_for(op_workload(op), top_k=effective)
-                      for op in graph.ops),
-            edges=tuple((edge.src, edge.dst, edge.operand)
-                        for edge in graph.edges),
-            name=graph.name,
-        )
+        return self._signatures.graph_signature_for(graph, lattice_size)
 
     def plan_graph(self, graph: OpGraph, *,
                    lattice_size: Optional[int] = None) -> GraphPlanResponse:
         """Serve one joint graph-planning request (cache -> single-flight -> solve).
 
-        Same serving discipline as :meth:`plan` — memoized on the graph
+        The same request path as :meth:`plan` — memoized on the graph
         signature, coalesced across concurrent identical requests, recorded
         to the metrics registry / request log / tracer when observability is
-        enabled (span ``planner.plan_graph``).
+        enabled (span ``planner.plan_graph``).  The background refresher is
+        not fed: it re-plans single-op signatures only, so graph entries
+        renew through this foreground path.
         """
+        if lattice_size is None:
+            lattice_size = DEFAULT_LATTICE_SIZE
         telemetry = self._telemetry
         if telemetry is None:
-            return self._plan_graph(graph, lattice_size=lattice_size)
+            return self._serve(PlannerService.graph_signature_for, graph,
+                               lattice_size, PlannerService._compute_graph,
+                               GraphPlanResponse, None)
         with telemetry.tracer.span("planner.plan_graph",
                                    graph=graph.name,
                                    ops=len(graph.ops)) as span:
-            response = self._plan_graph(graph, lattice_size=lattice_size)
+            response = self._serve(PlannerService.graph_signature_for, graph,
+                                   lattice_size, PlannerService._compute_graph,
+                                   GraphPlanResponse, None)
             span.set(signature=response.signature.key(),
                      outcome=_outcome_of(response),
                      method=response.method)
             telemetry.record(response, graph.name)
         return response
 
-    def _graph_response(self, signature: GraphSignature, entry: GraphPlanEntry,
-                        *, cache_hit: bool, coalesced: bool,
-                        planning_time: float, plan_age: float = 0.0,
-                        stale: bool = False,
-                        search_stats: Optional[SearchStats] = None,
-                        ) -> GraphPlanResponse:
-        """Assemble the served response from a (new or cached) graph entry."""
-        return GraphPlanResponse(
-            signature=signature,
-            recommendations=list(entry.recommendations),
-            graph=entry.graph,
-            assignment=entry.assignment,
-            makespan=entry.makespan,
-            greedy_makespan=entry.greedy_makespan,
-            method=entry.method,
-            cache_hit=cache_hit,
-            coalesced=coalesced,
-            planning_time=planning_time,
-            plan_age=plan_age,
-            stale=stale,
-            search_stats=search_stats,
-        )
+    def _serve(self, sign, subject, option, compute, response_type,
+               observer) -> PlanResponse:
+        """The one request path behind :meth:`plan` and :meth:`plan_graph`.
 
-    def _plan_graph(self, graph: OpGraph, *,
-                    lattice_size: Optional[int] = None) -> GraphPlanResponse:
+        ``sign(self, subject, option)`` gives the signature (inside the
+        timed span, so ``planning_time`` covers it).  Cache lookup, then
+        single-flight: the first miss on a key leads and runs
+        ``compute(self, signature, subject, option)`` (see :meth:`_lead`),
+        identical concurrent misses wait on its flight and share its entry
+        or its error.  Every request is counted once; ``observer`` (the
+        refresher hook, or ``None``) sees each answer.
+        """
         started = time.perf_counter()
-        effective = DEFAULT_LATTICE_SIZE if lattice_size is None else lattice_size
-        signature = self.graph_signature_for(graph, effective)
+        signature = sign(self, subject, option)
         key = signature.key()
-
         leader = False
         flight: Optional[_InFlight] = None
         with self._lock:
@@ -674,68 +569,49 @@ class PlannerService:
             if found is None:
                 flight = self._inflight.get(key)
                 if flight is None:
-                    flight = _InFlight()
-                    self._inflight[key] = flight
+                    flight = self._inflight[key] = _InFlight()
                     leader = True
-        # Note: the refresher's request observer is deliberately not fed —
-        # it refreshes single-op ProblemSignatures and cannot re-plan a
-        # graph key; graph entries renew through the foreground path only.
+        plan_age, stale, search_stats = 0.0, False, None
         if found is not None:
             entry, plan_age, stale = found
-            elapsed = time.perf_counter() - started
-            with self._lock:
-                self._stats.cache_hits += 1
-                if stale:
-                    self._stats.stale_hits += 1
-                self._stats.total_planning_time += elapsed
-                if elapsed > self._stats.max_planning_time:
-                    self._stats.max_planning_time = elapsed
-            return self._graph_response(signature, entry, cache_hit=True,
-                                        coalesced=False,
-                                        planning_time=elapsed,
-                                        plan_age=plan_age, stale=stale)
-
-        assert flight is not None
-        if not leader:
+        elif leader:
+            entry, search_stats = self._lead(key, flight, compute, signature,
+                                             subject, option)
+        else:
             flight.event.wait()
-            elapsed = time.perf_counter() - started
-            with self._lock:
-                self._stats.coalesced_requests += 1
-                self._stats.total_planning_time += elapsed
-                if elapsed > self._stats.max_planning_time:
-                    self._stats.max_planning_time = elapsed
-            if flight.error is not None:
-                raise flight.error
-            assert flight.entry is not None
-            return self._graph_response(signature, flight.entry,
-                                        cache_hit=False, coalesced=True,
-                                        planning_time=elapsed)
+            entry = flight.entry
+        elapsed = time.perf_counter() - started
+        coalesced = found is None and not leader
+        with self._lock:
+            stats = self._stats
+            if found is not None:
+                stats.cache_hits += 1
+                if stale:
+                    stats.stale_hits += 1
+            elif coalesced:
+                stats.coalesced_requests += 1
+            stats.total_planning_time += elapsed
+            if elapsed > stats.max_planning_time:
+                stats.max_planning_time = elapsed
+        if entry is None:
+            raise flight.error  # the leader failed; every waiter re-raises
+        if observer is not None:
+            observer.observe_request(signature, option, subject, stale=stale)
+        return response_type._from_entry(
+            signature, entry, cache_hit=found is not None, coalesced=coalesced,
+            planning_time=elapsed, plan_age=plan_age, stale=stale,
+            search_stats=search_stats)
 
-        search_stats: Optional[SearchStats] = None
+    def _lead(self, key: str, flight: _InFlight, compute, signature, subject,
+              option) -> Tuple[PlanEntry, SearchStats]:
+        """Compute and cache ``key``'s entry as the single-flight leader.
+
+        Waiters parked on ``flight`` wake with the entry or the error, and
+        the key leaves the in-flight table either way, so a failed flight
+        never poisons it.  Counts the computed plan and autosaves.
+        """
         try:
-            # Plan for the bucket-corner graph, not the raw request — the
-            # same representative discipline as single-op serving, so every
-            # member of the bucket gets one deterministic joint plan.
-            planning_graph = signature.representative_graph()
-            plan, search_stats = plan_graph_layouts(
-                self.machine,
-                planning_graph,
-                lattice_size=effective,
-                memory_budget_bytes=self.memory_budget_bytes,
-                schemes=self.schemes,
-                replication_factors=self.replication_factors,
-                stationary_options=self.stationary_options,
-                itemsize=self.itemsize,
-                config=self.config,
-                prune=self.prune,
-                tracer=self._tracer,
-            )
-            entry = GraphPlanEntry.from_plan(
-                plan,
-                num_simulated=search_stats.num_simulated,
-                num_pruned=search_stats.num_pruned,
-                fingerprint=self.cost_model_fingerprint,
-            )
+            entry, search_stats = compute(self, signature, subject, option)
             self.cache.put(key, entry)
             flight.entry = entry
         except BaseException as error:
@@ -745,21 +621,59 @@ class PlannerService:
             with self._lock:
                 self._inflight.pop(key, None)
             flight.event.set()
-
-        if self.autosave and self.store_path is not None:
-            self.cache.save(self.store_path)
-
-        elapsed = time.perf_counter() - started
         with self._lock:
             self._stats.plans_computed += 1
             self._stats.candidates_simulated += search_stats.num_simulated
             self._stats.candidates_pruned += search_stats.num_pruned
-            self._stats.total_planning_time += elapsed
-            if elapsed > self._stats.max_planning_time:
-                self._stats.max_planning_time = elapsed
-        return self._graph_response(signature, entry, cache_hit=False,
-                                    coalesced=False, planning_time=elapsed,
-                                    search_stats=search_stats)
+            if search_stats.num_seeded:
+                self._stats.portable_seeded += 1
+        if self.autosave and self.store_path is not None:
+            self.cache.save(self.store_path)
+        return entry, search_stats
+
+    def _compute_plan(self, signature: ProblemSignature,
+                      workload: Optional[Workload],
+                      top_k: int) -> Tuple[PlanEntry, SearchStats]:
+        """Miss step of :meth:`plan` (and :meth:`refresh`, with no workload).
+
+        Plans for the bucket's representative (its upper corner), not the
+        raw request: every member of the bucket then receives the same
+        deterministic answer regardless of arrival order, and the memory
+        budget was checked against the largest shape the bucket admits.
+        """
+        planning_workload = (signature.representative_workload() if workload is None
+                             else signature.representative_workload(name=workload.name))
+        recommendations, search_stats = self._search(planning_workload, top_k)
+        return PlanEntry(recommendations=recommendations,
+                         workload=planning_workload,
+                         num_simulated=search_stats.num_simulated,
+                         num_pruned=search_stats.num_pruned,
+                         fingerprint=self.cost_model_fingerprint,
+                         machine_profile=self.machine_profile), search_stats
+
+    def _compute_graph(self, signature: GraphSignature, _graph: OpGraph,
+                       lattice_size: int) -> Tuple[GraphPlanEntry, SearchStats]:
+        """Miss step of :meth:`plan_graph`: solve the bucket-corner graph,
+        the same representative discipline as single-op serving."""
+        plan, search_stats = plan_graph_layouts(
+            self.machine,
+            signature.representative_graph(),
+            lattice_size=lattice_size,
+            memory_budget_bytes=self.memory_budget_bytes,
+            schemes=self.schemes,
+            replication_factors=self.replication_factors,
+            stationary_options=self.stationary_options,
+            itemsize=self.itemsize,
+            config=self.config,
+            prune=self.prune,
+            tracer=self._tracer,
+        )
+        return GraphPlanEntry.from_plan(
+            plan,
+            num_simulated=search_stats.num_simulated,
+            num_pruned=search_stats.num_pruned,
+            fingerprint=self.cost_model_fingerprint,
+        ), search_stats
 
     def plan_many(self, workloads: Sequence[Workload], *,
                   top_k: Optional[int] = None) -> List[PlanResponse]:
@@ -880,41 +794,15 @@ class PlannerService:
             because an identical computation was already in flight.
         """
         key = signature.key()
-        effective_k = self.top_k if top_k is None else top_k
         flight = _InFlight()
         with self._lock:
             if key in self._inflight:
                 return False
             self._inflight[key] = flight
-        search_stats: Optional[SearchStats] = None
-        try:
-            planning_workload = signature.representative_workload()
-            recommendations, search_stats = self._search(planning_workload,
-                                                         effective_k)
-            entry = PlanEntry(recommendations=recommendations,
-                              workload=planning_workload,
-                              num_simulated=search_stats.num_simulated,
-                              num_pruned=search_stats.num_pruned,
-                              fingerprint=self.cost_model_fingerprint,
-                              machine_profile=self.machine_profile)
-            self.cache.put(key, entry)
-            flight.entry = entry
-        except BaseException as error:
-            flight.error = error
-            raise
-        finally:
-            with self._lock:
-                self._inflight.pop(key, None)
-            flight.event.set()
+        self._lead(key, flight, PlannerService._compute_plan, signature, None,
+                   self.top_k if top_k is None else top_k)
         with self._lock:
-            self._stats.plans_computed += 1
             self._stats.background_refreshes += 1
-            self._stats.candidates_simulated += search_stats.num_simulated
-            self._stats.candidates_pruned += search_stats.num_pruned
-            if search_stats.num_seeded:
-                self._stats.portable_seeded += 1
-        if self.autosave and self.store_path is not None:
-            self.cache.save(self.store_path)
         return True
 
     def cache_stats(self):

@@ -25,6 +25,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.bench.workloads import Workload
 from repro.core.config import ExecutionConfig
 from repro.core.structure import DENSE, WorkloadStructure, geometric_bucket
+from repro.planner.graph import DEFAULT_LATTICE_SIZE, op_workload
 from repro.topology.machines import MachineSpec
 
 #: Requests whose dimensions differ by less than ~±11% share a bucket.
@@ -349,10 +350,6 @@ class SignatureFactory:
         alongside.  Structurally identical graphs share a cache entry
         regardless of their display names.
         """
-        # Lazy import: repro.planner.graph drives the planner stack that
-        # imports this module — the same intentional cycle refresh.py has.
-        from repro.planner.graph import DEFAULT_LATTICE_SIZE, op_workload
-
         effective = DEFAULT_LATTICE_SIZE if lattice_size is None else lattice_size
         return GraphSignature(
             ops=tuple(self.signature_for(op_workload(op), top_k=effective)

@@ -22,6 +22,7 @@ from typing import Dict, Optional, Tuple, Union
 
 from repro.bench.workloads import Workload
 from repro.obs.tracing import current_span_id, current_trace_id
+from repro.planner.service import _outcome_of
 from repro.serve import protocol
 from repro.serve.protocol import RemoteGraphPlanResponse, RemotePlanResponse
 from repro.serve.stats import WorkerStats
@@ -240,23 +241,8 @@ class PlanClient:
         Returns:
             The served plan plus which worker answered.
         """
-        tracer = self._tracer
-        if tracer is None or not tracer.enabled:
-            result = self._request(protocol.plan_request(workload, top_k))
-            return RemotePlanResponse.from_dict(result)
-        with tracer.span("client.plan", workload=workload.name) as span:
-            trace = {"trace_id": current_trace_id(),
-                     "parent_span_id": current_span_id()}
-            result = self._request(
-                protocol.plan_request(workload, top_k, trace=trace))
-            response = RemotePlanResponse.from_dict(result)
-            span.set(worker=response.worker,
-                     outcome=("hit" if response.cache_hit else
-                              "coalesced" if response.coalesced
-                              else "computed"))
-            if response.spans:
-                tracer.absorb(response.spans)
-        return response
+        return self._plan("client.plan", protocol.plan_request,
+                          RemotePlanResponse, workload, top_k, "workload")
 
     def plan_graph(self, graph, *,
                    lattice_size: Optional[int] = None) -> RemoteGraphPlanResponse:
@@ -274,20 +260,29 @@ class PlanClient:
             The joint plan — chosen per-op layouts, assignment, joint and
             greedy makespans — plus which worker answered.
         """
+        return self._plan("client.plan_graph", protocol.plan_graph_request,
+                          RemoteGraphPlanResponse, graph, lattice_size, "graph")
+
+    def _plan(self, span_name: str, build, response_type, subject,
+              option: Optional[int], span_key: str) -> RemotePlanResponse:
+        """The one round trip behind :meth:`plan` and :meth:`plan_graph`.
+
+        ``build(subject, option, trace=...)`` makes the request and
+        ``response_type.from_dict`` reads the answer.  Traced requests run
+        in ``span_name`` (tagged ``span_key=subject.name``), carry its
+        context on the wire, and absorb the worker's spans back; the span's
+        outcome uses the service's own rule, so a stale hit reads ``stale``
+        on both sides of the socket.
+        """
         tracer = self._tracer
         if tracer is None or not tracer.enabled:
-            result = self._request(protocol.plan_graph_request(graph, lattice_size))
-            return RemoteGraphPlanResponse.from_dict(result)
-        with tracer.span("client.plan_graph", graph=graph.name) as span:
+            return response_type.from_dict(self._request(build(subject, option)))
+        with tracer.span(span_name, **{span_key: subject.name}) as span:
             trace = {"trace_id": current_trace_id(),
                      "parent_span_id": current_span_id()}
-            result = self._request(
-                protocol.plan_graph_request(graph, lattice_size, trace=trace))
-            response = RemoteGraphPlanResponse.from_dict(result)
-            span.set(worker=response.worker,
-                     outcome=("hit" if response.cache_hit else
-                              "coalesced" if response.coalesced
-                              else "computed"))
+            response = response_type.from_dict(
+                self._request(build(subject, option, trace=trace)))
+            span.set(worker=response.worker, outcome=_outcome_of(response))
             if response.spans:
                 tracer.absorb(response.spans)
         return response

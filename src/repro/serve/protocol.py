@@ -33,6 +33,13 @@ Responses are ``{"ok": true, "result": ...}`` on success or
 ``{"ok": false, "error": {"type": ..., "message": ...}}`` on failure; the
 client re-raises failures as :class:`~repro.serve.client.RemotePlanError`.
 
+``plan`` and ``plan_graph`` share one wire shape, because a graph plan is a
+plan plus graph fields: both requests are built by one helper (subject,
+option, optional trace), and a ``plan_graph`` result is the
+:func:`plan_response_payload` dict plus ``assignment``, ``makespan``,
+``greedy_makespan`` and ``method`` — read back as a
+:class:`RemoteGraphPlanResponse`, a :class:`RemotePlanResponse` subclass.
+
 Versioning: new request fields are optional and new response fields default
 cleanly, so minor versions interoperate both ways — an old client simply
 never sends ``trace`` and ignores ``plan_age``/``spans``; an old server
@@ -237,11 +244,7 @@ def plan_request(workload: Workload, top_k: Optional[int] = None,
             ``{"trace_id": ..., "parent_span_id": ...}`` (omitted from the
             wire when ``None``, keeping 1.0-compatible frames byte-identical).
     """
-    message: Dict[str, object] = {"op": "plan", "workload": workload.to_dict(),
-                                  "top_k": top_k}
-    if trace is not None:
-        message["trace"] = trace
-    return message
+    return _plan_message("plan", "workload", workload, "top_k", top_k, trace)
 
 
 def plan_graph_request(graph, lattice_size: Optional[int] = None,
@@ -255,8 +258,16 @@ def plan_graph_request(graph, lattice_size: Optional[int] = None,
         trace: optional tracing context to propagate, exactly as in
             :func:`plan_request`.
     """
-    message: Dict[str, object] = {"op": "plan_graph", "graph": graph.to_dict(),
-                                  "lattice_size": lattice_size}
+    return _plan_message("plan_graph", "graph", graph, "lattice_size",
+                         lattice_size, trace)
+
+
+def _plan_message(op: str, subject_key: str, subject, option_key: str,
+                  option: Optional[int],
+                  trace: Optional[Dict[str, object]]) -> Dict[str, object]:
+    """The one request shape both plan ops share: subject, option, trace."""
+    message: Dict[str, object] = {"op": op, subject_key: subject.to_dict(),
+                                  option_key: option}
     if trace is not None:
         message["trace"] = trace
     return message
@@ -354,106 +365,32 @@ class RemotePlanResponse:
 
 
 @dataclass
-class RemoteGraphPlanResponse:
+class RemoteGraphPlanResponse(RemotePlanResponse):
     """A served joint graph plan as seen by the client (protocol 1.3).
 
-    Mirrors :class:`repro.planner.service.GraphPlanResponse` — the chosen
-    per-op recommendations, the joint assignment, and the joint-vs-greedy
-    makespans — plus the process-boundary extras (worker index, pid,
-    signature key, recorded spans).
+    A :class:`RemotePlanResponse` — ``recommendations`` holds the chosen
+    layout per op, in op order — plus the graph fields of
+    :class:`repro.planner.service.GraphPlanResponse`.
     """
 
-    #: The chosen recommendation per op, in op order.
-    recommendations: List[PartitioningRecommendation]
-    signature_key: str
     #: Chosen candidate index per op (into each op's layout lattice).
-    assignment: List[int]
+    assignment: List[int] = field(default_factory=list)
     #: End-to-end modelled makespan of the joint assignment.
-    makespan: float
+    makespan: float = 0.0
     #: Makespan of the per-op greedy baseline.
-    greedy_makespan: float
+    greedy_makespan: float = 0.0
     #: Which solver produced the assignment (chain DP or branch-and-bound).
-    method: str
-    cache_hit: bool
-    coalesced: bool
-    planning_time: float
-    num_simulated: int
-    num_pruned: int
-    worker: int
-    pid: int
-    #: Age in seconds of the served plan at serve time.
-    plan_age: float = 0.0
-    #: True when a grace-window (stale-while-revalidate) entry was served.
-    stale: bool = False
-    #: The answering worker's restart incarnation (protocol 1.4).
-    generation: int = 0
-    #: Trace id the worker served under (``None`` when tracing was off).
-    trace_id: Optional[str] = None
-    #: Wire-form span dicts the worker recorded for this request.
-    spans: List[Dict[str, object]] = field(default_factory=list)
+    method: str = ""
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "RemoteGraphPlanResponse":
         """Rebuild from the wire form of :func:`graph_plan_response_payload`."""
-        trace_id = payload.get("trace_id")
-        return cls(
-            recommendations=[recommendation_from_dict(item)
-                             for item in payload["recommendations"]],  # type: ignore[union-attr]
-            signature_key=str(payload["signature_key"]),
-            assignment=[int(x) for x in payload.get("assignment", [])],  # type: ignore[union-attr]
-            makespan=float(payload.get("makespan", 0.0)),  # type: ignore[arg-type]
-            greedy_makespan=float(payload.get("greedy_makespan", 0.0)),  # type: ignore[arg-type]
-            method=str(payload.get("method", "")),
-            cache_hit=bool(payload["cache_hit"]),
-            coalesced=bool(payload["coalesced"]),
-            planning_time=float(payload["planning_time"]),  # type: ignore[arg-type]
-            num_simulated=int(payload.get("num_simulated", 0)),  # type: ignore[arg-type]
-            num_pruned=int(payload.get("num_pruned", 0)),  # type: ignore[arg-type]
-            worker=int(payload.get("worker", -1)),  # type: ignore[arg-type]
-            pid=int(payload.get("pid", 0)),  # type: ignore[arg-type]
-            plan_age=float(payload.get("plan_age", 0.0)),  # type: ignore[arg-type]
-            stale=bool(payload.get("stale", False)),
-            generation=int(payload.get("generation", 0)),  # type: ignore[arg-type]
-            trace_id=str(trace_id) if trace_id is not None else None,
-            spans=list(payload.get("spans") or []),  # type: ignore[arg-type]
-        )
-
-
-def graph_plan_response_payload(response, worker: int, pid: int,
-                                trace_id: Optional[str] = None,
-                                spans: Optional[List[Dict[str, object]]] = None,
-                                generation: int = 0,
-                                ) -> Dict[str, object]:
-    """Wire form of one :class:`~repro.planner.service.GraphPlanResponse`.
-
-    The same shape discipline as :func:`plan_response_payload`: optional
-    tracing fields stay off the wire when absent, and every numeric field
-    defaults cleanly for forward compatibility.
-    """
-    stats = response.search_stats
-    payload: Dict[str, object] = {
-        "recommendations": [recommendation_to_dict(r) for r in response.recommendations],
-        "signature_key": response.signature.key(),
-        "assignment": list(response.assignment),
-        "makespan": response.makespan,
-        "greedy_makespan": response.greedy_makespan,
-        "method": response.method,
-        "cache_hit": response.cache_hit,
-        "coalesced": response.coalesced,
-        "planning_time": response.planning_time,
-        "num_simulated": stats.num_simulated if stats is not None else 0,
-        "num_pruned": stats.num_pruned if stats is not None else 0,
-        "worker": worker,
-        "pid": pid,
-        "plan_age": response.plan_age,
-        "stale": response.stale,
-        "generation": generation,
-    }
-    if trace_id is not None:
-        payload["trace_id"] = trace_id
-    if spans is not None:
-        payload["spans"] = spans
-    return payload
+        response = super().from_dict(payload)
+        response.assignment = [int(x) for x in payload.get("assignment", [])]  # type: ignore[union-attr]
+        response.makespan = float(payload.get("makespan", 0.0))  # type: ignore[arg-type]
+        response.greedy_makespan = float(payload.get("greedy_makespan", 0.0))  # type: ignore[arg-type]
+        response.method = str(payload.get("method", ""))
+        return response
 
 
 def plan_response_payload(response: PlanResponse, worker: int, pid: int,
@@ -491,4 +428,20 @@ def plan_response_payload(response: PlanResponse, worker: int, pid: int,
         payload["trace_id"] = trace_id
     if spans is not None:
         payload["spans"] = spans
+    return payload
+
+
+def graph_plan_response_payload(response, worker: int, pid: int,
+                                trace_id: Optional[str] = None,
+                                spans: Optional[List[Dict[str, object]]] = None,
+                                generation: int = 0,
+                                ) -> Dict[str, object]:
+    """Wire form of one :class:`~repro.planner.service.GraphPlanResponse`:
+    the :func:`plan_response_payload` fields plus the graph fields."""
+    payload = plan_response_payload(response, worker, pid, trace_id=trace_id,
+                                    spans=spans, generation=generation)
+    payload["assignment"] = list(response.assignment)
+    payload["makespan"] = response.makespan
+    payload["greedy_makespan"] = response.greedy_makespan
+    payload["method"] = response.method
     return payload

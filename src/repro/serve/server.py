@@ -1018,6 +1018,20 @@ def _worker_snapshot(index: int, service: PlannerService) -> WorkerStats:
                        service=service.stats(), cache=service.cache_stats())
 
 
+#: The two plan ops share one dispatch path: op -> (request subject key,
+#: subject decoder, option key, worker span name, service call, response
+#: encoder).  The service calls resolve ``service.plan`` per request.
+_PLAN_OPS = {
+    "plan": ("workload", Workload.from_dict, "top_k", "worker.plan",
+             lambda service, workload, top_k: service.plan(workload, top_k=top_k),
+             protocol.plan_response_payload),
+    "plan_graph": ("graph", OpGraph.from_dict, "lattice_size", "worker.plan_graph",
+                   lambda service, graph, lattice: service.plan_graph(
+                       graph, lattice_size=lattice),
+                   protocol.graph_plan_response_payload),
+}
+
+
 def _dispatch(index: int, service: PlannerService,
               message: Dict[str, object],
               tracer: Optional[Tracer] = None,
@@ -1025,10 +1039,11 @@ def _dispatch(index: int, service: PlannerService,
               generation: int = 0) -> Dict[str, object]:
     """Answer one decoded request; failures become error responses.
 
-    A ``plan`` request carrying a ``trace`` context on a tracing-enabled
-    worker runs inside an adopted remote context under a ``worker.plan``
-    span, and the spans recorded for that trace ride back in the payload
-    (drained, so the worker's tracer does not accumulate exported spans).
+    A ``plan``/``plan_graph`` request carrying a ``trace`` context on a
+    tracing-enabled worker runs inside an adopted remote context under a
+    ``worker.plan``/``worker.plan_graph`` span, and the spans recorded for
+    that trace ride back in the payload (drained, so the worker's tracer
+    does not accumulate exported spans).
 
     Only :class:`Exception` is converted — ``KeyboardInterrupt`` /
     ``SystemExit`` propagate so an interrupted worker exits instead of
@@ -1036,46 +1051,26 @@ def _dispatch(index: int, service: PlannerService,
     """
     try:
         op = message.get("op")
-        if op == "plan":
-            workload = Workload.from_dict(message["workload"])  # type: ignore[arg-type]
-            raw_k = message.get("top_k")
-            top_k = None if raw_k is None else int(raw_k)  # type: ignore[arg-type]
+        served = _PLAN_OPS.get(op) if isinstance(op, str) else None
+        if served is not None:
+            subject_key, decode, option_key, span_name, serve, encode = served
+            subject = decode(message[subject_key])
+            raw_option = message.get(option_key)
+            option = None if raw_option is None else int(raw_option)  # type: ignore[arg-type]
             trace = message.get("trace")
             if tracer is not None and isinstance(trace, dict):
                 trace_id = str(trace.get("trace_id") or "")
                 parent = trace.get("parent_span_id")
                 with tracer.remote_context(
                         trace_id, str(parent) if parent is not None else None):
-                    with tracer.span("worker.plan", worker=index):
-                        response = service.plan(workload, top_k=top_k)
-                return protocol.ok_response(protocol.plan_response_payload(
+                    with tracer.span(span_name, worker=index):
+                        response = serve(service, subject, option)
+                return protocol.ok_response(encode(
                     response, index, os.getpid(), trace_id=trace_id,
                     spans=tracer.drain(trace_id), generation=generation))
-            response = service.plan(workload, top_k=top_k)
+            response = serve(service, subject, option)
             return protocol.ok_response(
-                protocol.plan_response_payload(response, index, os.getpid(),
-                                               generation=generation))
-        if op == "plan_graph":
-            graph = OpGraph.from_dict(message["graph"])  # type: ignore[arg-type]
-            raw_lattice = message.get("lattice_size")
-            lattice = None if raw_lattice is None else int(raw_lattice)  # type: ignore[arg-type]
-            trace = message.get("trace")
-            if tracer is not None and isinstance(trace, dict):
-                trace_id = str(trace.get("trace_id") or "")
-                parent = trace.get("parent_span_id")
-                with tracer.remote_context(
-                        trace_id, str(parent) if parent is not None else None):
-                    with tracer.span("worker.plan_graph", worker=index):
-                        response = service.plan_graph(graph,
-                                                      lattice_size=lattice)
-                return protocol.ok_response(protocol.graph_plan_response_payload(
-                    response, index, os.getpid(), trace_id=trace_id,
-                    spans=tracer.drain(trace_id), generation=generation))
-            response = service.plan_graph(graph, lattice_size=lattice)
-            return protocol.ok_response(
-                protocol.graph_plan_response_payload(response, index,
-                                                     os.getpid(),
-                                                     generation=generation))
+                encode(response, index, os.getpid(), generation=generation))
         if op == "ping":
             return protocol.ok_response({"worker": index, "pid": os.getpid(),
                                          "generation": generation,

@@ -1,7 +1,10 @@
 """PlannerService behaviour: memoization, single-flight, batching, warm starts."""
 
+import os
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -9,7 +12,9 @@ import repro.planner.service as service_module
 from repro.bench.schemes import scheme_by_name
 from repro.bench.selector import PartitioningRecommendation
 from repro.bench.workloads import Workload, attention_workload
+from repro.core.graph import mlp_chain
 from repro.planner import PlannerService
+from repro.planner.graph import GraphPlan
 from repro.planner.search import SearchStats
 from repro.topology.machines import uniform_system
 
@@ -101,27 +106,59 @@ class TestMemoization:
         assert a.shape == (SMALL.m, SMALL.k) and c.shape == (SMALL.m, SMALL.n)
 
 
+GRAPH = mlp_chain(96, 64)
+
+
+def request_one(service, kind):
+    """Serve the fixed request of one kind: a single op or a graph."""
+    return service.plan(SMALL) if kind == "plan" else service.plan_graph(GRAPH)
+
+
+REC = PartitioningRecommendation(
+    scheme=scheme_by_name("column"), replication=(1, 1, 1), stationary="B",
+    percent_of_peak=42.0, simulated_time=1.0, memory_per_device=1 << 20,
+)
+
+
+def stub_compute(monkeypatch, kind, compute):
+    """Replace the kind's miss step (search or graph solve) with a stub."""
+    if kind == "plan":
+        def stub(*args, **kwargs):
+            return compute(), SearchStats(num_candidates=1, num_simulated=1)
+        monkeypatch.setattr(service_module, "search_partitionings", stub)
+        return
+
+    def graph_stub(machine, graph, **kwargs):
+        recommendations = compute()
+        return (GraphPlan(graph=graph, assignment=(0, 0),
+                          recommendations=(recommendations[0],) * 2,
+                          makespan=2.0, op_times=(1.0, 1.0),
+                          edge_times=(0.0,), greedy_assignment=(0, 0),
+                          greedy_makespan=2.0, method="chain_dp"),
+                SearchStats(num_candidates=2, num_simulated=2))
+    monkeypatch.setattr(service_module, "plan_graph_layouts", graph_stub)
+
+
+@pytest.mark.parametrize("kind", ["plan", "plan_graph"])
 class TestSingleFlight:
-    def _stub_search(self, monkeypatch, delay: float):
-        """Replace the search with a slow stub so concurrency is deterministic."""
+    """Both request kinds run on the one cache/single-flight path."""
+
+    def test_concurrent_identical_requests_coalesce(self, monkeypatch, kind):
         calls = []
-        rec = PartitioningRecommendation(
-            scheme=scheme_by_name("column"), replication=(1, 1, 1), stationary="B",
-            percent_of_peak=42.0, simulated_time=1.0, memory_per_device=1 << 20,
-        )
 
-        def slow_search(*args, **kwargs):
+        def slow():
             calls.append(threading.get_ident())
-            time.sleep(delay)
-            return [rec], SearchStats(num_candidates=1, num_simulated=1)
+            time.sleep(0.3)
+            return [REC]
 
-        monkeypatch.setattr(service_module, "search_partitionings", slow_search)
-        return calls
-
-    def test_concurrent_identical_requests_coalesce(self, monkeypatch):
-        calls = self._stub_search(monkeypatch, delay=0.3)
+        stub_compute(monkeypatch, kind, slow)
         with small_service() as service:
-            responses = service.plan_many([SMALL] * 4)
+            if kind == "plan":  # plan_many must spread its batch over the pool
+                responses = service.plan_many([SMALL] * 4)
+            else:
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    responses = list(pool.map(
+                        lambda _: request_one(service, kind), range(4)))
         assert len(calls) == 1, "identical in-flight requests must share one search"
         assert sorted(r.coalesced for r in responses) == [False, True, True, True]
         assert all(r.recommendation.percent_of_peak == 42.0 for r in responses)
@@ -130,27 +167,100 @@ class TestSingleFlight:
         assert stats.coalesced_requests == 3
         assert stats.requests == 4
 
-    def test_leader_failure_propagates_to_waiters(self, monkeypatch):
-        def failing_search(*args, **kwargs):
+    def test_leader_failure_propagates_to_waiters(self, monkeypatch, kind):
+        def failing():
             time.sleep(0.2)
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(service_module, "search_partitionings", failing_search)
+        stub_compute(monkeypatch, kind, failing)
         with small_service(max_workers=2) as service:
-            futures = []
-            from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=2) as pool:
-                futures = [pool.submit(service.plan, SMALL) for _ in range(2)]
-                errors = []
+                futures = [pool.submit(request_one, service, kind)
+                           for _ in range(2)]
                 for future in futures:
-                    with pytest.raises(RuntimeError):
+                    with pytest.raises(RuntimeError, match="boom"):
                         future.result()
-                    errors.append(True)
-        assert len(errors) == 2
-        # A failed flight must not poison the key: a retry plans afresh.
-        monkeypatch.undo()
+            # A failed flight must not poison the key: a retry plans afresh.
+            monkeypatch.undo()
+            assert not request_one(service, kind).cache_hit
+        assert service.stats().plans_computed == 1
+
+    def test_grace_window_serves_stale(self, kind):
+        now = [1000.0]
+        with small_service(cache_ttl_seconds=10.0, cache_grace_seconds=60.0,
+                           clock=lambda: now[0]) as service:
+            cold = request_one(service, kind)
+            now[0] += 30.0  # past the TTL, inside the grace window
+            stale = request_one(service, kind)
+        assert stale.cache_hit and stale.stale
+        assert stale.plan_age == pytest.approx(30.0)
+        assert stale.recommendations == cold.recommendations
+        assert service.stats().stale_hits == 1
+
+
+    def test_planning_time_covers_signature(self, monkeypatch, kind):
+        name = "signature_for" if kind == "plan" else "graph_signature_for"
+        original = getattr(PlannerService, name)
+
+        def slow_signature(*args, **kwargs):
+            time.sleep(0.05)
+            return original(*args, **kwargs)
+
+        stub_compute(monkeypatch, kind, lambda: [REC])
         with small_service() as service:
-            assert not service.plan(SMALL).cache_hit
+            request_one(service, kind)
+            monkeypatch.setattr(PlannerService, name, slow_signature)
+            hit = request_one(service, kind)
+        assert hit.cache_hit
+        assert hit.planning_time >= 0.05
+        assert service.stats().max_planning_time >= 0.05
+
+
+class TestMixedTrafficStress:
+    def test_counters_balance_under_contention(self, monkeypatch):
+        """Op and graph requests on shared keys, more threads than cores and a
+        short switch interval: every request is counted exactly once and every
+        key is computed exactly once."""
+        stub_compute(monkeypatch, "plan", lambda: [REC])
+        stub_compute(monkeypatch, "plan_graph", lambda: [REC])
+        workloads = [Workload(f"w{i}", 96 * (i + 1), 80, 64) for i in range(3)]
+        graphs = [mlp_chain(96 * (i + 1), 64) for i in range(2)]
+        requests = [("plan", w) for w in workloads] + [("plan_graph", g) for g in graphs]
+
+        def serve(index):
+            kind, subject = requests[index % len(requests)]
+            if kind == "plan":
+                return service.plan(subject)
+            return service.plan_graph(subject)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with small_service() as service:
+                with ThreadPoolExecutor(max_workers=(os.cpu_count() or 1) + 8) as pool:
+                    responses = list(pool.map(serve, range(400), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r.recommendation is REC for r in responses)
+        stats = service.stats()
+        assert stats.requests == 400
+        assert stats.plans_computed == len(requests)
+        assert stats.cache_hits + stats.coalesced_requests + stats.plans_computed == 400
+
+
+class TestTopKValidation:
+    @pytest.mark.parametrize("top_k", [0, -3])
+    def test_plan_rejects_top_k_below_one_before_any_work(self, top_k):
+        with small_service() as service:
+            with pytest.raises(ValueError, match="top_k must be >= 1"):
+                service.plan(SMALL, top_k=top_k)
+        assert service.stats().requests == 0
+        assert service.stats().plans_computed == 0
+        assert service.cache_stats().size == 0
+
+    def test_constructor_rejects_top_k_below_one(self):
+        with pytest.raises(ValueError, match="top_k must be >= 1"):
+            small_service(top_k=0)
 
 
 class TestPlanMany:

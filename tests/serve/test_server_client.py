@@ -90,6 +90,23 @@ class TestServing:
         with pytest.raises(RemotePlanError):
             client._request({"op": "plan", "workload": {"not": "a workload"}})
 
+    @pytest.mark.parametrize("top_k", [0, -3])
+    def test_top_k_below_one_is_rejected_without_side_effects(
+            self, server, client, top_k):
+        workload = make_workload(104, 88, 72)
+        restarts = server.restart_counts()
+        before = server.aggregate_stats()
+        with pytest.raises(RemotePlanError) as excinfo:
+            client.plan(workload, top_k=top_k)
+        assert excinfo.value.error_type == "ValueError"
+        assert server.restart_counts() == restarts
+        after = server.aggregate_stats()
+        assert (sum(w.cache.puts for w in after.workers)
+                == sum(w.cache.puts for w in before.workers))
+        assert after.totals.plans_computed == before.totals.plans_computed
+        # The worker survived and the same client keeps being served.
+        assert client.plan(workload).recommendations
+
 
 class TestFleet:
     def test_consecutive_connections_round_robin_across_workers(self, server):

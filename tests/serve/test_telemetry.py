@@ -5,10 +5,12 @@ cumulative across tests, so assertions are delta-based or monotone.
 """
 
 import json
+import time
 
 import pytest
 
 from repro.bench.workloads import Workload
+from repro.core.graph import mlp_chain
 from repro.obs.rollup import rollup_requests
 from repro.obs.tracing import Tracer
 from repro.serve import PlanClient, PlanServer
@@ -156,3 +158,27 @@ class TestFleetStatsExtremes:
             w.service.max_planning_time for w in stats.workers) + 1e-12
         assert stats.oldest_plan_age is not None
         assert stats.oldest_plan_age >= 0.0
+
+
+class TestStaleOutcomeLabel:
+    @pytest.mark.parametrize("kind", ["plan", "plan_graph"])
+    def test_client_span_says_stale_like_the_planner_span(self, kind):
+        """A grace-window hit is labelled ``stale`` on both sides of the wire."""
+        options = dict(SERVICE_OPTIONS, cache_ttl_seconds=0.05,
+                       cache_grace_seconds=60.0)
+        tracer = Tracer(role="client")
+        with PlanServer(MACHINE, num_workers=1, service_options=options,
+                        enable_tracing=True) as srv:
+            with PlanClient(srv.address, tracer=tracer) as cli:
+                def request():
+                    if kind == "plan":
+                        return cli.plan(make_workload(120, 88, 40))
+                    return cli.plan_graph(mlp_chain(96, 64))
+
+                request()
+                time.sleep(0.1)  # past the TTL, inside the grace window
+                stale = request()
+        assert stale.cache_hit and stale.stale
+        by_name = {s.name: s for s in tracer.spans(stale.trace_id)}
+        assert by_name[f"planner.{kind}"].attributes["outcome"] == "stale"
+        assert by_name[f"client.{kind}"].attributes["outcome"] == "stale"
