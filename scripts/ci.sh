@@ -64,6 +64,9 @@ python benchmarks/e2e/run.py --workload warm_inproc --seconds 3
 echo "== benchmark smoke: wire_warm answers (every plan and plan_graph hit checked over the socket) =="
 python benchmarks/e2e/run.py --workload wire_warm --seconds 3
 
+echo "== benchmark smoke: matmul_direct answers (materialized vs NumPy, simulate-only vs reference, universal_matmul vs BatchEvaluator.simulate) =="
+python benchmarks/e2e/run.py --workload matmul_direct --seconds 3
+
 echo "== docs: markdown link check + executable-doc snippet smoke =="
 python scripts/check_docs.py
 

@@ -96,51 +96,61 @@ def _square_block(_shape: Tuple[int, int], _procs: int) -> Partition:
     return Block2D()
 
 
+#: The six universal-algorithm partitioning families of Figures 2-3, built
+#: once (the schemes are frozen, so every caller can share them).
+_UA_SCHEMES: Tuple[PartitioningScheme, ...] = (
+    PartitioningScheme(
+        name="column",
+        label="UA - Column",
+        a_factory=_column, b_factory=_column, c_factory=_column,
+        description="all matrices column-block distributed; only A moves",
+    ),
+    PartitioningScheme(
+        name="row",
+        label="UA - Row",
+        a_factory=_row, b_factory=_row, c_factory=_row,
+        description="all matrices row-block distributed; B moves",
+    ),
+    PartitioningScheme(
+        name="block",
+        label="UA - Block",
+        a_factory=_aspect_block, b_factory=_aspect_block, c_factory=_aspect_block,
+        description="2D blocks with aspect-matched process grids; A and C move",
+    ),
+    PartitioningScheme(
+        name="inner",
+        label="UA - Inner Prod.",
+        a_factory=_row, b_factory=_column, c_factory=_column,
+        description="row panels of A times column panels of B; only A moves",
+    ),
+    PartitioningScheme(
+        name="outer",
+        label="UA - Outer Prod.",
+        a_factory=_column, b_factory=_row, c_factory=_square_block,
+        description="k-split outer product; C is accumulated remotely",
+    ),
+    PartitioningScheme(
+        name="traditional",
+        label="UA - Traditional",
+        a_factory=_square_block, b_factory=_square_block, c_factory=_square_block,
+        description="classical aligned 2D blocks on one near-square grid",
+    ),
+)
+_BY_NAME: Dict[str, PartitioningScheme] = {scheme.name: scheme for scheme in _UA_SCHEMES}
+
+
 def ua_schemes() -> List[PartitioningScheme]:
-    """The six universal-algorithm partitioning families of Figures 2-3."""
-    return [
-        PartitioningScheme(
-            name="column",
-            label="UA - Column",
-            a_factory=_column, b_factory=_column, c_factory=_column,
-            description="all matrices column-block distributed; only A moves",
-        ),
-        PartitioningScheme(
-            name="row",
-            label="UA - Row",
-            a_factory=_row, b_factory=_row, c_factory=_row,
-            description="all matrices row-block distributed; B moves",
-        ),
-        PartitioningScheme(
-            name="block",
-            label="UA - Block",
-            a_factory=_aspect_block, b_factory=_aspect_block, c_factory=_aspect_block,
-            description="2D blocks with aspect-matched process grids; A and C move",
-        ),
-        PartitioningScheme(
-            name="inner",
-            label="UA - Inner Prod.",
-            a_factory=_row, b_factory=_column, c_factory=_column,
-            description="row panels of A times column panels of B; only A moves",
-        ),
-        PartitioningScheme(
-            name="outer",
-            label="UA - Outer Prod.",
-            a_factory=_column, b_factory=_row, c_factory=_square_block,
-            description="k-split outer product; C is accumulated remotely",
-        ),
-        PartitioningScheme(
-            name="traditional",
-            label="UA - Traditional",
-            a_factory=_square_block, b_factory=_square_block, c_factory=_square_block,
-            description="classical aligned 2D blocks on one near-square grid",
-        ),
-    ]
+    """The six universal-algorithm partitioning families of Figures 2-3.
+
+    A fresh list of the shared scheme objects.
+    """
+    return list(_UA_SCHEMES)
 
 
 def scheme_by_name(name: str) -> PartitioningScheme:
-    for scheme in ua_schemes():
-        if scheme.name == name.lower():
-            return scheme
-    raise KeyError(f"unknown partitioning scheme {name!r}; "
-                   f"available: {[s.name for s in ua_schemes()]}")
+    """The shared scheme called ``name`` (case-insensitive)."""
+    try:
+        return _BY_NAME[name.lower()]
+    except KeyError:
+        raise KeyError(f"unknown partitioning scheme {name!r}; "
+                       f"available: {list(_BY_NAME)}") from None

@@ -12,16 +12,21 @@ The same model serves three purposes in this library:
 2. driving the cost-model-based IR lowerings, and
 3. pricing every event in the execution simulators so that benchmarks can
    report percent-of-peak numbers.
+The simulators price whole slicing tables with :meth:`CostModel.price_rows`.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.core.slicing import stack_distinct
 from repro.core.structure import ROLE_A, ROLE_B, WorkloadStructure, resolve_structure
 from repro.topology.machines import MachineSpec
+from repro.util.indexing import Interval
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import ExecutionConfig
@@ -62,6 +67,24 @@ class GemmShapeModel:
         factor_n = n / (n + self.n_half)
         factor_k = k / (k + self.k_half)
         return factor_m * factor_n * factor_k
+
+
+def tile_fetch_bytes(matrix: "DistributedMatrix", role: str,
+                     structure: Optional[WorkloadStructure] = None) -> np.ndarray:
+    """Bytes one fetch of each tile moves, per flat (row-major) tile index.
+
+    Ints for dense tiles; under a structure only the live fraction moves
+    (masked B blocks and padding rows of A are never fetched).
+    """
+    grid = matrix.grid
+    itemsize = matrix.dtype.itemsize
+    return np.asarray([
+        (r1 - r0) * (c1 - c0) * itemsize if structure is None else
+        (r1 - r0) * (c1 - c0) * itemsize
+        * structure.live_fraction(role, Interval(r0, r1), Interval(c0, c1))
+        for r0, r1 in zip(grid.row_splits, grid.row_splits[1:])
+        for c0, c1 in zip(grid.col_splits, grid.col_splits[1:])
+    ])
 
 
 class CostModel:
@@ -154,6 +177,152 @@ class CostModel:
         )
 
     # ------------------------------------------------------------------ #
+    # vectorized pricing of slicing-table rows
+    # ------------------------------------------------------------------ #
+    def event_columns(self, table: Dict[str, np.ndarray],
+                      tile_bytes: Sequence[Tuple[np.ndarray, np.ndarray]], itemsize: int,
+                      structure: Optional[WorkloadStructure] = None,
+                      cuboids: Optional[dict] = None, prune: bool = True
+                      ) -> Dict[str, np.ndarray]:
+        """Per-op event columns of :func:`repro.core.slicing.slice_table` rows.
+
+        ``tile_bytes`` holds per task the (A, B) :func:`tile_fetch_bytes`;
+        ``itemsize`` is C's.  Columns: ``task``, ``rank``, ``m/n/k``,
+        ``m0/k0/n0``, ``stat_i/j``, ``c_key/owner/remote/bytes``, ``gemm`` (zero
+        on dense rows, which :meth:`price_rows` prices), ``flops``, and
+        ``a_``/``b_`` ``owner/key/remote/bytes``.  Under a structure each
+        distinct (m, k, n) cuboid is priced once with the scalar formulas
+        (memoized in ``cuboids``); ``prune`` drops fully masked rows, as
+        ``prune_structured_ops`` drops their ops.
+        """
+        m = table["m1"] - table["m0"]
+        n = table["n1"] - table["n0"]
+        k = table["k1"] - table["k0"]
+        if structure is None:
+            c_bytes = m * n * itemsize
+            gemm = np.zeros(m.size)
+            flops = 2 * m * n * k
+        else:
+            live, c_bytes, gemm, flops = self._price_cuboids(
+                table, itemsize, structure, {} if cuboids is None else cuboids)
+            if prune:
+                table = {name: arr[live] for name, arr in table.items()}
+                m, n, k, c_bytes, gemm, flops = (
+                    arr[live] for arr in (m, n, k, c_bytes, gemm, flops))
+        task, rank = table["task"], table["rank"]
+        cols = {
+            "task": task, "rank": rank, "m": m, "n": n, "k": k,
+            "m0": table["m0"], "k0": table["k0"], "n0": table["n0"],
+            "stat_i": table["stat_i"], "stat_j": table["stat_j"],
+            "c_key": table["c_key"], "c_owner": table["c_owner"],
+            "c_remote": table["c_owner"] != rank,
+            "c_bytes": c_bytes, "gemm": gemm, "flops": flops,
+        }
+        for x, side in enumerate("ab"):
+            key, owner = table[f"{side}_key"], table[f"{side}_owner"]
+            nbytes, at = stack_distinct([pair[x] for pair in tile_bytes])
+            cols.update({f"{side}_owner": owner, f"{side}_key": key,
+                         f"{side}_remote": owner != rank,
+                         f"{side}_bytes": nbytes[at[task] + key]})
+        return cols
+
+    def _price_cuboids(self, table: Dict[str, np.ndarray], itemsize: int,
+                       structure: WorkloadStructure, memo: dict):
+        """``(live, c_bytes, gemm, flops)`` per row, priced once per cuboid.
+
+        ``live`` is False for fully masked cuboids (no flops survive).
+        """
+        ids = []
+        for lo, hi in (("m0", "m1"), ("k0", "k1"), ("n0", "n1")):
+            packed = table[lo] * (int(table[hi].max(initial=0)) + 1) + table[hi]
+            uniq, inverse = np.unique(packed, return_inverse=True)
+            ids.append((uniq.size, inverse.reshape(-1)))
+        (_, m_id), (nk, k_id), (nn, n_id) = ids
+        _, first, inverse = np.unique((m_id * nk + k_id) * nn + n_id,
+                                      return_index=True, return_inverse=True)
+        priced: List[tuple] = []
+        for bounds in zip(*[table[name][first].tolist()
+                            for name in ("m0", "m1", "k0", "k1", "n0", "n1")]):
+            value = memo.get(bounds)
+            if value is None:
+                m0, m1, k0, k1, n0, n1 = bounds
+                cuboid = Interval(m0, m1), Interval(k0, k1), Interval(n0, n1)
+                fractions = structure.op_fractions(*cuboid)
+                # The op's c_bytes (m * n * itemsize) and flops (2 * m * n * k),
+                # scaled by their live fractions.
+                value = memo[bounds] = (
+                    fractions[0] > 0.0, (m1 - m0) * (n1 - n0) * itemsize * fractions[3],
+                    self._live_gemm_time(*cuboid, itemsize, structure, fractions),
+                    2 * (m1 - m0) * (n1 - n0) * (k1 - k0) * fractions[0])
+            priced.append(value)
+        inverse = inverse.reshape(-1)
+        return tuple(np.array(column)[inverse] for column in zip(*priced)) \
+            if priced else (np.zeros(0, dtype=bool),) + (np.zeros(0),) * 3
+
+    def price_rows(self, cols: Dict[str, np.ndarray], itemsize: int,
+                   structure: Optional[WorkloadStructure] = None) -> Dict[str, np.ndarray]:
+        """Price :meth:`event_columns` rows in one array pass.
+
+        Returns the ``gemm``, ``acc`` (remote or local accumulate), ``ingress``
+        and per side ``fetch``/``egress`` seconds of every row.  Every
+        formula below mirrors the corresponding scalar method
+        operation-for-operation (same association order, same guards), which
+        is what makes the vectorized durations bit-equal to the scalar ones.
+        Structured rows keep the GEMM times :meth:`event_columns` priced.
+        """
+        machine = self.machine
+        shape = self.shape_model
+        launch = machine.kernel_launch_overhead
+        acc_eff = max(machine.accumulate_efficiency, 1.0e-6)
+        lat, bw = self.topology.pair_tables()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if structure is None:
+                # gemm_time — the op generator stamps every op with C's itemsize.
+                m, n, k = cols["m"], cols["n"], cols["k"]
+                flops = 2.0 * m * n * k
+                bytes_touched = float(itemsize) * (m * k + k * n + 2 * m * n)
+                efficiency = machine.gemm_efficiency * (
+                    (m / (m + shape.m_half)) * (n / (n + shape.n_half))
+                    * (k / (k + shape.k_half))
+                )
+                compute_time = flops / (machine.flops_peak
+                                        * np.maximum(efficiency, 1.0e-3))
+                memory_time = bytes_touched / machine.memory_bandwidth
+                gemm = np.where((m <= 0) | (n <= 0) | (k <= 0), 0.0,
+                                np.maximum(compute_time, memory_time) + launch)
+            else:
+                gemm = cols["gemm"]
+
+            rank = cols["rank"]
+            c_owner = cols["c_owner"]
+            c_bytes = cols["c_bytes"]
+            # accumulate_time(rank, c_owner, c_bytes)
+            latency = lat[rank, c_owner]
+            transfer = latency + c_bytes / bw[rank, c_owner]
+            remote_acc = launch + latency + (transfer - latency) / acc_eff
+            # local_accumulate_time(c_bytes)
+            local_acc = 3.0 * c_bytes / machine.memory_bandwidth + launch
+            priced = {
+                "gemm": gemm,
+                "acc": np.where(c_bytes <= 0, 0.0,
+                                np.where(cols["c_remote"], remote_acc, local_acc)),
+                # device_link_time(c_bytes, accumulate=True)
+                "ingress": np.where(c_bytes <= 0, 0.0,
+                                    (c_bytes / machine.device_link_bandwidth) / acc_eff),
+            }
+            for side in ("a", "b"):
+                owner = cols[f"{side}_owner"]
+                nbytes = cols[f"{side}_bytes"]
+                # transfer_time(owner, rank, nbytes) — only remote rows are
+                # ever consumed, so the src == dst guard is left to them.
+                priced[f"{side}_fetch"] = np.where(
+                    nbytes <= 0, 0.0, lat[owner, rank] + nbytes / bw[owner, rank])
+                # device_link_time(nbytes)
+                priced[f"{side}_egress"] = np.where(
+                    nbytes <= 0, 0.0, nbytes / machine.device_link_bandwidth)
+        return priced
+
+    # ------------------------------------------------------------------ #
     # op-level helpers
     # ------------------------------------------------------------------ #
     def op_compute_time(self, op: "LocalMatmulOp") -> float:
@@ -183,18 +352,24 @@ class CostModel:
         """
         if structure is None or structure.is_dense:
             return self.op_compute_time(op)
+        return self._live_gemm_time(op.m_bound, op.k_bound, op.n_bound, op.itemsize,
+                                    structure, fractions)
+
+    def _live_gemm_time(self, m_bound: Interval, k_bound: Interval, n_bound: Interval,
+                        itemsize: int, structure: WorkloadStructure,
+                        fractions: Optional[Tuple[float, float, float, float]] = None
+                        ) -> float:
         if fractions is None:
-            fractions = structure.op_fractions(op.m_bound, op.k_bound, op.n_bound)
+            fractions = structure.op_fractions(m_bound, k_bound, n_bound)
         flops_frac, a_frac, b_frac, c_frac = fractions
         if flops_frac <= 0.0:
             return 0.0
-        m, n, k = op.m, op.n, op.k
+        m, n, k = m_bound.extent, n_bound.extent, k_bound.extent
         flops = 2.0 * m * n * k * flops_frac
-        bytes_touched = float(op.itemsize) * (
+        bytes_touched = float(itemsize) * (
             a_frac * (m * k) + b_frac * (k * n) + 2.0 * c_frac * (m * n)
         )
-        m_eff, n_eff, k_eff = structure.gemm_dims(op.m_bound, op.k_bound,
-                                                  op.n_bound, flops_frac)
+        m_eff, n_eff, k_eff = structure.gemm_dims(m_bound, k_bound, n_bound, flops_frac)
         efficiency = self.machine.gemm_efficiency * self.shape_model.efficiency(
             m_eff, n_eff, k_eff
         )

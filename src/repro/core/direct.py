@@ -1,12 +1,18 @@
-"""Direct execution of the generated op lists (paper Section 4.2).
+"""Direct execution of the sliced ops (paper Section 4.2).
 
-The direct executor walks each rank's op list in order and, for every op,
+The direct executor walks each rank's ops in order and, for every op,
 
 1. obtains local copies of the A and B tiles (a view when local, a one-sided
    ``get_tile`` otherwise, prefetched ``prefetch_depth`` iterations ahead),
 2. runs the local GEMM on the relevant slices,
 3. accumulates the result into the C tile — in place when local, with a
    one-sided ``accumulate_tile`` when remote.
+
+The ops arrive as *columns*, one row per op, rank-major and in execution
+order: :func:`repro.core.slicing.slice_table` rows priced once by
+:meth:`~repro.core.cost_model.CostModel.price_rows` (the pricer the planner's
+batch evaluator uses too), so the walk makes no per-op cost-model call.
+:meth:`DirectExecutor.execute` adapts ``LocalMatmulOp`` lists to the same walk.
 
 Two things happen at once here: the *data* path really moves NumPy buffers
 through the PGAS runtime (so results are bit-exact checkable against
@@ -25,54 +31,64 @@ critical-path lower bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import ExecutionConfig
-from repro.core.cost_model import CostModel
+from repro.core.cost_model import CostModel, tile_fetch_bytes
 from repro.core.ops import LocalMatmulOp
 from repro.core.result import RankStats
-from repro.core.structure import WorkloadStructure, resolve_structure
+from repro.core.structure import ROLE_A, ROLE_B, WorkloadStructure, resolve_structure
 from repro.dist.matrix import DistributedMatrix
 from repro.runtime.clock import ACCUMULATE, COMPUTE, COPY
 from repro.sim.engine import EventEngine
-from repro.sim.events import ScheduledEvent
-from repro.util.logging import get_logger
+from repro.util.indexing import Interval, Rect
 
-logger = get_logger("core.direct")
-
-_MATRIX_A = "A"
-_MATRIX_B = "B"
+#: Slicing-table columns :meth:`DirectExecutor.execute` builds from op lists.
+_OP_COLUMNS = ("rank", "m0", "m1", "k0", "k1", "n0", "n1", "a_key", "a_owner",
+               "b_key", "b_owner", "c_key", "c_owner", "stat_i", "stat_j")
 
 
-@dataclass
 class _FetchedTile:
-    """A tile held locally for the duration of (at least) one op."""
+    """A tile held locally for (at least) one op: its data and fetch event."""
 
-    data: np.ndarray
-    ready_time: float
-    event: Optional[ScheduledEvent] = None
-    from_pool: bool = False
+    __slots__ = ("data", "event", "from_pool")
+
+    def __init__(self, data, event=None, from_pool: bool = False) -> None:
+        self.data = data
+        self.event = event
+        self.from_pool = from_pool
 
 
-@dataclass
+#: A local operand in a simulate-only walk: no data, no fetch event.
+_LOCAL = _FetchedTile(None)
+
+
 class _RankState:
-    """Mutable per-rank execution state used by the interleaved walk."""
+    """Mutable per-rank state of the interleaved walk."""
 
-    rank: int
-    ops: List[LocalMatmulOp]
-    next_prefetch: int = 0
-    fetched: Dict[Tuple[str, int], _FetchedTile] = field(default_factory=dict)
-    cache: Dict[Tuple[str, int, Tuple[int, int]], _FetchedTile] = field(default_factory=dict)
-    gemm_events: List[ScheduledEvent] = field(default_factory=list)
-    accumulate_events: List[ScheduledEvent] = field(default_factory=list)
-    stats: RankStats = None  # type: ignore[assignment]
+    __slots__ = ("rank", "lo", "num", "next_prefetch", "pending", "caches",
+                 "cached", "gemm_events", "acc_events", "stats")
+
+    def __init__(self, rank: int, lo: int, hi: int) -> None:
+        self.rank = rank
+        self.lo = lo
+        self.num = hi - lo
+        self.next_prefetch = 0
+        #: Issued fetches not yet consumed: op index -> (A tile, B tile).
+        self.pending: Dict[int, Tuple[_FetchedTile, _FetchedTile]] = {}
+        #: Remote-tile caches of A and B, keyed by flat tile index.
+        self.caches: Tuple[dict, dict] = ({}, {})
+        #: Every cached tile, in fetch order (released at the end).
+        self.cached: List[_FetchedTile] = []
+        self.gemm_events: list = []
+        self.acc_events: list = []
+        self.stats = RankStats(rank=rank, num_ops=self.num)
 
 
 class DirectExecutor:
-    """Executes per-rank op lists with the paper's direct-execution optimisations."""
+    """Executes per-rank op streams with the paper's direct-execution optimisations."""
 
     def __init__(
         self,
@@ -92,7 +108,7 @@ class DirectExecutor:
         self.config = config or ExecutionConfig()
         self.engine = engine or EventEngine(self.runtime.num_ranks)
         self.clock = self.engine.clock
-        # Normalized to None for dense so the hot path stays the historical
+        # Normalized to None for dense so pricing stays the historical
         # arithmetic (bit-exact with the committed snapshots); non-dense
         # structures scale every emitted event by its live fraction.
         self.structure = resolve_structure(structure)
@@ -110,223 +126,228 @@ class DirectExecutor:
         """Run all ranks' op lists; returns (compute makespan, per-rank stats).
 
         The ops must already be in execution order (iteration offset applied
-        by the caller when enabled).
+        by the caller when enabled) and address the executing rank's own
+        replica of every operand with C's itemsize, as the slicing generator
+        emits them.  They are turned into table columns and walked by
+        :meth:`execute_columns`.
         """
-        states: Dict[int, _RankState] = {}
+        rows = []
+        a_cols, b_cols, c_cols = (matrix.grid.num_col_tiles
+                                  for matrix in (self.a, self.b, self.c))
         for rank in range(self.runtime.num_ranks):
-            ops = list(per_rank_ops.get(rank, []))
-            state = _RankState(rank=rank, ops=ops)
-            state.stats = RankStats(rank=rank, num_ops=len(ops))
-            states[rank] = state
+            expected = [rank, self.c.dtype.itemsize] + [
+                matrix.replica_of_rank(rank) for matrix in (self.a, self.b, self.c)]
+            for op in per_rank_ops.get(rank, ()):
+                if [op.rank, op.itemsize, op.a.replica, op.b.replica, op.c.replica] != expected:
+                    raise ValueError(f"op {op.describe()} listed for rank {rank} is not "
+                                     "an op of that rank on its own replicas of A, B and C")
+                rows.append((rank, op.m_bound.start, op.m_bound.stop, op.k_bound.start,
+                             op.k_bound.stop, op.n_bound.start, op.n_bound.stop,
+                             op.a.index[0] * a_cols + op.a.index[1], op.a.owner,
+                             op.b.index[0] * b_cols + op.b.index[1], op.b.owner,
+                             op.c.index[0] * c_cols + op.c.index[1], op.c.owner,
+                             *op.stationary_index))
+        table = dict(zip(_OP_COLUMNS, np.array(rows, dtype=np.int64)
+                         .reshape(-1, len(_OP_COLUMNS)).T))
+        table["task"] = np.zeros(len(rows), dtype=np.int64)
+        return self.execute_columns(self.price(table, prune=False))
 
-        max_steps = max((len(state.ops) for state in states.values()), default=0)
-        for step in range(max_steps):
-            for rank in range(self.runtime.num_ranks):
-                state = states[rank]
-                if step < len(state.ops):
-                    self._process_op(state, step)
+    def price(self, table: Dict[str, np.ndarray], prune: bool = True) -> Dict[str, np.ndarray]:
+        """Event columns of one task's slicing-table rows, priced for the walk.
 
-        for state in states.values():
+        ``prune`` drops the rows of fully masked cuboids of a structured
+        workload (no flops survive), as ``prune_structured_ops`` drops ops.
+        """
+        model = self.cost_model
+        itemsize = self.c.dtype.itemsize
+        tile_bytes = [(tile_fetch_bytes(self.a, ROLE_A, self.structure),
+                       tile_fetch_bytes(self.b, ROLE_B, self.structure))]
+        cols = model.event_columns(table, tile_bytes, itemsize, self.structure,
+                                   prune=prune)
+        cols.update(model.price_rows(cols, itemsize, self.structure))
+        return cols
+
+    def execute_columns(self, cols: Dict[str, np.ndarray]) -> Tuple[float, Dict[int, RankStats]]:
+        """Walk priced op columns; returns (compute makespan, per-rank stats).
+
+        ``cols`` are :meth:`CostModel.event_columns` rows priced by
+        :meth:`CostModel.price_rows`, rank-major and in execution order.
+        """
+        config = self.config
+        engine = self.engine
+        simulate_only = config.simulate_only
+        depth = config.prefetch_depth
+        async_execution = config.async_execution
+        acc_window = config.max_concurrent_accumulates
+        gemm_window = config.max_concurrent_gemms
+        cache_tiles = config.cache_remote_tiles
+        pooled = config.use_memory_pool and not simulate_only
+        release_after_op = pooled and not cache_tiles
+        interference = self.cost_model.machine.accumulate_compute_interference
+        num_ranks = self.runtime.num_ranks
+
+        bounds = np.searchsorted(cols["rank"], np.arange(num_ranks + 1)).tolist()
+        matrices = (self.a, self.b, self.c)
+        col_tiles = [matrix.grid.num_col_tiles for matrix in matrices]
+        tiles, regions = [], []
+        if not simulate_only:
+            # Each row's tile comes from its flat key; its region in tile
+            # coordinates from the row's bounds minus the tile's origin.
+            for x, (matrix, row_axis, col_axis) in enumerate(zip(matrices, "mkm", "knn")):
+                i, j = np.divmod(cols[f"{'abc'[x]}_key"], col_tiles[x])
+                r0 = cols[f"{row_axis}0"] - np.asarray(matrix.grid.row_splits)[i]
+                c0 = cols[f"{col_axis}0"] - np.asarray(matrix.grid.col_splits)[j]
+                tiles.append(list(zip(i.tolist(), j.tolist())))
+                regions.append(list(zip(r0.tolist(), (r0 + cols[row_axis]).tolist(),
+                                        c0.tolist(), (c0 + cols[col_axis]).tolist())))
+        # Plain lists: the walk reads one element at a time.
+        owners, keys, nbytes, fetch_time, egress = (
+            [cols[f"{side}_{name}"].tolist() for side in "ab"]
+            for name in ("owner", "key", "bytes", "fetch", "egress"))
+        gemm_time, flops, c_owner, c_bytes, acc_time, ingress = (
+            cols[name].tolist() for name in ("gemm", "flops", "c_owner", "c_bytes", "acc",
+                                             "ingress"))
+        replicas = [[matrix.replica_of_rank(rank) for rank in range(num_ranks)]
+                    for matrix in matrices]
+
+        own_tiles: Dict[tuple, _FetchedTile] = {}
+
+        def own_tile(x: int, rank: int, row: int) -> _FetchedTile:
+            """``rank``'s own tile of A, B or C (``x`` = 0, 1, 2), viewed once."""
+            key = (x, rank, tiles[x][row])
+            tile = own_tiles.get(key)
+            if tile is None:
+                tile = own_tiles[key] = _FetchedTile(matrices[x].tile(
+                    tiles[x][row], replicas[x][rank], rank=rank))
+            return tile
+
+        def fetch(state: _RankState, x: int, row: int, floor: float) -> _FetchedTile:
+            rank = state.rank
+            owner = owners[x][row]
+            if owner == rank:
+                return _LOCAL if simulate_only else own_tile(x, rank, row)
+            key = keys[x][row]
+            if cache_tiles:
+                tile = state.caches[x].get(key)
+                if tile is not None:
+                    return tile
+            # The fetch starts once the reader's own copy queue (its ingress
+            # bandwidth, processed in program order) is free, and must find an
+            # idle slot in the owner's shared egress capacity — one-to-many
+            # tile fan-out serialises there.  Both disciplines live in the engine.
+            event = engine.fetch(rank, fetch_time[x][row], src=owner,
+                                 occupancy=egress[x][row], min_start=floor,
+                                 label=f"get:{'AB'[x]}{divmod(key, col_tiles[x])}")
+            state.stats.remote_get_bytes += nbytes[x][row]
+            if simulate_only:
+                tile = _FetchedTile(None, event)
+            else:
+                index = tiles[x][row]
+                matrix = matrices[x]
+                if pooled:
+                    buffer = self.runtime.pool(rank).acquire(
+                        matrix.tile_bounds(index).shape, matrix.dtype)
+                    tile = _FetchedTile(matrix.get_tile(index, replicas[x][rank],
+                                                        initiator=rank, out=buffer),
+                                        event, True)
+                else:
+                    tile = _FetchedTile(matrix.get_tile(index, replicas[x][rank],
+                                                        initiator=rank), event)
+            if cache_tiles:
+                state.caches[x][key] = tile
+                state.cached.append(tile)
+            return tile
+
+        def process(state: _RankState, index: int) -> None:
+            rank = state.rank
+            row = state.lo + index
+            gemm_events = state.gemm_events
+            acc_events = state.acc_events
+
+            # Issue prefetches for this op (if not yet issued) and the lookahead window.
+            floor = gemm_events[index - 1].start if index > 0 else 0.0
+            if not async_execution and index > 0:
+                floor = max(floor, acc_events[index - 1].end)
+            horizon = min(index + depth, state.num - 1)
+            while state.next_prefetch <= horizon:
+                issue = state.lo + state.next_prefetch
+                state.pending[state.next_prefetch] = (fetch(state, 0, issue, floor),
+                                                      fetch(state, 1, issue, floor))
+                state.next_prefetch += 1
+            a_tile, b_tile = state.pending.pop(index)
+
+            # ----- local GEMM --------------------------------------------
+            if simulate_only:
+                product = None
+            else:
+                r0, r1, c0, c1 = regions[0][row]
+                a_slice = a_tile.data[r0:r1, c0:c1]
+                r0, r1, c0, c1 = regions[1][row]
+                product = a_slice @ b_tile.data[r0:r1, c0:c1]
+
+            deps = [a_tile.event, b_tile.event]
+            if async_execution:
+                if index >= acc_window:
+                    deps.append(acc_events[index - acc_window])
+                if index >= gemm_window:
+                    deps.append(gemm_events[index - gemm_window])
+            elif index > 0:
+                deps.append(acc_events[index - 1])
+            gemm_event = engine.gemm(rank, gemm_time[row], deps=deps, label="gemm")
+            gemm_events.append(gemm_event)
+            state.stats.flops += flops[row]
+
+            # ----- accumulate into C -------------------------------------
+            owner = c_owner[row]
+            if owner != rank:
+                if not simulate_only:
+                    r0, r1, c0, c1 = regions[2][row]
+                    self.c.accumulate_tile(tiles[2][row], product,
+                                           replica_idx=replicas[2][rank], initiator=rank,
+                                           region=Rect(Interval(r0, r1), Interval(c0, c1)))
+                # The accumulate cannot start before the producing GEMM
+                # finished, before the initiator's own accumulate queue
+                # drains, and it must find a free slot in the destination's
+                # shared ingress capacity (many-to-one fan-in serialises
+                # there).  The engine owns all of that — including the compute
+                # interference the paper observes.
+                acc_event = engine.accumulate(rank, acc_time[row], dst=owner,
+                                              occupancy=ingress[row],
+                                              interference=interference,
+                                              deps=(gemm_event,), label="accumulate")
+                state.stats.remote_accumulate_bytes += c_bytes[row]
+            else:
+                if not simulate_only:
+                    r0, r1, c0, c1 = regions[2][row]
+                    own_tile(2, rank, row).data[r0:r1, c0:c1] += product
+                acc_event = engine.local_accumulate(rank, acc_time[row], deps=(gemm_event,),
+                                                    label="local-accumulate")
+            acc_events.append(acc_event)
+
+            # Return pooled buffers unless the tile cache keeps them.
+            if release_after_op:
+                for tile in (a_tile, b_tile):
+                    if tile.from_pool:
+                        self.runtime.pool(rank).release(tile.data)
+
+        states = [_RankState(rank, bounds[rank], bounds[rank + 1])
+                  for rank in range(num_ranks)]
+        for step in range(max((state.num for state in states), default=0)):
+            for state in states:
+                if step < state.num:
+                    process(state, step)
+
+        for state in states:
             device = self.clock.device(state.rank)
             state.stats.compute_time = device.busy_time(COMPUTE)
             state.stats.copy_time = device.busy_time(COPY)
             state.stats.accumulate_time = device.busy_time(ACCUMULATE)
             state.stats.finish_time = device.finish_time()
-            self._release_all(state)
+            if pooled:
+                pool = self.runtime.pool(state.rank)
+                for tile in state.cached:
+                    if tile.from_pool:
+                        pool.release(tile.data)
 
         makespan = self.engine.makespan()
-        return makespan, {rank: state.stats for rank, state in states.items()}
-
-    # ------------------------------------------------------------------ #
-    # per-op processing
-    # ------------------------------------------------------------------ #
-    def _process_op(self, state: _RankState, index: int) -> None:
-        config = self.config
-        op = state.ops[index]
-
-        # Issue prefetches for this op (if not yet issued) and the lookahead window.
-        horizon = index + config.prefetch_depth
-        issue_floor = state.gemm_events[index - 1].start if index > 0 else 0.0
-        if not config.async_execution and index > 0:
-            issue_floor = max(issue_floor, state.accumulate_events[index - 1].end)
-        while state.next_prefetch <= min(horizon, len(state.ops) - 1):
-            self._issue_fetches(state, state.next_prefetch, issue_floor)
-            state.next_prefetch += 1
-        if state.next_prefetch <= index:
-            # prefetch_depth == 0 path: fetch exactly when needed.
-            self._issue_fetches(state, index, issue_floor)
-            state.next_prefetch = index + 1
-
-        a_tile = state.fetched.pop((_MATRIX_A, index))
-        b_tile = state.fetched.pop((_MATRIX_B, index))
-
-        # ----- local GEMM ------------------------------------------------
-        if config.simulate_only:
-            product = None
-        else:
-            a_slice = a_tile.data[op.a.local.as_slices()]
-            b_slice = b_tile.data[op.b.local.as_slices()]
-            product = a_slice @ b_slice
-
-        gemm_deps: List[Optional[ScheduledEvent]] = [a_tile.event, b_tile.event]
-        if config.async_execution:
-            window = config.max_concurrent_accumulates
-            if index >= window:
-                gemm_deps.append(state.accumulate_events[index - window])
-            gemm_window = config.max_concurrent_gemms
-            if index >= gemm_window:
-                gemm_deps.append(state.gemm_events[index - gemm_window])
-        elif index > 0:
-            gemm_deps.append(state.accumulate_events[index - 1])
-
-        if self.structure is None:
-            fractions = None
-            op_flops = op.flops
-            c_bytes = op.c_bytes
-        else:
-            # One geometry scan per op: the same fractions price the GEMM,
-            # the accumulate, and the stats.
-            fractions = self.structure.op_fractions(op.m_bound, op.k_bound,
-                                                    op.n_bound)
-            op_flops = op.flops * fractions[0]
-            c_bytes = op.c_bytes * fractions[3]
-        gemm_duration = self.cost_model.structured_op_compute_time(
-            op, self.structure, fractions
-        )
-        gemm_event = self.engine.gemm(state.rank, gemm_duration, deps=gemm_deps,
-                                      label="gemm")
-        state.gemm_events.append(gemm_event)
-        state.stats.flops += op_flops
-
-        # ----- accumulate into C -----------------------------------------
-        if op.c_is_remote:
-            if not config.simulate_only:
-                self.c.accumulate_tile(
-                    op.c.index,
-                    product,
-                    replica_idx=op.c.replica,
-                    initiator=state.rank,
-                    region=op.c.local,
-                )
-            duration = self.cost_model.accumulate_time(state.rank, op.c.owner, c_bytes)
-            occupancy = self.cost_model.device_link_time(c_bytes, accumulate=True)
-            # The accumulate cannot start before the producing GEMM finished,
-            # before the initiator's own accumulate queue drains, and it must
-            # find a free slot in the destination's shared ingress capacity
-            # (many-to-one fan-in serialises there).  The engine owns all of
-            # that — including the compute interference the paper observes.
-            acc_event = self.engine.accumulate(
-                state.rank,
-                duration,
-                dst=op.c.owner,
-                occupancy=occupancy,
-                interference=self.cost_model.machine.accumulate_compute_interference,
-                deps=(gemm_event,),
-                label="accumulate",
-            )
-            state.stats.remote_accumulate_bytes += c_bytes
-        else:
-            if not config.simulate_only:
-                c_view = self.c.tile(op.c.index, op.c.replica, rank=state.rank)
-                c_view[op.c.local.as_slices()] += product
-            duration = self.cost_model.local_accumulate_time(c_bytes)
-            acc_event = self.engine.local_accumulate(
-                state.rank, duration, deps=(gemm_event,), label="local-accumulate"
-            )
-        state.accumulate_events.append(acc_event)
-
-        self._maybe_release(state, a_tile)
-        self._maybe_release(state, b_tile)
-
-    # ------------------------------------------------------------------ #
-    # tile fetching
-    # ------------------------------------------------------------------ #
-    def _issue_fetches(self, state: _RankState, index: int, earliest: float) -> None:
-        op = state.ops[index]
-        state.fetched[(_MATRIX_A, index)] = self._fetch_operand(
-            state, self.a, _MATRIX_A, op.a.index, op.a.replica, op.a.owner, earliest
-        )
-        state.fetched[(_MATRIX_B, index)] = self._fetch_operand(
-            state, self.b, _MATRIX_B, op.b.index, op.b.replica, op.b.owner, earliest
-        )
-
-    def _fetch_operand(
-        self,
-        state: _RankState,
-        matrix: DistributedMatrix,
-        matrix_key: str,
-        tile_idx: Tuple[int, int],
-        replica: int,
-        owner: int,
-        earliest: float,
-    ) -> _FetchedTile:
-        rank = state.rank
-        simulate_only = self.config.simulate_only
-        if owner == rank:
-            view = None if simulate_only else matrix.tile(tile_idx, replica, rank=rank)
-            return _FetchedTile(data=view, ready_time=0.0, from_pool=False)
-
-        cache_key = (matrix_key, replica, tile_idx)
-        if self.config.cache_remote_tiles and cache_key in state.cache:
-            return state.cache[cache_key]
-
-        bounds = matrix.tile_bounds(tile_idx)
-        nbytes = bounds.size * matrix.dtype.itemsize
-        if self.structure is not None:
-            # Only live data crosses the wire: masked B blocks and padding
-            # rows of A are never fetched (a fully masked tile costs 0).
-            nbytes *= self.structure.live_fraction(matrix_key, bounds.rows, bounds.cols)
-        duration = self.cost_model.transfer_time(owner, rank, nbytes)
-        occupancy = self.cost_model.device_link_time(nbytes)
-        # The fetch starts once the reader's own copy queue (its ingress
-        # bandwidth, processed in program order) is free, and must find an
-        # idle slot in the owner's shared egress capacity — one-to-many tile
-        # fan-out serialises there.  Both disciplines live in the engine.
-        event = self.engine.fetch(
-            rank,
-            duration,
-            src=owner,
-            occupancy=occupancy,
-            min_start=earliest,
-            label=f"get:{matrix_key}{tile_idx}",
-        )
-        ready = event.end
-        state.stats.remote_get_bytes += nbytes
-
-        if simulate_only:
-            fetched = _FetchedTile(data=None, ready_time=ready, event=event,
-                                   from_pool=False)
-        elif self.config.use_memory_pool:
-            pool = self.runtime.pool(rank)
-            buffer = pool.acquire(matrix.tile_bounds(tile_idx).shape, matrix.dtype)
-            data = matrix.get_tile(tile_idx, replica, initiator=rank, out=buffer)
-            fetched = _FetchedTile(data=data, ready_time=ready, event=event,
-                                   from_pool=True)
-        else:
-            data = matrix.get_tile(tile_idx, replica, initiator=rank)
-            fetched = _FetchedTile(data=data, ready_time=ready, event=event,
-                                   from_pool=False)
-
-        if self.config.cache_remote_tiles:
-            state.cache[cache_key] = fetched
-        return fetched
-
-    def _maybe_release(self, state: _RankState, tile: _FetchedTile) -> None:
-        """Return a pooled buffer unless it is cached for reuse."""
-        if not tile.from_pool:
-            return
-        if self.config.cache_remote_tiles and any(
-            cached is tile for cached in state.cache.values()
-        ):
-            return
-        self.runtime.pool(state.rank).release(tile.data)
-
-    def _release_all(self, state: _RankState) -> None:
-        if not self.config.use_memory_pool:
-            state.cache.clear()
-            return
-        pool = self.runtime.pool(state.rank)
-        for cached in state.cache.values():
-            if cached.from_pool:
-                pool.release(cached.data)
-        state.cache.clear()
+        return makespan, {state.rank: state.stats for state in states}

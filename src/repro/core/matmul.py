@@ -5,10 +5,11 @@ paper describes:
 
 1. pick a data-movement strategy (Stationary A/B/C) — by the largest-matrix
    heuristic, by the cost model, or as dictated by the caller;
-2. have every rank generate its local op list by slicing;
-3. execute the op lists either directly (with iteration offset, prefetching,
-   asynchronous GEMM/accumulate, and the memory pool) or by lowering to the
-   optimized IR with one of the scheduling strategies;
+2. have every rank generate its local ops by slicing;
+3. execute them either directly (the slicing table priced once and walked
+   with iteration offset, prefetching, asynchronous GEMM/accumulate, and the
+   memory pool) or by lowering op lists to the optimized IR with one of the
+   scheduling strategies;
 4. if C is replicated, reduce the partial results across replicas.
 
 The function returns an :class:`~repro.core.result.ExecutionResult` carrying
@@ -30,9 +31,12 @@ from repro.core.ops import LocalMatmulOp
 from repro.core.result import ExecutionResult, RankStats
 from repro.core.schedule_sim import IRExecutor
 from repro.core.slicing import (
+    OperandLayout,
     apply_iteration_offset,
     check_coverage,
     generate_all_ops,
+    offset_permutation,
+    slice_table,
 )
 from repro.core.stationary import (
     Stationary,
@@ -43,11 +47,10 @@ from repro.core.stationary import (
 from repro.core.structure import (
     ROLE_C,
     WorkloadStructure,
-    prune_structured_ops,
     resolve_structure,
 )
 from repro.dist.matrix import DistributedMatrix
-from repro.util.validation import ShapeError, check_matmul_shapes
+from repro.util.validation import ShapeError, check_in_range, check_matmul_shapes
 
 
 def plan_ops(
@@ -134,7 +137,8 @@ def universal_matmul(
         Cost model used for timing; defaults to one built from the runtime's
         machine spec.
     reduce_origin:
-        Replica that receives the reduced result when C is replicated.
+        Replica of C that ends up holding ``C + A @ B`` (the other replicas
+        hold partial sums); must index one of C's replicas.
     structure:
         Optional :class:`~repro.core.structure.WorkloadStructure` describing
         which parts of the envelope are live (block-sparse B, MoE-ragged m).
@@ -150,6 +154,7 @@ def universal_matmul(
     if a.runtime is not b.runtime or a.runtime is not c.runtime:
         raise ShapeError("A, B, and C must live in the same runtime")
     m, n, k = check_matmul_shapes(a.shape, b.shape, c.shape)
+    check_in_range(reduce_origin, 0, c.replication.num_replicas, "reduce_origin")
     config = config or ExecutionConfig()
     cost_model = cost_model or CostModel(a.runtime.machine)
     structure = resolve_structure(structure)
@@ -167,23 +172,33 @@ def universal_matmul(
             )
 
     resolved = _resolve_stationary(a, b, c, stationary, cost_model)
-    per_rank_ops = generate_all_ops(a, b, c, resolved)
     if config.validate_ops:
         # Coverage is an envelope invariant, so it is checked before the
         # structure drops the all-masked ops.
-        check_coverage(a, b, c, per_rank_ops)
-    if structure is not None:
-        per_rank_ops = prune_structured_ops(per_rank_ops, structure)
-    if config.iteration_offset:
-        per_rank_ops = {
-            rank: apply_iteration_offset(ops) for rank, ops in per_rank_ops.items()
-        }
+        check_coverage(a, b, c, generate_all_ops(a, b, c, resolved))
+    if c.replication.num_replicas > 1 and not config.simulate_only:
+        # Every replica starts as a copy of C, and the reduction sums them
+        # all: only the origin keeps C's contents.  Out of band, no time.
+        for idx in c.grid.tiles():
+            for replica in range(c.replication.num_replicas):
+                if replica != reduce_origin:
+                    c.tile(idx, replica).fill(0)
 
     if config.mode is ExecutionMode.DIRECT:
         executor = DirectExecutor(a, b, c, cost_model, config, structure=structure)
-        makespan, per_rank_stats = executor.execute(per_rank_ops)
+        cols = executor.price(slice_table([(OperandLayout(a), OperandLayout(b),
+                                            OperandLayout(c), resolved)]))
+        if config.iteration_offset:
+            order = offset_permutation(cols["rank"], cols["stat_i"], cols["stat_j"])
+            cols = {name: column[order] for name, column in cols.items()}
+        makespan, per_rank_stats = executor.execute_columns(cols)
         lowering_name = None
     else:
+        per_rank_ops = generate_all_ops(a, b, c, resolved)
+        if config.iteration_offset:
+            per_rank_ops = {
+                rank: apply_iteration_offset(ops) for rank, ops in per_rank_ops.items()
+            }
         programs = lower_all_ranks(per_rank_ops, cost_model, config)
         executor = IRExecutor(a, b, c, cost_model, config)
         makespan, per_rank_stats = executor.execute(per_rank_ops, programs)
@@ -205,7 +220,7 @@ def universal_matmul(
         compute_makespan=makespan,
         reduce_time=reduce_time,
         percent_of_peak=cost_model.percent_of_peak(total_flops, simulated_time),
-        total_ops=sum(len(ops) for ops in per_rank_ops.values()),
+        total_ops=sum(s.num_ops for s in per_rank_stats.values()),
         remote_get_bytes=sum(s.remote_get_bytes for s in per_rank_stats.values()),
         remote_accumulate_bytes=sum(
             s.remote_accumulate_bytes for s in per_rank_stats.values()

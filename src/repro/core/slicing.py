@@ -28,8 +28,9 @@ evaluator prices the same rows without building objects.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -111,13 +112,8 @@ class _Axis:
             self.runs[name] = np.array((lo, count), dtype=np.int64)
 
 
-def _axis(cache: dict, first: Tuple[int, ...], second: Tuple[int, ...],
-          factor: int) -> _Axis:
-    key = (first, second, factor)
-    axis = cache.get(key)
-    if axis is None:
-        axis = cache[key] = _Axis(first, second, factor)
-    return axis
+#: Axis segment lists, shared by every table built in the process (read only).
+_axis = lru_cache(maxsize=256)(_Axis)
 
 
 def stack_distinct(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
@@ -154,8 +150,7 @@ _FREE_AXIS = {Stationary.B: 0, Stationary.C: 1, Stationary.A: 2}
 
 
 def slice_table(tasks: Sequence[Tuple[OperandLayout, OperandLayout, OperandLayout,
-                                      Stationary]],
-                cache: Optional[dict] = None) -> Dict[str, np.ndarray]:
+                                      Stationary]]) -> Dict[str, np.ndarray]:
     """The ops of every ``(a, b, c, stationary)`` task as one table of columns.
 
     Rows are task-major, then rank-major.  Within a rank they follow its
@@ -168,18 +163,16 @@ def slice_table(tasks: Sequence[Tuple[OperandLayout, OperandLayout, OperandLayou
     ranks ``a_owner/b_owner/c_owner`` in the executing rank's replica, and
     the stationary tile ``stat_i/stat_j``.
 
-    ``tasks`` must not be empty.  ``cache`` keeps the axis segment lists
-    (keyed by split lists and share count) across calls.
+    ``tasks`` must not be empty.
     """
-    cache = {} if cache is None else cache
     axes, blk_rank, blk_flat = [], [], []
     for a, b, c, stationary in tasks:
         stat = (a, b, c)[_OPERAND[stationary]]
         factors = [1, 1, 1]
         factors[_FREE_AXIS[stationary]] = stat.factor
-        axes.append((_axis(cache, a.row_splits, c.row_splits, factors[0]),
-                     _axis(cache, a.col_splits, b.row_splits, factors[1]),
-                     _axis(cache, b.col_splits, c.col_splits, factors[2])))
+        axes.append((_axis(a.row_splits, c.row_splits, factors[0]),
+                     _axis(a.col_splits, b.row_splits, factors[1]),
+                     _axis(b.col_splits, c.col_splits, factors[2])))
         rank, flat = stat.rank_tiles
         blk_rank.append(rank)
         blk_flat.append(flat)
@@ -377,6 +370,27 @@ def apply_iteration_offset(ops: Sequence[LocalMatmulOp]) -> List[LocalMatmulOp]:
         result.extend(group[offset:])
         result.extend(group[:offset])
     return result
+
+
+def offset_permutation(rank: np.ndarray, stat_i: np.ndarray,
+                       stat_j: np.ndarray) -> np.ndarray:
+    """The iteration offset of rank-major table rows, as an index permutation.
+
+    A stationary tile's ops are one contiguous run of its rank's rows; the
+    run is rotated left by ``(i + j) % len(run)``, exactly as
+    :func:`apply_iteration_offset` rotates op lists.
+    """
+    num = rank.shape[0]
+    if num == 0:
+        return np.zeros(0, dtype=np.int64)
+    new_run = np.ones(num, dtype=bool)
+    new_run[1:] = ((rank[1:] != rank[:-1]) | (stat_i[1:] != stat_i[:-1])
+                   | (stat_j[1:] != stat_j[:-1]))
+    starts = np.flatnonzero(new_run)
+    run = np.cumsum(new_run) - 1
+    first = starts[run]
+    length = np.diff(np.append(starts, num))[run]
+    return first + (np.arange(num) - first + (stat_i + stat_j) % length) % length
 
 
 def check_coverage(

@@ -24,13 +24,12 @@ of that into a compile-once / price-vectorized / replay-incremental pipeline:
 
 2. **Vectorized frontier pricing**
    (:meth:`BatchEvaluator.frontier_occupancy_bounds`) — the table build also
-   prices it: every row is priced with the cost model's formulas
-   elementwise (identical operation order, so the results are bit-equal to
-   the scalar path), the terms are laid out as (slot, value) pairs in the
-   scalar loop's emission order, and one grouped segment-sum
-   (``np.bincount``) followed by a per-device max gives every built
-   program's occupancy bound.  The replica-reduction term is computed once
-   per (scheme, replication) class, not per candidate.
+   prices it with the pricer the direct executor reads
+   (:meth:`repro.core.cost_model.CostModel.price_rows`); the terms are laid
+   out as (slot, value) pairs in the scalar loop's emission order, and one
+   grouped segment-sum (``np.bincount``) followed by a per-device max gives
+   every built program's occupancy bound.  The replica-reduction term is
+   computed once per (scheme, replication) class, not per candidate.
 
 3. **Delta re-simulation** (:meth:`BatchEvaluator.critical_bound`) — the
    critical-path refinement replays the executor's event stream on the
@@ -40,14 +39,17 @@ of that into a compile-once / price-vectorized / replay-incremental pipeline:
    shares a prefix with a cached trace resumes from the deepest valid
    checkpoint instead of replaying from zero (checkpoint-and-recompute).
 
+4. **Simulation** (:meth:`BatchEvaluator.simulate`) — the direct executor
+   walks the program's priced execution-order columns; no op objects.
+
 Correctness bar: every number this module produces is **bit-equal** to the
 scalar path (``candidate_lower_bound`` / ``run_ua_point``).  That is achieved
-by mirroring the exact arithmetic (operation and association order) of
-:class:`repro.core.cost_model.CostModel` and by emitting summation terms in
-the exact order of the scalar accumulation loops — ``np.bincount`` adds its
-weights sequentially in input order, so per-slot partial sums round
-identically.  The property suite pins this across dense, block-sparse, and
-MoE-ragged workloads.
+by pricing with the shared pricer, whose formulas mirror the exact arithmetic
+(operation and association order) of :class:`repro.core.cost_model.CostModel`,
+and by emitting summation terms in the exact order of the scalar accumulation
+loops — ``np.bincount`` adds its weights sequentially in input order, so
+per-slot partial sums round identically.  The property suite pins this across
+dense, block-sparse, and MoE-ragged workloads.
 """
 
 from __future__ import annotations
@@ -61,31 +63,23 @@ import numpy as np
 from repro.bench.sweep import SweepPoint
 from repro.bench.workloads import Workload
 from repro.core.config import ExecutionConfig
-from repro.core.cost_model import CostModel
+from repro.core.cost_model import CostModel, tile_fetch_bytes
 from repro.core.direct import DirectExecutor
 from repro.core.matmul import model_reduce_time
 from repro.core.slicing import (
     OperandLayout,
-    apply_iteration_offset,
     check_coverage,
     first_occurrence,
     generate_all_ops,
+    offset_permutation,
     slice_table,
-    stack_distinct,
 )
 from repro.core.stationary import parse_stationary
-from repro.core.structure import (
-    ROLE_A,
-    ROLE_B,
-    ROLE_C,
-    prune_structured_ops,
-    resolve_structure,
-)
+from repro.core.structure import ROLE_A, ROLE_B, resolve_structure
 from repro.dist.matrix import DistributedMatrix
 from repro.runtime.runtime import Runtime
 from repro.sim.engine import EventEngine
 from repro.topology.machines import MachineSpec
-from repro.util.indexing import Interval
 from repro.util.validation import check_matmul_shapes
 
 #: Engine slot layout inside one device's occupancy vector.  The order is
@@ -99,52 +93,6 @@ _CHECKPOINT_EVERY = 8
 _TRACES_PER_RANK = 8
 
 
-class _OpView:
-    """Minimal op stand-in accepted by ``CostModel.structured_op_compute_time``."""
-
-    __slots__ = ("m_bound", "k_bound", "n_bound", "itemsize")
-
-    def __init__(self, m_bound: Interval, k_bound: Interval, n_bound: Interval,
-                 itemsize: int) -> None:
-        self.m_bound = m_bound
-        self.k_bound = k_bound
-        self.n_bound = n_bound
-        self.itemsize = itemsize
-
-    @property
-    def m(self) -> int:
-        return self.m_bound.extent
-
-    @property
-    def n(self) -> int:
-        return self.n_bound.extent
-
-    @property
-    def k(self) -> int:
-        return self.k_bound.extent
-
-
-class _MatrixGeom:
-    """One operand's table layout plus its whole-tile fetch bytes, built once."""
-
-    __slots__ = ("layout", "tile_bytes")
-
-    def __init__(self, matrix: DistributedMatrix, label: str, structure) -> None:
-        self.layout = OperandLayout(matrix)
-        grid = matrix.grid
-        itemsize = matrix.dtype.itemsize
-        # Int bytes per tile, times the live fraction when structured.
-        tile_bytes = [
-            (r1 - r0) * (c1 - c0) * itemsize if structure is None else
-            (r1 - r0) * (c1 - c0) * itemsize
-            * structure.live_fraction(label, Interval(r0, r1), Interval(c0, c1))
-            for r0, r1 in zip(grid.row_splits, grid.row_splits[1:])
-            for c0, c1 in zip(grid.col_splits, grid.col_splits[1:])
-        ]
-        #: Fetch bytes per flat tile index, row-major.
-        self.tile_bytes = np.asarray(tile_bytes, dtype=np.float64)
-
-
 @dataclass
 class _ClassData:
     """State shared by every stationary variant of one (scheme, replication)."""
@@ -152,9 +100,10 @@ class _ClassData:
     a: DistributedMatrix
     b: DistributedMatrix
     c: DistributedMatrix
-    a_geom: _MatrixGeom
-    b_geom: _MatrixGeom
-    c_geom: _MatrixGeom
+    #: The slicing-table layouts of A, B and C.
+    layouts: Tuple[OperandLayout, OperandLayout, OperandLayout]
+    #: Fetch bytes of A's and B's tiles, per flat tile index.
+    tile_bytes: Tuple[np.ndarray, np.ndarray]
     reduce_time: float
 
 
@@ -187,7 +136,6 @@ class CandidateProgram:
         self._table: Optional[Dict[str, np.ndarray]] = None
         self._col: Optional[Dict[str, np.ndarray]] = None
         self._exec: Dict[bool, Dict[str, np.ndarray]] = {}
-        self._real_ops = None
 
     @property
     def table(self) -> Dict[str, np.ndarray]:
@@ -213,7 +161,7 @@ class CandidateProgram:
         if cols is None:
             cols = self.col
             if iteration_offset:
-                perm = self._offset_permutation()
+                perm = offset_permutation(cols["rank"], cols["stat_i"], cols["stat_j"])
                 cols = {name: arr[perm] for name, arr in cols.items()}
                 # First-fetch flags depend on stream order: recompute them
                 # over the permuted stream, as the executor's per-rank tile
@@ -223,27 +171,6 @@ class CandidateProgram:
                         cols["rank"], cols[f"{side}_key"], cols[f"{side}_remote"])
             self._exec[iteration_offset] = cols
         return cols
-
-    def _offset_permutation(self) -> np.ndarray:
-        """Per-rank iteration-offset rotation as an index permutation.
-
-        A stationary tile's ops are one contiguous run of its rank's stream;
-        the run is rotated left by ``(i + j) % len(run)``, exactly as
-        :func:`repro.core.slicing.apply_iteration_offset` rotates op lists.
-        """
-        col = self.col
-        rank, stat_i, stat_j = col["rank"], col["stat_i"], col["stat_j"]
-        num = self.num_ops
-        if num == 0:
-            return np.zeros(0, dtype=np.int64)
-        new_run = np.ones(num, dtype=bool)
-        new_run[1:] = ((rank[1:] != rank[:-1]) | (stat_i[1:] != stat_i[:-1])
-                       | (stat_j[1:] != stat_j[:-1]))
-        starts = np.flatnonzero(new_run)
-        run = np.cumsum(new_run) - 1
-        first = starts[run]
-        length = np.diff(np.append(starts, num))[run]
-        return first + (np.arange(num) - first + (stat_i + stat_j) % length) % length
 
 
 @dataclass
@@ -314,23 +241,14 @@ class BatchEvaluator:
         # touch runtime state, and rebuilding heaps/pools per class is pure
         # overhead on the cold path.
         self._runtime = Runtime(machine=machine)
-        #: Axis segment lists of the slicing table, shared across frontiers.
-        self._axes: dict = {}
-        #: Structured pricing per distinct (m, k, n) cuboid:
-        #: bounds -> (any live flops, c bytes, gemm seconds).
-        self._cuboids: Dict[Tuple[int, ...], Tuple[bool, float, float]] = {}
+        #: Structured pricing per distinct (m, k, n) cuboid: bounds ->
+        #: (any live flops, c bytes, gemm seconds, flops).
+        self._cuboids: Dict[Tuple[int, ...], Tuple[bool, float, float, float]] = {}
         self._classes: Dict[Tuple[int, Tuple[int, int, int]], _ClassData] = {}
         self._programs: Dict[Tuple[int, Tuple[int, int, int], str],
                              CandidateProgram] = {}
         self._engine = EventEngine(machine.num_devices)
         self._replay_cache: Dict[int, List[_RankTrace]] = {}
-        # Pairwise latency/bandwidth tables for vectorized pricing.
-        topology = machine.topology
-        p = machine.num_devices
-        self._lat = np.array([[topology.latency(s, d) for d in range(p)]
-                              for s in range(p)], dtype=np.float64)
-        self._bw = np.array([[topology.bandwidth(s, d) for d in range(p)]
-                             for s in range(p)], dtype=np.float64)
         #: Seconds spent compiling candidate event tables (op generation).
         self.opgen_seconds = 0.0
         #: Relaxed-replay reuse counters: cold folds, checkpoint resumes,
@@ -359,9 +277,9 @@ class BatchEvaluator:
                                          name="C", materialize=False)
             data = _ClassData(
                 a=a, b=b, c=c,
-                a_geom=_MatrixGeom(a, ROLE_A, self.structure),
-                b_geom=_MatrixGeom(b, ROLE_B, self.structure),
-                c_geom=_MatrixGeom(c, ROLE_C, self.structure),
+                layouts=(OperandLayout(a), OperandLayout(b), OperandLayout(c)),
+                tile_bytes=(tile_fetch_bytes(a, ROLE_A, self.structure),
+                            tile_fetch_bytes(b, ROLE_B, self.structure)),
                 reduce_time=model_reduce_time(c, self.cost_model,
                                               structure=self.structure),
             )
@@ -404,41 +322,19 @@ class BatchEvaluator:
             return
         started = time.perf_counter()
         entries = list(todo.values())
-        table = slice_table(
-            [(cls.a_geom.layout, cls.b_geom.layout, cls.c_geom.layout,
-              parse_stationary(candidate.stationary)) for candidate, cls in entries],
-            cache=self._axes,
-        )
+        table = slice_table([cls.layouts + (parse_stationary(candidate.stationary),)
+                             for candidate, cls in entries])
         itemsize = entries[0][1].c.dtype.itemsize
-        m = table["m1"] - table["m0"]
-        n = table["n1"] - table["n0"]
-        if self.structure is None:
-            c_bytes = (m * n * itemsize).astype(np.float64)
-            gemm = np.zeros(m.size)  # dense GEMMs are priced vectorized later
-        else:
-            live, c_bytes, gemm = self._structured_rows(table, itemsize)
-            table = {name: arr[live] for name, arr in table.items()}
-            m, n, c_bytes, gemm = m[live], n[live], c_bytes[live], gemm[live]
-        task, rank = table["task"], table["rank"]
+        frame = self.cost_model.event_columns(
+            table, [cls.tile_bytes for _, cls in entries], itemsize, self.structure,
+            self._cuboids)
+        task, rank, flops = frame.pop("task"), frame["rank"], frame.pop("flops")
+        del frame["c_key"]  # simulate-only: the walk never views a C tile
         p = self.machine.num_devices
-        frame = {
-            "rank": rank, "m": m, "n": n, "k": table["k1"] - table["k0"],
-            "m0": table["m0"], "k0": table["k0"], "n0": table["n0"],
-            "stat_i": table["stat_i"], "stat_j": table["stat_j"],
-            "c_owner": table["c_owner"], "c_remote": table["c_owner"] != rank,
-            "c_bytes": c_bytes, "gemm": gemm,
-        }
         group = task * p + rank
         for side in ("a", "b"):
-            key, owner = table[f"{side}_key"], table[f"{side}_owner"]
-            remote = owner != rank
-            frame[f"{side}_owner"] = owner
-            frame[f"{side}_key"] = key
-            frame[f"{side}_remote"] = remote
-            frame[f"{side}_first"] = first_occurrence(group, key, remote)
-            tile_bytes, at = stack_distinct(
-                [getattr(cls, f"{side}_geom").tile_bytes for _, cls in entries])
-            frame[f"{side}_bytes"] = tile_bytes[at[task] + key]
+            frame[f"{side}_first"] = first_occurrence(group, frame[f"{side}_key"],
+                                                      frame[f"{side}_remote"])
         counts = np.bincount(group, minlength=len(entries) * p).reshape(-1, p)
         rank_starts = np.zeros((len(entries), p + 1), dtype=np.int64)
         np.cumsum(counts, axis=1, out=rank_starts[:, 1:])
@@ -446,7 +342,8 @@ class BatchEvaluator:
         np.cumsum(rank_starts[:, -1], out=bounds[1:])
         self.opgen_seconds += time.perf_counter() - started
 
-        durations = self._duration_columns(frame, float(itemsize))
+        durations = self.cost_model.price_rows(frame, itemsize, self.structure)
+        durations["flops"] = flops
         stride = p * _NUM_ENGINES + 1
         slots, vals = self._occupancy_rows({**frame, **durations})
         # Rows are program-major, so offsetting each row's 7 slots into its
@@ -458,112 +355,6 @@ class BatchEvaluator:
             self._programs[key] = CandidateProgram(
                 candidate, cls, frame, durations, int(bounds[t]), int(bounds[t + 1]),
                 rank_starts[t], float(occupancy[t]))
-
-    def _structured_rows(self, table: Dict[str, np.ndarray], itemsize: int):
-        """``(live, c_bytes, gemm)`` per row, priced once per distinct cuboid.
-
-        ``live`` is False for fully masked cuboids (no flops survive), the
-        rows ``prune_structured_ops`` drops.  The scalar formulas run once
-        per distinct ``(m, k, n)`` bounds and are memoized per evaluator.
-        """
-        ids = []
-        for lo, hi in (("m0", "m1"), ("k0", "k1"), ("n0", "n1")):
-            packed = table[lo] * (int(table[hi].max(initial=0)) + 1) + table[hi]
-            uniq, inverse = np.unique(packed, return_inverse=True)
-            ids.append((uniq.size, inverse.reshape(-1)))
-        (_, m_id), (nk, k_id), (nn, n_id) = ids
-        _, first, inverse = np.unique((m_id * nk + k_id) * nn + n_id,
-                                      return_index=True, return_inverse=True)
-        structure = self.structure
-        priced = []
-        for bounds in zip(*[table[name][first].tolist()
-                            for name in ("m0", "m1", "k0", "k1", "n0", "n1")]):
-            value = self._cuboids.get(bounds)
-            if value is None:
-                m0, m1, k0, k1, n0, n1 = bounds
-                mb, kb, nb = Interval(m0, m1), Interval(k0, k1), Interval(n0, n1)
-                if structure.flops_fraction(mb, kb, nb) <= 0.0:
-                    value = (False, 0.0, 0.0)
-                else:
-                    fractions = structure.op_fractions(mb, kb, nb)
-                    value = (True,
-                             ((m1 - m0) * (n1 - n0) * itemsize) * fractions[3],
-                             self.cost_model.structured_op_compute_time(
-                                 _OpView(mb, kb, nb, itemsize), structure, fractions))
-                self._cuboids[bounds] = value
-            priced.append(value)
-        inverse = inverse.reshape(-1)
-        live = np.array([value[0] for value in priced], dtype=bool)
-        c_bytes = np.array([value[1] for value in priced], dtype=np.float64)
-        gemm = np.array([value[2] for value in priced], dtype=np.float64)
-        return live[inverse], c_bytes[inverse], gemm[inverse]
-
-    # ------------------------------------------------------------------ #
-    # vectorized pricing
-    # ------------------------------------------------------------------ #
-    def _duration_columns(self, col: Dict[str, np.ndarray],
-                          c_itemsize: float) -> Dict[str, np.ndarray]:
-        """Price one (possibly stacked) column set in a single array pass.
-
-        Every formula below mirrors the corresponding ``CostModel`` method
-        operation-for-operation (same association order, same guards), which
-        is what makes the vectorized durations bit-equal to the scalar ones.
-        """
-        machine = self.machine
-        shape = self.cost_model.shape_model
-        launch = machine.kernel_launch_overhead
-        acc_eff = max(machine.accumulate_efficiency, 1.0e-6)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self.structure is None:
-                # CostModel.gemm_time — the op generator stamps ops with
-                # c.dtype.itemsize, shared by the whole workload.
-                m, n, k = col["m"], col["n"], col["k"]
-                flops = 2.0 * m * n * k
-                bytes_touched = c_itemsize * (m * k + k * n + 2 * m * n)
-                efficiency = machine.gemm_efficiency * (
-                    (m / (m + shape.m_half)) * (n / (n + shape.n_half))
-                    * (k / (k + shape.k_half))
-                )
-                compute_time = flops / (machine.flops_peak
-                                        * np.maximum(efficiency, 1.0e-3))
-                memory_time = bytes_touched / machine.memory_bandwidth
-                gemm = np.maximum(compute_time, memory_time) + launch
-            else:
-                gemm = col["gemm"]  # priced scalar at compile time
-
-            rank = col["rank"]
-            c_owner = col["c_owner"]
-            c_bytes = col["c_bytes"]
-            c_remote = col["c_remote"]
-            # CostModel.accumulate_time(rank, c_owner, c_bytes)
-            lat = self._lat[rank, c_owner]
-            transfer = lat + c_bytes / self._bw[rank, c_owner]
-            remote_acc = launch + lat + (transfer - lat) / acc_eff
-            # CostModel.local_accumulate_time(c_bytes)
-            local_acc = 3.0 * c_bytes / machine.memory_bandwidth + launch
-            acc = np.where(c_bytes <= 0, 0.0,
-                           np.where(c_remote, remote_acc, local_acc))
-            # CostModel.device_link_time(c_bytes, accumulate=True)
-            ingress = np.where(c_bytes <= 0, 0.0,
-                               (c_bytes / machine.device_link_bandwidth) / acc_eff)
-
-            fetch: Dict[str, np.ndarray] = {}
-            egress: Dict[str, np.ndarray] = {}
-            for side in ("a", "b"):
-                owner = col[f"{side}_owner"]
-                nbytes = col[f"{side}_bytes"]
-                # CostModel.transfer_time(owner, rank, nbytes) — only remote
-                # rows are ever consumed, so the src == dst guard is subsumed
-                # by the remote mask at assembly time.
-                duration = self._lat[owner, rank] + nbytes / self._bw[owner, rank]
-                fetch[side] = np.where(nbytes <= 0, 0.0, duration)
-                # CostModel.device_link_time(nbytes)
-                egress[side] = np.where(nbytes <= 0, 0.0,
-                                        nbytes / machine.device_link_bandwidth)
-
-        return {"gemm": gemm, "acc": acc, "ingress": ingress,
-                "a_fetch": fetch["a"], "b_fetch": fetch["b"],
-                "a_egress": egress["a"], "b_egress": egress["b"]}
 
     def _occupancy_rows(self, cols: Dict[str, np.ndarray]
                         ) -> Tuple[np.ndarray, np.ndarray]:
@@ -711,7 +502,7 @@ class BatchEvaluator:
               start: int, state: _ReplayState):
         """The relaxed-engine timing recurrence for one rank's op stream.
 
-        Mirrors ``DirectExecutor._process_op`` running on
+        Mirrors the ``DirectExecutor.execute_columns`` walk running on
         ``EventEngine(contention=False)``: prefetch issue floors, the
         per-engine FIFO availability updates, the async concurrency windows,
         and the accumulate-compute interference slice.  Mutates ``state``
@@ -792,10 +583,6 @@ class BatchEvaluator:
             while next_pref <= horizon:
                 issue(next_pref, floor)
                 next_pref += 1
-            if next_pref <= i:
-                # prefetch_depth == 0 path: fetch exactly when needed.
-                issue(i, floor)
-                next_pref = i + 1
             a_end, b_end = pending.pop(i)
             earliest = a_end if a_end > b_end else b_end
             if async_:
@@ -843,27 +630,6 @@ class BatchEvaluator:
     # ------------------------------------------------------------------ #
     # batch simulation
     # ------------------------------------------------------------------ #
-    def real_ops(self, candidate):
-        """The candidate's real (pruned) ``LocalMatmulOp`` lists, cached.
-
-        Only candidates that reach full simulation pay for op-object
-        construction; the bound paths never touch this.
-        """
-        program = self.compile(candidate)
-        if program._real_ops is None:
-            cls = program.cls
-            per_rank_ops = generate_all_ops(
-                cls.a, cls.b, cls.c, parse_stationary(candidate.stationary)
-            )
-            if self.config.validate_ops:
-                # Coverage is an envelope invariant: checked pre-pruning,
-                # exactly as universal_matmul does.
-                check_coverage(cls.a, cls.b, cls.c, per_rank_ops)
-            if self.structure is not None:
-                per_rank_ops = prune_structured_ops(per_rank_ops, self.structure)
-            program._real_ops = per_rank_ops
-        return program._real_ops
-
     def simulate(self, candidate) -> SweepPoint:
         """Full contended simulation, bit-equal to ``run_ua_point``.
 
@@ -876,17 +642,17 @@ class BatchEvaluator:
         if self.structure is not None and not self._structure_validated:
             self.structure.validate(self.m, self.n, self.k)
             self._structure_validated = True
-        per_rank_ops = self.real_ops(candidate)
-        if self.config.iteration_offset:
-            per_rank_ops = {
-                rank: apply_iteration_offset(ops)
-                for rank, ops in per_rank_ops.items()
-            }
+        if self.config.validate_ops:
+            # Coverage is an envelope invariant: checked on the unpruned
+            # ops, exactly as universal_matmul does.
+            check_coverage(cls.a, cls.b, cls.c, generate_all_ops(
+                cls.a, cls.b, cls.c, parse_stationary(candidate.stationary)))
         self._engine.reset()
         executor = DirectExecutor(cls.a, cls.b, cls.c, self.cost_model,
                                   self.config, engine=self._engine,
                                   structure=self.structure)
-        makespan, per_rank_stats = executor.execute(per_rank_ops)
+        makespan, per_rank_stats = executor.execute_columns(
+            program.exec_columns(self.config.iteration_offset))
         reduce_time = cls.reduce_time if cls.c.replication.num_replicas > 1 else 0.0
         if self.structure is None:
             total_flops = 2 * self.m * self.n * self.k
@@ -898,7 +664,7 @@ class BatchEvaluator:
                                     for s in per_rank_stats.values()),
             "remote_accumulate_bytes": sum(s.remote_accumulate_bytes
                                            for s in per_rank_stats.values()),
-            "total_ops": sum(len(ops) for ops in per_rank_ops.values()),
+            "total_ops": program.num_ops,
         }
         if not self.workload.structure.is_dense:
             extra["structure"] = self.workload.structure.signature_token()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.topology.links import Link, LinkKind
 from repro.util.validation import check_positive_int
 
@@ -35,6 +37,7 @@ class Topology:
         for (src, dst) in self._links:
             self._check_device(src)
             self._check_device(dst)
+        self._pair_tables: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -105,6 +108,19 @@ class Topology:
     def transfer_time(self, src: int, dst: int, nbytes: int) -> float:
         """Modelled time to move ``nbytes`` from ``src`` to ``dst``."""
         return self.link(src, dst).transfer_time(nbytes)
+
+    def pair_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(latency, bandwidth)`` arrays indexed ``[src, dst]``, built once."""
+        if self._pair_tables is None:
+            devices = range(self.num_devices)
+            links = [[self.link(src, dst) for dst in devices] for src in devices]
+            tables = tuple(np.array([[getattr(link, name) for link in row] for row in links],
+                                    dtype=np.float64)
+                           for name in ("latency", "bandwidth"))
+            for table in tables:
+                table.setflags(write=False)
+            self._pair_tables = tables
+        return self._pair_tables
 
     def is_local(self, src: int, dst: int) -> bool:
         return src == dst

@@ -190,8 +190,16 @@ class TestSchemes:
         assert scheme_by_name("OUTER").name == "outer"
 
     def test_scheme_by_name_unknown(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="available: .*'column'.*'traditional'"):
             scheme_by_name("diagonal")
+
+    def test_schemes_are_built_once(self):
+        assert scheme_by_name("outer") is scheme_by_name("OUTER")
+        first, second = ua_schemes(), ua_schemes()
+        assert first is not second and first == second
+        assert all(left is right for left, right in zip(first, second))
+        first.pop()
+        assert len(second) == 6 and len(ua_schemes()) == 6
 
     def test_partitions_built_per_matrix(self):
         workload = mlp1_workload(1024)

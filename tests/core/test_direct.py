@@ -59,6 +59,22 @@ class TestExecutorBasics:
         makespan, stats = executor.execute(ops)
         assert makespan >= max(s.compute_time for s in stats.values())
 
+    def test_ops_of_another_rank_or_replica_rejected(self):
+        """The op-list adapter walks ops on their own rank's replicas only."""
+        from dataclasses import replace
+
+        runtime, a, b, c = build_problem()
+        ops = generate_all_ops(a, b, c, Stationary.C)
+        executor = DirectExecutor(a, b, c, CostModel(runtime.machine), ExecutionConfig())
+        c_before = c.to_dense()
+        with pytest.raises(ValueError, match="not an op of that rank"):
+            executor.execute({1: ops[0]})
+        op = ops[0][0]
+        for bad in (replace(op, a=replace(op.a, replica=1)), replace(op, itemsize=2)):
+            with pytest.raises(ValueError, match="not an op of that rank"):
+                executor.execute({0: [bad]})
+        assert np.array_equal(c.to_dense(), c_before)
+
     def test_empty_op_lists(self):
         runtime, a, b, c = build_problem()
         executor = DirectExecutor(a, b, c, CostModel(runtime.machine), ExecutionConfig())

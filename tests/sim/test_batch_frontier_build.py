@@ -14,8 +14,14 @@ import pytest
 from repro.bench.schemes import ua_schemes
 from repro.bench.workloads import Workload
 from repro.core.config import ExecutionConfig
-from repro.core.slicing import apply_iteration_offset
-from repro.core.structure import BlockSparse, MoERagged
+from repro.core.slicing import apply_iteration_offset, generate_all_ops
+from repro.core.stationary import parse_stationary
+from repro.core.structure import (
+    BlockSparse,
+    MoERagged,
+    prune_structured_ops,
+    resolve_structure,
+)
 from repro.planner.search import enumerate_candidates
 from repro.sim.batch import BatchEvaluator
 from repro.topology.machines import uniform_system
@@ -86,7 +92,12 @@ def test_execution_order_views_follow_the_op_stream(workload):
         plain = program.exec_columns(False)
         rotated = program.exec_columns(True)
         assert program.exec_columns(False) is plain
-        per_rank_ops = evaluator.real_ops(candidate)
+        cls = program.cls
+        per_rank_ops = generate_all_ops(cls.a, cls.b, cls.c,
+                                        parse_stationary(candidate.stationary))
+        structure = resolve_structure(workload.structure)
+        if structure is not None:
+            per_rank_ops = prune_structured_ops(per_rank_ops, structure)
         for columns, reorder in ((plain, list), (rotated, apply_iteration_offset)):
             stream = [(op.rank, op.m_bound.start, op.k_bound.start, op.n_bound.start)
                       for rank in sorted(per_rank_ops)
