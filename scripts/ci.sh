@@ -58,6 +58,9 @@ python benchmarks/bench_graph_planner.py --check
 echo "== benchmark smoke: cold_mix answers vs reference + scalar re-pricing of every winner =="
 python benchmarks/e2e/run.py --workload cold_mix --seconds 3
 
+echo "== benchmark smoke: cold_mix seed 1 (other pool shapes vs the pinned answers, re-priced on the scalar path) =="
+python benchmarks/e2e/run.py --workload cold_mix --seconds 3 --seed 1
+
 echo "== benchmark smoke: warm_inproc answers (every plan and plan_graph hit checked in-process) =="
 python benchmarks/e2e/run.py --workload warm_inproc --seconds 3
 

@@ -28,8 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.dist.matrix import DistributedMatrix
 from repro.dist.partition import Block2D, ColumnBlock, Partition, RowBlock
 from repro.bench.workloads import Workload
+from repro.runtime.runtime import Runtime
 
 
 def aspect_grid(shape: Tuple[int, int], num_procs: int) -> Tuple[int, int]:
@@ -77,6 +81,20 @@ class PartitioningScheme:
             self.b_factory(b_shape, procs_per_replica_b),
             self.c_factory(c_shape, procs_per_replica_c),
         )
+
+    def build_operands(self, runtime: Runtime, workload: Workload,
+                       replication: Tuple[int, int, int], dtype=np.float32,
+                       materialize: bool = True,
+                       ) -> Tuple[DistributedMatrix, DistributedMatrix, DistributedMatrix]:
+        """Create A, B and C under this scheme and ``replication`` on ``runtime``."""
+        p = runtime.num_ranks
+        parts = self.partitions(workload, *(p // rep for rep in replication))
+        a, b, c = (
+            DistributedMatrix.create(runtime, shape, part, replication=rep, dtype=dtype,
+                                     name=name, materialize=materialize)
+            for name, shape, part, rep in zip("ABC", workload.shapes, parts, replication)
+        )
+        return a, b, c
 
 
 def _column(_shape: Tuple[int, int], _procs: int) -> Partition:

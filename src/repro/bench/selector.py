@@ -68,19 +68,8 @@ class PartitioningRecommendation:
         materialize: bool = True,
     ) -> Tuple[DistributedMatrix, DistributedMatrix, DistributedMatrix]:
         """Instantiate A, B, C under this recommendation on the given runtime."""
-        rep_a, rep_b, rep_c = self.replication
-        p = runtime.num_ranks
-        part_a, part_b, part_c = self.scheme.partitions(
-            workload, p // rep_a, p // rep_b, p // rep_c
-        )
-        a_shape, b_shape, c_shape = workload.shapes
-        a = DistributedMatrix.create(runtime, a_shape, part_a, replication=rep_a,
-                                     dtype=dtype, name="A", materialize=materialize)
-        b = DistributedMatrix.create(runtime, b_shape, part_b, replication=rep_b,
-                                     dtype=dtype, name="B", materialize=materialize)
-        c = DistributedMatrix.create(runtime, c_shape, part_c, replication=rep_c,
-                                     dtype=dtype, name="C", materialize=materialize)
-        return a, b, c
+        return self.scheme.build_operands(runtime, workload, self.replication, dtype,
+                                          materialize)
 
 
 def recommend_partitioning(

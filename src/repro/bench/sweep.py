@@ -24,12 +24,12 @@ from repro.core.config import ExecutionConfig
 from repro.core.cost_model import CostModel
 from repro.core.matmul import universal_matmul
 from repro.core.stationary import Stationary
-from repro.dist.matrix import DistributedMatrix
 from repro.dtensor.device_mesh import DeviceMesh
 from repro.dtensor.dispatch import simulate_dtensor_matmul
 from repro.dtensor.placement import Shard
 from repro.runtime.runtime import Runtime
 from repro.topology.machines import MachineSpec
+from repro.util.validation import float_dtype
 
 
 @dataclass
@@ -82,22 +82,17 @@ def run_ua_point(
     replication: Tuple[int, int, int] = (1, 1, 1),
     stationary: Optional[str] = None,
     config: Optional[ExecutionConfig] = None,
+    itemsize: int = 4,
 ) -> SweepPoint:
-    """Simulate the universal algorithm for one fully specified configuration."""
+    """Simulate the universal algorithm for one fully specified configuration.
+
+    The operands are floats of ``itemsize`` bytes (see
+    :func:`repro.util.validation.float_dtype`).
+    """
     config = config or ExecutionConfig(simulate_only=True)
-    runtime = Runtime(machine=machine)
-    rep_a, rep_b, rep_c = replication
-    p = machine.num_devices
-    part_a, part_b, part_c = scheme.partitions(
-        workload, p // rep_a, p // rep_b, p // rep_c
-    )
-    a_shape, b_shape, c_shape = workload.shapes
-    a = DistributedMatrix.create(runtime, a_shape, part_a, replication=rep_a,
-                                 name="A", materialize=not config.simulate_only)
-    b = DistributedMatrix.create(runtime, b_shape, part_b, replication=rep_b,
-                                 name="B", materialize=not config.simulate_only)
-    c = DistributedMatrix.create(runtime, c_shape, part_c, replication=rep_c,
-                                 name="C", materialize=not config.simulate_only)
+    a, b, c = scheme.build_operands(Runtime(machine=machine), workload, replication,
+                                    float_dtype(itemsize),
+                                    materialize=not config.simulate_only)
     result = universal_matmul(a, b, c, stationary=stationary, config=config,
                               structure=workload.structure)
     extra = {

@@ -222,5 +222,13 @@ class CustomTiles(Partition):
             )
         return grid, _round_robin_owners(grid, num_owners)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CustomTiles):
+            return NotImplemented
+        return (self.row_splits, self.col_splits) == (other.row_splits, other.col_splits)
+
+    def __hash__(self) -> int:
+        return hash((CustomTiles, self.row_splits, self.col_splits))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CustomTiles({list(self.row_splits)}, {list(self.col_splits)})"

@@ -58,6 +58,7 @@ from repro.planner.search import SearchStats, search_partitionings
 from repro.runtime.runtime import Runtime
 from repro.sim.graphtime import GraphTiming, dag_makespan
 from repro.topology.machines import MachineSpec
+from repro.util.validation import float_dtype
 
 #: Default per-op lattice width: how many top recommendations the joint
 #: planner considers per op.  Small on purpose — the chain DP is
@@ -110,8 +111,9 @@ def candidate_layout(machine: MachineSpec, workload: Workload,
 
 def edge_reshard_cost(runtime: Runtime, shape: Tuple[int, int],
                       src_layout: Tuple[Partition, int],
-                      dst_layout: Tuple[Partition, int]) -> Tuple[float, int]:
-    """Price moving a ``shape`` matrix from one layout to another.
+                      dst_layout: Tuple[Partition, int],
+                      itemsize: int = 4) -> Tuple[float, int]:
+    """Price moving a ``shape`` matrix of ``itemsize``-byte floats between layouts.
 
     Returns ``(modelled_seconds, moved_bytes)`` from
     :func:`repro.dist.redistribute.redistribution_cost`; identical layouts
@@ -120,22 +122,33 @@ def edge_reshard_cost(runtime: Runtime, shape: Tuple[int, int],
     src_part, src_rep = src_layout
     dst_part, dst_rep = dst_layout
     matrix = DistributedMatrix.create(runtime, shape, src_part,
-                                      replication=src_rep, name="edge-src",
-                                      materialize=False)
+                                      replication=src_rep, dtype=float_dtype(itemsize),
+                                      name="edge-src", materialize=False)
     cost = redistribution_cost(matrix, dst_part, replication=dst_rep)
     return float(cost["modelled_time_s"]), int(cost["moved_bytes"])
 
 
 def build_edge_tables(machine: MachineSpec, graph: OpGraph,
-                      lattices: Sequence[OpLattice]) -> List[List[List[float]]]:
+                      lattices: Sequence[OpLattice],
+                      itemsize: int = 4) -> List[List[List[float]]]:
     """Per-edge reshard-time tables between every candidate layout pair.
 
     ``tables[e][i][j]`` is the modelled seconds to reshard edge ``e``'s
     tensor from the producer's candidate-``i`` output layout onto the
     consumer's candidate-``j`` operand layout.  One symbolic runtime prices
-    every entry (:func:`redistribution_cost` never advances its clock).
+    every entry (:func:`redistribution_cost` never advances its clock), and
+    each distinct (shape, src layout, dst layout) is priced once: lattice
+    candidates often differ only in stationary and share their layouts.
     """
     runtime = Runtime(machine=machine)
+    priced: Dict[tuple, float] = {}
+
+    def cost(shape, src, dst) -> float:
+        key = (shape, src, dst)
+        if key not in priced:
+            priced[key] = edge_reshard_cost(runtime, shape, src, dst, itemsize)[0]
+        return priced[key]
+
     tables: List[List[List[float]]] = []
     for edge in graph.edges:
         src_lattice, dst_lattice = lattices[edge.src], lattices[edge.dst]
@@ -150,7 +163,7 @@ def build_edge_tables(machine: MachineSpec, graph: OpGraph,
             for rec in dst_lattice.recommendations
         ]
         tables.append([
-            [edge_reshard_cost(runtime, shape, src, dst)[0] for dst in dst_layouts]
+            [cost(shape, src, dst) for dst in dst_layouts]
             for src in src_layouts
         ])
     return tables
@@ -456,7 +469,7 @@ def plan_graph_layouts(
             stats.merge(op_stats)
             lattices.append(OpLattice(workload, tuple(recommendations)))
     with tracer.span("graph.edges", edges=len(graph.edges)):
-        edge_tables = build_edge_tables(machine, graph, lattices)
+        edge_tables = build_edge_tables(machine, graph, lattices, itemsize)
     with tracer.span("graph.solve") as span:
         if graph.is_chain:
             assignment, _ = _solve_chain_dp(graph, lattices, edge_tables)

@@ -37,11 +37,11 @@ from repro.core.matmul import model_reduce_time
 from repro.core.slicing import apply_iteration_offset, generate_all_ops
 from repro.core.stationary import parse_stationary
 from repro.core.structure import prune_structured_ops, resolve_structure
-from repro.dist.matrix import DistributedMatrix
 from repro.obs.tracing import NULL_TRACER
 from repro.runtime.runtime import Runtime
 from repro.sim.batch import BatchEvaluator
 from repro.topology.machines import MachineSpec
+from repro.util.validation import float_dtype
 
 
 @dataclass(frozen=True)
@@ -163,34 +163,13 @@ def enumerate_candidates(
     return candidates, rejected
 
 
-def _symbolic_matrices(
-    machine: MachineSpec,
-    workload: Workload,
-    candidate: Candidate,
-) -> Tuple[DistributedMatrix, DistributedMatrix, DistributedMatrix]:
-    """Build unmaterialized operands for op generation (no data is allocated)."""
-    runtime = Runtime(machine=machine)
-    rep_a, rep_b, rep_c = candidate.replication
-    p = machine.num_devices
-    part_a, part_b, part_c = candidate.scheme.partitions(
-        workload, p // rep_a, p // rep_b, p // rep_c
-    )
-    a_shape, b_shape, c_shape = workload.shapes
-    a = DistributedMatrix.create(runtime, a_shape, part_a, replication=rep_a,
-                                 name="A", materialize=False)
-    b = DistributedMatrix.create(runtime, b_shape, part_b, replication=rep_b,
-                                 name="B", materialize=False)
-    c = DistributedMatrix.create(runtime, c_shape, part_c, replication=rep_c,
-                                 name="C", materialize=False)
-    return a, b, c
-
-
 def candidate_lower_bound(
     machine: MachineSpec,
     workload: Workload,
     candidate: Candidate,
     config: Optional[ExecutionConfig] = None,
     bound: str = BOUND_CRITICAL_PATH,
+    itemsize: int = 4,
 ) -> float:
     """Admissible lower bound on the candidate's simulated time (no full simulation).
 
@@ -202,12 +181,15 @@ def candidate_lower_bound(
     communication-bound problems because it sees fetch-before-GEMM chains.
     The replica-reduction term the simulator adds on top is modelled exactly,
     so the total stays a true lower bound of
-    :func:`repro.bench.sweep.run_ua_point`'s simulated time.
+    :func:`repro.bench.sweep.run_ua_point`'s simulated time at the same
+    ``itemsize``.
     """
     if bound not in _BOUNDS:
         raise ValueError(f"unknown bound {bound!r}; available: {_BOUNDS}")
     config = config or ExecutionConfig(simulate_only=True)
-    a, b, c = _symbolic_matrices(machine, workload, candidate)
+    a, b, c = candidate.scheme.build_operands(
+        Runtime(machine=machine), workload, candidate.replication,
+        float_dtype(itemsize), materialize=False)
     per_rank_ops = generate_all_ops(a, b, c, parse_stationary(candidate.stationary))
     structure = resolve_structure(workload.structure)
     if structure is not None:
@@ -282,6 +264,10 @@ def search_partitionings(
     evaluator requires direct-mode ``simulate_only`` configs and is bypassed
     automatically otherwise.
 
+    ``itemsize`` (2, 4 or 8 bytes) sizes the memory budget and picks the
+    float dtype every candidate is priced at; any other size raises
+    :class:`ValueError` before any work.
+
     ``tracer`` (a :class:`repro.obs.tracing.Tracer`) opens child spans for the
     search phases — the eager frontier pricing plus every refinement and
     simulation — so a traced request shows where its planning time went.
@@ -302,6 +288,7 @@ def search_partitionings(
     with pruning off, seeds are ignored entirely (everything is simulated
     anyway).
     """
+    float_dtype(itemsize)  # reject an unsupported element size before any work
     tracer = tracer if tracer is not None else NULL_TRACER
     if memory_budget_bytes is None:
         memory_budget_bytes = machine.memory_capacity
@@ -329,7 +316,7 @@ def search_partitionings(
     # candidates, so it is only sound when nothing materializes data.
     evaluator: Optional[BatchEvaluator] = None
     if use_batch and config.mode is ExecutionMode.DIRECT and config.simulate_only:
-        evaluator = BatchEvaluator(machine, workload, config)
+        evaluator = BatchEvaluator(machine, workload, config, itemsize=itemsize)
 
     by_index = {candidate.index: candidate for candidate in candidates}
     if prune:
@@ -348,7 +335,7 @@ def search_partitionings(
             else:
                 heap = [
                     (candidate_lower_bound(machine, workload, candidate,
-                                           config, BOUND_OCCUPANCY),
+                                           config, BOUND_OCCUPANCY, itemsize),
                      candidate.index, not needs_refinement)
                     for candidate in candidates
                 ]
@@ -376,7 +363,7 @@ def search_partitionings(
             else:
                 point = run_ua_point(machine, workload, candidate.scheme,
                                      candidate.replication, candidate.stationary,
-                                     config)
+                                     config, itemsize)
         stats.num_simulated += 1
         results.append(
             (
@@ -433,8 +420,8 @@ def search_partitionings(
                 if evaluator is not None:
                     tight = evaluator.critical_bound(candidate)
                 else:
-                    tight = candidate_lower_bound(machine, workload, candidate,
-                                                  config, BOUND_CRITICAL_PATH)
+                    tight = candidate_lower_bound(machine, workload, candidate, config,
+                                                  BOUND_CRITICAL_PATH, itemsize)
             stats.num_refined += 1
             refine_seconds += time.perf_counter() - refine_started
             heapq.heappush(heap, (tight, index, True))

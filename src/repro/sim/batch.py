@@ -18,9 +18,11 @@ of that into a compile-once / price-vectorized / replay-incremental pipeline:
    per-call overhead would dominate tables of a few dozen rows built one at
    a time.  Structured workloads price each distinct (m, k, n) cuboid once
    and drop fully masked rows before the first-fetch flags are computed.
-   Symbolic matrices, whole-tile bytes, and the replica-reduction term are
-   cached per (scheme, replication) class and shared by every stationary
-   variant.
+   Symbolic matrices, their slicing layouts, whole-tile bytes, and the
+   replica-reduction term are built once per operand — one (role, partition,
+   replication) — and shared by every class and stationary variant that
+   places that operand alike, so the frontier table concatenates each
+   distinct operand's arrays once.
 
 2. **Vectorized frontier pricing**
    (:meth:`BatchEvaluator.frontier_occupancy_bounds`) — the table build also
@@ -29,7 +31,7 @@ of that into a compile-once / price-vectorized / replay-incremental pipeline:
    out as (slot, value) pairs in the scalar loop's emission order, and one
    grouped segment-sum (``np.bincount``) followed by a per-device max gives
    every built program's occupancy bound.  The replica-reduction term is
-   computed once per (scheme, replication) class, not per candidate.
+   computed once per C operand, not per candidate.
 
 3. **Delta re-simulation** (:meth:`BatchEvaluator.critical_bound`) — the
    critical-path refinement replays the executor's event stream on the
@@ -75,12 +77,12 @@ from repro.core.slicing import (
     slice_table,
 )
 from repro.core.stationary import parse_stationary
-from repro.core.structure import ROLE_A, ROLE_B, resolve_structure
+from repro.core.structure import ROLE_A, ROLE_B, ROLE_C, resolve_structure
 from repro.dist.matrix import DistributedMatrix
 from repro.runtime.runtime import Runtime
 from repro.sim.engine import EventEngine
 from repro.topology.machines import MachineSpec
-from repro.util.validation import check_matmul_shapes
+from repro.util.validation import check_matmul_shapes, float_dtype
 
 #: Engine slot layout inside one device's occupancy vector.  The order is
 #: arbitrary (the bound takes a max over engines) but must stay fixed.
@@ -95,7 +97,7 @@ _TRACES_PER_RANK = 8
 
 @dataclass
 class _ClassData:
-    """State shared by every stationary variant of one (scheme, replication)."""
+    """One (scheme, replication): its three shared operands and their terms."""
 
     a: DistributedMatrix
     b: DistributedMatrix
@@ -218,18 +220,20 @@ class BatchEvaluator:
     """Compile-once, price-vectorized, replay-incremental candidate evaluator.
 
     One instance serves one ``search_partitionings`` call: it owns the cached
-    candidate programs, the per-class symbolic matrices, one reusable
+    candidate programs, the per-operand symbolic matrices, one reusable
     :class:`EventEngine` (reset between simulations instead of rebuilt), and
     the relaxed-replay trace cache that powers delta re-simulation.  Only
     valid for ``simulate_only`` direct-mode configs — the matrices it shares
-    across candidates carry no data.
+    across candidates carry no data.  Operands are floats of ``itemsize``
+    bytes, as :func:`repro.bench.sweep.run_ua_point` builds them.
     """
 
     def __init__(self, machine: MachineSpec, workload: Workload,
-                 config: Optional[ExecutionConfig] = None) -> None:
+                 config: Optional[ExecutionConfig] = None, itemsize: int = 4) -> None:
         self.machine = machine
         self.workload = workload
         self.config = config or ExecutionConfig(simulate_only=True)
+        self.dtype = float_dtype(itemsize)
         if not self.config.simulate_only:
             raise ValueError("BatchEvaluator shares symbolic matrices across "
                              "candidates; it requires simulate_only configs")
@@ -241,6 +245,9 @@ class BatchEvaluator:
         # touch runtime state, and rebuilding heaps/pools per class is pure
         # overhead on the cold path.
         self._runtime = Runtime(machine=machine)
+        #: (role, partition, replication) -> (matrix, layout, per-tile term).
+        self._operands: Dict[Tuple[str, object, int],
+                             Tuple[DistributedMatrix, OperandLayout, object]] = {}
         #: Structured pricing per distinct (m, k, n) cuboid: bounds ->
         #: (any live flops, c bytes, gemm seconds, flops).
         self._cuboids: Dict[Tuple[int, ...], Tuple[bool, float, float, float]] = {}
@@ -258,32 +265,38 @@ class BatchEvaluator:
     # ------------------------------------------------------------------ #
     # candidate compilation
     # ------------------------------------------------------------------ #
+    def _operand(self, role: str, shape, partition, replication: int):
+        """The shared (matrix, layout, per-tile term) of one operand.
+
+        The term is A's or B's fetch bytes per flat tile, or C's
+        replica-reduction time.
+        """
+        key = (role, partition, replication)
+        entry = self._operands.get(key)
+        if entry is None:
+            matrix = DistributedMatrix.create(
+                self._runtime, shape, partition, replication=replication,
+                dtype=self.dtype, name=role, materialize=False)
+            term = (model_reduce_time(matrix, self.cost_model, structure=self.structure)
+                    if role == ROLE_C else
+                    tile_fetch_bytes(matrix, role, self.structure))
+            entry = self._operands[key] = (matrix, OperandLayout(matrix), term)
+        return entry
+
     def _class_data(self, candidate) -> _ClassData:
         key = (id(candidate.scheme), tuple(candidate.replication))
         data = self._classes.get(key)
         if data is None:
-            runtime = self._runtime
-            rep_a, rep_b, rep_c = candidate.replication
             p = self.machine.num_devices
-            part_a, part_b, part_c = candidate.scheme.partitions(
-                self.workload, p // rep_a, p // rep_b, p // rep_c
-            )
-            a_shape, b_shape, c_shape = self.workload.shapes
-            a = DistributedMatrix.create(runtime, a_shape, part_a, replication=rep_a,
-                                         name="A", materialize=False)
-            b = DistributedMatrix.create(runtime, b_shape, part_b, replication=rep_b,
-                                         name="B", materialize=False)
-            c = DistributedMatrix.create(runtime, c_shape, part_c, replication=rep_c,
-                                         name="C", materialize=False)
-            data = _ClassData(
-                a=a, b=b, c=c,
-                layouts=(OperandLayout(a), OperandLayout(b), OperandLayout(c)),
-                tile_bytes=(tile_fetch_bytes(a, ROLE_A, self.structure),
-                            tile_fetch_bytes(b, ROLE_B, self.structure)),
-                reduce_time=model_reduce_time(c, self.cost_model,
-                                              structure=self.structure),
-            )
-            self._classes[key] = data
+            parts = candidate.scheme.partitions(
+                self.workload, *(p // rep for rep in candidate.replication))
+            (a, layout_a, bytes_a), (b, layout_b, bytes_b), (c, layout_c, reduce_time) = (
+                self._operand(*operand) for operand in zip(
+                    (ROLE_A, ROLE_B, ROLE_C), self.workload.shapes, parts,
+                    candidate.replication))
+            data = self._classes[key] = _ClassData(
+                a=a, b=b, c=c, layouts=(layout_a, layout_b, layout_c),
+                tile_bytes=(bytes_a, bytes_b), reduce_time=reduce_time)
         return data
 
     @staticmethod

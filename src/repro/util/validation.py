@@ -70,6 +70,19 @@ def check_divides(divisor: int, dividend: int, message: str) -> None:
         raise ReplicationError(message)
 
 
+#: The float dtype of each supported element size in bytes.
+_FLOAT_DTYPES = {2: np.dtype(np.float16), 4: np.dtype(np.float32), 8: np.dtype(np.float64)}
+
+
+def float_dtype(itemsize: int) -> np.dtype:
+    """The float dtype of ``itemsize`` bytes (2, 4 or 8); ``ValueError`` otherwise."""
+    dtype = _FLOAT_DTYPES.get(itemsize)
+    if dtype is None:
+        raise ValueError(f"itemsize must be one of {sorted(_FLOAT_DTYPES)} bytes, "
+                         f"got {itemsize!r}")
+    return dtype
+
+
 def check_matrix(array: Any, name: str) -> np.ndarray:
     """Validate that ``array`` is a 2-D, non-empty, real-valued ndarray."""
     arr = np.asarray(array)

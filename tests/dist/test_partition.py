@@ -129,6 +129,25 @@ class TestCustomTiles:
         with pytest.raises(PartitionError):
             CustomTiles([1, 10], [0, 10]).build((10, 10), 2)
 
+    def test_equal_splits_compare_and_hash_equal(self):
+        left = CustomTiles([0, 60, 170], [0, 110, 180])
+        right = CustomTiles((0, 60, 170), (0, 110, 180))
+        assert left == right
+        assert hash(left) == hash(right)
+
+    def test_different_splits_compare_unequal(self):
+        base = CustomTiles([0, 60, 170], [0, 110, 180])
+        assert base != CustomTiles([0, 70, 170], [0, 110, 180])
+        assert base != CustomTiles([0, 60, 170], [0, 100, 180])
+        # Row and column splits are not interchangeable.
+        assert CustomTiles([0, 5, 10], [0, 10]) != CustomTiles([0, 10], [0, 5, 10])
+        assert base != RowBlock()
+
+    def test_usable_as_dict_key(self):
+        table = {(CustomTiles([0, 60, 170], [0, 110, 180]), 2): "shared"}
+        assert table[(CustomTiles([0, 60, 170], [0, 110, 180]), 2)] == "shared"
+        assert (CustomTiles([0, 60, 170], [0, 110, 180]), 1) not in table
+
 
 class TestNames:
     def test_metadata_names(self):

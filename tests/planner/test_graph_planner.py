@@ -6,6 +6,7 @@ from repro.core.graph import GraphEdge, GraphOp, OpGraph, matmul_chain, mlp_chai
 from repro.dist.matrix import DistributedMatrix
 from repro.dist.redistribute import redistribution_cost
 from repro.planner import PlannerService
+from repro.planner import graph as graph_module
 from repro.planner.cache import PlanCache, PlanEntry, decode_entry
 from repro.planner.graph import (
     DEFAULT_LATTICE_SIZE,
@@ -16,6 +17,7 @@ from repro.planner.graph import (
     assignment_timing,
     build_edge_tables,
     candidate_layout,
+    edge_reshard_cost,
     exhaustive_joint_plan,
     op_workload,
     plan_graph_layouts,
@@ -90,6 +92,41 @@ class TestEdgeTables:
                                               dst_rec, 0)
                 if src_layout == dst_layout:
                     assert tables[0][i][j] == 0.0
+
+    @pytest.mark.parametrize("graph", [chain_graph(), diamond_graph()],
+                             ids=["chain", "diamond"])
+    def test_each_distinct_pair_is_priced_once(self, graph, monkeypatch):
+        """Lattice candidates share layouts; the table prices each pair once."""
+        lattices = lattices_for(graph)
+        calls = []
+        original = graph_module.edge_reshard_cost
+
+        def counting(runtime, shape, src, dst, itemsize=4):
+            calls.append((shape, src, dst))
+            return original(runtime, shape, src, dst, itemsize)
+
+        monkeypatch.setattr(graph_module, "edge_reshard_cost", counting)
+        tables = build_edge_tables(MACHINE, graph, lattices)
+        monkeypatch.undo()
+        assert len(calls) == len(set(calls))
+
+        runtime = Runtime(machine=MACHINE)
+        pairs = set()
+        for pos, edge in enumerate(graph.edges):
+            src_lat, dst_lat = lattices[edge.src], lattices[edge.dst]
+            shape = (src_lat.workload.m, src_lat.workload.n)
+            slot = 0 if edge.operand == "A" else 1
+            for i, src_rec in enumerate(src_lat.recommendations):
+                src = candidate_layout(MACHINE, src_lat.workload, src_rec, 2)
+                for j, dst_rec in enumerate(dst_lat.recommendations):
+                    dst = candidate_layout(MACHINE, dst_lat.workload, dst_rec, slot)
+                    pairs.add((shape, src, dst))
+                    assert tables[pos][i][j] == \
+                        edge_reshard_cost(runtime, shape, src, dst)[0]
+        assert set(calls) == pairs
+        # Sharing is real: the lattices repeat layouts across candidates.
+        num_entries = sum(len(row) for table in tables for row in table)
+        assert len(pairs) < num_entries
 
     def test_tables_are_non_negative(self):
         graph = chain_graph()
