@@ -17,9 +17,20 @@ python examples/quickstart.py
 echo "== example smoke: partition sweep (small batch) =="
 python examples/partition_sweep.py 512
 
+echo "== example smoke: partition sweep on the worker pool (2 jobs) =="
+REPRO_SWEEP_JOBS=2 python examples/partition_sweep.py 512
+
 echo "== example smoke: planner service =="
 python examples/planner_service.py --family attention --system uniform \
   --devices 4 --sizes 256 --top-k 2
+
+echo "== example smoke: planner warm start (plan store written, then read back) =="
+store_dir="$(mktemp -d)"
+trap 'rm -rf "$store_dir"' EXIT
+for _ in 1 2; do
+  python examples/planner_service.py --family attention --system uniform \
+    --devices 4 --sizes 256 --store "$store_dir/plans.json"
+done
 
 echo "== example smoke: planner server (multi-process fleet) =="
 python examples/planner_server.py --workers 2 --family attention \

@@ -19,17 +19,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.slicing import stack_distinct
-from repro.core.structure import ROLE_A, ROLE_B, WorkloadStructure, resolve_structure
+from repro.core.structure import WorkloadStructure
 from repro.topology.machines import MachineSpec
 from repro.util.indexing import Interval
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.config import ExecutionConfig
     from repro.core.ops import LocalMatmulOp
     from repro.dist.matrix import DistributedMatrix
 
@@ -422,145 +421,6 @@ class CostModel:
         if not per_rank_ops:
             return 0.0
         return max(self.estimate_op_list(ops) for ops in per_rank_ops.values())
-
-    # ------------------------------------------------------------------ #
-    # admissible lower bounds (planner pruning)
-    # ------------------------------------------------------------------ #
-    def direct_lower_bound(
-        self,
-        a: "DistributedMatrix",
-        b: "DistributedMatrix",
-        c: "DistributedMatrix",
-        per_rank_ops: Mapping[int, Sequence["LocalMatmulOp"]],
-        cache_remote_tiles: bool = True,
-        structure: Optional[WorkloadStructure] = None,
-    ) -> float:
-        """A lower bound on the direct executor's makespan for these op lists.
-
-        Unlike :meth:`estimate_op_lists` (a prediction that may over- or
-        undershoot), this is *admissible*: it never exceeds the simulated
-        makespan, so the planner can prune a candidate whose bound already
-        beats the incumbent without risking a wrong answer.  The argument is
-        engine occupancy: the direct executor reserves, per device,
-
-        * every GEMM and local accumulate on the compute engine,
-        * every remote-tile fetch on the reader's copy engine (deduplicated
-          when ``cache_remote_tiles`` is on, exactly as the executor does),
-        * every remote accumulate on the initiator's accumulate engine,
-        * the shared ingress (accumulate fan-in) and egress (fetch fan-out)
-          occupancies on the destination/source device,
-
-        and engine reservations never overlap, so each device finishes no
-        earlier than any single engine's summed occupancy.  The makespan is
-        the slowest device, hence the max-of-max below.
-
-        ``structure`` scales every term exactly as the executor's event
-        stream does (live tile bytes, live accumulate bytes, live GEMM
-        work), so the bound stays admissible on block-sparse and MoE-ragged
-        workloads; pass the same *filtered* op lists the executor runs.
-        """
-        structure = resolve_structure(structure)
-        num_devices = self.machine.num_devices
-        compute = [0.0] * num_devices
-        copy = [0.0] * num_devices
-        accumulate = [0.0] * num_devices
-        ingress = [0.0] * num_devices
-        egress = [0.0] * num_devices
-        tile_bytes: Dict[tuple, float] = {}
-
-        def full_tile_bytes(label: str, matrix, tile_idx) -> float:
-            key = (label, tile_idx)
-            if key not in tile_bytes:
-                bounds = matrix.tile_bounds(tile_idx)
-                nbytes = bounds.size * matrix.dtype.itemsize
-                if structure is not None:
-                    nbytes *= structure.live_fraction(label, bounds.rows, bounds.cols)
-                tile_bytes[key] = nbytes
-            return tile_bytes[key]
-
-        for rank, ops in per_rank_ops.items():
-            fetched: set = set()
-            for op in ops:
-                if structure is None:
-                    fractions = None
-                    c_bytes = op.c_bytes
-                else:
-                    fractions = structure.op_fractions(op.m_bound, op.k_bound,
-                                                       op.n_bound)
-                    c_bytes = op.c_bytes * fractions[3]
-                compute[rank] += self.structured_op_compute_time(op, structure,
-                                                                 fractions)
-                if op.c_is_remote:
-                    accumulate[rank] += self.accumulate_time(rank, op.c.owner, c_bytes)
-                    ingress[op.c.owner] += self.device_link_time(c_bytes, accumulate=True)
-                else:
-                    compute[rank] += self.local_accumulate_time(c_bytes)
-                for label, matrix, ref in ((ROLE_A, a, op.a), (ROLE_B, b, op.b)):
-                    if ref.owner == rank:
-                        continue
-                    cache_key = (label, ref.replica, ref.index)
-                    if cache_remote_tiles and cache_key in fetched:
-                        continue
-                    fetched.add(cache_key)
-                    nbytes = full_tile_bytes(label, matrix, ref.index)
-                    copy[rank] += self.transfer_time(ref.owner, rank, nbytes)
-                    egress[ref.owner] += self.device_link_time(nbytes)
-
-        per_device = (
-            max(compute[d], copy[d], accumulate[d], ingress[d], egress[d])
-            for d in range(num_devices)
-        )
-        return max(per_device, default=0.0)
-
-    def critical_path_lower_bound(
-        self,
-        a: "DistributedMatrix",
-        b: "DistributedMatrix",
-        c: "DistributedMatrix",
-        per_rank_ops: Mapping[int, Sequence["LocalMatmulOp"]],
-        config: Optional["ExecutionConfig"] = None,
-        structure: Optional[WorkloadStructure] = None,
-    ) -> float:
-        """A critical-path lower bound on the direct executor's makespan.
-
-        Replays the executor's exact event stream — same ops, same order,
-        same per-rank fetch/gemm/accumulate dependency chains and engine
-        queues — on a *relaxed* engine with every cross-device floor (egress
-        slots, ingress slots, link occupancy) removed.  Every constraint the
-        relaxed engine enforces is also enforced by the contended engine on
-        the identical emission sequence, so by induction every relaxed event
-        starts (and ends) no later than its contended counterpart and the
-        relaxed makespan is admissible.
-
-        Unlike :meth:`direct_lower_bound`, which sees each engine's summed
-        occupancy in isolation, the relaxed schedule sees cross-engine
-        dependency chains — a rank that must *fetch before it can GEMM before
-        it can accumulate* pays the chain even when no single engine is
-        saturated — which makes this bound strictly tighter on
-        communication-bound problems.  The per-engine occupancy bound is
-        still taken as a floor (it can win when contention terms the relaxed
-        engine drops, e.g. many-to-one ingress fan-in, dominate).
-
-        ``per_rank_ops`` must be in *execution* order: apply the iteration
-        offset before calling when the config enables it, exactly as
-        :func:`repro.core.matmul.universal_matmul` does.
-        """
-        from repro.core.config import ExecutionConfig
-        from repro.core.direct import DirectExecutor
-        from repro.sim.engine import EventEngine
-
-        config = config or ExecutionConfig(simulate_only=True)
-        if not config.simulate_only:
-            config = config.evolve(simulate_only=True)
-        engine = EventEngine(self.machine.num_devices, contention=False)
-        executor = DirectExecutor(a, b, c, self, config=config, engine=engine,
-                                  structure=structure)
-        executor.execute({rank: list(ops) for rank, ops in per_rank_ops.items()})
-        occupancy = self.direct_lower_bound(
-            a, b, c, per_rank_ops, cache_remote_tiles=config.cache_remote_tiles,
-            structure=structure,
-        )
-        return max(engine.makespan(), occupancy)
 
     # ------------------------------------------------------------------ #
     # reporting

@@ -54,11 +54,8 @@ from repro.planner.refresh import (
     TransitionTable,
 )
 from repro.planner.search import (
-    BOUND_CRITICAL_PATH,
-    BOUND_OCCUPANCY,
     Candidate,
     SearchStats,
-    candidate_lower_bound,
     enumerate_candidates,
     memory_per_device,
     search_partitionings,
@@ -81,8 +78,6 @@ from repro.planner.signature import (
 )
 
 __all__ = [
-    "BOUND_CRITICAL_PATH",
-    "BOUND_OCCUPANCY",
     "BackgroundRefresher",
     "DriftTracker",
     "RefreshStats",
@@ -101,7 +96,6 @@ __all__ = [
     "plan_graph_layouts",
     "Candidate",
     "SearchStats",
-    "candidate_lower_bound",
     "enumerate_candidates",
     "memory_per_device",
     "search_partitionings",

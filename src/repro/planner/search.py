@@ -3,9 +3,12 @@
 The exhaustive selector simulates every (scheme, replication, stationary)
 candidate.  Simulation is the expensive part: the direct executor walks every
 generated op through the per-engine clock.  This module keeps the exhaustive
-enumeration but adds branch-and-bound pruning on top of
-:meth:`repro.core.cost_model.CostModel.direct_lower_bound` — an *admissible*
-bound (it never exceeds the simulated makespan), so:
+enumeration but adds branch-and-bound pruning on top of the *admissible*
+bounds of :class:`repro.sim.batch.BatchEvaluator` — the one bound path: a
+per-engine occupancy bound priced for the whole frontier at once, refined to
+a critical-path bound (a relaxed replay of the event stream) for candidates
+that reach the top of the heap.  Both bounds never exceed the simulated
+makespan, so:
 
 * a candidate whose bound is already worse than the incumbent's **simulated**
   time cannot win and is skipped without simulating it;
@@ -14,9 +17,9 @@ bound (it never exceeds the simulated makespan), so:
 * strict inequality at the threshold guarantees the pruned search returns the
   *identical* ranked recommendations as the exhaustive search, ties included.
 
-Pruning is only applied under the direct execution mode (the bound is proved
-against the direct executor's reservation discipline); IR-mode searches fall
-back to exhaustive automatically.
+Pruning is only applied under the direct execution mode (the bounds are
+proved against the direct executor's reservation discipline); IR-mode
+searches fall back to exhaustive automatically.
 """
 
 from __future__ import annotations
@@ -32,13 +35,8 @@ from repro.bench.selector import PartitioningRecommendation
 from repro.bench.sweep import run_ua_point, valid_replication_factors
 from repro.bench.workloads import Workload
 from repro.core.config import ExecutionConfig, ExecutionMode
-from repro.core.cost_model import CostModel
-from repro.core.matmul import model_reduce_time
-from repro.core.slicing import apply_iteration_offset, generate_all_ops
-from repro.core.stationary import parse_stationary
-from repro.core.structure import prune_structured_ops, resolve_structure
+from repro.core.structure import resolve_structure
 from repro.obs.tracing import NULL_TRACER
-from repro.runtime.runtime import Runtime
 from repro.sim.batch import BatchEvaluator
 from repro.topology.machines import MachineSpec
 from repro.util.validation import float_dtype
@@ -54,14 +52,6 @@ class Candidate:
     replication: Tuple[int, int, int]
     stationary: str
     memory_per_device: int
-
-
-#: The engine-occupancy bound (PR 2): per-engine summed busy time.
-BOUND_OCCUPANCY = "occupancy"
-#: The event-DAG bound: relaxed-engine makespan, floored by occupancy.
-BOUND_CRITICAL_PATH = "critical_path"
-
-_BOUNDS = (BOUND_OCCUPANCY, BOUND_CRITICAL_PATH)
 
 
 @dataclass
@@ -80,7 +70,6 @@ class SearchStats:
     #: machine to establish the pruning threshold before the heap walk.
     num_seeded: int = 0
     pruning_enabled: bool = True
-    bound_name: str = BOUND_CRITICAL_PATH
     #: Seconds compiling candidate op streams (batch evaluator only).
     opgen_seconds: float = 0.0
     #: Seconds pricing the eager occupancy bound for the frontier.
@@ -163,58 +152,6 @@ def enumerate_candidates(
     return candidates, rejected
 
 
-def candidate_lower_bound(
-    machine: MachineSpec,
-    workload: Workload,
-    candidate: Candidate,
-    config: Optional[ExecutionConfig] = None,
-    bound: str = BOUND_CRITICAL_PATH,
-    itemsize: int = 4,
-) -> float:
-    """Admissible lower bound on the candidate's simulated time (no full simulation).
-
-    Generates the candidate's op lists and prices them with the requested
-    bound: :data:`BOUND_OCCUPANCY` sums per-engine occupancy
-    (:meth:`CostModel.direct_lower_bound`), while :data:`BOUND_CRITICAL_PATH`
-    replays the event stream on the relaxed contention-free engine
-    (:meth:`CostModel.critical_path_lower_bound`) — tighter on
-    communication-bound problems because it sees fetch-before-GEMM chains.
-    The replica-reduction term the simulator adds on top is modelled exactly,
-    so the total stays a true lower bound of
-    :func:`repro.bench.sweep.run_ua_point`'s simulated time at the same
-    ``itemsize``.
-    """
-    if bound not in _BOUNDS:
-        raise ValueError(f"unknown bound {bound!r}; available: {_BOUNDS}")
-    config = config or ExecutionConfig(simulate_only=True)
-    a, b, c = candidate.scheme.build_operands(
-        Runtime(machine=machine), workload, candidate.replication,
-        float_dtype(itemsize), materialize=False)
-    per_rank_ops = generate_all_ops(a, b, c, parse_stationary(candidate.stationary))
-    structure = resolve_structure(workload.structure)
-    if structure is not None:
-        # Drop fully masked ops exactly as the simulation does, so the bound
-        # prices the op stream the executor will actually run (counting a
-        # skipped op's fetch would break admissibility).
-        per_rank_ops = prune_structured_ops(per_rank_ops, structure)
-    cost_model = CostModel(machine)
-    if bound == BOUND_CRITICAL_PATH:
-        # The relaxed replay is order-sensitive: hand it the exact execution
-        # order, offset applied, as universal_matmul would run it.
-        if config.iteration_offset:
-            per_rank_ops = {
-                rank: apply_iteration_offset(ops) for rank, ops in per_rank_ops.items()
-            }
-        value = cost_model.critical_path_lower_bound(a, b, c, per_rank_ops, config,
-                                                     structure=structure)
-    else:
-        value = cost_model.direct_lower_bound(
-            a, b, c, per_rank_ops, cache_remote_tiles=config.cache_remote_tiles,
-            structure=structure,
-        )
-    return value + model_reduce_time(c, cost_model, structure=structure)
-
-
 def search_partitionings(
     machine: MachineSpec,
     workload: Workload,
@@ -227,8 +164,6 @@ def search_partitionings(
     itemsize: int = 4,
     config: Optional[ExecutionConfig] = None,
     prune: bool = True,
-    bound: str = BOUND_CRITICAL_PATH,
-    use_batch: bool = True,
     tracer=None,
     seed_candidates: Optional[Sequence[Tuple[str, Tuple[int, int, int], str]]] = None,
 ) -> Tuple[List[PartitioningRecommendation], SearchStats]:
@@ -237,36 +172,29 @@ def search_partitionings(
     With ``prune=False`` this is exactly the exhaustive selector.  With
     ``prune=True`` (and direct execution mode) the result is guaranteed
     identical while strictly fewer candidates are simulated whenever any
-    candidate's lower bound exceeds the eventual top-k threshold.  ``bound``
-    selects the pruning bound; both options are admissible, so the ranking is
-    identical under either — :data:`BOUND_CRITICAL_PATH` (the default) is
-    tighter on communication-bound problems and prunes more.
+    candidate's lower bound exceeds the eventual top-k threshold.
 
-    The bounds are staged by cost (lazy best-first refinement): the cheap
-    occupancy bound is computed eagerly for every candidate, and candidates
-    are visited through a min-heap keyed by their best-known bound.  When an
-    *unrefined* candidate reaches the top under the critical-path setting,
-    its expensive chain bound — a relaxed replay of the whole event stream,
-    nearly as expensive as simulating — is computed and the candidate is
-    pushed back; only candidates that surface again are simulated.  The visit
-    order therefore converges to the tight-bound order (strong incumbents
-    found early) while candidates prunable by the cheap bound never pay for
-    the expensive one.
+    Every bound comes from one :class:`repro.sim.batch.BatchEvaluator`, built
+    for any direct-mode config: bounds read no data, so a materializing
+    config is bounded with its ``simulate_only`` twin.  The bounds are staged
+    by cost (lazy best-first refinement): the cheap occupancy bound is priced
+    eagerly for the whole frontier in one vectorized pass, and candidates are
+    visited through a min-heap keyed by their best-known bound.  When an
+    *unrefined* candidate reaches the top, its critical-path bound — a
+    relaxed replay of the whole event stream, memoized per rank stream — is
+    computed and the candidate is pushed back; only candidates that surface
+    again are simulated.  The visit order therefore converges to the
+    tight-bound order (strong incumbents found early) while candidates
+    prunable by the cheap bound never pay for the expensive one.
+    Simulate-only configs are simulated by the same evaluator, which shares
+    each candidate's compiled program between its bounds and its simulation;
+    materializing configs and IR mode (which is never pruned) simulate with
+    :func:`repro.bench.sweep.run_ua_point`.
 
-    ``use_batch`` (the default) routes all candidate evaluation through one
-    :class:`repro.sim.batch.BatchEvaluator`: each candidate's op stream is
-    compiled once and shared by the bound and the simulator, the eager
-    occupancy pass prices the whole frontier as a single vectorized
-    segment-sum, and critical-path refinements reuse cached relaxed-replay
-    traces.  Every number the evaluator produces is bit-equal to the scalar
-    path, so the recommendations (ties included) are identical either way —
-    ``use_batch=False`` keeps the scalar path for verification.  The batch
-    evaluator requires direct-mode ``simulate_only`` configs and is bypassed
-    automatically otherwise.
-
+    ``top_k`` (at least 1) is the number of recommendations returned, and
     ``itemsize`` (2, 4 or 8 bytes) sizes the memory budget and picks the
-    float dtype every candidate is priced at; any other size raises
-    :class:`ValueError` before any work.
+    float dtype every candidate is priced at; any other value of either
+    raises :class:`ValueError` before any work.
 
     ``tracer`` (a :class:`repro.obs.tracing.Tracer`) opens child spans for the
     search phases — the eager frontier pricing plus every refinement and
@@ -289,34 +217,35 @@ def search_partitionings(
     anyway).
     """
     float_dtype(itemsize)  # reject an unsupported element size before any work
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
     tracer = tracer if tracer is not None else NULL_TRACER
     if memory_budget_bytes is None:
         memory_budget_bytes = machine.memory_capacity
     schemes = list(schemes) if schemes is not None else ua_schemes()
     factors = valid_replication_factors(machine.num_devices, replication_factors)
     config = config or ExecutionConfig(simulate_only=True)
-    effective_k = max(1, top_k)
 
     candidates, rejected = enumerate_candidates(
         machine, workload, memory_budget_bytes, schemes, factors,
         stationary_options, itemsize,
     )
-    if bound not in _BOUNDS:
-        raise ValueError(f"unknown bound {bound!r}; available: {_BOUNDS}")
     prune = prune and config.mode is ExecutionMode.DIRECT
     stats = SearchStats(num_candidates=len(candidates), num_memory_rejected=rejected,
-                        pruning_enabled=prune, bound_name=bound)
+                        pruning_enabled=prune)
     if not candidates:
         raise ValueError(
             "no partitioning fits the per-device memory budget "
             f"({memory_budget_bytes / 1e9:.2f} GB)"
         )
 
-    # The batch evaluator shares symbolic (data-free) matrices across
-    # candidates, so it is only sound when nothing materializes data.
+    # The evaluator shares symbolic (data-free) matrices across candidates:
+    # sound for every bound, but it simulates only when nothing materializes.
     evaluator: Optional[BatchEvaluator] = None
-    if use_batch and config.mode is ExecutionMode.DIRECT and config.simulate_only:
-        evaluator = BatchEvaluator(machine, workload, config, itemsize=itemsize)
+    if config.mode is ExecutionMode.DIRECT:
+        evaluator = BatchEvaluator(machine, workload,
+                                   config.evolve(simulate_only=True), itemsize=itemsize)
+    simulator = evaluator if evaluator is not None and config.simulate_only else None
 
     by_index = {candidate.index: candidate for candidate in candidates}
     if prune:
@@ -324,26 +253,14 @@ def search_partitionings(
         # Cheap bound for everyone; `False` marks the bound as not yet
         # refined to the tight (expensive) one.  Heap order is (bound, index),
         # so ties fall back to enumeration order, deterministically.
-        needs_refinement = bound == BOUND_CRITICAL_PATH
         with tracer.span("search.bound", candidates=len(candidates)):
-            if evaluator is not None:
-                eager = evaluator.frontier_occupancy_bounds(candidates)
-                heap = [
-                    (eager[i], candidate.index, not needs_refinement)
-                    for i, candidate in enumerate(candidates)
-                ]
-            else:
-                heap = [
-                    (candidate_lower_bound(machine, workload, candidate,
-                                           config, BOUND_OCCUPANCY, itemsize),
-                     candidate.index, not needs_refinement)
-                    for candidate in candidates
-                ]
+            eager = evaluator.frontier_occupancy_bounds(candidates)
+            heap = [(bound, candidate.index, False)
+                    for bound, candidate in zip(eager, candidates)]
             heapq.heapify(heap)
         elapsed = time.perf_counter() - started
-        opgen_eager = evaluator.opgen_seconds if evaluator is not None else 0.0
-        stats.opgen_seconds = opgen_eager
-        stats.bound_seconds = elapsed - opgen_eager
+        stats.opgen_seconds = evaluator.opgen_seconds
+        stats.bound_seconds = elapsed - evaluator.opgen_seconds
     else:
         heap = [(0.0, candidate.index, True) for candidate in candidates]
 
@@ -358,8 +275,8 @@ def search_partitionings(
         """Simulate one candidate and fold it into the incumbent top-k."""
         nonlocal threshold
         with tracer.span("search.simulate", candidate=candidate.index):
-            if evaluator is not None:
-                point = evaluator.simulate(candidate)
+            if simulator is not None:
+                point = simulator.simulate(candidate)
             else:
                 point = run_ua_point(machine, workload, candidate.scheme,
                                      candidate.replication, candidate.stationary,
@@ -379,8 +296,8 @@ def search_partitionings(
             )
         )
         bisect.insort(best_times, point.simulated_time)
-        del best_times[effective_k:]
-        if len(best_times) == effective_k:
+        del best_times[top_k:]
+        if len(best_times) == top_k:
             threshold = best_times[-1]
 
     # Cross-fingerprint warm start: simulate the seeded candidates first so
@@ -414,14 +331,10 @@ def search_partitionings(
             stats.num_pruned += 1 + len(heap) - len(seeded_pending)
             break
         candidate = by_index[index]
-        if prune and not refined:
+        if not refined:
             refine_started = time.perf_counter()
             with tracer.span("search.refine", candidate=index):
-                if evaluator is not None:
-                    tight = evaluator.critical_bound(candidate)
-                else:
-                    tight = candidate_lower_bound(machine, workload, candidate, config,
-                                                  BOUND_CRITICAL_PATH, itemsize)
+                tight = evaluator.critical_bound(candidate)
             stats.num_refined += 1
             refine_seconds += time.perf_counter() - refine_started
             heapq.heappush(heap, (tight, index, True))
@@ -440,4 +353,4 @@ def search_partitionings(
 
     # Exhaustive order: percent-of-peak descending, enumeration order on ties.
     results.sort(key=lambda pair: (-pair[1].percent_of_peak, pair[0]))
-    return [rec for _, rec in results[:effective_k]], stats
+    return [rec for _, rec in results[:top_k]], stats

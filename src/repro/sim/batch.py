@@ -1,10 +1,10 @@
-"""Vectorized + incremental candidate evaluation for the planner search.
+"""Vectorized, memoized candidate evaluation for the planner search.
 
 The planner's cold path used to pay three full op-generation passes per
 candidate (eager occupancy bound, lazy critical-path refinement, final
 simulation), each one rebuilding ``Runtime``/``DistributedMatrix`` objects
 and walking Python ``LocalMatmulOp`` dataclasses.  This module collapses all
-of that into a compile-once / price-vectorized / replay-incremental pipeline:
+of that into a compile-once / price-vectorized / replay-memoized pipeline:
 
 1. **Candidate compilation** (:meth:`BatchEvaluator.compile`,
    :meth:`BatchEvaluator.frontier_occupancy_bounds`) — each (scheme,
@@ -33,31 +33,32 @@ of that into a compile-once / price-vectorized / replay-incremental pipeline:
    every built program's occupancy bound.  The replica-reduction term is
    computed once per C operand, not per candidate.
 
-3. **Delta re-simulation** (:meth:`BatchEvaluator.critical_bound`) — the
+3. **Memoized relaxed replay** (:meth:`BatchEvaluator.critical_bound`) — the
    critical-path refinement replays the executor's event stream on the
    relaxed (contention-free) engine.  Relaxed ranks are independent, so the
-   replay decomposes into per-rank folds over the event table; each fold
-   records periodic checkpoints, and a later candidate whose per-rank stream
-   shares a prefix with a cached trace resumes from the deepest valid
-   checkpoint instead of replaying from zero (checkpoint-and-recompute).
+   replay decomposes into per-rank folds over the event table.  A fold reads
+   nine priced columns and nothing rank-specific, so its finish time is
+   memoized under those columns' exact bytes: a rank stream seen before in
+   the same search, on any rank of any candidate, is not replayed again.
 
 4. **Simulation** (:meth:`BatchEvaluator.simulate`) — the direct executor
    walks the program's priced execution-order columns; no op objects.
 
 Correctness bar: every number this module produces is **bit-equal** to the
-scalar path (``candidate_lower_bound`` / ``run_ua_point``).  That is achieved
-by pricing with the shared pricer, whose formulas mirror the exact arithmetic
-(operation and association order) of :class:`repro.core.cost_model.CostModel`,
-and by emitting summation terms in the exact order of the scalar accumulation
-loops — ``np.bincount`` adds its weights sequentially in input order, so
-per-slot partial sums round identically.  The property suite pins this across
-dense, block-sparse, and MoE-ragged workloads.
+scalar path (the test oracle ``tests/bound_oracle.py`` and ``run_ua_point``).
+That is achieved by pricing with the shared pricer, whose formulas mirror the
+exact arithmetic (operation and association order) of
+:class:`repro.core.cost_model.CostModel`, and by emitting summation terms in
+the exact order of the scalar accumulation loops — ``np.bincount`` adds its
+weights sequentially in input order, so per-slot partial sums round
+identically.  The property suite pins this across dense, block-sparse, and
+MoE-ragged workloads.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -89,10 +90,10 @@ from repro.util.validation import check_matmul_shapes, float_dtype
 _E_COMPUTE, _E_COPY, _E_ACCUMULATE, _E_INGRESS, _E_EGRESS = range(5)
 _NUM_ENGINES = 5
 
-#: Checkpoint interval of the relaxed replay fold (ops between snapshots).
-_CHECKPOINT_EVERY = 8
-#: Cached relaxed-replay traces kept per rank (oldest evicted first).
-_TRACES_PER_RANK = 8
+#: The priced columns the relaxed replay reads: one rank's stream of these
+#: rows fixes its finish time, so their exact bytes key the replay memo.
+_REPLAY_COLUMNS = ("gemm", "c_remote", "acc", "a_remote", "a_key", "a_fetch",
+                   "b_remote", "b_key", "b_fetch")
 
 
 @dataclass
@@ -175,57 +176,16 @@ class CandidateProgram:
         return cols
 
 
-@dataclass
-class _ReplayState:
-    """Snapshot of the per-rank relaxed-replay fold after some prefix of ops."""
-
-    avail_compute: float = 0.0
-    avail_copy: float = 0.0
-    avail_accumulate: float = 0.0
-    #: Remote-tile fetch completion per flat tile id (the executor's cache).
-    cache_a: Dict[int, float] = field(default_factory=dict)
-    cache_b: Dict[int, float] = field(default_factory=dict)
-    #: Issued-but-unconsumed prefetches: op index -> (a ready, b ready).
-    pending: Dict[int, Tuple[float, float]] = field(default_factory=dict)
-    next_prefetch: int = 0
-    gemm_start: List[float] = field(default_factory=list)
-    gemm_end: List[float] = field(default_factory=list)
-    acc_end: List[float] = field(default_factory=list)
-
-    def copy(self) -> "_ReplayState":
-        return _ReplayState(
-            avail_compute=self.avail_compute,
-            avail_copy=self.avail_copy,
-            avail_accumulate=self.avail_accumulate,
-            cache_a=dict(self.cache_a),
-            cache_b=dict(self.cache_b),
-            pending=dict(self.pending),
-            next_prefetch=self.next_prefetch,
-            gemm_start=list(self.gemm_start),
-            gemm_end=list(self.gemm_end),
-            acc_end=list(self.acc_end),
-        )
-
-
-@dataclass
-class _RankTrace:
-    """One cached relaxed replay: the stream key, its finish, checkpoints."""
-
-    key: np.ndarray
-    finish: float
-    checkpoints: List[Tuple[int, _ReplayState]]
-
-
 class BatchEvaluator:
-    """Compile-once, price-vectorized, replay-incremental candidate evaluator.
+    """Compile-once, price-vectorized, replay-memoized candidate evaluator.
 
     One instance serves one ``search_partitionings`` call: it owns the cached
     candidate programs, the per-operand symbolic matrices, one reusable
     :class:`EventEngine` (reset between simulations instead of rebuilt), and
-    the relaxed-replay trace cache that powers delta re-simulation.  Only
-    valid for ``simulate_only`` direct-mode configs — the matrices it shares
-    across candidates carry no data.  Operands are floats of ``itemsize``
-    bytes, as :func:`repro.bench.sweep.run_ua_point` builds them.
+    the memo of relaxed per-rank replays.  Only valid for ``simulate_only``
+    direct-mode configs — the matrices it shares across candidates carry no
+    data.  Operands are floats of ``itemsize`` bytes, as
+    :func:`repro.bench.sweep.run_ua_point` builds them.
     """
 
     def __init__(self, machine: MachineSpec, workload: Workload,
@@ -255,12 +215,13 @@ class BatchEvaluator:
         self._programs: Dict[Tuple[int, Tuple[int, int, int], str],
                              CandidateProgram] = {}
         self._engine = EventEngine(machine.num_devices)
-        self._replay_cache: Dict[int, List[_RankTrace]] = {}
+        #: Relaxed-replay finish time per rank stream (:data:`_REPLAY_COLUMNS`
+        #: bytes).  The evaluator lives for one search, so it needs no eviction.
+        self._replays: Dict[Tuple[bytes, ...], float] = {}
         #: Seconds spent compiling candidate event tables (op generation).
         self.opgen_seconds = 0.0
-        #: Relaxed-replay reuse counters: cold folds, checkpoint resumes,
-        #: and whole-trace hits.
-        self.replay_stats = {"cold": 0, "delta": 0, "full": 0}
+        #: Relaxed-replay counters: cold folds and memo hits.
+        self.replay_stats = {"cold": 0, "full": 0}
 
     # ------------------------------------------------------------------ #
     # candidate compilation
@@ -373,7 +334,8 @@ class BatchEvaluator:
                         ) -> Tuple[np.ndarray, np.ndarray]:
         """(slot, value) pairs in the scalar occupancy loop's emission order.
 
-        Seven terms per op, row-major, matching ``direct_lower_bound``:
+        Seven terms per op, row-major, matching the scalar occupancy bound
+        of ``tests/bound_oracle.py``:
         GEMM -> accumulate (remote on the accumulate engine, local on
         compute) -> ingress -> fetch A -> egress A -> fetch B -> egress B.
         Terms the scalar loop never adds are routed to a per-candidate trash
@@ -423,17 +385,17 @@ class BatchEvaluator:
         return float(totals[:p * _NUM_ENGINES].max())
 
     # ------------------------------------------------------------------ #
-    # critical-path refinement (relaxed replay with delta reuse)
+    # critical-path refinement (relaxed replay, memoized per rank stream)
     # ------------------------------------------------------------------ #
     def critical_bound(self, candidate) -> float:
         """Critical-path lower bound + reduce term, bit-equal to the scalar path.
 
         Replays the executor's per-rank event stream (execution order,
-        iteration offset applied) on the relaxed timing recurrence; ranks
-        sharing a stream prefix with a cached trace resume from the deepest
-        valid checkpoint.  Floored by the occupancy bound summed over the
-        same execution-order stream, exactly as
-        ``CostModel.critical_path_lower_bound`` computes it.
+        iteration offset applied) on the relaxed timing recurrence; a rank
+        stream already replayed by this evaluator, for any rank of any
+        candidate, is answered from the memo.  Floored by the occupancy bound
+        summed over the same execution-order stream, as the test oracle
+        ``tests/bound_oracle.py`` computes it.
         """
         program = self.compile(candidate)
         cols = program.exec_columns(self.config.iteration_offset)
@@ -441,9 +403,16 @@ class BatchEvaluator:
         # so each rank's stream is its generation-order slice.
         boundaries = program.rank_starts.tolist()
         relaxed = 0.0
-        for device in range(self.machine.num_devices):
-            lo, hi = boundaries[device], boundaries[device + 1]
-            finish = self._replay_rank(device, cols, lo, hi)
+        for lo, hi in zip(boundaries, boundaries[1:]):
+            if lo == hi:
+                continue
+            key = tuple(cols[name][lo:hi].tobytes() for name in _REPLAY_COLUMNS)
+            finish = self._replays.get(key)
+            if finish is None:
+                self.replay_stats["cold"] += 1
+                finish = self._replays[key] = self._fold(cols, lo, hi)
+            else:
+                self.replay_stats["full"] += 1
             if finish > relaxed:
                 relaxed = finish
         if program.occupancy_exec is None:
@@ -452,75 +421,15 @@ class BatchEvaluator:
         value = relaxed if relaxed > occupancy else occupancy
         return value + program.cls.reduce_time
 
-    def _replay_rank(self, rank: int, cols: Dict[str, np.ndarray],
-                     lo: int, hi: int) -> float:
-        num = hi - lo
-        if num == 0:
-            return 0.0
-        key_matrix = np.column_stack([
-            cols["gemm"][lo:hi],
-            cols["c_remote"][lo:hi].astype(np.float64),
-            cols["acc"][lo:hi],
-            cols["a_remote"][lo:hi].astype(np.float64),
-            cols["a_key"][lo:hi].astype(np.float64),
-            cols["a_fetch"][lo:hi],
-            cols["b_remote"][lo:hi].astype(np.float64),
-            cols["b_key"][lo:hi].astype(np.float64),
-            cols["b_fetch"][lo:hi],
-        ])
-        traces = self._replay_cache.setdefault(rank, [])
-        depth = self.config.prefetch_depth
-        best_resume = 0
-        best_state: Optional[_ReplayState] = None
-        best_trace: Optional[_RankTrace] = None
-        for trace in traces:
-            if trace.key.shape == key_matrix.shape and \
-                    np.array_equal(trace.key, key_matrix):
-                self.replay_stats["full"] += 1
-                return trace.finish
-            limit = min(trace.key.shape[0], num)
-            if limit == 0:
-                continue
-            eq = (trace.key[:limit] == key_matrix[:limit]).all(axis=1)
-            common = limit if bool(eq.all()) else int(np.argmin(eq))
-            for index, state in reversed(trace.checkpoints):
-                # A checkpoint taken after op index-1 has consumed stream
-                # rows [0, index + depth); it transfers iff those rows are
-                # shared with the new stream and the old fold's prefetch
-                # horizon was not tail-clamped at that point.
-                if index > best_resume and index + depth <= common \
-                        and index + depth <= trace.key.shape[0]:
-                    best_resume = index
-                    best_state = state
-                    best_trace = trace
-                    break
-        if best_state is not None:
-            self.replay_stats["delta"] += 1
-            state = best_state.copy()
-            # Checkpoints of the shared prefix remain valid for this stream.
-            inherited = [cp for cp in best_trace.checkpoints
-                         if cp[0] <= best_resume]
-        else:
-            self.replay_stats["cold"] += 1
-            state = _ReplayState()
-            inherited = []
-        finish, checkpoints = self._fold(cols, lo, num, best_resume, state)
-        traces.append(_RankTrace(key=key_matrix, finish=finish,
-                                 checkpoints=inherited + checkpoints))
-        if len(traces) > _TRACES_PER_RANK:
-            del traces[0]
-        return finish
-
-    def _fold(self, cols: Dict[str, np.ndarray], lo: int, num: int,
-              start: int, state: _ReplayState):
+    def _fold(self, cols: Dict[str, np.ndarray], lo: int, hi: int) -> float:
         """The relaxed-engine timing recurrence for one rank's op stream.
 
         Mirrors the ``DirectExecutor.execute_columns`` walk running on
         ``EventEngine(contention=False)``: prefetch issue floors, the
         per-engine FIFO availability updates, the async concurrency windows,
-        and the accumulate-compute interference slice.  Mutates ``state``
-        (callers pass a fresh or copied snapshot) and returns the rank finish
-        time plus the checkpoints recorded along the way.
+        and the accumulate-compute interference slice.  Reads only the
+        :data:`_REPLAY_COLUMNS` rows ``[lo, hi)`` plus the evaluator's config
+        and machine, and returns the rank's finish time.
         """
         config = self.config
         depth = config.prefetch_depth
@@ -529,7 +438,7 @@ class BatchEvaluator:
         w_g = config.max_concurrent_gemms
         cache_tiles = config.cache_remote_tiles
         interference = self.machine.accumulate_compute_interference
-        hi = lo + num
+        num = hi - lo
         gemm_dur = cols["gemm"][lo:hi].tolist()
         c_rem = cols["c_remote"][lo:hi].tolist()
         acc_dur = cols["acc"][lo:hi].tolist()
@@ -540,17 +449,16 @@ class BatchEvaluator:
         b_key = cols["b_key"][lo:hi].tolist()
         b_fetch = cols["b_fetch"][lo:hi].tolist()
 
-        avail_c = state.avail_compute
-        avail_cp = state.avail_copy
-        avail_a = state.avail_accumulate
-        cache_a = state.cache_a
-        cache_b = state.cache_b
-        pending = state.pending
-        next_pref = state.next_prefetch
-        gemm_start = state.gemm_start
-        gemm_end = state.gemm_end
-        acc_end = state.acc_end
-        checkpoints: List[Tuple[int, _ReplayState]] = []
+        avail_c = avail_cp = avail_a = 0.0
+        # Remote-tile fetch completion per flat tile id (the executor's cache).
+        cache_a: Dict[int, float] = {}
+        cache_b: Dict[int, float] = {}
+        # Issued-but-unconsumed prefetches: op index -> (a ready, b ready).
+        pending: Dict[int, Tuple[float, float]] = {}
+        next_pref = 0
+        gemm_start: List[float] = []
+        gemm_end: List[float] = []
+        acc_end: List[float] = []
 
         def issue(j: int, floor: float) -> None:
             nonlocal avail_cp
@@ -586,7 +494,7 @@ class BatchEvaluator:
                 b_end = 0.0
             pending[j] = (a_end, b_end)
 
-        for i in range(start, num):
+        for i in range(num):
             floor = gemm_start[i - 1] if i > 0 else 0.0
             if not async_ and i > 0 and acc_end[i - 1] > floor:
                 floor = acc_end[i - 1]
@@ -622,23 +530,13 @@ class BatchEvaluator:
                 acc_finish = acc_begin + acc_dur[i]
                 avail_c = acc_finish
             acc_end.append(acc_finish)
-            done = i + 1
-            if done % _CHECKPOINT_EVERY == 0 and done < num:
-                checkpoints.append((done, _ReplayState(
-                    avail_compute=avail_c, avail_copy=avail_cp,
-                    avail_accumulate=avail_a,
-                    cache_a=dict(cache_a), cache_b=dict(cache_b),
-                    pending=dict(pending), next_prefetch=next_pref,
-                    gemm_start=list(gemm_start), gemm_end=list(gemm_end),
-                    acc_end=list(acc_end),
-                )))
 
         finish_time = avail_c
         if avail_cp > finish_time:
             finish_time = avail_cp
         if avail_a > finish_time:
             finish_time = avail_a
-        return finish_time, checkpoints
+        return finish_time
 
     # ------------------------------------------------------------------ #
     # batch simulation

@@ -20,9 +20,9 @@ time, so the full run forms a DAG.
 same per-device FIFO queues, but no cross-device egress/ingress/link floors.
 Because every constraint the relaxed engine enforces is also enforced by the
 full engine (on the identical emission sequence), the relaxed makespan never
-exceeds the contended one — which is what makes
-:meth:`repro.core.cost_model.CostModel.critical_path_lower_bound` an
-admissible pruning bound.
+exceeds the contended one — which is what makes the planner's
+critical-path bound (:meth:`repro.sim.batch.BatchEvaluator.critical_bound`,
+a fold of this recurrence) an admissible pruning bound.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""The critical-path pruning bound: admissibility, ranking identity, and
-the strictly-fewer-simulations guarantee on communication-bound workloads."""
+"""The pruning bounds: admissibility of the bounds the search prunes with,
+the critical-path bound's tightness, and ranking identity."""
 
 import pytest
 
@@ -7,14 +7,10 @@ from repro.bench.schemes import ua_schemes
 from repro.bench.sweep import run_ua_point
 from repro.bench.workloads import Workload, attention_workload
 from repro.core.config import ExecutionConfig, ExecutionMode
-from repro.planner.search import (
-    BOUND_CRITICAL_PATH,
-    BOUND_OCCUPANCY,
-    Candidate,
-    candidate_lower_bound,
-    search_partitionings,
-)
+from repro.planner.search import Candidate, search_partitionings
+from repro.sim.batch import BatchEvaluator
 from repro.topology.machines import GB, uniform_system
+from tests.bound_oracle import BOUND_CRITICAL_PATH, BOUND_OCCUPANCY, candidate_lower_bound
 
 CONFIG = ExecutionConfig(simulate_only=True)
 #: Outer products on a slow fabric: accumulation traffic dominates compute.
@@ -37,9 +33,10 @@ class TestAdmissibility:
                               stationary=stationary, memory_per_device=0)
         simulated = run_ua_point(machine, workload, scheme, (2, 2, 2),
                                  stationary, CONFIG).simulated_time
-        for bound in (BOUND_OCCUPANCY, BOUND_CRITICAL_PATH):
-            value = candidate_lower_bound(machine, workload, candidate,
-                                          CONFIG, bound)
+        evaluator = BatchEvaluator(machine, workload, CONFIG)
+        for bound, value in (
+                ("occupancy", evaluator.frontier_occupancy_bounds([candidate])[0]),
+                ("critical_path", evaluator.critical_bound(candidate))):
             assert value <= simulated * (1 + 1e-12), (bound, value, simulated)
 
     def test_critical_path_dominates_occupancy(self):
@@ -56,52 +53,24 @@ class TestAdmissibility:
         # On this communication-bound point the chain bound is strictly tighter.
         assert critical > occupancy * (1 + 1e-9)
 
-    def test_unknown_bound_rejected(self):
-        scheme = ua_schemes()[0]
-        candidate = Candidate(index=0, scheme=scheme, replication=(1, 1, 1),
-                              stationary="A", memory_per_device=0)
-        with pytest.raises(ValueError, match="unknown bound"):
-            candidate_lower_bound(COMM_BOUND_MACHINE, COMM_BOUND_WORKLOAD,
-                                  candidate, CONFIG, "roofline")
-        with pytest.raises(ValueError, match="unknown bound"):
-            search_partitionings(COMM_BOUND_MACHINE, COMM_BOUND_WORKLOAD,
-                                 config=CONFIG, bound="roofline")
-
 
 class TestSearchWithCriticalPathBound:
-    @pytest.fixture(scope="class")
-    def searches(self):
+    def test_ranking_identical_to_exhaustive(self):
         exhaustive, _ = search_partitionings(
             COMM_BOUND_MACHINE, COMM_BOUND_WORKLOAD, config=CONFIG,
             prune=False, top_k=3,
         )
-        occupancy, occupancy_stats = search_partitionings(
-            COMM_BOUND_MACHINE, COMM_BOUND_WORKLOAD, config=CONFIG,
-            bound=BOUND_OCCUPANCY, top_k=3,
+        pruned, stats = search_partitionings(
+            COMM_BOUND_MACHINE, COMM_BOUND_WORKLOAD, config=CONFIG, top_k=3,
         )
-        critical, critical_stats = search_partitionings(
-            COMM_BOUND_MACHINE, COMM_BOUND_WORKLOAD, config=CONFIG,
-            bound=BOUND_CRITICAL_PATH, top_k=3,
-        )
-        return (exhaustive, occupancy, occupancy_stats, critical, critical_stats)
-
-    def test_ranking_identical_across_bounds(self, searches):
-        exhaustive, occupancy, _, critical, _ = searches
-        assert _ranking(occupancy) == _ranking(exhaustive)
-        assert _ranking(critical) == _ranking(exhaustive)
-
-    def test_critical_path_simulates_strictly_fewer(self, searches):
-        _, _, occupancy_stats, _, critical_stats = searches
-        assert critical_stats.num_simulated < occupancy_stats.num_simulated
-        assert critical_stats.num_pruned > occupancy_stats.num_pruned
-        assert critical_stats.bound_name == BOUND_CRITICAL_PATH
-        assert occupancy_stats.bound_name == BOUND_OCCUPANCY
+        assert _ranking(pruned) == _ranking(exhaustive)
+        assert stats.num_pruned > 0
 
     def test_ir_mode_still_falls_back_to_exhaustive(self):
         config = ExecutionConfig(mode=ExecutionMode.IR, simulate_only=True)
         _, stats = search_partitionings(
             COMM_BOUND_MACHINE, attention_workload(64, 32), config=config,
-            replication_factors=[1], bound=BOUND_CRITICAL_PATH,
+            replication_factors=[1],
         )
         assert not stats.pruning_enabled
         assert stats.num_pruned == 0

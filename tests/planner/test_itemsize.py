@@ -1,8 +1,9 @@
 """Plans are priced at the element size they are searched for.
 
 ``itemsize`` picks the float dtype of every symbolic operand (2/4/8 bytes ->
-float16/32/64), on the batch path, the scalar path and the re-simulation
-alike; any other size is rejected before the search does any work.
+float16/32/64), in the batch evaluator, the scalar oracles and the
+re-simulation alike; any other size is rejected before the search does any
+work.
 """
 
 import pytest
@@ -13,16 +14,16 @@ from repro.bench.workloads import Workload, attention_workload
 from repro.core.config import ExecutionConfig
 from repro.planner import PlannerService
 from repro.planner import search as search_module
-from repro.planner.search import (
-    BOUND_CRITICAL_PATH,
-    BOUND_OCCUPANCY,
-    Candidate,
-    candidate_lower_bound,
-    enumerate_candidates,
-    search_partitionings,
-)
+from repro.planner.search import Candidate, enumerate_candidates, search_partitionings
 from repro.sim.batch import BatchEvaluator
 from repro.topology.machines import uniform_system
+from tests.bound_oracle import (
+    BOUND_CRITICAL_PATH,
+    BOUND_OCCUPANCY,
+    as_ranking,
+    candidate_lower_bound,
+    exhaustive_ranking,
+)
 
 MACHINE = uniform_system(4)
 SMALL = Workload("small", 96, 160, 128)
@@ -60,10 +61,9 @@ def test_batch_and_scalar_paths_bit_equal_at_itemsize_2():
                               candidate.stationary, CONFIG, itemsize=2)
         assert (batch.simulated_time, batch.extra) == (scalar.simulated_time,
                                                        scalar.extra)
-    batch_recs, _ = search_partitionings(MACHINE, SMALL, top_k=3, itemsize=2)
-    scalar_recs, _ = search_partitionings(MACHINE, SMALL, top_k=3, itemsize=2,
-                                          use_batch=False)
-    assert batch_recs == scalar_recs
+    recommendations, _ = search_partitionings(MACHINE, SMALL, top_k=3, itemsize=2)
+    assert as_ranking(recommendations) == exhaustive_ranking(MACHINE, SMALL, 3,
+                                                             CONFIG, itemsize=2)
 
 
 def test_float16_winner_resimulates_to_its_time():

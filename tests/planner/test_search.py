@@ -12,12 +12,13 @@ from repro.bench.schemes import ua_schemes
 from repro.bench.sweep import run_ua_point, valid_replication_factors
 from repro.bench.workloads import Workload, attention_workload
 from repro.core.config import ExecutionConfig, ExecutionMode
+from repro.planner import search as search_module
 from repro.planner.search import (
-    candidate_lower_bound,
     enumerate_candidates,
     memory_per_device,
     search_partitionings,
 )
+from repro.sim.batch import BatchEvaluator
 from repro.topology.machines import uniform_system
 
 MACHINE = uniform_system(4)
@@ -69,9 +70,36 @@ class TestPrunedEqualsExhaustive:
         assert stats.num_simulated == stats.num_candidates
 
 
+class TestMaterializingSearch:
+    """Bounds read no data: a materializing direct-mode search prunes with
+    the same evaluator bounds as a simulate-only one."""
+
+    def test_prunes_and_ranks_as_simulate_only(self):
+        materializing, stats = search_partitionings(
+            MACHINE, SMALL, top_k=3, config=ExecutionConfig(simulate_only=False))
+        simulate_only, _ = search_partitionings(MACHINE, SMALL, top_k=3)
+        assert stats.pruning_enabled
+        assert stats.num_pruned > 0
+        assert stats.num_simulated + stats.num_pruned == stats.num_candidates
+        assert as_tuples(materializing) == as_tuples(simulate_only)
+
+
+class TestTopK:
+    @pytest.mark.parametrize("top_k", [0, -3])
+    def test_invalid_top_k_raises_before_enumeration(self, top_k, monkeypatch):
+        def no_work(*_args, **_kwargs):
+            raise AssertionError("the search enumerated before rejecting top_k")
+
+        monkeypatch.setattr(search_module, "enumerate_candidates", no_work)
+        with pytest.raises(ValueError, match="top_k"):
+            search_partitionings(uniform_system(4), Workload("w", 128, 128, 128),
+                                 top_k=top_k)
+
+
 class TestLowerBoundAdmissible:
     def test_bound_never_exceeds_simulated_time(self):
-        """Admissibility over the whole small design space, reduce term included."""
+        """Admissibility of both pruning bounds over the whole small design
+        space, reduce term included."""
         config = ExecutionConfig(simulate_only=True)
         factors = valid_replication_factors(MACHINE.num_devices)
         candidates, _ = enumerate_candidates(
@@ -79,17 +107,21 @@ class TestLowerBoundAdmissible:
             ("A", "B", "C"),
         )
         assert candidates
-        for candidate in candidates:
-            bound = candidate_lower_bound(MACHINE, SMALL, candidate, config)
+        evaluator = BatchEvaluator(MACHINE, SMALL, config)
+        eager = evaluator.frontier_occupancy_bounds(candidates)
+        for candidate, occupancy in zip(candidates, eager):
             point = run_ua_point(MACHINE, SMALL, candidate.scheme,
                                  candidate.replication, candidate.stationary, config)
-            assert bound <= point.simulated_time + 1e-12, candidate
+            for bound in (occupancy, evaluator.critical_bound(candidate)):
+                assert bound <= point.simulated_time + 1e-12, candidate
 
     def test_bound_is_positive(self):
         candidates, _ = enumerate_candidates(
             MACHINE, SMALL, MACHINE.memory_capacity, ua_schemes(), [1], ("C",)
         )
-        assert candidate_lower_bound(MACHINE, SMALL, candidates[0]) > 0.0
+        evaluator = BatchEvaluator(MACHINE, SMALL)
+        assert evaluator.frontier_occupancy_bounds(candidates[:1])[0] > 0.0
+        assert evaluator.critical_bound(candidates[0]) > 0.0
 
 
 class TestEnumeration:

@@ -1,24 +1,26 @@
 """Property pins for the vectorized + incremental evaluation core.
 
-The batch evaluator's contract is *bit-equality* with the scalar path — not
-tolerance-based closeness.  Anything weaker would let the pruned search
-return different recommendations under the two evaluators on exact ties,
-which the planner tests pin.  Four families:
+The batch evaluator's contract is *bit-equality* with the scalar oracles —
+not tolerance-based closeness.  Anything weaker would let the pruned search
+return a different ranking from the exhaustive one on exact ties.  Four
+families:
 
 1. **Vectorized frontier pricing** — ``frontier_occupancy_bounds`` equals the
-   scalar ``candidate_lower_bound(..., BOUND_OCCUPANCY)`` with ``==`` across
-   randomized machines, configs, and dense/block-sparse/MoE-ragged workloads.
-2. **Delta re-simulation** — the critical-path bound from a *warm* evaluator
-   (replay caches populated by earlier candidates, checkpoint resumes taken)
-   equals both the cold evaluator's answer and the scalar relaxed replay.
+   scalar ``candidate_lower_bound(..., BOUND_OCCUPANCY)`` of
+   ``tests/bound_oracle.py`` with ``==`` across randomized machines, configs,
+   and dense/block-sparse/MoE-ragged workloads.
+2. **Memoized relaxed replay** — the critical-path bound from a *warm*
+   evaluator (replay memo populated by earlier candidates, revisits
+   included) equals both the cold evaluator's answer and the scalar relaxed
+   replay.
 3. **Compiled event tables** — every column of the compiled table matches
    the op stream of the paper-loop oracle (``tests/slicing_oracle.py``) +
    ``prune_structured_ops``, op for op, on random workloads and on the
    CuPy distributed-matmul index maps (uneven 60/110 and 110/70 splits, two
    tiles per device).
-4. **End-to-end search** — ``search_partitionings`` returns identical
-   recommendations and identical pruning counters under ``use_batch=True``
-   and ``use_batch=False``.
+4. **End-to-end search** — ``search_partitionings`` returns the ranking of
+   an exhaustive ``run_ua_point`` pass over every candidate, and accounts
+   for every candidate as simulated or pruned.
 """
 
 import random
@@ -43,16 +45,16 @@ from repro.core.structure import (
     resolve_structure,
 )
 from repro.dist.partition import CustomTiles
-from repro.planner.search import (
-    BOUND_CRITICAL_PATH,
-    BOUND_OCCUPANCY,
-    Candidate,
-    candidate_lower_bound,
-    enumerate_candidates,
-    search_partitionings,
-)
+from repro.planner.search import Candidate, enumerate_candidates, search_partitionings
 from repro.sim.batch import BatchEvaluator
 from repro.topology.machines import GB, uniform_system
+from tests.bound_oracle import (
+    BOUND_CRITICAL_PATH,
+    BOUND_OCCUPANCY,
+    as_ranking,
+    candidate_lower_bound,
+    exhaustive_ranking,
+)
 from tests.slicing_oracle import oracle_all_ops
 
 
@@ -143,15 +145,15 @@ class TestVectorizedBoundsBitEqual:
             assert batch_bound == scalar_bound, candidate
 
 
-class TestDeltaReplayEqualsCold:
+class TestMemoizedReplayEqualsCold:
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(mc=machine_and_config(), workload=any_workload(),
            seed=st.integers(min_value=0, max_value=2**16))
     def test_warm_evaluator_matches_cold(self, mc, workload, seed):
-        """Checkpoint resumes must be invisible: a warm evaluator (caches
-        populated by a random candidate walk, revisits included) returns the
-        same critical bound a fresh evaluator computes from scratch."""
+        """Memo hits must be invisible: a warm evaluator (memo populated by
+        a random candidate walk, revisits included) returns the same
+        critical bound a fresh evaluator computes from scratch."""
         machine, config = mc
         candidates = _candidates(machine, workload)
         rng = random.Random(seed)
@@ -311,27 +313,16 @@ class TestCupyIndexMaps:
         check_coverage(cls.a, cls.b, cls.c, ops)
 
 
-class TestSearchIdenticalUnderBothEvaluators:
+class TestSearchEqualsExhaustiveRanking:
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(mc=machine_and_config(), workload=any_workload(),
            top_k=st.sampled_from([1, 3]), prune=st.booleans())
-    def test_recommendations_and_counters_match(self, mc, workload, top_k, prune):
+    def test_recommendations_equal_exhaustive_ranking(self, mc, workload, top_k,
+                                                      prune):
         machine, config = mc
-        batch_recs, batch_stats = search_partitionings(
+        recommendations, stats = search_partitionings(
             machine, workload, top_k=top_k, prune=prune, config=config)
-        scalar_recs, scalar_stats = search_partitionings(
-            machine, workload, top_k=top_k, prune=prune, config=config,
-            use_batch=False)
-
-        def as_tuples(recommendations):
-            return [
-                (rec.scheme.name, rec.replication, rec.stationary,
-                 rec.percent_of_peak, rec.simulated_time, rec.memory_per_device)
-                for rec in recommendations
-            ]
-
-        assert as_tuples(batch_recs) == as_tuples(scalar_recs)
-        assert batch_stats.num_simulated == scalar_stats.num_simulated
-        assert batch_stats.num_pruned == scalar_stats.num_pruned
-        assert batch_stats.num_refined == scalar_stats.num_refined
+        assert as_ranking(recommendations) == exhaustive_ranking(
+            machine, workload, top_k, config)
+        assert stats.num_simulated + stats.num_pruned == stats.num_candidates

@@ -32,6 +32,7 @@ from repro.dist.matrix import DistributedMatrix
 from repro.runtime.clock import ENGINES
 from repro.sim import EventEngine
 from repro.topology.machines import GB, uniform_system
+from tests.bound_oracle import critical_path_lower_bound, direct_lower_bound
 
 _SCHEMES = {scheme.name: scheme for scheme in ua_schemes()}
 
@@ -137,7 +138,7 @@ class TestBoundSandwich:
 
         a, b, c, per_rank_ops, _, _ = _build_executor(case)
         cost_model = CostModel(machine)
-        bound = cost_model.critical_path_lower_bound(a, b, c, per_rank_ops, config)
+        bound = critical_path_lower_bound(cost_model, a, b, c, per_rank_ops, config)
         bound += model_reduce_time(c, cost_model)
         assert bound <= point.simulated_time * (1 + 1e-12)
 
@@ -156,10 +157,10 @@ class TestBoundSandwich:
         machine = a.runtime.machine
         config = case[-1]
         cost_model = CostModel(machine)
-        occupancy = cost_model.direct_lower_bound(
-            a, b, c, per_rank_ops, cache_remote_tiles=config.cache_remote_tiles
+        occupancy = direct_lower_bound(
+            cost_model, a, b, c, per_rank_ops, cache_remote_tiles=config.cache_remote_tiles
         )
-        critical = cost_model.critical_path_lower_bound(a, b, c, per_rank_ops, config)
+        critical = critical_path_lower_bound(cost_model, a, b, c, per_rank_ops, config)
         assert critical >= occupancy * (1 - 1e-12)
 
 

@@ -29,13 +29,9 @@ from repro.bench.sweep import run_ua_point
 from repro.bench.workloads import Workload
 from repro.core.config import ExecutionConfig
 from repro.core.structure import BlockSparse, MoERagged
-from repro.planner.search import (
-    BOUND_CRITICAL_PATH,
-    BOUND_OCCUPANCY,
-    Candidate,
-    candidate_lower_bound,
-)
+from repro.planner.search import Candidate
 from repro.topology.machines import GB, uniform_system
+from tests.bound_oracle import BOUND_CRITICAL_PATH, BOUND_OCCUPANCY, candidate_lower_bound
 
 _SCHEMES = {scheme.name: scheme for scheme in ua_schemes()}
 
