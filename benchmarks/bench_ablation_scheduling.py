@@ -64,7 +64,7 @@ def run_direct_with_search_order() -> float:
     cost_model = CostModel(MACHINE)
     per_rank_ops = generate_all_ops(a, b, c, Stationary.C)
     config = ExecutionConfig(simulate_only=True, exhaustive_search_limit=50000)
-    programs = lower_all_ranks(per_rank_ops, cost_model, config,
+    programs = lower_all_ranks(per_rank_ops, a, b, cost_model, config,
                                LoweringStrategy.EXHAUSTIVE)
     reordered = {
         rank: [per_rank_ops[rank][i] for i in programs[rank].compute_indices()]

@@ -51,7 +51,7 @@ def main() -> None:
         locality = "local" if not (op.a_is_remote or op.b_is_remote) else "needs comm"
         print(f"  {op.describe():<70s} [{locality}]")
 
-    graph = ComputationGraph.build(rank, ops)
+    graph = ComputationGraph.build(rank, ops, a, b)
     print(f"\ncomputation graph: {graph.num_ops} compute nodes, "
           f"{len(graph.data_nodes)} data nodes, "
           f"{len(graph.remote_data_keys())} of them remote "

@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: constant, or engine discipline changes in a way that can move simulated
 #: times: the persistent plan store invalidates entries stamped with a
 #: different fingerprint, so stale plans are never served after a model change.
-COST_MODEL_VERSION = 1
+COST_MODEL_VERSION = 2
 
 
 @dataclass(frozen=True)

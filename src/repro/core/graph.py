@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.core.ops import LocalMatmulOp
+from repro.dist.matrix import DistributedMatrix
 
 #: A data node: (operand name, replica index, tile index).
 DataKey = Tuple[str, int, Tuple[int, int]]
@@ -62,16 +63,18 @@ class ComputationGraph:
     initially_satisfied: Set[DataKey] = field(default_factory=set)
 
     @classmethod
-    def build(cls, rank: int, ops: Sequence[LocalMatmulOp]) -> "ComputationGraph":
+    def build(cls, rank: int, ops: Sequence[LocalMatmulOp], a: DistributedMatrix,
+              b: DistributedMatrix) -> "ComputationGraph":
         graph = cls(rank=rank, ops=list(ops))
         for index, op in enumerate(graph.ops):
             deps: List[DataKey] = []
-            for name, operand, nbytes in (("A", op.a, op.a_bytes), ("B", op.b, op.b_bytes)):
+            for name, operand, matrix in (("A", op.a, a), ("B", op.b, b)):
                 key: DataKey = (name, operand.replica, operand.index)
                 deps.append(key)
                 if key not in graph.data_nodes:
                     # The whole tile is fetched, so size the node by the tile,
                     # not by the (possibly smaller) slice this op uses.
+                    nbytes = matrix.tile_bounds(operand.index).size * matrix.dtype.itemsize
                     graph.data_nodes[key] = DataNode(key=key, owner=operand.owner, nbytes=nbytes)
                 if operand.owner == rank:
                     graph.initially_satisfied.add(key)

@@ -26,6 +26,7 @@ from repro.core.cost_model import CostModel
 from repro.core.graph import ComputationGraph, DataKey
 from repro.core.ir import IRCommOp, IRComputeOp, IRProgram, IRStep
 from repro.core.ops import LocalMatmulOp
+from repro.dist.matrix import DistributedMatrix
 from repro.util.validation import SchedulingError
 
 
@@ -49,6 +50,8 @@ def lower_to_ir(
 
 def lower_all_ranks(
     per_rank_ops: Dict[int, List[LocalMatmulOp]],
+    a: DistributedMatrix,
+    b: DistributedMatrix,
     cost_model: CostModel,
     config: Optional[ExecutionConfig] = None,
     strategy: Optional[LoweringStrategy] = None,
@@ -56,7 +59,7 @@ def lower_all_ranks(
     """Lower every rank's op list, returning ``{rank: IRProgram}``."""
     programs: Dict[int, IRProgram] = {}
     for rank, ops in per_rank_ops.items():
-        graph = ComputationGraph.build(rank, ops)
+        graph = ComputationGraph.build(rank, ops, a, b)
         programs[rank] = lower_to_ir(graph, cost_model, config, strategy)
     return programs
 

@@ -199,7 +199,7 @@ def universal_matmul(
             per_rank_ops = {
                 rank: apply_iteration_offset(ops) for rank, ops in per_rank_ops.items()
             }
-        programs = lower_all_ranks(per_rank_ops, cost_model, config)
+        programs = lower_all_ranks(per_rank_ops, a, b, cost_model, config)
         executor = IRExecutor(a, b, c, cost_model, config)
         makespan, per_rank_stats = executor.execute(per_rank_ops, programs)
         lowering_name = config.lowering.value

@@ -38,7 +38,7 @@ class TestComputationGraph:
     def test_build_records_all_dependencies(self, problem):
         a, b, c = problem
         ops = generate_local_ops(a, b, c, Stationary.C, 0)
-        graph = ComputationGraph.build(0, ops)
+        graph = ComputationGraph.build(0, ops, a, b)
         assert graph.num_ops == len(ops)
         for index in range(graph.num_ops):
             deps = graph.dependencies[index]
@@ -49,20 +49,20 @@ class TestComputationGraph:
     def test_local_tiles_start_satisfied(self, problem):
         a, b, c = problem
         ops = generate_local_ops(a, b, c, Stationary.C, 0)
-        graph = ComputationGraph.build(0, ops)
+        graph = ComputationGraph.build(0, ops, a, b)
         for key in graph.initially_satisfied:
             assert graph.data_nodes[key].owner == 0
 
     def test_remote_data_keys_disjoint_from_satisfied(self, problem):
         a, b, c = problem
         ops = generate_local_ops(a, b, c, Stationary.C, 1)
-        graph = ComputationGraph.build(1, ops)
+        graph = ComputationGraph.build(1, ops, a, b)
         assert set(graph.remote_data_keys()).isdisjoint(graph.initially_satisfied)
 
     def test_ops_depending_on(self, problem):
         a, b, c = problem
         ops = generate_local_ops(a, b, c, Stationary.C, 0)
-        graph = ComputationGraph.build(0, ops)
+        graph = ComputationGraph.build(0, ops, a, b)
         for key in graph.data_nodes:
             dependents = graph.ops_depending_on(key)
             assert all(key in graph.dependencies[index] for index in dependents)
@@ -70,13 +70,13 @@ class TestComputationGraph:
     def test_total_remote_bytes_positive_for_distributed_problem(self, problem):
         a, b, c = problem
         ops = generate_local_ops(a, b, c, Stationary.C, 2)
-        graph = ComputationGraph.build(2, ops)
+        graph = ComputationGraph.build(2, ops, a, b)
         assert graph.total_remote_bytes() > 0
 
     def test_is_ready(self, problem):
         a, b, c = problem
         ops = generate_local_ops(a, b, c, Stationary.C, 0)
-        graph = ComputationGraph.build(0, ops)
+        graph = ComputationGraph.build(0, ops, a, b)
         all_keys = set(graph.data_nodes)
         for index in range(graph.num_ops):
             assert graph.is_ready(index, all_keys)
@@ -116,7 +116,7 @@ class TestLoweringStrategies:
         config = ExecutionConfig(lowering=strategy, exhaustive_search_limit=200)
         for rank in range(4):
             ops = generate_local_ops(a, b, c, Stationary.C, rank)
-            graph = ComputationGraph.build(rank, ops)
+            graph = ComputationGraph.build(rank, ops, a, b)
             program = lower_to_ir(graph, cost_model, config)
             program.validate(len(ops))
 
@@ -125,7 +125,7 @@ class TestLoweringStrategies:
         config = ExecutionConfig(lowering=strategy, exhaustive_search_limit=200)
         rank = 3
         ops = generate_local_ops(a, b, c, Stationary.C, rank)
-        graph = ComputationGraph.build(rank, ops)
+        graph = ComputationGraph.build(rank, ops, a, b)
         program = lower_to_ir(graph, cost_model, config)
 
         satisfied = set(graph.initially_satisfied)
@@ -143,7 +143,7 @@ class TestLoweringStrategies:
         config = ExecutionConfig(lowering=strategy, exhaustive_search_limit=200)
         rank = 2
         ops = generate_local_ops(a, b, c, Stationary.C, rank)
-        graph = ComputationGraph.build(rank, ops)
+        graph = ComputationGraph.build(rank, ops, a, b)
         program = lower_to_ir(graph, cost_model, config)
         fetched = set(program.comm_keys())
         assert set(graph.remote_data_keys()) <= fetched | graph.initially_satisfied
@@ -154,7 +154,7 @@ class TestLoweringQuality:
         a, b, c = problem
         rank = 1
         ops = generate_local_ops(a, b, c, Stationary.C, rank)
-        graph = ComputationGraph.build(rank, ops)
+        graph = ComputationGraph.build(rank, ops, a, b)
         greedy = lower_to_ir(graph, cost_model, ExecutionConfig(),
                              strategy=LoweringStrategy.GREEDY)
         cost_greedy = lower_to_ir(graph, cost_model, ExecutionConfig(),
@@ -172,7 +172,7 @@ class TestLoweringQuality:
         rank = 0
         ops = generate_local_ops(a, b, c, Stationary.C, rank)
         assert 1 < len(ops) <= 6  # small enough to search exhaustively
-        graph = ComputationGraph.build(rank, ops)
+        graph = ComputationGraph.build(rank, ops, a, b)
         config = ExecutionConfig(exhaustive_search_limit=10000)
         greedy = lower_to_ir(graph, cost_model, config, strategy=LoweringStrategy.GREEDY)
         exhaustive = lower_to_ir(graph, cost_model, config,
@@ -184,7 +184,7 @@ class TestLoweringQuality:
         a, b, c = problem
         rank = 0
         ops = generate_local_ops(a, b, c, Stationary.C, rank)
-        graph = ComputationGraph.build(rank, ops)
+        graph = ComputationGraph.build(rank, ops, a, b)
         config = ExecutionConfig(exhaustive_search_limit=1)
         program = lower_to_ir(graph, cost_model, config,
                               strategy=LoweringStrategy.EXHAUSTIVE)
@@ -193,13 +193,14 @@ class TestLoweringQuality:
     def test_lower_all_ranks(self, problem, cost_model):
         a, b, c = problem
         per_rank_ops = generate_all_ops(a, b, c, Stationary.C)
-        programs = lower_all_ranks(per_rank_ops, cost_model)
+        programs = lower_all_ranks(per_rank_ops, a, b, cost_model)
         assert set(programs) == set(range(4))
         for rank, program in programs.items():
             program.validate(len(per_rank_ops[rank]))
 
-    def test_empty_op_list(self, cost_model):
-        graph = ComputationGraph.build(0, [])
+    def test_empty_op_list(self, problem, cost_model):
+        a, b, _ = problem
+        graph = ComputationGraph.build(0, [], a, b)
         program = lower_to_ir(graph, cost_model, ExecutionConfig())
         assert program.steps == []
         assert estimate_program_time(program, graph, cost_model) == 0.0

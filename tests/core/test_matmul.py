@@ -191,6 +191,19 @@ class TestResultMetadata:
                                    ColumnBlock(), stationary="C")
         assert runtime.traffic.total_bytes("get", remote_only=True) == result.remote_get_bytes
 
+    def test_ir_traffic_counter_agrees_with_result(self):
+        # The IR fetches whole tiles, so it must count (and price) whole
+        # tiles, not the first op's slice of each.
+        results = {}
+        for mode in ExecutionMode:
+            result, runtime = run_case(4, 256, 256, 256, ColumnBlock(), Block2D(),
+                                       Block2D(), stationary="C", dtype=np.float32,
+                                       config=ExecutionConfig(mode=mode))
+            assert runtime.traffic.total_bytes("get", remote_only=True) \
+                == result.remote_get_bytes
+            results[mode] = result.remote_get_bytes
+        assert results[ExecutionMode.IR] == results[ExecutionMode.DIRECT] == 1_048_576
+
 
 class TestCommunicationShape:
     """Communication-volume properties the paper's analysis relies on."""

@@ -41,8 +41,8 @@ class TestEstimateProgramTime:
         runtime, a, b, c = build_problem(materialize=False)
         cost_model = CostModel(runtime.machine)
         ops = generate_local_ops(a, b, c, Stationary.C, 1)
-        graph = ComputationGraph.build(1, ops)
-        programs = lower_all_ranks({1: ops}, cost_model)
+        graph = ComputationGraph.build(1, ops, a, b)
+        programs = lower_all_ranks({1: ops}, a, b, cost_model)
         estimate = estimate_program_time(programs[1], graph, cost_model)
         serial = sum(cost_model.op_compute_time(op) + cost_model.op_fetch_time(op)
                      + cost_model.op_accumulate_time(op) for op in ops)
@@ -51,7 +51,7 @@ class TestEstimateProgramTime:
     def test_empty_program(self):
         runtime, a, b, c = build_problem(materialize=False)
         cost_model = CostModel(runtime.machine)
-        graph = ComputationGraph.build(0, [])
+        graph = ComputationGraph.build(0, [], a, b)
         assert estimate_program_time(IRProgram(rank=0), graph, cost_model) == 0.0
 
 
@@ -60,7 +60,7 @@ class TestIRExecutor:
         runtime, a, b, c = build_problem()
         cost_model = CostModel(runtime.machine)
         per_rank_ops = generate_all_ops(a, b, c, Stationary.C)
-        programs = lower_all_ranks(per_rank_ops, cost_model)
+        programs = lower_all_ranks(per_rank_ops, a, b, cost_model)
         executor = IRExecutor(a, b, c, cost_model, ExecutionConfig())
         makespan, stats = executor.execute(per_rank_ops, programs)
         np.testing.assert_allclose(c.to_dense(), a.to_dense() @ b.to_dense(), rtol=1e-9)
@@ -71,7 +71,7 @@ class TestIRExecutor:
         runtime, a, b, c = build_problem(materialize=False)
         cost_model = CostModel(runtime.machine)
         per_rank_ops = generate_all_ops(a, b, c, Stationary.C)
-        programs = lower_all_ranks(per_rank_ops, cost_model)
+        programs = lower_all_ranks(per_rank_ops, a, b, cost_model)
         executor = IRExecutor(a, b, c, cost_model, ExecutionConfig(simulate_only=True))
         makespan, stats = executor.execute(per_rank_ops, programs)
         assert makespan > 0.0
@@ -107,7 +107,7 @@ class TestIRExecutor:
         runtime, a, b, c = build_problem()
         cost_model = CostModel(runtime.machine)
         per_rank_ops = generate_all_ops(a, b, c, Stationary.B)
-        programs = lower_all_ranks(per_rank_ops, cost_model,
+        programs = lower_all_ranks(per_rank_ops, a, b, cost_model,
                                    ExecutionConfig(), strategy)
         executor = IRExecutor(a, b, c, cost_model, ExecutionConfig())
         executor.execute(per_rank_ops, programs)
