@@ -27,8 +27,9 @@ from repro.core.config import ExecutionConfig, ExecutionMode, LoweringStrategy
 from repro.core.cost_model import CostModel
 from repro.core.lowering import lower_all_ranks
 from repro.core.matmul import universal_matmul
-from repro.core.slicing import apply_iteration_offset, generate_all_ops
+from repro.core.slicing import generate_all_ops, ops_table
 from repro.core.direct import DirectExecutor
+from repro.core.schedule_sim import IRExecutor
 from repro.core.stationary import Stationary
 from repro.dist.matrix import DistributedMatrix
 from repro.dist.partition import CustomTiles
@@ -64,11 +65,11 @@ def run_direct_with_search_order() -> float:
     cost_model = CostModel(MACHINE)
     per_rank_ops = generate_all_ops(a, b, c, Stationary.C)
     config = ExecutionConfig(simulate_only=True, exhaustive_search_limit=50000)
-    programs = lower_all_ranks(per_rank_ops, a, b, cost_model, config,
-                               LoweringStrategy.EXHAUSTIVE)
+    cols = IRExecutor(a, b, c, cost_model, config).price(ops_table(a, b, c, per_rank_ops))
+    programs = lower_all_ranks(cols, config, LoweringStrategy.EXHAUSTIVE)
     reordered = {
-        rank: [per_rank_ops[rank][i] for i in programs[rank].compute_indices()]
-        for rank in per_rank_ops
+        rank: [per_rank_ops[rank][i] for i in program.compute_indices()]
+        for rank, program in programs.items()
     }
     executor = DirectExecutor(a, b, c, cost_model,
                               ExecutionConfig(simulate_only=True, iteration_offset=False))

@@ -16,12 +16,14 @@ from repro.core import (
     ComputationGraph,
     CostModel,
     ExecutionMode,
+    IRExecutor,
     LoweringStrategy,
     Stationary,
     estimate_program_time,
     generate_local_ops,
     lower_to_ir,
 )
+from repro.core.slicing import ops_table
 from repro.topology import pvc_system
 
 
@@ -51,19 +53,24 @@ def main() -> None:
         locality = "local" if not (op.a_is_remote or op.b_is_remote) else "needs comm"
         print(f"  {op.describe():<70s} [{locality}]")
 
-    graph = ComputationGraph.build(rank, ops, a, b)
+    # The IR reads the ops as priced table rows.
+    cols = IRExecutor(a, b, c, cost_model).price(ops_table(a, b, c, {rank: ops}))
+    graph = ComputationGraph.build(rank, cols)
     print(f"\ncomputation graph: {graph.num_ops} compute nodes, "
           f"{len(graph.data_nodes)} data nodes, "
           f"{len(graph.remote_data_keys())} of them remote "
           f"({graph.total_remote_bytes() / 1e3:.1f} kB to fetch)")
 
+    # Data nodes name tiles by flat row-major index.
+    ncols = {"A": a.grid.num_col_tiles, "B": b.grid.num_col_tiles}
     for strategy in (LoweringStrategy.GREEDY, LoweringStrategy.COST_GREEDY):
-        program = lower_to_ir(graph, cost_model, ExecutionConfig(), strategy)
-        estimate = estimate_program_time(program, graph, cost_model)
+        program = lower_to_ir(graph, ExecutionConfig(), strategy)
+        estimate = estimate_program_time(program, graph)
         print(f"\nIR lowering with {strategy.value}: {program.num_steps} steps, "
               f"estimated {estimate * 1e6:.1f} us")
         for index, step in enumerate(program.steps):
-            comms = ", ".join(f"fetch {c.data[0]}{c.data[2]}" for c in step.comms) or "-"
+            comms = ", ".join(f"fetch {name}{divmod(key, ncols[name])}"
+                              for name, key in (comm.data for comm in step.comms)) or "-"
             computes = ", ".join(f"op{c.op_index}" for c in step.computes) or "-"
             print(f"  step {index}: compute [{computes}]  ||  comm [{comms}]")
 

@@ -14,6 +14,15 @@ python -m pytest -x -q "$@"
 echo "== example smoke: quickstart =="
 python examples/quickstart.py
 
+echo "== example smoke: schedule explorer (IR graph, lowerings, direct vs IR) =="
+python examples/schedule_explorer.py
+
+echo "== example smoke: DTensor dispatch vs universal matmul =="
+python examples/dtensor_vs_universal.py
+
+echo "== example smoke: MLP tensor parallelism =="
+python examples/mlp_tensor_parallelism.py
+
 echo "== example smoke: partition sweep (small batch) =="
 python examples/partition_sweep.py 512
 

@@ -56,8 +56,8 @@ class OneAndHalfD(BaselineAlgorithm):
         k_panel = -(-k_share // group)  # panel rotated within the group
         steps = max(1, group // max(1, c))
 
-        gemm_step = cost_model.gemm_time(m_local, n, k_share // max(1, steps) or k_panel,
-                                         itemsize)
+        gemm_step = float(cost_model.gemm_time(m_local, n, k_share // max(1, steps)
+                                               or k_panel, itemsize))
         shift_bytes = k_panel * n * itemsize
         bandwidth = machine.topology.min_remote_bandwidth()
         latency = machine.topology.latency(0, 1) if p > 1 else 0.0

@@ -61,7 +61,7 @@ class TwoAndHalfD(BaselineAlgorithm):
             broadcast_time(machine, row_group, a_panel_bytes),
             broadcast_time(machine, row_group, b_panel_bytes),
         )
-        gemm_step = cost_model.gemm_time(m_local, n_local, panel, itemsize)
+        gemm_step = float(cost_model.gemm_time(m_local, n_local, panel, itemsize))
 
         reduce_bytes = m_local * n_local * itemsize
         layer_peers = list(range(0, p, side * side))[:c] if c > 1 else [0]

@@ -57,7 +57,7 @@ class Cannon(BaselineAlgorithm):
         n_local = -(-n // side)
         k_local = -(-k // side)
 
-        gemm_step = cost_model.gemm_time(m_local, n_local, k_local, itemsize)
+        gemm_step = float(cost_model.gemm_time(m_local, n_local, k_local, itemsize))
         a_block_bytes = m_local * k_local * itemsize
         b_block_bytes = k_local * n_local * itemsize
         bandwidth = machine.topology.min_remote_bandwidth()

@@ -158,7 +158,7 @@ class CosmaLike(BaselineAlgorithm):
             broadcast_time(machine, row_group, am * panel * itemsize)
             + broadcast_time(machine, col_group, panel * bn * itemsize)
         )
-        gemm_step = cost_model.gemm_time(am, bn, panel, itemsize)
+        gemm_step = float(cost_model.gemm_time(am, bn, panel, itemsize))
 
         layer_peers = list(range(pk)) if pk > 1 else [0]
         reduce_total = (

@@ -36,7 +36,7 @@ class OneDRing(BaselineAlgorithm):
         m_local = -(-m // p)
         k_panel = -(-k // p)
 
-        gemm_step = cost_model.gemm_time(m_local, n, k_panel, itemsize)
+        gemm_step = float(cost_model.gemm_time(m_local, n, k_panel, itemsize))
         shift_bytes = k_panel * n * itemsize
         # Ring neighbours: use the slowest remote link as the conservative choice.
         bandwidth = machine.topology.min_remote_bandwidth()

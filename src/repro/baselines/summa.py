@@ -66,7 +66,7 @@ class Summa(BaselineAlgorithm):
             broadcast_time(machine, row_group, a_panel_bytes),
             broadcast_time(machine, col_group, b_panel_bytes),
         )
-        gemm_step = cost_model.gemm_time(m_local, n_local, panel, itemsize)
+        gemm_step = float(cost_model.gemm_time(m_local, n_local, panel, itemsize))
         return dict(pr=pr, pc=pc, panel=panel, steps=steps,
                     a_panel_bytes=a_panel_bytes, b_panel_bytes=b_panel_bytes,
                     comm_step=comm_step, gemm_step=gemm_step)

@@ -26,7 +26,6 @@ from repro.core.stationary import (
     parse_stationary,
 )
 from repro.core.slicing import (
-    apply_iteration_offset,
     check_coverage,
     generate_all_ops,
     generate_local_ops,
@@ -59,7 +58,6 @@ __all__ = [
     "choose_stationary_by_size",
     "estimate_all_strategies",
     "parse_stationary",
-    "apply_iteration_offset",
     "check_coverage",
     "generate_all_ops",
     "generate_local_ops",

@@ -6,20 +6,22 @@ peak and memory bandwidth peak.  Communication cost we can estimate by taking
 the number of bytes that must be fetched in each communication operation and
 dividing it by the bandwidth available between the process and remote tile."
 
-The same model serves three purposes in this library:
-
-1. choosing a data-movement strategy (Stationary A/B/C),
-2. driving the cost-model-based IR lowerings, and
-3. pricing every event in the execution simulators so that benchmarks can
-   report percent-of-peak numbers.
-The simulators price whole slicing tables with :meth:`CostModel.price_rows`.
+:class:`CostModel` writes each of those formulas once, elementwise over
+NumPy arrays (a scalar argument prices one event).  It is the only pricer in
+the library: :meth:`CostModel.event_columns` and :meth:`CostModel.price_rows`
+turn the rows of :func:`repro.core.slicing.slice_table` into per-op
+durations, and the direct executor, the IR lowering and executor, the
+planner's batch evaluator and the cost-based Stationary A/B/C choice all read
+those columns.  The scalar, one-op-at-a-time form of the same rules is the
+test oracle ``tests/pricing_oracle.py``; the property suites hold the two
+``==``.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +31,6 @@ from repro.topology.machines import MachineSpec
 from repro.util.indexing import Interval
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.ops import LocalMatmulOp
     from repro.dist.matrix import DistributedMatrix
 
 #: Version of the pricing rules below.  Bump whenever a formula, calibration
@@ -59,21 +60,20 @@ class GemmShapeModel:
     n_half: float = 64.0
     k_half: float = 64.0
 
-    def efficiency(self, m: int, n: int, k: int) -> float:
-        if m <= 0 or n <= 0 or k <= 0:
-            return 1.0
-        factor_m = m / (m + self.m_half)
-        factor_n = n / (n + self.n_half)
-        factor_k = k / (k + self.k_half)
-        return factor_m * factor_n * factor_k
+    def efficiency(self, m, n, k) -> np.ndarray:
+        """The efficiency factor, elementwise; 1 where any dimension is empty."""
+        return np.where((m <= 0) | (n <= 0) | (k <= 0), 1.0,
+                        (m / (m + self.m_half)) * (n / (n + self.n_half))
+                        * (k / (k + self.k_half)))
 
 
 def tile_fetch_bytes(matrix: "DistributedMatrix", role: str,
                      structure: Optional[WorkloadStructure] = None) -> np.ndarray:
-    """Bytes one fetch of each tile moves, per flat (row-major) tile index.
+    """Bytes of each tile, per flat (row-major) tile index.
 
-    Ints for dense tiles; under a structure only the live fraction moves
-    (masked B blocks and padding rows of A are never fetched).
+    What one fetch (A, B) or one replica accumulate (C) of the tile moves:
+    ints for dense tiles; under a structure only the live fraction moves
+    (masked B blocks and padding rows are never sent).
     """
     grid = matrix.grid
     itemsize = matrix.dtype.itemsize
@@ -87,7 +87,12 @@ def tile_fetch_bytes(matrix: "DistributedMatrix", role: str,
 
 
 class CostModel:
-    """Prices compute, communication, and accumulation on a given machine."""
+    """Prices compute, communication, and accumulation on a given machine.
+
+    Every pricing method works elementwise: pass arrays to price many
+    events in one call, or scalars to price one (the result is then a 0-d
+    array; wrap it in ``float`` where a Python float is needed).
+    """
 
     def __init__(self, machine: MachineSpec, shape_model: GemmShapeModel | None = None) -> None:
         self.machine = machine
@@ -116,34 +121,68 @@ class CostModel:
     # ------------------------------------------------------------------ #
     # compute
     # ------------------------------------------------------------------ #
-    def gemm_time(self, m: int, n: int, k: int, itemsize: int = 4) -> float:
-        """Roofline estimate of one local GEMM of shape (m x k) @ (k x n)."""
-        if m <= 0 or n <= 0 or k <= 0:
-            return 0.0
+    def _roofline(self, flops, bytes_touched, m, n, k) -> np.ndarray:
+        """Launch overhead plus the slower of compute and memory time.
+
+        Compute runs at the machine's GEMM efficiency scaled by the shape
+        efficiency of the (m, n, k) the kernel really runs.
+        """
+        machine = self.machine
+        efficiency = machine.gemm_efficiency * self.shape_model.efficiency(m, n, k)
+        compute_time = flops / (machine.flops_peak * np.maximum(efficiency, 1.0e-3))
+        memory_time = bytes_touched / machine.memory_bandwidth
+        return np.maximum(compute_time, memory_time) + machine.kernel_launch_overhead
+
+    def gemm_time(self, m, n, k, itemsize: int = 4) -> np.ndarray:
+        """Roofline estimate of local GEMMs of shape (m x k) @ (k x n)."""
         flops = 2.0 * m * n * k
         bytes_touched = float(itemsize) * (m * k + k * n + 2 * m * n)
-        efficiency = self.machine.gemm_efficiency * self.shape_model.efficiency(m, n, k)
-        compute_time = flops / (self.machine.flops_peak * max(efficiency, 1.0e-3))
-        memory_time = bytes_touched / self.machine.memory_bandwidth
-        return max(compute_time, memory_time) + self.machine.kernel_launch_overhead
+        return np.where((m <= 0) | (n <= 0) | (k <= 0), 0.0,
+                        self._roofline(flops, bytes_touched, m, n, k))
 
-    def local_accumulate_time(self, nbytes: int) -> float:
+    def live_gemm_time(self, m, n, k, itemsize: int,
+                       fractions: Sequence, dims: Sequence) -> np.ndarray:
+        """Roofline time of the *live* GEMMs of (m, n, k) cuboids under a structure.
+
+        ``fractions`` are the cuboids' ``(flops, a, b, c)`` live fractions
+        (:meth:`~repro.core.structure.WorkloadStructure.op_fractions`) and
+        ``dims`` their effective ``(m, n, k)``
+        (:meth:`~repro.core.structure.WorkloadStructure.gemm_dims`).  Flops
+        and bytes scale by the fractions, and the shape efficiency is taken
+        at the effective dimensions — a ragged expert batch really runs a
+        skinnier, less efficient GEMM.  Every scale factor is in ``[0, 1]``,
+        so a structured op never prices above its dense envelope (the
+        dominance the planner's bounds rely on).
+        """
+        flops_frac, a_frac, b_frac, c_frac = fractions
+        flops = 2.0 * m * n * k * flops_frac
+        bytes_touched = float(itemsize) * (
+            a_frac * (m * k) + b_frac * (k * n) + 2.0 * c_frac * (m * n)
+        )
+        return np.where(flops_frac <= 0.0, 0.0, self._roofline(flops, bytes_touched, *dims))
+
+    def local_accumulate_time(self, nbytes) -> np.ndarray:
         """Time to add a temporary result into a locally owned tile (memory bound)."""
-        if nbytes <= 0:
-            return 0.0
+        machine = self.machine
         # read partial + read/write destination
-        return 3.0 * nbytes / self.machine.memory_bandwidth + self.machine.kernel_launch_overhead
+        return np.where(nbytes <= 0, 0.0, 3.0 * nbytes / machine.memory_bandwidth
+                        + machine.kernel_launch_overhead)
 
     # ------------------------------------------------------------------ #
     # communication
     # ------------------------------------------------------------------ #
-    def transfer_time(self, src: int, dst: int, nbytes: int) -> float:
-        """Time for a one-sided get/put of ``nbytes`` from ``src`` to ``dst``."""
-        if nbytes <= 0 or src == dst:
-            return 0.0
-        return self.topology.transfer_time(src, dst, nbytes)
+    def _link(self, src, dst, nbytes) -> Tuple[np.ndarray, np.ndarray]:
+        """``(latency, latency + nbytes / bandwidth)`` of the ``src -> dst`` links."""
+        latency, bandwidth = self.topology.pair_tables()
+        latency = latency[src, dst]
+        return latency, latency + nbytes / bandwidth[src, dst]
 
-    def device_link_time(self, nbytes: int, accumulate: bool = False) -> float:
+    def transfer_time(self, src, dst, nbytes) -> np.ndarray:
+        """Time for one-sided gets/puts of ``nbytes`` from ``src`` to ``dst``."""
+        _, transfer = self._link(src, dst, nbytes)
+        return np.where((nbytes <= 0) | (src == dst), 0.0, transfer)
+
+    def device_link_time(self, nbytes, accumulate: bool = False) -> np.ndarray:
         """Occupancy of a device's aggregate ingress/egress capacity for ``nbytes``.
 
         The paper's Table 2 quotes per-device unidirectional link bandwidth;
@@ -151,32 +190,27 @@ class CostModel:
         makes many-to-one fan-in (remote accumulates into one C owner) and
         one-to-many fan-out (everyone fetching the same tile) serialise.
         """
-        if nbytes <= 0:
-            return 0.0
         time = nbytes / self.machine.device_link_bandwidth
         if accumulate:
-            time /= max(self.machine.accumulate_efficiency, 1.0e-6)
-        return time
+            time = time / max(self.machine.accumulate_efficiency, 1.0e-6)
+        return np.where(nbytes <= 0, 0.0, time)
 
-    def accumulate_time(self, src: int, dst: int, nbytes: int) -> float:
-        """Time for a one-sided remote accumulate.
+    def accumulate_time(self, src, dst, nbytes) -> np.ndarray:
+        """Time for one-sided remote accumulates from ``src`` into ``dst``.
 
         Remote accumulates run as a kernel on the initiating device (hence the
         launch overhead) and reach only ``accumulate_efficiency`` of the copy
         bandwidth (the paper measures ~80% on PVC).
         """
-        if nbytes <= 0 or src == dst:
-            return 0.0
-        latency = self.topology.latency(src, dst)
-        payload = self.topology.transfer_time(src, dst, nbytes) - latency
-        return (
-            self.machine.kernel_launch_overhead
-            + latency
-            + payload / max(self.machine.accumulate_efficiency, 1.0e-6)
-        )
+        machine = self.machine
+        latency, transfer = self._link(src, dst, nbytes)
+        return np.where(
+            (nbytes <= 0) | (src == dst), 0.0,
+            machine.kernel_launch_overhead + latency
+            + (transfer - latency) / max(machine.accumulate_efficiency, 1.0e-6))
 
     # ------------------------------------------------------------------ #
-    # vectorized pricing of slicing-table rows
+    # slicing-table rows
     # ------------------------------------------------------------------ #
     def event_columns(self, table: Dict[str, np.ndarray],
                       tile_bytes: Sequence[Tuple[np.ndarray, np.ndarray]], itemsize: int,
@@ -190,9 +224,8 @@ class CostModel:
         ``m0/k0/n0``, ``stat_i/j``, ``c_key/owner/remote/bytes``, ``gemm`` (zero
         on dense rows, which :meth:`price_rows` prices), ``flops``, and
         ``a_``/``b_`` ``owner/key/remote/bytes``.  Under a structure each
-        distinct (m, k, n) cuboid is priced once with the scalar formulas
-        (memoized in ``cuboids``); ``prune`` drops fully masked rows, as
-        ``prune_structured_ops`` drops their ops.
+        distinct (m, k, n) cuboid is priced once (memoized in ``cuboids``);
+        ``prune`` drops fully masked rows (no flops survive).
         """
         m = table["m1"] - table["m0"]
         n = table["n1"] - table["n0"]
@@ -227,9 +260,12 @@ class CostModel:
 
     def _price_cuboids(self, table: Dict[str, np.ndarray], itemsize: int,
                        structure: WorkloadStructure, memo: dict):
-        """``(live, c_bytes, gemm, flops)`` per row, priced once per cuboid.
+        """``(live, c_bytes, gemm, flops)`` per row, priced once per distinct cuboid.
 
-        ``live`` is False for fully masked cuboids (no flops survive).
+        ``live`` is False for fully masked cuboids (no flops survive).  The
+        structure's geometry scan runs once per cuboid ever (``memo`` keeps
+        its live fractions and effective dimensions); the pricing is one
+        array pass.
         """
         ids = []
         for lo, hi in (("m0", "m1"), ("k0", "k1"), ("n0", "n1")):
@@ -239,188 +275,51 @@ class CostModel:
         (_, m_id), (nk, k_id), (nn, n_id) = ids
         _, first, inverse = np.unique((m_id * nk + k_id) * nn + n_id,
                                       return_index=True, return_inverse=True)
-        priced: List[tuple] = []
-        for bounds in zip(*[table[name][first].tolist()
-                            for name in ("m0", "m1", "k0", "k1", "n0", "n1")]):
-            value = memo.get(bounds)
+        bounds = {name: table[name][first] for name in ("m0", "m1", "k0", "k1", "n0", "n1")}
+        terms = []
+        for cuboid in zip(*[column.tolist() for column in bounds.values()]):
+            value = memo.get(cuboid)
             if value is None:
-                m0, m1, k0, k1, n0, n1 = bounds
-                cuboid = Interval(m0, m1), Interval(k0, k1), Interval(n0, n1)
-                fractions = structure.op_fractions(*cuboid)
-                # The op's c_bytes (m * n * itemsize) and flops (2 * m * n * k),
-                # scaled by their live fractions.
-                value = memo[bounds] = (
-                    fractions[0] > 0.0, (m1 - m0) * (n1 - n0) * itemsize * fractions[3],
-                    self._live_gemm_time(*cuboid, itemsize, structure, fractions),
-                    2 * (m1 - m0) * (n1 - n0) * (k1 - k0) * fractions[0])
-            priced.append(value)
+                m0, m1, k0, k1, n0, n1 = cuboid
+                intervals = Interval(m0, m1), Interval(k0, k1), Interval(n0, n1)
+                fractions = structure.op_fractions(*intervals)
+                value = memo[cuboid] = fractions + structure.gemm_dims(*intervals,
+                                                                       fractions[0])
+            terms.append(value)
+        # Per cuboid: (flops, a, b, c) live fractions, then effective (m, n, k).
+        terms = np.array(terms, dtype=np.float64).reshape(-1, 7).T
+        m, n, k = (bounds[f"{axis}1"] - bounds[f"{axis}0"] for axis in "mnk")
+        flops_frac, c_frac = terms[0], terms[3]
+        # The op's c_bytes (m * n * itemsize) and flops (2 * m * n * k), scaled
+        # by their live fractions.
+        priced = (flops_frac > 0.0, m * n * itemsize * c_frac,
+                  self.live_gemm_time(m, n, k, itemsize, terms[:4], terms[4:]),
+                  2 * m * n * k * flops_frac)
         inverse = inverse.reshape(-1)
-        return tuple(np.array(column)[inverse] for column in zip(*priced)) \
-            if priced else (np.zeros(0, dtype=bool),) + (np.zeros(0),) * 3
+        return tuple(column[inverse] for column in priced)
 
     def price_rows(self, cols: Dict[str, np.ndarray], itemsize: int,
                    structure: Optional[WorkloadStructure] = None) -> Dict[str, np.ndarray]:
-        """Price :meth:`event_columns` rows in one array pass.
+        """Price :meth:`event_columns` rows with the methods above.
 
         Returns the ``gemm``, ``acc`` (remote or local accumulate), ``ingress``
-        and per side ``fetch``/``egress`` seconds of every row.  Every
-        formula below mirrors the corresponding scalar method
-        operation-for-operation (same association order, same guards), which
-        is what makes the vectorized durations bit-equal to the scalar ones.
-        Structured rows keep the GEMM times :meth:`event_columns` priced.
+        and per side ``fetch``/``egress`` seconds of every row.  Dense GEMMs
+        are priced at C's ``itemsize``; structured rows keep the GEMM times
+        :meth:`event_columns` priced.
         """
-        machine = self.machine
-        shape = self.shape_model
-        launch = machine.kernel_launch_overhead
-        acc_eff = max(machine.accumulate_efficiency, 1.0e-6)
-        lat, bw = self.topology.pair_tables()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if structure is None:
-                # gemm_time — the op generator stamps every op with C's itemsize.
-                m, n, k = cols["m"], cols["n"], cols["k"]
-                flops = 2.0 * m * n * k
-                bytes_touched = float(itemsize) * (m * k + k * n + 2 * m * n)
-                efficiency = machine.gemm_efficiency * (
-                    (m / (m + shape.m_half)) * (n / (n + shape.n_half))
-                    * (k / (k + shape.k_half))
-                )
-                compute_time = flops / (machine.flops_peak
-                                        * np.maximum(efficiency, 1.0e-3))
-                memory_time = bytes_touched / machine.memory_bandwidth
-                gemm = np.where((m <= 0) | (n <= 0) | (k <= 0), 0.0,
-                                np.maximum(compute_time, memory_time) + launch)
-            else:
-                gemm = cols["gemm"]
-
-            rank = cols["rank"]
-            c_owner = cols["c_owner"]
-            c_bytes = cols["c_bytes"]
-            # accumulate_time(rank, c_owner, c_bytes)
-            latency = lat[rank, c_owner]
-            transfer = latency + c_bytes / bw[rank, c_owner]
-            remote_acc = launch + latency + (transfer - latency) / acc_eff
-            # local_accumulate_time(c_bytes)
-            local_acc = 3.0 * c_bytes / machine.memory_bandwidth + launch
-            priced = {
-                "gemm": gemm,
-                "acc": np.where(c_bytes <= 0, 0.0,
-                                np.where(cols["c_remote"], remote_acc, local_acc)),
-                # device_link_time(c_bytes, accumulate=True)
-                "ingress": np.where(c_bytes <= 0, 0.0,
-                                    (c_bytes / machine.device_link_bandwidth) / acc_eff),
-            }
-            for side in ("a", "b"):
-                owner = cols[f"{side}_owner"]
-                nbytes = cols[f"{side}_bytes"]
-                # transfer_time(owner, rank, nbytes) — only remote rows are
-                # ever consumed, so the src == dst guard is left to them.
-                priced[f"{side}_fetch"] = np.where(
-                    nbytes <= 0, 0.0, lat[owner, rank] + nbytes / bw[owner, rank])
-                # device_link_time(nbytes)
-                priced[f"{side}_egress"] = np.where(
-                    nbytes <= 0, 0.0, nbytes / machine.device_link_bandwidth)
+        rank, c_owner, c_bytes = cols["rank"], cols["c_owner"], cols["c_bytes"]
+        priced = {
+            "gemm": (self.gemm_time(cols["m"], cols["n"], cols["k"], itemsize)
+                     if structure is None else cols["gemm"]),
+            "acc": np.where(cols["c_remote"], self.accumulate_time(rank, c_owner, c_bytes),
+                            self.local_accumulate_time(c_bytes)),
+            "ingress": self.device_link_time(c_bytes, accumulate=True),
+        }
+        for side in ("a", "b"):
+            nbytes = cols[f"{side}_bytes"]
+            priced[f"{side}_fetch"] = self.transfer_time(cols[f"{side}_owner"], rank, nbytes)
+            priced[f"{side}_egress"] = self.device_link_time(nbytes)
         return priced
-
-    # ------------------------------------------------------------------ #
-    # op-level helpers
-    # ------------------------------------------------------------------ #
-    def op_compute_time(self, op: "LocalMatmulOp") -> float:
-        return self.gemm_time(op.m, op.n, op.k, op.itemsize)
-
-    def structured_op_compute_time(
-        self,
-        op: "LocalMatmulOp",
-        structure: Optional[WorkloadStructure],
-        fractions: Optional[Tuple[float, float, float, float]] = None,
-    ) -> float:
-        """Roofline time of one op's *live* GEMM under a workload structure.
-
-        Dense structures fall through to :meth:`op_compute_time` untouched
-        (bit-exact with the historical pricing).  Otherwise flops and bytes
-        are scaled by the live fractions of the op's global cuboid, and the
-        shape-efficiency term is evaluated at the live effective dimensions —
-        a ragged expert batch really runs a skinnier, less efficient GEMM.
-        Every scale factor is in ``[0, 1]``, so a structured op never prices
-        above its dense envelope (the dominance the planner's bounds and the
-        property harness rely on).
-
-        ``fractions`` is the op's ``structure.op_fractions(...)`` tuple when
-        the caller already computed it (the executor and the occupancy bound
-        both need the C fraction too) — passing it avoids a second scan of
-        the mask/raggedness geometry.
-        """
-        if structure is None or structure.is_dense:
-            return self.op_compute_time(op)
-        return self._live_gemm_time(op.m_bound, op.k_bound, op.n_bound, op.itemsize,
-                                    structure, fractions)
-
-    def _live_gemm_time(self, m_bound: Interval, k_bound: Interval, n_bound: Interval,
-                        itemsize: int, structure: WorkloadStructure,
-                        fractions: Optional[Tuple[float, float, float, float]] = None
-                        ) -> float:
-        if fractions is None:
-            fractions = structure.op_fractions(m_bound, k_bound, n_bound)
-        flops_frac, a_frac, b_frac, c_frac = fractions
-        if flops_frac <= 0.0:
-            return 0.0
-        m, n, k = m_bound.extent, n_bound.extent, k_bound.extent
-        flops = 2.0 * m * n * k * flops_frac
-        bytes_touched = float(itemsize) * (
-            a_frac * (m * k) + b_frac * (k * n) + 2.0 * c_frac * (m * n)
-        )
-        m_eff, n_eff, k_eff = structure.gemm_dims(m_bound, k_bound, n_bound, flops_frac)
-        efficiency = self.machine.gemm_efficiency * self.shape_model.efficiency(
-            m_eff, n_eff, k_eff
-        )
-        compute_time = flops / (self.machine.flops_peak * max(efficiency, 1.0e-3))
-        memory_time = bytes_touched / self.machine.memory_bandwidth
-        return max(compute_time, memory_time) + self.machine.kernel_launch_overhead
-
-    def op_fetch_time(self, op: "LocalMatmulOp") -> float:
-        """Time to fetch the (whole) remote tiles the op depends on."""
-        total = 0.0
-        if op.a_is_remote:
-            total += self.transfer_time(op.a.owner, op.rank, op.a_bytes)
-        if op.b_is_remote:
-            total += self.transfer_time(op.b.owner, op.rank, op.b_bytes)
-        return total
-
-    def op_accumulate_time(self, op: "LocalMatmulOp") -> float:
-        if op.c_is_remote:
-            return self.accumulate_time(op.rank, op.c.owner, op.c_bytes)
-        return self.local_accumulate_time(op.c_bytes)
-
-    # ------------------------------------------------------------------ #
-    # schedule-level estimates
-    # ------------------------------------------------------------------ #
-    def estimate_op_list(self, ops: Sequence["LocalMatmulOp"]) -> float:
-        """Optimistic overlap-aware estimate of one rank's execution time.
-
-        Communication and computation overlap perfectly in the limit, so the
-        rank needs at least ``max(total_compute, total_fetch)``; remote
-        accumulates ride on a separate engine and add the same way; a small
-        serial term accounts for the pipeline fill of the first fetch.
-        """
-        if not ops:
-            return 0.0
-        compute = sum(self.op_compute_time(op) for op in ops)
-        fetch = sum(self.op_fetch_time(op) for op in ops)
-        accumulate = sum(
-            self.accumulate_time(op.rank, op.c.owner, op.c_bytes)
-            for op in ops
-            if op.c_is_remote
-        )
-        local_accumulate = sum(
-            self.local_accumulate_time(op.c_bytes) for op in ops if not op.c_is_remote
-        )
-        pipeline_fill = self.op_fetch_time(ops[0])
-        return max(compute + local_accumulate, fetch, accumulate) + pipeline_fill
-
-    def estimate_op_lists(self, per_rank_ops: Mapping[int, Sequence["LocalMatmulOp"]]) -> float:
-        """Estimated makespan: the slowest rank's estimate."""
-        if not per_rank_ops:
-            return 0.0
-        return max(self.estimate_op_list(ops) for ops in per_rank_ops.values())
 
     # ------------------------------------------------------------------ #
     # reporting

@@ -10,9 +10,11 @@ The direct executor walks each rank's ops in order and, for every op,
 
 The ops arrive as *columns*, one row per op, rank-major and in execution
 order: :func:`repro.core.slicing.slice_table` rows priced once by
-:meth:`~repro.core.cost_model.CostModel.price_rows` (the pricer the planner's
-batch evaluator uses too), so the walk makes no per-op cost-model call.
-:meth:`DirectExecutor.execute` adapts ``LocalMatmulOp`` lists to the same walk.
+:meth:`TableExecutor.price` with :meth:`~repro.core.cost_model.CostModel.price_rows`,
+the one pricer, which the IR executor and the planner's batch evaluator read
+too.  The walk makes no per-op cost-model call.  :meth:`DirectExecutor.execute`
+turns ``LocalMatmulOp`` lists into the same rows with
+:func:`~repro.core.slicing.ops_table`.
 
 Two things happen at once here: the *data* path really moves NumPy buffers
 through the PGAS runtime (so results are bit-exact checkable against
@@ -39,15 +41,12 @@ from repro.core.config import ExecutionConfig
 from repro.core.cost_model import CostModel, tile_fetch_bytes
 from repro.core.ops import LocalMatmulOp
 from repro.core.result import RankStats
+from repro.core.slicing import ops_table
 from repro.core.structure import ROLE_A, ROLE_B, WorkloadStructure, resolve_structure
 from repro.dist.matrix import DistributedMatrix
 from repro.runtime.clock import ACCUMULATE, COMPUTE, COPY
 from repro.sim.engine import EventEngine
 from repro.util.indexing import Interval, Rect
-
-#: Slicing-table columns :meth:`DirectExecutor.execute` builds from op lists.
-_OP_COLUMNS = ("rank", "m0", "m1", "k0", "k1", "n0", "n1", "a_key", "a_owner",
-               "b_key", "b_owner", "c_key", "c_owner", "stat_i", "stat_j")
 
 
 class _FetchedTile:
@@ -87,8 +86,13 @@ class _RankState:
         self.stats = RankStats(rank=rank, num_ops=self.num)
 
 
-class DirectExecutor:
-    """Executes per-rank op streams with the paper's direct-execution optimisations."""
+class TableExecutor:
+    """What both executors share: the operands, and their priced table rows.
+
+    :meth:`price` prices one multiply's slicing-table rows with the cost
+    model, and :meth:`tile_regions` locates each row's tiles and in-tile
+    regions for a materializing walk.
+    """
 
     def __init__(
         self,
@@ -119,44 +123,11 @@ class DirectExecutor:
                 "materialize them — use ExecutionConfig(simulate_only=True)"
             )
 
-    # ------------------------------------------------------------------ #
-    # public API
-    # ------------------------------------------------------------------ #
-    def execute(self, per_rank_ops: Dict[int, List[LocalMatmulOp]]) -> Tuple[float, Dict[int, RankStats]]:
-        """Run all ranks' op lists; returns (compute makespan, per-rank stats).
-
-        The ops must already be in execution order (iteration offset applied
-        by the caller when enabled) and address the executing rank's own
-        replica of every operand with C's itemsize, as the slicing generator
-        emits them.  They are turned into table columns and walked by
-        :meth:`execute_columns`.
-        """
-        rows = []
-        a_cols, b_cols, c_cols = (matrix.grid.num_col_tiles
-                                  for matrix in (self.a, self.b, self.c))
-        for rank in range(self.runtime.num_ranks):
-            expected = [rank, self.c.dtype.itemsize] + [
-                matrix.replica_of_rank(rank) for matrix in (self.a, self.b, self.c)]
-            for op in per_rank_ops.get(rank, ()):
-                if [op.rank, op.itemsize, op.a.replica, op.b.replica, op.c.replica] != expected:
-                    raise ValueError(f"op {op.describe()} listed for rank {rank} is not "
-                                     "an op of that rank on its own replicas of A, B and C")
-                rows.append((rank, op.m_bound.start, op.m_bound.stop, op.k_bound.start,
-                             op.k_bound.stop, op.n_bound.start, op.n_bound.stop,
-                             op.a.index[0] * a_cols + op.a.index[1], op.a.owner,
-                             op.b.index[0] * b_cols + op.b.index[1], op.b.owner,
-                             op.c.index[0] * c_cols + op.c.index[1], op.c.owner,
-                             *op.stationary_index))
-        table = dict(zip(_OP_COLUMNS, np.array(rows, dtype=np.int64)
-                         .reshape(-1, len(_OP_COLUMNS)).T))
-        table["task"] = np.zeros(len(rows), dtype=np.int64)
-        return self.execute_columns(self.price(table, prune=False))
-
     def price(self, table: Dict[str, np.ndarray], prune: bool = True) -> Dict[str, np.ndarray]:
         """Event columns of one task's slicing-table rows, priced for the walk.
 
         ``prune`` drops the rows of fully masked cuboids of a structured
-        workload (no flops survive), as ``prune_structured_ops`` drops ops.
+        workload (no flops survive).
         """
         model = self.cost_model
         itemsize = self.c.dtype.itemsize
@@ -166,6 +137,42 @@ class DirectExecutor:
                                    prune=prune)
         cols.update(model.price_rows(cols, itemsize, self.structure))
         return cols
+
+    def tile_regions(self, cols: Dict[str, np.ndarray]) -> Tuple[list, list]:
+        """Per operand (A, B, C): each row's tile index and in-tile region.
+
+        Tiles are ``(i, j)``; regions are ``(r0, r1, c0, c1)`` in the tile's
+        local coordinates: the row's bounds minus the tile's origin.
+        """
+        tiles, regions = [], []
+        for side, matrix, row_axis, col_axis in zip("abc", (self.a, self.b, self.c),
+                                                    "mkm", "knn"):
+            i, j = np.divmod(cols[f"{side}_key"], matrix.grid.num_col_tiles)
+            r0 = cols[f"{row_axis}0"] - np.asarray(matrix.grid.row_splits)[i]
+            c0 = cols[f"{col_axis}0"] - np.asarray(matrix.grid.col_splits)[j]
+            tiles.append(list(zip(i.tolist(), j.tolist())))
+            regions.append(list(zip(r0.tolist(), (r0 + cols[row_axis]).tolist(),
+                                    c0.tolist(), (c0 + cols[col_axis]).tolist())))
+        return tiles, regions
+
+
+class DirectExecutor(TableExecutor):
+    """Executes per-rank op streams with the paper's direct-execution optimisations."""
+
+    # ------------------------------------------------------------------ #
+    # public API
+    # ------------------------------------------------------------------ #
+    def execute(self, per_rank_ops: Dict[int, List[LocalMatmulOp]]) -> Tuple[float, Dict[int, RankStats]]:
+        """Run all ranks' op lists; returns (compute makespan, per-rank stats).
+
+        The ops must already be in execution order (iteration offset applied
+        by the caller when enabled) and be the slicing generator's ops of the
+        rank they are listed for.  They are turned into table rows with
+        :func:`~repro.core.slicing.ops_table` and walked by
+        :meth:`execute_columns`.
+        """
+        table = ops_table(self.a, self.b, self.c, per_rank_ops)
+        return self.execute_columns(self.price(table, prune=False))
 
     def execute_columns(self, cols: Dict[str, np.ndarray]) -> Tuple[float, Dict[int, RankStats]]:
         """Walk priced op columns; returns (compute makespan, per-rank stats).
@@ -189,17 +196,7 @@ class DirectExecutor:
         bounds = np.searchsorted(cols["rank"], np.arange(num_ranks + 1)).tolist()
         matrices = (self.a, self.b, self.c)
         col_tiles = [matrix.grid.num_col_tiles for matrix in matrices]
-        tiles, regions = [], []
-        if not simulate_only:
-            # Each row's tile comes from its flat key; its region in tile
-            # coordinates from the row's bounds minus the tile's origin.
-            for x, (matrix, row_axis, col_axis) in enumerate(zip(matrices, "mkm", "knn")):
-                i, j = np.divmod(cols[f"{'abc'[x]}_key"], col_tiles[x])
-                r0 = cols[f"{row_axis}0"] - np.asarray(matrix.grid.row_splits)[i]
-                c0 = cols[f"{col_axis}0"] - np.asarray(matrix.grid.col_splits)[j]
-                tiles.append(list(zip(i.tolist(), j.tolist())))
-                regions.append(list(zip(r0.tolist(), (r0 + cols[row_axis]).tolist(),
-                                        c0.tolist(), (c0 + cols[col_axis]).tolist())))
+        tiles, regions = ([], []) if simulate_only else self.tile_regions(cols)
         # Plain lists: the walk reads one element at a time.
         owners, keys, nbytes, fetch_time, egress = (
             [cols[f"{side}_{name}"].tolist() for side in "ab"]

@@ -3,8 +3,10 @@
 Two graph granularities live here:
 
 * :class:`ComputationGraph` — the paper's Section 4.3 bipartite graph for
-  *one rank's* op list (compute nodes vs. tile data nodes), the first
-  lowering step of the IR path;
+  *one rank's* ops (compute nodes vs. tile data nodes), the first lowering
+  step of the IR path.  It is built from the rank's rows of the priced
+  slicing table: ops carry their GEMM and accumulate seconds, and data
+  nodes the whole tile's bytes and fetch seconds;
 * :class:`OpGraph` — a *workload-level* DAG of whole matmuls (an MLP block,
   an attention stack) whose edges say "this op's output C feeds that op's A
   (or B) operand".  This is the input the graph-level joint planner
@@ -23,13 +25,13 @@ satisfied."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
-from repro.core.ops import LocalMatmulOp
-from repro.dist.matrix import DistributedMatrix
+import numpy as np
 
-#: A data node: (operand name, replica index, tile index).
-DataKey = Tuple[str, int, Tuple[int, int]]
+#: A data node: (operand name, flat row-major tile index).  A rank's ops
+#: always read its own replica of A and B, so the tile index names the node.
+DataKey = Tuple[str, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,23 +40,25 @@ class DataNode:
 
     key: DataKey
     owner: int
+    #: Bytes of the whole tile (the IR fetches whole tiles).
     nbytes: int
-
-    @property
-    def matrix(self) -> str:
-        return self.key[0]
-
-    @property
-    def tile_index(self) -> Tuple[int, int]:
-        return self.key[2]
+    #: Seconds to fetch the tile from its owner (0 for a local tile).
+    fetch: float
 
 
 @dataclass
 class ComputationGraph:
-    """Bipartite dependency graph for one rank's op list."""
+    """Bipartite dependency graph for one rank's priced op rows.
+
+    Op ``i`` is the rank's ``i``-th row of the priced columns; it carries its
+    GEMM seconds, its accumulate seconds and whether that accumulate is
+    remote.
+    """
 
     rank: int
-    ops: List[LocalMatmulOp]
+    gemm: List[float]
+    acc: List[float]
+    c_remote: List[bool]
     data_nodes: Dict[DataKey, DataNode] = field(default_factory=dict)
     #: op index -> data keys it depends on (only remote dependencies carry cost,
     #: but local ones are kept, marked satisfied, for completeness).
@@ -63,21 +67,31 @@ class ComputationGraph:
     initially_satisfied: Set[DataKey] = field(default_factory=set)
 
     @classmethod
-    def build(cls, rank: int, ops: Sequence[LocalMatmulOp], a: DistributedMatrix,
-              b: DistributedMatrix) -> "ComputationGraph":
-        graph = cls(rank=rank, ops=list(ops))
-        for index, op in enumerate(graph.ops):
-            deps: List[DataKey] = []
-            for name, operand, matrix in (("A", op.a, a), ("B", op.b, b)):
-                key: DataKey = (name, operand.replica, operand.index)
+    def build(cls, rank: int, cols: Mapping[str, np.ndarray]) -> "ComputationGraph":
+        """The graph of ``rank``'s rows of priced table columns, in row order.
+
+        ``cols`` are :meth:`~repro.core.cost_model.CostModel.event_columns`
+        rows priced by :meth:`~repro.core.cost_model.CostModel.price_rows`;
+        rows of other ranks are skipped.
+        """
+        rows = np.flatnonzero(cols["rank"] == rank)
+        graph = cls(rank=rank, gemm=cols["gemm"][rows].tolist(),
+                    acc=cols["acc"][rows].tolist(),
+                    c_remote=cols["c_remote"][rows].tolist())
+        operands = [(name, *(cols[f"{side}_{column}"][rows].tolist()
+                             for column in ("key", "owner", "bytes", "fetch")))
+                    for name, side in (("A", "a"), ("B", "b"))]
+        for index in range(rows.size):
+            deps = []
+            for name, keys, owners, nbytes, fetch in operands:
+                key: DataKey = (name, keys[index])
                 deps.append(key)
                 if key not in graph.data_nodes:
-                    # The whole tile is fetched, so size the node by the tile,
-                    # not by the (possibly smaller) slice this op uses.
-                    nbytes = matrix.tile_bounds(operand.index).size * matrix.dtype.itemsize
-                    graph.data_nodes[key] = DataNode(key=key, owner=operand.owner, nbytes=nbytes)
-                if operand.owner == rank:
-                    graph.initially_satisfied.add(key)
+                    local = owners[index] == rank
+                    graph.data_nodes[key] = DataNode(key, owners[index], nbytes[index],
+                                                     0.0 if local else fetch[index])
+                    if local:
+                        graph.initially_satisfied.add(key)
             graph.dependencies[index] = frozenset(deps)
         return graph
 
@@ -99,7 +113,7 @@ class ComputationGraph:
 
     @property
     def num_ops(self) -> int:
-        return len(self.ops)
+        return len(self.gemm)
 
     def total_remote_bytes(self) -> int:
         return sum(

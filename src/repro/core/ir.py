@@ -12,7 +12,7 @@ operations and zero or more communication operations ...").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List
 
 from repro.core.graph import DataKey
 
@@ -24,6 +24,8 @@ class IRCommOp:
     data: DataKey
     owner: int
     nbytes: int
+    #: Modelled duration of the fetch.
+    seconds: float
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,38 +1,41 @@
-"""Lowering op lists to the optimized IR (paper Section 4.3).
+"""Lowering priced op rows to the optimized IR (paper Section 4.3).
 
 Three strategies are provided, matching the paper:
 
 * **greedy** — in each output IR op, schedule any compute whose dependencies
   are satisfied (up to the compute limit), then any outstanding communication
   (up to the communication limit).
-* **cost-greedy** — the same loop, but the cost model decides *which* compute
-  and communication to pick: computes are ordered longest-first to keep the
-  pipe full, communications by how much compute time they unlock per second
-  of transfer.
+* **cost-greedy** — the same loop, but the priced durations decide *which*
+  compute and communication to pick: computes are ordered longest-first to
+  keep the pipe full, communications by how much compute time they unlock
+  per second of transfer.
 * **exhaustive** — enumerate candidate op orderings, evaluate each complete
-  schedule with the cost model, and keep the cheapest.  The search space is
+  schedule with :func:`~repro.core.schedule_sim.estimate_program_time`, and
+  keep the cheapest.  The search space is
   factorial, so it is only attempted when the number of orderings fits under
   ``exhaustive_search_limit``; otherwise it falls back to cost-greedy (the
   paper likewise only applies it to small problems).
+
+Every duration comes from the :class:`~repro.core.graph.ComputationGraph`,
+which carries the rank's rows as :class:`~repro.core.cost_model.CostModel`
+priced them; the lowering makes no cost-model call of its own.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set
+
+import numpy as np
 
 from repro.core.config import ExecutionConfig, LoweringStrategy
-from repro.core.cost_model import CostModel
 from repro.core.graph import ComputationGraph, DataKey
 from repro.core.ir import IRCommOp, IRComputeOp, IRProgram, IRStep
-from repro.core.ops import LocalMatmulOp
-from repro.dist.matrix import DistributedMatrix
 from repro.util.validation import SchedulingError
 
 
 def lower_to_ir(
     graph: ComputationGraph,
-    cost_model: CostModel,
     config: Optional[ExecutionConfig] = None,
     strategy: Optional[LoweringStrategy] = None,
 ) -> IRProgram:
@@ -40,39 +43,38 @@ def lower_to_ir(
     config = config or ExecutionConfig()
     strategy = strategy or config.lowering
     if strategy is LoweringStrategy.GREEDY:
-        return _greedy_lowering(graph, cost_model, config, use_cost_model=False)
+        return _greedy_lowering(graph, config, by_cost=False)
     if strategy is LoweringStrategy.COST_GREEDY:
-        return _greedy_lowering(graph, cost_model, config, use_cost_model=True)
+        return _greedy_lowering(graph, config, by_cost=True)
     if strategy is LoweringStrategy.EXHAUSTIVE:
-        return _exhaustive_lowering(graph, cost_model, config)
+        return _exhaustive_lowering(graph, config)
     raise SchedulingError(f"unknown lowering strategy {strategy!r}")
 
 
 def lower_all_ranks(
-    per_rank_ops: Dict[int, List[LocalMatmulOp]],
-    a: DistributedMatrix,
-    b: DistributedMatrix,
-    cost_model: CostModel,
+    cols: Mapping[str, np.ndarray],
     config: Optional[ExecutionConfig] = None,
     strategy: Optional[LoweringStrategy] = None,
 ) -> Dict[int, IRProgram]:
-    """Lower every rank's op list, returning ``{rank: IRProgram}``."""
-    programs: Dict[int, IRProgram] = {}
-    for rank, ops in per_rank_ops.items():
-        graph = ComputationGraph.build(rank, ops, a, b)
-        programs[rank] = lower_to_ir(graph, cost_model, config, strategy)
-    return programs
+    """Lower every rank of priced table columns, returning ``{rank: IRProgram}``.
+
+    Each rank's ops are its rows, in row order (see
+    :meth:`ComputationGraph.build`).
+    """
+    return {rank: lower_to_ir(ComputationGraph.build(rank, cols), config, strategy)
+            for rank in np.unique(cols["rank"]).tolist()}
+
+
+def _comm(graph: ComputationGraph, key: DataKey) -> IRCommOp:
+    node = graph.data_nodes[key]
+    return IRCommOp(data=key, owner=node.owner, nbytes=node.nbytes, seconds=node.fetch)
 
 
 # ---------------------------------------------------------------------- #
 # greedy / cost-greedy
 # ---------------------------------------------------------------------- #
-def _greedy_lowering(
-    graph: ComputationGraph,
-    cost_model: CostModel,
-    config: ExecutionConfig,
-    use_cost_model: bool,
-) -> IRProgram:
+def _greedy_lowering(graph: ComputationGraph, config: ExecutionConfig,
+                     by_cost: bool) -> IRProgram:
     program = IRProgram(rank=graph.rank)
     satisfied: Set[DataKey] = set(graph.initially_satisfied)
     in_flight: Set[DataKey] = set()
@@ -86,9 +88,8 @@ def _greedy_lowering(
         in_flight = set()
 
         ready = [index for index in pending if graph.is_ready(index, satisfied)]
-        if use_cost_model:
-            ready.sort(key=lambda index: cost_model.op_compute_time(graph.ops[index]),
-                       reverse=True)
+        if by_cost:
+            ready.sort(key=lambda index: graph.gemm[index], reverse=True)
         computes = ready[: config.max_concurrent_gemms]
 
         # Candidate communications: unsatisfied deps of remaining pending ops,
@@ -103,25 +104,15 @@ def _greedy_lowering(
                     seen.add(key)
                     candidates.append(key)
 
-        if use_cost_model and candidates:
+        if by_cost and candidates:
             def priority(key: DataKey) -> float:
-                node = graph.data_nodes[key]
-                transfer = max(
-                    cost_model.transfer_time(node.owner, graph.rank, node.nbytes), 1.0e-9
-                )
-                unlocked = sum(
-                    cost_model.op_compute_time(graph.ops[i])
-                    for i in graph.ops_depending_on(key)
-                )
+                transfer = max(graph.data_nodes[key].fetch, 1.0e-9)
+                unlocked = sum(graph.gemm[i] for i in graph.ops_depending_on(key))
                 return unlocked / transfer
 
             candidates.sort(key=priority, reverse=True)
 
-        comms = [
-            IRCommOp(data=key, owner=graph.data_nodes[key].owner,
-                     nbytes=graph.data_nodes[key].nbytes)
-            for key in candidates[:comm_limit]
-        ]
+        comms = [_comm(graph, key) for key in candidates[:comm_limit]]
 
         if not computes and not comms:
             raise SchedulingError(
@@ -158,14 +149,7 @@ def _schedule_from_order(
     # Pre-step: fetch whatever the first op needs.
     first_needs = [key for key in graph.dependencies[order[0]] if key not in fetched]
     if first_needs:
-        program.steps.append(
-            IRStep(
-                comms=[
-                    IRCommOp(key, graph.data_nodes[key].owner, graph.data_nodes[key].nbytes)
-                    for key in first_needs
-                ]
-            )
-        )
+        program.steps.append(IRStep(comms=[_comm(graph, key) for key in first_needs]))
         fetched |= set(first_needs)
         satisfied |= set(first_needs)
 
@@ -176,8 +160,7 @@ def _schedule_from_order(
                 upcoming = order[position + ahead]
                 for key in graph.dependencies[upcoming]:
                     if key not in fetched:
-                        node = graph.data_nodes[key]
-                        comms.append(IRCommOp(key, node.owner, node.nbytes))
+                        comms.append(_comm(graph, key))
                         fetched.add(key)
         program.steps.append(
             IRStep(computes=[IRComputeOp(op_index=op_index)], comms=comms)
@@ -185,9 +168,7 @@ def _schedule_from_order(
     return program
 
 
-def _exhaustive_lowering(
-    graph: ComputationGraph, cost_model: CostModel, config: ExecutionConfig
-) -> IRProgram:
+def _exhaustive_lowering(graph: ComputationGraph, config: ExecutionConfig) -> IRProgram:
     from repro.core.schedule_sim import estimate_program_time
 
     num_ops = graph.num_ops
@@ -203,13 +184,13 @@ def _exhaustive_lowering(
     if num_orderings > config.exhaustive_search_limit:
         # Too large to enumerate: fall back to the cost-model greedy result,
         # which the paper found to be nearly optimal anyway.
-        return _greedy_lowering(graph, cost_model, config, use_cost_model=True)
+        return _greedy_lowering(graph, config, by_cost=True)
 
     best_program: Optional[IRProgram] = None
     best_cost = float("inf")
     for order in itertools.permutations(range(num_ops)):
         program = _schedule_from_order(graph, order, config)
-        cost = estimate_program_time(program, graph, cost_model)
+        cost = estimate_program_time(program, graph)
         if cost < best_cost:
             best_cost = cost
             best_program = program

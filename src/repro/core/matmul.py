@@ -6,10 +6,10 @@ paper describes:
 1. pick a data-movement strategy (Stationary A/B/C) — by the largest-matrix
    heuristic, by the cost model, or as dictated by the caller;
 2. have every rank generate its local ops by slicing;
-3. execute them either directly (the slicing table priced once and walked
-   with iteration offset, prefetching, asynchronous GEMM/accumulate, and the
-   memory pool) or by lowering op lists to the optimized IR with one of the
-   scheduling strategies;
+3. price the slicing table once, apply the iteration offset, and execute
+   the priced rows either directly (prefetching, asynchronous
+   GEMM/accumulate, and the memory pool) or by lowering each rank's rows to
+   the optimized IR with one of the scheduling strategies;
 4. if C is replicated, reduce the partial results across replicas.
 
 The function returns an :class:`~repro.core.result.ExecutionResult` carrying
@@ -23,16 +23,17 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Union
 
-from repro.core.config import ExecutionConfig, ExecutionMode, LoweringStrategy
-from repro.core.cost_model import CostModel
+import numpy as np
+
+from repro.core.config import ExecutionConfig, ExecutionMode
+from repro.core.cost_model import CostModel, tile_fetch_bytes
 from repro.core.direct import DirectExecutor
 from repro.core.lowering import lower_all_ranks
 from repro.core.ops import LocalMatmulOp
-from repro.core.result import ExecutionResult, RankStats
+from repro.core.result import ExecutionResult
 from repro.core.schedule_sim import IRExecutor
 from repro.core.slicing import (
     OperandLayout,
-    apply_iteration_offset,
     check_coverage,
     generate_all_ops,
     offset_permutation,
@@ -71,12 +72,13 @@ def _resolve_stationary(
     c: DistributedMatrix,
     stationary: Optional[Union[str, Stationary]],
     cost_model: Optional[CostModel],
+    structure: Optional[WorkloadStructure] = None,
 ) -> Stationary:
     if stationary is None or (isinstance(stationary, str) and stationary.lower() == "auto"):
         return choose_stationary_by_size(a, b, c)
     if isinstance(stationary, str) and stationary.lower() in ("cost", "auto-cost", "auto_cost"):
         model = cost_model or CostModel(a.runtime.machine)
-        return choose_stationary_by_cost(a, b, c, model)
+        return choose_stationary_by_cost(a, b, c, model, structure)
     return parse_stationary(stationary)
 
 
@@ -89,24 +91,20 @@ def model_reduce_time(c: DistributedMatrix, cost_model: CostModel, origin: int =
     ``structure`` scales each tile to its live bytes (padding rows of a
     ragged C are not reduced); dense structures change nothing.
     """
-    if c.replication.num_replicas == 1:
+    replicas = c.replication.num_replicas
+    if replicas == 1:
         return 0.0
-    structure = resolve_structure(structure)
-    per_owner: Dict[int, float] = {}
-    for tile_idx in c.grid.tiles():
-        bounds = c.tile_bounds(tile_idx)
-        nbytes = bounds.size * c.dtype.itemsize
-        if structure is not None:
-            nbytes *= structure.live_fraction(ROLE_C, bounds.rows, bounds.cols)
-        dst_owner = c.owner_rank(tile_idx, origin)
-        for replica in range(c.replication.num_replicas):
-            if replica == origin:
-                continue
-            src_owner = c.owner_rank(tile_idx, replica)
-            per_owner[dst_owner] = per_owner.get(dst_owner, 0.0) + cost_model.accumulate_time(
-                src_owner, dst_owner, nbytes
-            )
-    return max(per_owner.values(), default=0.0)
+    # Every (tile, non-origin replica) pair, tile-major: each accumulates the
+    # tile into its origin owner, and each owner adds its incoming times in
+    # that order (np.bincount sums its weights sequentially).
+    owners = np.array([[c.owner_rank(idx, replica) for replica in range(replicas)]
+                       for idx in c.grid.tiles()], dtype=np.int64)
+    others = [replica for replica in range(replicas) if replica != origin]
+    dst = np.repeat(owners[:, origin], len(others))
+    nbytes = np.repeat(tile_fetch_bytes(c, ROLE_C, resolve_structure(structure)),
+                       len(others))
+    times = cost_model.accumulate_time(owners[:, others].reshape(-1), dst, nbytes)
+    return float(np.bincount(dst, weights=times).max(initial=0.0))
 
 
 def universal_matmul(
@@ -171,7 +169,7 @@ def universal_matmul(
                 "ExecutionConfig(simulate_only=True)"
             )
 
-    resolved = _resolve_stationary(a, b, c, stationary, cost_model)
+    resolved = _resolve_stationary(a, b, c, stationary, cost_model, structure)
     if config.validate_ops:
         # Coverage is an envelope invariant, so it is checked before the
         # structure drops the all-masked ops.
@@ -184,24 +182,19 @@ def universal_matmul(
                 if replica != reduce_origin:
                     c.tile(idx, replica).fill(0)
 
-    if config.mode is ExecutionMode.DIRECT:
-        executor = DirectExecutor(a, b, c, cost_model, config, structure=structure)
-        cols = executor.price(slice_table([(OperandLayout(a), OperandLayout(b),
-                                            OperandLayout(c), resolved)]))
-        if config.iteration_offset:
-            order = offset_permutation(cols["rank"], cols["stat_i"], cols["stat_j"])
-            cols = {name: column[order] for name, column in cols.items()}
+    direct = config.mode is ExecutionMode.DIRECT
+    executor = (DirectExecutor(a, b, c, cost_model, config, structure=structure) if direct
+                else IRExecutor(a, b, c, cost_model, config))
+    cols = executor.price(slice_table([(OperandLayout(a), OperandLayout(b),
+                                        OperandLayout(c), resolved)]))
+    if config.iteration_offset:
+        order = offset_permutation(cols["rank"], cols["stat_i"], cols["stat_j"])
+        cols = {name: column[order] for name, column in cols.items()}
+    if direct:
         makespan, per_rank_stats = executor.execute_columns(cols)
         lowering_name = None
     else:
-        per_rank_ops = generate_all_ops(a, b, c, resolved)
-        if config.iteration_offset:
-            per_rank_ops = {
-                rank: apply_iteration_offset(ops) for rank, ops in per_rank_ops.items()
-            }
-        programs = lower_all_ranks(per_rank_ops, a, b, cost_model, config)
-        executor = IRExecutor(a, b, c, cost_model, config)
-        makespan, per_rank_stats = executor.execute(per_rank_ops, programs)
+        makespan, per_rank_stats = executor.execute(cols, lower_all_ranks(cols, config))
         lowering_name = config.lowering.value
 
     reduce_time = 0.0

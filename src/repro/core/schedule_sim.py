@@ -10,112 +10,120 @@ executor; both now price through the same
 
 Two entry points:
 
-* :func:`estimate_program_time` — pure cost-model estimate of one rank's
-  program, used inside the exhaustive-search lowering.
+* :func:`estimate_program_time` — estimate of one rank's program from its
+  :class:`~repro.core.graph.ComputationGraph`, used inside the
+  exhaustive-search lowering.
 * :class:`IRExecutor` — executes the programs of all ranks (real data
   movement + event emission), the IR-mode counterpart of
   :class:`repro.core.direct.DirectExecutor`.
+
+Both read durations the cost model priced once for the whole slicing table
+(:meth:`~repro.core.direct.TableExecutor.price`): the GEMM, accumulate and
+remote-flag columns of each op and the fetch seconds of each whole tile.
+Neither makes a cost-model call per op.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import ExecutionConfig
 from repro.core.cost_model import CostModel
+from repro.core.direct import TableExecutor
 from repro.core.graph import ComputationGraph, DataKey
 from repro.core.ir import IRProgram
-from repro.core.ops import LocalMatmulOp
 from repro.core.result import RankStats
 from repro.dist.matrix import DistributedMatrix
 from repro.sim.engine import EventEngine
 from repro.sim.events import ScheduledEvent
+from repro.util.indexing import Interval, Rect
 from repro.util.validation import SchedulingError
 
 
-def estimate_program_time(
-    program: IRProgram, graph: ComputationGraph, cost_model: CostModel
-) -> float:
-    """Cost-model estimate of one rank's IR program (no cross-rank contention)."""
+def estimate_program_time(program: IRProgram, graph: ComputationGraph) -> float:
+    """Estimate of one rank's IR program from its priced graph (no cross-rank contention)."""
     total = 0.0
     for step in program.steps:
-        comm_time = sum(
-            cost_model.transfer_time(comm.owner, graph.rank, comm.nbytes)
-            for comm in step.comms
-        )
+        comm_time = sum(comm.seconds for comm in step.comms)
         compute_time = 0.0
         accumulate_time = 0.0
         for compute in step.computes:
-            op = graph.ops[compute.op_index]
-            compute_time += cost_model.op_compute_time(op)
-            if op.c_is_remote:
-                accumulate_time += cost_model.accumulate_time(op.rank, op.c.owner, op.c_bytes)
+            index = compute.op_index
+            compute_time += graph.gemm[index]
+            if graph.c_remote[index]:
+                accumulate_time += graph.acc[index]
             else:
-                compute_time += cost_model.local_accumulate_time(op.c_bytes)
+                compute_time += graph.acc[index]
         total += max(comm_time, compute_time, accumulate_time)
     return total
 
 
-class IRExecutor:
+class IRExecutor(TableExecutor):
     """Executes lowered IR programs for every rank."""
 
-    def __init__(
-        self,
-        a: DistributedMatrix,
-        b: DistributedMatrix,
-        c: DistributedMatrix,
-        cost_model: CostModel,
-        config: Optional[ExecutionConfig] = None,
-        engine: Optional[EventEngine] = None,
-    ) -> None:
-        self.a = a
-        self.b = b
-        self.c = c
-        self.runtime = a.runtime
-        self.cost_model = cost_model
-        self.config = config or ExecutionConfig()
-        self.engine = engine or EventEngine(self.runtime.num_ranks)
+    def __init__(self, a: DistributedMatrix, b: DistributedMatrix, c: DistributedMatrix,
+                 cost_model: CostModel, config: Optional[ExecutionConfig] = None,
+                 engine: Optional[EventEngine] = None) -> None:
+        # Dense only: universal_matmul rejects structured workloads in IR mode.
+        super().__init__(a, b, c, cost_model, config, engine)
 
     # ------------------------------------------------------------------ #
     def execute(
         self,
-        per_rank_ops: Dict[int, List[LocalMatmulOp]],
+        cols: Mapping[str, np.ndarray],
         programs: Dict[int, IRProgram],
     ) -> Tuple[float, Dict[int, RankStats]]:
-        """Run every rank's program; returns (compute makespan, per-rank stats)."""
+        """Run every rank's program over priced table columns.
+
+        ``cols`` are :meth:`price`-d rows, rank-major; op ``i`` of a rank's
+        program is that rank's ``i``-th row.  Returns (compute makespan,
+        per-rank stats).
+        """
+        num_ranks = self.runtime.num_ranks
+        bounds = np.searchsorted(cols["rank"], np.arange(num_ranks + 1)).tolist()
+        tiles, regions = (([], []) if self.config.simulate_only
+                          else self.tile_regions(cols))
+        rows = {name: cols[name].tolist()
+                for name in ("gemm", "acc", "c_owner", "c_bytes", "flops",
+                             "a_key", "a_owner", "b_key", "b_owner")}
         makespan = 0.0
         stats: Dict[int, RankStats] = {}
-        for rank in range(self.runtime.num_ranks):
-            ops = per_rank_ops.get(rank, [])
+        for rank in range(num_ranks):
+            lo, hi = bounds[rank], bounds[rank + 1]
             program = programs.get(rank, IRProgram(rank=rank))
-            program.validate(len(ops))
-            finish, rank_stats = self._execute_rank(rank, ops, program)
+            program.validate(hi - lo)
+            finish, rank_stats = self._execute_rank(rank, lo, hi, program, rows,
+                                                    tiles, regions)
             stats[rank] = rank_stats
             makespan = max(makespan, finish)
         return makespan, stats
 
     # ------------------------------------------------------------------ #
-    def _execute_rank(
-        self, rank: int, ops: List[LocalMatmulOp], program: IRProgram
-    ) -> Tuple[float, RankStats]:
-        rank_stats = RankStats(rank=rank, num_ops=len(ops))
-        local_tiles: Dict[DataKey, np.ndarray] = {}
+    def _execute_rank(self, rank: int, lo: int, hi: int, program: IRProgram,
+                      rows: Dict[str, list], tiles: list, regions: list
+                      ) -> Tuple[float, RankStats]:
+        rank_stats = RankStats(rank=rank, num_ops=hi - lo)
         simulate_only = self.config.simulate_only
-
         matrices = {"A": self.a, "B": self.b}
+        c_replica = self.c.replica_of_rank(rank)
+        #: Tiles this rank holds: views of its own, copies of fetched ones.
+        held: Dict[DataKey, np.ndarray] = {}
 
-        def resolve(key: DataKey) -> np.ndarray:
-            name, replica, tile_idx = key
-            matrix = matrices[name]
-            if key in local_tiles:
-                return local_tiles[key]
-            owner = matrix.owner_rank(tile_idx, replica)
+        def hold(key: DataKey, owner: int) -> np.ndarray:
+            matrix = matrices[key[0]]
+            index = divmod(key[1], matrix.grid.num_col_tiles)
+            replica = matrix.replica_of_rank(rank)
+            held[key] = (matrix.tile(index, replica, rank=rank) if owner == rank
+                         else matrix.get_tile(index, replica, initiator=rank))
+            return held[key]
+
+        def operand(key: DataKey, owner: int) -> np.ndarray:
+            if key in held:
+                return held[key]
             if owner == rank:
-                view = matrix.tile(tile_idx, replica, rank=rank)
-                local_tiles[key] = view
-                return view
+                return hold(key, owner)
             raise SchedulingError(
                 f"rank {rank} needs tile {key} but it was never fetched by the IR program"
             )
@@ -124,50 +132,41 @@ class IRExecutor:
         for step_index, step in enumerate(program.steps):
             comm_time = 0.0
             for comm in step.comms:
-                name, replica, tile_idx = comm.data
-                matrix = matrices[name]
-                if comm.data not in local_tiles:
-                    if comm.owner == rank:
-                        if not simulate_only:
-                            local_tiles[comm.data] = matrix.tile(tile_idx, replica, rank=rank)
-                    else:
-                        if not simulate_only:
-                            local_tiles[comm.data] = matrix.get_tile(
-                                tile_idx, replica, initiator=rank
-                            )
-                        comm_time += self.cost_model.transfer_time(
-                            comm.owner, rank, comm.nbytes
-                        )
-                        rank_stats.remote_get_bytes += comm.nbytes
+                if comm.data in held:
+                    continue
+                if not simulate_only:
+                    hold(comm.data, comm.owner)
+                if comm.owner != rank:
+                    comm_time += comm.seconds
+                    rank_stats.remote_get_bytes += comm.nbytes
 
             compute_time = 0.0
             accumulate_time = 0.0
             for compute in step.computes:
-                op = ops[compute.op_index]
+                row = lo + compute.op_index
                 if not simulate_only:
-                    a_key: DataKey = ("A", op.a.replica, op.a.index)
-                    b_key: DataKey = ("B", op.b.replica, op.b.index)
-                    a_tile = resolve(a_key)
-                    b_tile = resolve(b_key)
-                    product = a_tile[op.a.local.as_slices()] @ b_tile[op.b.local.as_slices()]
-                compute_time += self.cost_model.op_compute_time(op)
-                rank_stats.flops += op.flops
+                    a_tile = operand(("A", rows["a_key"][row]), rows["a_owner"][row])
+                    b_tile = operand(("B", rows["b_key"][row]), rows["b_owner"][row])
+                    r0, r1, c0, c1 = regions[0][row]
+                    a_slice = a_tile[r0:r1, c0:c1]
+                    r0, r1, c0, c1 = regions[1][row]
+                    product = a_slice @ b_tile[r0:r1, c0:c1]
+                    r0, r1, c0, c1 = regions[2][row]
+                compute_time += rows["gemm"][row]
+                rank_stats.flops += rows["flops"][row]
 
-                if op.c_is_remote:
+                if rows["c_owner"][row] != rank:
                     if not simulate_only:
                         self.c.accumulate_tile(
-                            op.c.index, product, replica_idx=op.c.replica,
-                            initiator=rank, region=op.c.local,
+                            tiles[2][row], product, replica_idx=c_replica,
+                            initiator=rank, region=Rect(Interval(r0, r1), Interval(c0, c1)),
                         )
-                    accumulate_time += self.cost_model.accumulate_time(
-                        rank, op.c.owner, op.c_bytes
-                    )
-                    rank_stats.remote_accumulate_bytes += op.c_bytes
+                    accumulate_time += rows["acc"][row]
+                    rank_stats.remote_accumulate_bytes += rows["c_bytes"][row]
                 else:
                     if not simulate_only:
-                        view = self.c.tile(op.c.index, op.c.replica, rank=rank)
-                        view[op.c.local.as_slices()] += product
-                    compute_time += self.cost_model.local_accumulate_time(op.c_bytes)
+                        self.c.tile(tiles[2][row], c_replica, rank=rank)[r0:r1, c0:c1] += product
+                    compute_time += rows["acc"][row]
 
             rank_stats.compute_time += compute_time
             rank_stats.copy_time += comm_time

@@ -22,8 +22,9 @@ inside its rows, inside its columns, and inside its replica's share of the
 free axis — the data of CuPy's ``make_2d_index_map``.  :func:`slice_table`
 builds that product for a whole batch of tasks as one array program; the
 paper's loop order is recovered with one sort.  :func:`generate_all_ops`
-turns the rows into :class:`LocalMatmulOp` objects, and the planner's batch
-evaluator prices the same rows without building objects.
+turns the rows into :class:`LocalMatmulOp` objects and :func:`ops_table`
+turns op lists back into rows; the executors, the planner's batch evaluator
+and the cost-based strategy choice price the rows without building objects.
 """
 
 from __future__ import annotations
@@ -321,6 +322,40 @@ def _table_ops(a: DistributedMatrix, b: DistributedMatrix, c: DistributedMatrix,
     return per_rank
 
 
+#: The slicing-table columns :func:`ops_table` rebuilds from op lists.
+_OP_COLUMNS = ("rank", "m0", "m1", "k0", "k1", "n0", "n1", "a_key", "a_owner",
+               "b_key", "b_owner", "c_key", "c_owner", "stat_i", "stat_j")
+
+
+def ops_table(a: DistributedMatrix, b: DistributedMatrix, c: DistributedMatrix,
+              per_rank_ops: Dict[int, Sequence[LocalMatmulOp]]) -> Dict[str, np.ndarray]:
+    """Op lists as one task's slicing-table rows, the inverse of :func:`generate_all_ops`.
+
+    Rows are rank-major and in list order.  Every op must be an op of the
+    rank it is listed for, on that rank's own replicas of A, B and C and
+    with C's itemsize, as the slicing generator emits them.
+    """
+    rows = []
+    a_cols, b_cols, c_cols = (matrix.grid.num_col_tiles for matrix in (a, b, c))
+    for rank in range(a.runtime.num_ranks):
+        expected = [rank, c.dtype.itemsize] + [
+            matrix.replica_of_rank(rank) for matrix in (a, b, c)]
+        for op in per_rank_ops.get(rank, ()):
+            if [op.rank, op.itemsize, op.a.replica, op.b.replica, op.c.replica] != expected:
+                raise ValueError(f"op {op.describe()} listed for rank {rank} is not "
+                                 "an op of that rank on its own replicas of A, B and C")
+            rows.append((rank, op.m_bound.start, op.m_bound.stop, op.k_bound.start,
+                         op.k_bound.stop, op.n_bound.start, op.n_bound.stop,
+                         op.a.index[0] * a_cols + op.a.index[1], op.a.owner,
+                         op.b.index[0] * b_cols + op.b.index[1], op.b.owner,
+                         op.c.index[0] * c_cols + op.c.index[1], op.c.owner,
+                         *op.stationary_index))
+    table = dict(zip(_OP_COLUMNS, np.array(rows, dtype=np.int64)
+                     .reshape(-1, len(_OP_COLUMNS)).T))
+    table["task"] = np.zeros(len(rows), dtype=np.int64)
+    return table
+
+
 def generate_local_ops(
     a: DistributedMatrix,
     b: DistributedMatrix,
@@ -346,39 +381,14 @@ def generate_all_ops(
     return _table_ops(a, b, c, table)
 
 
-def apply_iteration_offset(ops: Sequence[LocalMatmulOp]) -> List[LocalMatmulOp]:
-    """Rotate each stationary tile's op group by the sum of its tile indices.
-
-    Without this offset every process in a grid row or column starts by
-    fetching the *same* remote tile at the same time, serialising on that
-    tile's owner.  Rotating the execution order by ``i + j`` (as in prior
-    one-sided work the paper cites) staggers the accesses (paper §4.2).
-    """
-    groups: Dict[tuple, List[LocalMatmulOp]] = {}
-    order: List[tuple] = []
-    for op in ops:
-        key = op.stationary_index
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(op)
-
-    result: List[LocalMatmulOp] = []
-    for key in order:
-        group = groups[key]
-        offset = (key[0] + key[1]) % len(group) if group else 0
-        result.extend(group[offset:])
-        result.extend(group[:offset])
-    return result
-
-
 def offset_permutation(rank: np.ndarray, stat_i: np.ndarray,
                        stat_j: np.ndarray) -> np.ndarray:
     """The iteration offset of rank-major table rows, as an index permutation.
 
     A stationary tile's ops are one contiguous run of its rank's rows; the
-    run is rotated left by ``(i + j) % len(run)``, exactly as
-    :func:`apply_iteration_offset` rotates op lists.
+    run is rotated left by ``(i + j) % len(run)``, which staggers the
+    ranks of a grid row or column that would otherwise all start by
+    fetching the same remote tile from one owner (paper §4.2).
     """
     num = rank.shape[0]
     if num == 0:

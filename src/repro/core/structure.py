@@ -45,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.util.indexing import Interval, ceil_div
 
@@ -569,16 +569,3 @@ def resolve_structure(structure: Optional[WorkloadStructure]) -> Optional[Worklo
         return None
     return structure
 
-
-def prune_structured_ops(per_rank_ops: Mapping[int, Sequence], structure: WorkloadStructure):
-    """Drop ops whose entire cuboid is masked/padded (no flops survive).
-
-    Applied identically before simulation and before bound computation, so
-    the planner's lower bounds and the event engine always price the same op
-    stream — which is what keeps the bounds admissible on sparse inputs.
-    """
-    return {
-        rank: [op for op in ops
-               if structure.flops_fraction(op.m_bound, op.k_bound, op.n_bound) > 0.0]
-        for rank, ops in per_rank_ops.items()
-    }

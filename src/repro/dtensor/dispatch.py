@@ -91,12 +91,12 @@ def _local_gemm_time(
     """Per-device GEMM time once operands are in the rule's placements."""
     size = mesh.size
     if rule.name == "stationary_a_rows":
-        return cost_model.gemm_time(-(-m // size), n, k, itemsize)
-    if rule.name == "stationary_b_cols":
-        return cost_model.gemm_time(m, -(-n // size), k, itemsize)
-    if rule.name == "outer_product_partial":
-        return cost_model.gemm_time(m, n, -(-k // size), itemsize)
-    return cost_model.gemm_time(m, n, k, itemsize)
+        m = -(-m // size)
+    elif rule.name == "stationary_b_cols":
+        n = -(-n // size)
+    elif rule.name == "outer_product_partial":
+        k = -(-k // size)
+    return float(cost_model.gemm_time(m, n, k, itemsize))
 
 
 def plan_matmul(

@@ -46,9 +46,9 @@ of that into a compile-once / price-vectorized / replay-memoized pipeline:
 
 Correctness bar: every number this module produces is **bit-equal** to the
 scalar path (the test oracle ``tests/bound_oracle.py`` and ``run_ua_point``).
-That is achieved by pricing with the shared pricer, whose formulas mirror the
-exact arithmetic (operation and association order) of
-:class:`repro.core.cost_model.CostModel`, and by emitting summation terms in
+That is achieved by pricing with the one pricer,
+:class:`repro.core.cost_model.CostModel` (held ``==`` to the scalar oracle
+``tests/pricing_oracle.py``), and by emitting summation terms in
 the exact order of the scalar accumulation loops — ``np.bincount`` adds its
 weights sequentially in input order, so per-slot partial sums round
 identically.  The property suite pins this across dense, block-sparse, and
@@ -208,9 +208,9 @@ class BatchEvaluator:
         #: (role, partition, replication) -> (matrix, layout, per-tile term).
         self._operands: Dict[Tuple[str, object, int],
                              Tuple[DistributedMatrix, OperandLayout, object]] = {}
-        #: Structured pricing per distinct (m, k, n) cuboid: bounds ->
-        #: (any live flops, c bytes, gemm seconds, flops).
-        self._cuboids: Dict[Tuple[int, ...], Tuple[bool, float, float, float]] = {}
+        #: Structured geometry per distinct (m, k, n) cuboid: bounds ->
+        #: (flops, a, b, c) live fractions + effective (m, n, k).
+        self._cuboids: Dict[Tuple[int, ...], Tuple[float, ...]] = {}
         self._classes: Dict[Tuple[int, Tuple[int, int, int]], _ClassData] = {}
         self._programs: Dict[Tuple[int, Tuple[int, int, int], str],
                              CandidateProgram] = {}
@@ -279,8 +279,8 @@ class BatchEvaluator:
 
         One :func:`repro.core.slicing.slice_table` call enumerates every
         candidate's ops; fully masked rows of structured workloads are then
-        dropped (as ``prune_structured_ops`` does) before the first-fetch
-        flags are computed, and each program keeps views of its own rows.
+        dropped (no flops survive) before the first-fetch flags are
+        computed, and each program keeps views of its own rows.
         The rows are then priced and reduced to each program's occupancy
         bound with one grouped segment-sum: each program's terms land in its
         own slot range, ``np.bincount`` accumulates them sequentially in

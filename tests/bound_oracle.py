@@ -4,7 +4,8 @@ The planner prices its bounds with :class:`repro.sim.batch.BatchEvaluator`:
 a vectorized occupancy pass over the slicing table and a memoized fold of
 the relaxed replay.  This module computes the same two bounds the plain way,
 from ``LocalMatmulOp`` lists of the paper-loop oracle
-(``tests/slicing_oracle.py``):
+(``tests/slicing_oracle.py``), priced by the scalar pricing oracle
+(``tests/pricing_oracle.py``):
 
 * :func:`direct_lower_bound` sums every engine's occupancy per device;
 * :func:`critical_path_lower_bound` replays the op lists on the relaxed
@@ -28,17 +29,9 @@ from repro.bench.sweep import run_ua_point, valid_replication_factors
 from repro.bench.workloads import Workload
 from repro.core.config import ExecutionConfig
 from repro.core.cost_model import CostModel
-from repro.core.matmul import model_reduce_time
 from repro.core.ops import LocalMatmulOp
-from repro.core.slicing import apply_iteration_offset
 from repro.core.stationary import parse_stationary
-from repro.core.structure import (
-    ROLE_A,
-    ROLE_B,
-    WorkloadStructure,
-    prune_structured_ops,
-    resolve_structure,
-)
+from repro.core.structure import ROLE_A, ROLE_B, WorkloadStructure, resolve_structure
 from repro.dist.matrix import DistributedMatrix
 from repro.planner.search import enumerate_candidates
 from repro.runtime.runtime import Runtime
@@ -46,7 +39,15 @@ from repro.sim.engine import EventEngine
 from repro.topology.machines import MachineSpec
 from repro.util.validation import float_dtype
 from tests.direct_oracle import OracleExecutor
-from tests.slicing_oracle import oracle_all_ops
+from tests.pricing_oracle import (
+    accumulate_time,
+    device_link_time,
+    local_accumulate_time,
+    reduce_time,
+    structured_op_compute_time,
+    transfer_time,
+)
+from tests.slicing_oracle import apply_iteration_offset, oracle_all_ops, prune_structured_ops
 
 #: The engine-occupancy bound: per-engine summed busy time.
 BOUND_OCCUPANCY = "occupancy"
@@ -108,14 +109,14 @@ def direct_lower_bound(
             else:
                 fractions = structure.op_fractions(op.m_bound, op.k_bound, op.n_bound)
                 c_bytes = op.c_bytes * fractions[3]
-            compute[rank] += cost_model.structured_op_compute_time(op, structure,
-                                                                   fractions)
+            compute[rank] += structured_op_compute_time(cost_model, op, structure,
+                                                        fractions)
             if op.c_is_remote:
-                accumulate[rank] += cost_model.accumulate_time(rank, op.c.owner, c_bytes)
-                ingress[op.c.owner] += cost_model.device_link_time(c_bytes,
-                                                                   accumulate=True)
+                accumulate[rank] += accumulate_time(cost_model, rank, op.c.owner, c_bytes)
+                ingress[op.c.owner] += device_link_time(cost_model, c_bytes,
+                                                        accumulate=True)
             else:
-                compute[rank] += cost_model.local_accumulate_time(c_bytes)
+                compute[rank] += local_accumulate_time(cost_model, c_bytes)
             for label, matrix, ref in ((ROLE_A, a, op.a), (ROLE_B, b, op.b)):
                 if ref.owner == rank:
                     continue
@@ -124,8 +125,8 @@ def direct_lower_bound(
                     continue
                 fetched.add(cache_key)
                 nbytes = full_tile_bytes(label, matrix, ref.index)
-                copy[rank] += cost_model.transfer_time(ref.owner, rank, nbytes)
-                egress[ref.owner] += cost_model.device_link_time(nbytes)
+                copy[rank] += transfer_time(cost_model, ref.owner, rank, nbytes)
+                egress[ref.owner] += device_link_time(cost_model, nbytes)
 
     per_device = (
         max(compute[d], copy[d], accumulate[d], ingress[d], egress[d])
@@ -199,7 +200,7 @@ def candidate_lower_bound(
         value = direct_lower_bound(cost_model, a, b, c, per_rank_ops,
                                    cache_remote_tiles=config.cache_remote_tiles,
                                    structure=structure)
-    return value + model_reduce_time(c, cost_model, structure=structure)
+    return value + reduce_time(cost_model, c, structure=structure)
 
 
 def exhaustive_ranking(

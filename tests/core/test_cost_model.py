@@ -3,26 +3,12 @@
 import pytest
 
 from repro.core.cost_model import CostModel, GemmShapeModel
-from repro.core.ops import LocalMatmulOp, OperandRef
 from repro.topology.machines import h100_system, pvc_system, uniform_system
-from repro.util.indexing import Interval, Rect
 
 
 @pytest.fixture
 def pvc_model():
     return CostModel(pvc_system(12))
-
-
-def make_op(rank, a_owner, b_owner, c_owner, m, k, n):
-    mb, kb, nb = Interval(0, m), Interval(0, k), Interval(0, n)
-    return LocalMatmulOp(
-        rank=rank,
-        a=OperandRef((0, 0), 0, a_owner, Rect(mb, kb)),
-        b=OperandRef((0, 0), 0, b_owner, Rect(kb, nb)),
-        c=OperandRef((0, 0), 0, c_owner, Rect(mb, nb)),
-        m_bound=mb, k_bound=kb, n_bound=nb,
-        stationary_index=(0, 0),
-    )
 
 
 class TestGemmShapeModel:
@@ -89,35 +75,6 @@ class TestCommunicationTimes:
 
     def test_zero_bytes_free(self, pvc_model):
         assert pvc_model.accumulate_time(0, 1, 0) == 0.0
-
-
-class TestOpLevel:
-    def test_fetch_time_counts_only_remote_operands(self, pvc_model):
-        local = make_op(0, 0, 0, 0, 128, 128, 128)
-        remote_b = make_op(0, 0, 5, 0, 128, 128, 128)
-        assert pvc_model.op_fetch_time(local) == 0.0
-        assert pvc_model.op_fetch_time(remote_b) > 0.0
-
-    def test_accumulate_time_local_vs_remote(self, pvc_model):
-        local = make_op(0, 0, 0, 0, 128, 128, 128)
-        remote = make_op(0, 0, 0, 5, 128, 128, 128)
-        assert pvc_model.op_accumulate_time(remote) > pvc_model.op_accumulate_time(local)
-
-    def test_estimate_op_list_lower_bounded_by_compute(self, pvc_model):
-        ops = [make_op(0, 0, 1, 0, 512, 512, 512) for _ in range(4)]
-        estimate = pvc_model.estimate_op_list(ops)
-        compute = sum(pvc_model.op_compute_time(op) for op in ops)
-        assert estimate >= compute
-
-    def test_estimate_empty(self, pvc_model):
-        assert pvc_model.estimate_op_list([]) == 0.0
-        assert pvc_model.estimate_op_lists({}) == 0.0
-
-    def test_estimate_op_lists_takes_slowest_rank(self, pvc_model):
-        light = [make_op(0, 0, 1, 0, 64, 64, 64)]
-        heavy = [make_op(1, 1, 0, 1, 2048, 2048, 2048)]
-        combined = pvc_model.estimate_op_lists({0: light, 1: heavy})
-        assert combined == pvc_model.estimate_op_list(heavy)
 
 
 class TestPercentOfPeak:

@@ -7,12 +7,14 @@ from repro.core.config import ExecutionConfig
 from repro.core.cost_model import CostModel
 from repro.core.direct import DirectExecutor
 from repro.core.matmul import universal_matmul
-from repro.core.slicing import apply_iteration_offset, generate_all_ops
+from repro.core.slicing import generate_all_ops
 from repro.core.stationary import Stationary
 from repro.dist.matrix import DistributedMatrix
 from repro.dist.partition import Block2D, ColumnBlock, RowBlock
 from repro.runtime.runtime import Runtime
 from repro.topology.machines import pvc_system, uniform_system
+from tests.pricing_oracle import op_compute_time
+from tests.slicing_oracle import apply_iteration_offset
 
 
 def build_problem(num_ranks=4, m=32, n=28, k=24, parts=None, materialize=True,
@@ -154,7 +156,7 @@ class TestOptimisationEffects:
         # Compute busy time must exceed the pure GEMM+local-accumulate time on
         # ranks that issued remote accumulates, because interference is added.
         for rank, rank_stats in stats.items():
-            pure = sum(cost_model.op_compute_time(op) for op in ops[rank])
+            pure = sum(op_compute_time(cost_model, op) for op in ops[rank])
             if rank_stats.remote_accumulate_bytes > 0:
                 assert rank_stats.compute_time > pure
 

@@ -7,8 +7,8 @@ from repro.core.cost_model import CostModel
 from repro.core.graph import ComputationGraph
 from repro.core.ir import IRCommOp, IRComputeOp, IRProgram, IRStep
 from repro.core.lowering import lower_all_ranks, lower_to_ir
-from repro.core.schedule_sim import estimate_program_time
-from repro.core.slicing import generate_all_ops, generate_local_ops
+from repro.core.schedule_sim import IRExecutor, estimate_program_time
+from repro.core.slicing import generate_all_ops, generate_local_ops, ops_table
 from repro.core.stationary import Stationary
 from repro.dist.matrix import DistributedMatrix
 from repro.dist.partition import Block2D, ColumnBlock, RowBlock
@@ -34,11 +34,20 @@ def cost_model(runtime):
     return CostModel(runtime.machine)
 
 
+def priced(a, b, c, cost_model, per_rank_ops):
+    """Priced table columns of op lists, as the IR path reads them."""
+    return IRExecutor(a, b, c, cost_model).price(ops_table(a, b, c, per_rank_ops))
+
+
+def rank_graph(a, b, c, cost_model, rank, ops):
+    return ComputationGraph.build(rank, priced(a, b, c, cost_model, {rank: ops}))
+
+
 class TestComputationGraph:
-    def test_build_records_all_dependencies(self, problem):
+    def test_build_records_all_dependencies(self, problem, cost_model):
         a, b, c = problem
         ops = generate_local_ops(a, b, c, Stationary.C, 0)
-        graph = ComputationGraph.build(0, ops, a, b)
+        graph = rank_graph(a, b, c, cost_model, 0, ops)
         assert graph.num_ops == len(ops)
         for index in range(graph.num_ops):
             deps = graph.dependencies[index]
@@ -46,37 +55,37 @@ class TestComputationGraph:
             names = {key[0] for key in deps}
             assert names == {"A", "B"}
 
-    def test_local_tiles_start_satisfied(self, problem):
+    def test_local_tiles_start_satisfied(self, problem, cost_model):
         a, b, c = problem
         ops = generate_local_ops(a, b, c, Stationary.C, 0)
-        graph = ComputationGraph.build(0, ops, a, b)
+        graph = rank_graph(a, b, c, cost_model, 0, ops)
         for key in graph.initially_satisfied:
             assert graph.data_nodes[key].owner == 0
 
-    def test_remote_data_keys_disjoint_from_satisfied(self, problem):
+    def test_remote_data_keys_disjoint_from_satisfied(self, problem, cost_model):
         a, b, c = problem
         ops = generate_local_ops(a, b, c, Stationary.C, 1)
-        graph = ComputationGraph.build(1, ops, a, b)
+        graph = rank_graph(a, b, c, cost_model, 1, ops)
         assert set(graph.remote_data_keys()).isdisjoint(graph.initially_satisfied)
 
-    def test_ops_depending_on(self, problem):
+    def test_ops_depending_on(self, problem, cost_model):
         a, b, c = problem
         ops = generate_local_ops(a, b, c, Stationary.C, 0)
-        graph = ComputationGraph.build(0, ops, a, b)
+        graph = rank_graph(a, b, c, cost_model, 0, ops)
         for key in graph.data_nodes:
             dependents = graph.ops_depending_on(key)
             assert all(key in graph.dependencies[index] for index in dependents)
 
-    def test_total_remote_bytes_positive_for_distributed_problem(self, problem):
+    def test_total_remote_bytes_positive_for_distributed_problem(self, problem, cost_model):
         a, b, c = problem
         ops = generate_local_ops(a, b, c, Stationary.C, 2)
-        graph = ComputationGraph.build(2, ops, a, b)
+        graph = rank_graph(a, b, c, cost_model, 2, ops)
         assert graph.total_remote_bytes() > 0
 
-    def test_is_ready(self, problem):
+    def test_is_ready(self, problem, cost_model):
         a, b, c = problem
         ops = generate_local_ops(a, b, c, Stationary.C, 0)
-        graph = ComputationGraph.build(0, ops, a, b)
+        graph = rank_graph(a, b, c, cost_model, 0, ops)
         all_keys = set(graph.data_nodes)
         for index in range(graph.num_ops):
             assert graph.is_ready(index, all_keys)
@@ -97,7 +106,7 @@ class TestIRProgram:
             program.validate(2)
 
     def test_validate_rejects_duplicate_comm(self):
-        comm = IRCommOp(("A", 0, (0, 0)), owner=1, nbytes=64)
+        comm = IRCommOp(("A", 0), owner=1, nbytes=64, seconds=1.0e-6)
         program = IRProgram(rank=0, steps=[IRStep(comms=[comm]), IRStep(comms=[comm])])
         with pytest.raises(ValueError):
             program.validate(0)
@@ -116,8 +125,8 @@ class TestLoweringStrategies:
         config = ExecutionConfig(lowering=strategy, exhaustive_search_limit=200)
         for rank in range(4):
             ops = generate_local_ops(a, b, c, Stationary.C, rank)
-            graph = ComputationGraph.build(rank, ops, a, b)
-            program = lower_to_ir(graph, cost_model, config)
+            graph = rank_graph(a, b, c, cost_model, rank, ops)
+            program = lower_to_ir(graph, config)
             program.validate(len(ops))
 
     def test_comms_precede_dependent_computes(self, problem, cost_model, strategy):
@@ -125,8 +134,8 @@ class TestLoweringStrategies:
         config = ExecutionConfig(lowering=strategy, exhaustive_search_limit=200)
         rank = 3
         ops = generate_local_ops(a, b, c, Stationary.C, rank)
-        graph = ComputationGraph.build(rank, ops, a, b)
-        program = lower_to_ir(graph, cost_model, config)
+        graph = rank_graph(a, b, c, cost_model, rank, ops)
+        program = lower_to_ir(graph, config)
 
         satisfied = set(graph.initially_satisfied)
         in_flight = set()
@@ -143,8 +152,8 @@ class TestLoweringStrategies:
         config = ExecutionConfig(lowering=strategy, exhaustive_search_limit=200)
         rank = 2
         ops = generate_local_ops(a, b, c, Stationary.C, rank)
-        graph = ComputationGraph.build(rank, ops, a, b)
-        program = lower_to_ir(graph, cost_model, config)
+        graph = rank_graph(a, b, c, cost_model, rank, ops)
+        program = lower_to_ir(graph, config)
         fetched = set(program.comm_keys())
         assert set(graph.remote_data_keys()) <= fetched | graph.initially_satisfied
 
@@ -154,13 +163,13 @@ class TestLoweringQuality:
         a, b, c = problem
         rank = 1
         ops = generate_local_ops(a, b, c, Stationary.C, rank)
-        graph = ComputationGraph.build(rank, ops, a, b)
-        greedy = lower_to_ir(graph, cost_model, ExecutionConfig(),
+        graph = rank_graph(a, b, c, cost_model, rank, ops)
+        greedy = lower_to_ir(graph, ExecutionConfig(),
                              strategy=LoweringStrategy.GREEDY)
-        cost_greedy = lower_to_ir(graph, cost_model, ExecutionConfig(),
+        cost_greedy = lower_to_ir(graph, ExecutionConfig(),
                                   strategy=LoweringStrategy.COST_GREEDY)
-        assert estimate_program_time(cost_greedy, graph, cost_model) <= \
-            estimate_program_time(greedy, graph, cost_model) * 1.25
+        assert estimate_program_time(cost_greedy, graph) <= \
+            estimate_program_time(greedy, graph) * 1.25
 
     def test_exhaustive_at_least_as_good_as_greedy(self, runtime, cost_model):
         a = DistributedMatrix.create(runtime, (16, 12), RowBlock(), name="A",
@@ -172,35 +181,35 @@ class TestLoweringQuality:
         rank = 0
         ops = generate_local_ops(a, b, c, Stationary.C, rank)
         assert 1 < len(ops) <= 6  # small enough to search exhaustively
-        graph = ComputationGraph.build(rank, ops, a, b)
+        graph = rank_graph(a, b, c, cost_model, rank, ops)
         config = ExecutionConfig(exhaustive_search_limit=10000)
-        greedy = lower_to_ir(graph, cost_model, config, strategy=LoweringStrategy.GREEDY)
-        exhaustive = lower_to_ir(graph, cost_model, config,
+        greedy = lower_to_ir(graph, config, strategy=LoweringStrategy.GREEDY)
+        exhaustive = lower_to_ir(graph, config,
                                  strategy=LoweringStrategy.EXHAUSTIVE)
-        assert estimate_program_time(exhaustive, graph, cost_model) <= \
-            estimate_program_time(greedy, graph, cost_model) + 1e-12
+        assert estimate_program_time(exhaustive, graph) <= \
+            estimate_program_time(greedy, graph) + 1e-12
 
     def test_exhaustive_falls_back_when_too_large(self, problem, cost_model):
         a, b, c = problem
         rank = 0
         ops = generate_local_ops(a, b, c, Stationary.C, rank)
-        graph = ComputationGraph.build(rank, ops, a, b)
+        graph = rank_graph(a, b, c, cost_model, rank, ops)
         config = ExecutionConfig(exhaustive_search_limit=1)
-        program = lower_to_ir(graph, cost_model, config,
+        program = lower_to_ir(graph, config,
                               strategy=LoweringStrategy.EXHAUSTIVE)
         program.validate(len(ops))  # falls back to cost-greedy but stays valid
 
     def test_lower_all_ranks(self, problem, cost_model):
         a, b, c = problem
         per_rank_ops = generate_all_ops(a, b, c, Stationary.C)
-        programs = lower_all_ranks(per_rank_ops, a, b, cost_model)
+        programs = lower_all_ranks(priced(a, b, c, cost_model, per_rank_ops))
         assert set(programs) == set(range(4))
         for rank, program in programs.items():
             program.validate(len(per_rank_ops[rank]))
 
     def test_empty_op_list(self, problem, cost_model):
-        a, b, _ = problem
-        graph = ComputationGraph.build(0, [], a, b)
-        program = lower_to_ir(graph, cost_model, ExecutionConfig())
+        a, b, c = problem
+        graph = rank_graph(a, b, c, cost_model, 0, [])
+        program = lower_to_ir(graph, ExecutionConfig())
         assert program.steps == []
-        assert estimate_program_time(program, graph, cost_model) == 0.0
+        assert estimate_program_time(program, graph) == 0.0

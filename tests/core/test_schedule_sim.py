@@ -9,13 +9,14 @@ from repro.core.graph import ComputationGraph
 from repro.core.ir import IRProgram, IRStep, IRComputeOp
 from repro.core.lowering import lower_all_ranks
 from repro.core.schedule_sim import IRExecutor, estimate_program_time
-from repro.core.slicing import generate_all_ops, generate_local_ops
+from repro.core.slicing import generate_all_ops, generate_local_ops, ops_table
 from repro.core.stationary import Stationary
 from repro.dist.matrix import DistributedMatrix
 from repro.dist.partition import Block2D, ColumnBlock, RowBlock
 from repro.runtime.runtime import Runtime
 from repro.topology.machines import uniform_system
 from repro.util.validation import SchedulingError
+from tests.pricing_oracle import op_accumulate_time, op_compute_time, op_fetch_time
 
 
 def build_problem(materialize=True):
@@ -41,28 +42,29 @@ class TestEstimateProgramTime:
         runtime, a, b, c = build_problem(materialize=False)
         cost_model = CostModel(runtime.machine)
         ops = generate_local_ops(a, b, c, Stationary.C, 1)
-        graph = ComputationGraph.build(1, ops, a, b)
-        programs = lower_all_ranks({1: ops}, a, b, cost_model)
-        estimate = estimate_program_time(programs[1], graph, cost_model)
-        serial = sum(cost_model.op_compute_time(op) + cost_model.op_fetch_time(op)
-                     + cost_model.op_accumulate_time(op) for op in ops)
+        cols = IRExecutor(a, b, c, cost_model).price(ops_table(a, b, c, {1: ops}))
+        graph = ComputationGraph.build(1, cols)
+        programs = lower_all_ranks(cols)
+        estimate = estimate_program_time(programs[1], graph)
+        serial = sum(op_compute_time(cost_model, op) + op_fetch_time(cost_model, op)
+                     + op_accumulate_time(cost_model, op) for op in ops)
         assert 0.0 < estimate <= serial + 1e-12
 
     def test_empty_program(self):
         runtime, a, b, c = build_problem(materialize=False)
         cost_model = CostModel(runtime.machine)
-        graph = ComputationGraph.build(0, [], a, b)
-        assert estimate_program_time(IRProgram(rank=0), graph, cost_model) == 0.0
+        cols = IRExecutor(a, b, c, cost_model).price(ops_table(a, b, c, {}))
+        graph = ComputationGraph.build(0, cols)
+        assert estimate_program_time(IRProgram(rank=0), graph) == 0.0
 
 
 class TestIRExecutor:
     def test_result_matches_numpy(self):
         runtime, a, b, c = build_problem()
         cost_model = CostModel(runtime.machine)
-        per_rank_ops = generate_all_ops(a, b, c, Stationary.C)
-        programs = lower_all_ranks(per_rank_ops, a, b, cost_model)
         executor = IRExecutor(a, b, c, cost_model, ExecutionConfig())
-        makespan, stats = executor.execute(per_rank_ops, programs)
+        cols = executor.price(ops_table(a, b, c, generate_all_ops(a, b, c, Stationary.C)))
+        makespan, stats = executor.execute(cols, lower_all_ranks(cols))
         np.testing.assert_allclose(c.to_dense(), a.to_dense() @ b.to_dense(), rtol=1e-9)
         assert makespan > 0.0
         assert sum(s.flops for s in stats.values()) == 2 * 28 * 26 * 20
@@ -70,21 +72,20 @@ class TestIRExecutor:
     def test_simulate_only_mode_touches_no_data(self):
         runtime, a, b, c = build_problem(materialize=False)
         cost_model = CostModel(runtime.machine)
-        per_rank_ops = generate_all_ops(a, b, c, Stationary.C)
-        programs = lower_all_ranks(per_rank_ops, a, b, cost_model)
         executor = IRExecutor(a, b, c, cost_model, ExecutionConfig(simulate_only=True))
-        makespan, stats = executor.execute(per_rank_ops, programs)
+        cols = executor.price(ops_table(a, b, c, generate_all_ops(a, b, c, Stationary.C)))
+        makespan, stats = executor.execute(cols, lower_all_ranks(cols))
         assert makespan > 0.0
         assert sum(s.remote_get_bytes for s in stats.values()) > 0
 
     def test_invalid_program_rejected(self):
         runtime, a, b, c = build_problem()
         cost_model = CostModel(runtime.machine)
-        per_rank_ops = generate_all_ops(a, b, c, Stationary.C)
         bad = {rank: IRProgram(rank=rank) for rank in range(4)}  # schedules nothing
         executor = IRExecutor(a, b, c, cost_model, ExecutionConfig())
+        cols = executor.price(ops_table(a, b, c, generate_all_ops(a, b, c, Stationary.C)))
         with pytest.raises(ValueError):
-            executor.execute(per_rank_ops, bad)
+            executor.execute(cols, bad)
 
     def test_missing_fetch_detected(self):
         runtime, a, b, c = build_problem()
@@ -98,17 +99,16 @@ class TestIRExecutor:
             for rank, ops in per_rank_ops.items()
         }
         executor = IRExecutor(a, b, c, cost_model, ExecutionConfig())
+        cols = executor.price(ops_table(a, b, c, per_rank_ops))
         with pytest.raises(SchedulingError):
-            executor.execute(per_rank_ops, programs)
+            executor.execute(cols, programs)
 
     @pytest.mark.parametrize("strategy", [LoweringStrategy.GREEDY,
                                           LoweringStrategy.COST_GREEDY])
     def test_all_lowerings_execute_correctly(self, strategy):
         runtime, a, b, c = build_problem()
         cost_model = CostModel(runtime.machine)
-        per_rank_ops = generate_all_ops(a, b, c, Stationary.B)
-        programs = lower_all_ranks(per_rank_ops, a, b, cost_model,
-                                   ExecutionConfig(), strategy)
         executor = IRExecutor(a, b, c, cost_model, ExecutionConfig())
-        executor.execute(per_rank_ops, programs)
+        cols = executor.price(ops_table(a, b, c, generate_all_ops(a, b, c, Stationary.B)))
+        executor.execute(cols, lower_all_ranks(cols, ExecutionConfig(), strategy))
         np.testing.assert_allclose(c.to_dense(), a.to_dense() @ b.to_dense(), rtol=1e-9)

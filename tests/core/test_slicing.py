@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.slicing import (
-    apply_iteration_offset,
     check_coverage,
     generate_all_ops,
     generate_local_ops,
@@ -14,6 +13,7 @@ from repro.dist.matrix import DistributedMatrix
 from repro.dist.partition import Block2D, ColumnBlock, CustomTiles, RowBlock
 from repro.runtime.runtime import Runtime
 from repro.topology.machines import uniform_system
+from tests.slicing_oracle import apply_iteration_offset
 from repro.util.validation import ShapeError
 
 

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.config import ExecutionConfig
 from repro.core.cost_model import CostModel
+from repro.core.matmul import universal_matmul
 from repro.core.stationary import (
     Stationary,
     choose_stationary_by_cost,
@@ -10,6 +12,7 @@ from repro.core.stationary import (
     estimate_all_strategies,
     parse_stationary,
 )
+from repro.core.structure import DENSE, BlockSparse, even_spread_mask
 from repro.dist.matrix import DistributedMatrix
 from repro.dist.partition import Block2D, ColumnBlock, RowBlock
 from repro.runtime.runtime import Runtime
@@ -89,3 +92,36 @@ class TestCostBasedSelection:
         model = CostModel(runtime.machine)
         estimates = estimate_all_strategies(a, b, c, model)
         assert estimates[Stationary.B] <= estimates[Stationary.A]
+
+
+class TestStructuredCostSelection:
+    """``stationary="cost"`` prices a structured workload's live work."""
+
+    @staticmethod
+    def _operands(runtime):
+        a = DistributedMatrix.create(runtime, (128, 256), ColumnBlock(), name="A",
+                                     materialize=False)
+        b = DistributedMatrix.create(runtime, (256, 128), RowBlock(), name="B",
+                                     materialize=False)
+        c = DistributedMatrix.create(runtime, (128, 128), ColumnBlock(), name="C",
+                                     materialize=False)
+        return a, b, c
+
+    def test_block_sparse_choice_is_the_fastest_strategy(self, runtime):
+        # One live 64x64 block of B: the dense envelope favours keeping A in
+        # place, but with 7 of 8 blocks masked Stationary C is far faster.
+        structure = BlockSparse(64, 64, even_spread_mask(4, 2, 1))
+        config = ExecutionConfig(simulate_only=True)
+        chosen = universal_matmul(*self._operands(runtime), stationary="cost",
+                                  config=config, structure=structure)
+        times = {strategy: universal_matmul(*self._operands(runtime), stationary=strategy,
+                                            config=config, structure=structure).simulated_time
+                 for strategy in Stationary}
+        assert chosen.stationary is Stationary.C
+        assert times[Stationary.C] == min(times.values())
+
+    def test_dense_structure_changes_nothing(self, runtime):
+        a, b, c = self._operands(runtime)
+        model = CostModel(runtime.machine)
+        assert estimate_all_strategies(a, b, c, model, DENSE) \
+            == estimate_all_strategies(a, b, c, model)

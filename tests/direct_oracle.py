@@ -2,7 +2,7 @@
 
 An independent implementation of paper Section 4.2's direct execution: it
 walks ``LocalMatmulOp`` objects one at a time and prices every op with
-scalar ``CostModel`` calls (prefetch ``prefetch_depth`` ops ahead, bounded
+the scalar pricing oracle ``tests/pricing_oracle.py`` (prefetch ``prefetch_depth`` ops ahead, bounded
 asynchronous GEMM/accumulate windows, the memory pool and the per-rank
 remote-tile cache).  The library executor,
 :class:`repro.core.direct.DirectExecutor`, walks priced slicing-table
@@ -27,6 +27,13 @@ from repro.dist.matrix import DistributedMatrix
 from repro.runtime.clock import ACCUMULATE, COMPUTE, COPY
 from repro.sim.engine import EventEngine
 from repro.sim.events import ScheduledEvent
+from tests.pricing_oracle import (
+    accumulate_time,
+    device_link_time,
+    local_accumulate_time,
+    structured_op_compute_time,
+    transfer_time,
+)
 
 _MATRIX_A = "A"
 _MATRIX_B = "B"
@@ -175,9 +182,8 @@ class OracleExecutor:
                                                     op.n_bound)
             op_flops = op.flops * fractions[0]
             c_bytes = op.c_bytes * fractions[3]
-        gemm_duration = self.cost_model.structured_op_compute_time(
-            op, self.structure, fractions
-        )
+        gemm_duration = structured_op_compute_time(self.cost_model, op, self.structure,
+                                                   fractions)
         gemm_event = self.engine.gemm(state.rank, gemm_duration, deps=gemm_deps,
                                       label="gemm")
         state.gemm_events.append(gemm_event)
@@ -193,8 +199,8 @@ class OracleExecutor:
                     initiator=state.rank,
                     region=op.c.local,
                 )
-            duration = self.cost_model.accumulate_time(state.rank, op.c.owner, c_bytes)
-            occupancy = self.cost_model.device_link_time(c_bytes, accumulate=True)
+            duration = accumulate_time(self.cost_model, state.rank, op.c.owner, c_bytes)
+            occupancy = device_link_time(self.cost_model, c_bytes, accumulate=True)
             # The accumulate cannot start before the producing GEMM finished,
             # before the initiator's own accumulate queue drains, and it must
             # find a free slot in the destination's shared ingress capacity
@@ -214,7 +220,7 @@ class OracleExecutor:
             if not config.simulate_only:
                 c_view = self.c.tile(op.c.index, op.c.replica, rank=state.rank)
                 c_view[op.c.local.as_slices()] += product
-            duration = self.cost_model.local_accumulate_time(c_bytes)
+            duration = local_accumulate_time(self.cost_model, c_bytes)
             acc_event = self.engine.local_accumulate(
                 state.rank, duration, deps=(gemm_event,), label="local-accumulate"
             )
@@ -261,8 +267,8 @@ class OracleExecutor:
             # Only live data crosses the wire: masked B blocks and padding
             # rows of A are never fetched (a fully masked tile costs 0).
             nbytes *= self.structure.live_fraction(matrix_key, bounds.rows, bounds.cols)
-        duration = self.cost_model.transfer_time(owner, rank, nbytes)
-        occupancy = self.cost_model.device_link_time(nbytes)
+        duration = transfer_time(self.cost_model, owner, rank, nbytes)
+        occupancy = device_link_time(self.cost_model, nbytes)
         # The fetch starts once the reader's own copy queue (its ingress
         # bandwidth, processed in program order) is free, and must find an
         # idle slot in the owner's shared egress capacity — one-to-many tile

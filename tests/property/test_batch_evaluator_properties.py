@@ -36,14 +36,7 @@ from repro.core.config import ExecutionConfig
 from repro.core.cost_model import CostModel
 from repro.core.slicing import check_coverage, generate_all_ops
 from repro.core.stationary import Stationary, parse_stationary
-from repro.core.structure import (
-    ROLE_A,
-    ROLE_B,
-    BlockSparse,
-    MoERagged,
-    prune_structured_ops,
-    resolve_structure,
-)
+from repro.core.structure import ROLE_A, ROLE_B, BlockSparse, MoERagged, resolve_structure
 from repro.dist.partition import CustomTiles
 from repro.planner.search import Candidate, enumerate_candidates, search_partitionings
 from repro.sim.batch import BatchEvaluator
@@ -55,7 +48,8 @@ from tests.bound_oracle import (
     candidate_lower_bound,
     exhaustive_ranking,
 )
-from tests.slicing_oracle import oracle_all_ops
+from tests.pricing_oracle import structured_op_compute_time
+from tests.slicing_oracle import oracle_all_ops, prune_structured_ops
 
 
 @st.composite
@@ -222,7 +216,7 @@ def _assert_table_matches_oracle(machine, workload, config, candidate):
         gemm = 0.0  # dense GEMMs are priced by the vectorized pass
         if structure is not None:
             c_bytes *= structure.op_fractions(op.m_bound, op.k_bound, op.n_bound)[3]
-            gemm = cost_model.structured_op_compute_time(op, structure)
+            gemm = structured_op_compute_time(cost_model, op, structure)
         expected = {
             "rank": op.rank, "m": op.m, "n": op.n, "k": op.k,
             "m0": op.m_bound.start, "k0": op.k_bound.start, "n0": op.n_bound.start,
@@ -239,8 +233,8 @@ def _assert_table_matches_oracle(machine, workload, config, candidate):
         assert set(table) == set(expected)
         for name, value in expected.items():
             assert table[name][i] == value, (i, name)
-        assert program.col["gemm"][i] == cost_model.structured_op_compute_time(
-            op, structure), i
+        assert program.col["gemm"][i] == structured_op_compute_time(
+            cost_model, op, structure), i
 
 
 class TestCompiledTableMatchesReference:

@@ -32,13 +32,12 @@ from repro.core.direct import DirectExecutor
 from repro.core.matmul import universal_matmul
 from repro.core.slicing import (
     OperandLayout,
-    apply_iteration_offset,
     generate_all_ops,
     offset_permutation,
     slice_table,
 )
 from repro.core.stationary import Stationary
-from repro.core.structure import BlockSparse, MoERagged, prune_structured_ops
+from repro.core.structure import BlockSparse, MoERagged
 from repro.dist.matrix import DistributedMatrix
 from repro.dist.partition import Block2D, ColumnBlock, CustomTiles, RowBlock
 from repro.planner.search import Candidate
@@ -48,6 +47,7 @@ from repro.sim.engine import EventEngine
 from repro.topology.machines import GB, h100_system, pvc_system, uniform_system
 from tests.direct_oracle import OracleExecutor
 from tests.property.test_batch_evaluator_properties import CUPY_SPLITS
+from tests.slicing_oracle import apply_iteration_offset, prune_structured_ops
 
 MACHINES = {
     "pvc": pvc_system,

@@ -27,12 +27,12 @@ from repro.core.config import ExecutionConfig
 from repro.core.cost_model import CostModel
 from repro.core.direct import DirectExecutor
 from repro.core.matmul import model_reduce_time, plan_ops
-from repro.core.slicing import apply_iteration_offset
 from repro.dist.matrix import DistributedMatrix
 from repro.runtime.clock import ENGINES
 from repro.sim import EventEngine
 from repro.topology.machines import GB, uniform_system
 from tests.bound_oracle import critical_path_lower_bound, direct_lower_bound
+from tests.slicing_oracle import apply_iteration_offset
 
 _SCHEMES = {scheme.name: scheme for scheme in ua_schemes()}
 

@@ -14,17 +14,13 @@ import pytest
 from repro.bench.schemes import ua_schemes
 from repro.bench.workloads import Workload
 from repro.core.config import ExecutionConfig
-from repro.core.slicing import apply_iteration_offset, generate_all_ops
+from repro.core.slicing import generate_all_ops
 from repro.core.stationary import parse_stationary
-from repro.core.structure import (
-    BlockSparse,
-    MoERagged,
-    prune_structured_ops,
-    resolve_structure,
-)
+from repro.core.structure import BlockSparse, MoERagged, resolve_structure
 from repro.planner.search import enumerate_candidates
 from repro.sim.batch import BatchEvaluator
 from repro.topology.machines import uniform_system
+from tests.slicing_oracle import apply_iteration_offset, prune_structured_ops
 
 MACHINE = uniform_system(4)
 CONFIG = ExecutionConfig(simulate_only=True)

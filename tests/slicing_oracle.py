@@ -6,14 +6,21 @@ keeps the loop form of paper Algorithm 1 (Stationary C), Algorithm 2
 table op for op against an independent enumeration.  Each loop walks the
 rank's stationary tiles, queries ``overlapping_tiles`` on the other two
 operands and intersects the bounds.
+
+It also keeps the op-list forms of two table transforms: the iteration
+offset (:func:`apply_iteration_offset`, whose table form is
+``repro.core.slicing.offset_permutation``) and the structured-row pruning
+(:func:`prune_structured_ops`, which ``CostModel.event_columns`` does on
+rows).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Mapping, Sequence
 
 from repro.core.ops import LocalMatmulOp, OperandRef
 from repro.core.stationary import Stationary
+from repro.core.structure import WorkloadStructure
 from repro.dist.matrix import DistributedMatrix
 from repro.util.indexing import Interval, Rect
 from repro.util.validation import check_matmul_shapes
@@ -130,4 +137,40 @@ def oracle_all_ops(a: DistributedMatrix, b: DistributedMatrix, c: DistributedMat
     return {
         rank: [op for op in loop(a, b, c, rank) if not op.is_empty]
         for rank in range(a.runtime.num_ranks)
+    }
+
+
+def apply_iteration_offset(ops: Sequence[LocalMatmulOp]) -> List[LocalMatmulOp]:
+    """Rotate each stationary tile's op group by the sum of its tile indices.
+
+    Without this offset every process in a grid row or column starts by
+    fetching the *same* remote tile at the same time, serialising on that
+    tile's owner.  Rotating the execution order by ``i + j`` (as in prior
+    one-sided work the paper cites) staggers the accesses (paper §4.2).
+    """
+    groups: Dict[tuple, List[LocalMatmulOp]] = {}
+    order: List[tuple] = []
+    for op in ops:
+        key = op.stationary_index
+        if key not in groups:
+            groups[key] = []
+            order.append(key)
+        groups[key].append(op)
+
+    result: List[LocalMatmulOp] = []
+    for key in order:
+        group = groups[key]
+        offset = (key[0] + key[1]) % len(group) if group else 0
+        result.extend(group[offset:])
+        result.extend(group[:offset])
+    return result
+
+
+def prune_structured_ops(per_rank_ops: Mapping[int, Sequence[LocalMatmulOp]],
+                         structure: WorkloadStructure) -> Dict[int, List[LocalMatmulOp]]:
+    """Drop ops whose entire cuboid is masked/padded (no flops survive)."""
+    return {
+        rank: [op for op in ops
+               if structure.flops_fraction(op.m_bound, op.k_bound, op.n_bound) > 0.0]
+        for rank, ops in per_rank_ops.items()
     }
