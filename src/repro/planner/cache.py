@@ -674,6 +674,7 @@ class PlanCache:
             if self.ttl_seconds is not None and now - created_at > self.ttl_seconds:
                 with self._lock:
                     self._expirations += 1
+                    self._m_expirations.inc()
                 continue
             self.put(str(key), entry, created_at=created_at)
             loaded += 1

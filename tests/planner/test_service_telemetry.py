@@ -239,3 +239,30 @@ class TestGraphPlanTelemetry:
         assert stats.plans_computed == 1
         assert stats.cache_hits == 1
         assert stats.candidates_simulated > 0
+
+
+class _FakeClock:
+    def __init__(self, now=1000.0):
+        self.now = now
+
+    def __call__(self):
+        return self.now
+
+
+class TestStoreExpirations:
+    def test_expired_store_entries_reach_the_exported_counter(self, tmp_path):
+        clock = _FakeClock()
+        store = str(tmp_path / "plans.json")
+        options = dict(SERVICE_OPTIONS, store_path=store, cache_ttl_seconds=30.0,
+                       clock=clock)
+        with PlannerService(uniform_system(4), **options) as service:
+            service.plan(make_workload())
+            service.plan(make_workload(128, 96, 32))
+            service.save_store()
+        clock.now += 100.0
+        registry = MetricsRegistry()
+        with PlannerService(uniform_system(4), metrics=registry,
+                            **options) as reopened:
+            assert reopened.cache_stats().expirations == 2
+            counters = registry.snapshot()["counters"]
+            assert counters["repro_plan_cache_expirations_total"] == 2.0
