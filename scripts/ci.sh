@@ -93,7 +93,7 @@ python benchmarks/e2e/run.py --workload matmul_direct --seconds 3
 echo "== docs: markdown link check + executable-doc snippet smoke =="
 python scripts/check_docs.py
 
-echo "== docs: docstring coverage gate (planner + serve >= 90%) =="
-python scripts/check_docstrings.py --threshold 90 src/repro/planner src/repro/serve
+echo "== docs: docstring coverage gate (planner + serve + obs >= 90%) =="
+python scripts/check_docstrings.py --threshold 90 src/repro/planner src/repro/serve src/repro/obs
 
 echo "CI passed."

@@ -1,15 +1,16 @@
 """Thread-safe metrics registry: counters, gauges, fixed-bucket histograms.
 
-The registry is the one substrate every layer's counters publish onto —
-serving counters (:class:`~repro.planner.service.PlannerService`), plan-cache
-counters (:class:`~repro.planner.cache.PlanCache`), and search phase timings
-all register instruments here instead of inventing bespoke dicts.  Three
-properties drive the design:
+The registry is the one export point for every layer's telemetry.  A count
+a component keeps (plan-cache hits, served requests, refresh tasks) stays
+in that component, which exports it through one *source*
+(:meth:`MetricsRegistry.add_source`) read at snapshot time; only values no
+component keeps — latency histograms, search-phase timers — are live
+instruments here.  Three properties drive the design:
 
-* **cheap on the hot path** — ``inc()`` / ``observe()`` are one short
-  lock-protected arithmetic op; callers create their instruments *once* at
-  init and hold the objects, so serving never pays a name lookup.  A
-  component wired to :data:`NULL_REGISTRY` gets no-op instruments, so
+* **cheap on the hot path** — a source costs serving nothing, and a live
+  instrument's ``inc()`` / ``observe()`` is one short lock-protected
+  arithmetic op on an object created once at init.  A component wired to
+  :data:`NULL_REGISTRY` gets no-op instruments and registers no source, so
   disabled observability costs a single attribute call;
 * **mergeable** — :meth:`MetricsRegistry.snapshot` is a plain dict and
   :func:`merge_snapshots` sums any number of them, so per-worker snapshots
@@ -18,16 +19,16 @@ properties drive the design:
   not) as Prometheus text exposition, so the fleet is one HTTP handler away
   from a real monitoring stack.
 
-Instruments are identified by a base name plus optional label key/values
-(``registry.counter("repro_plan_requests_total", outcome="hit")``); the same
-(name, labels) pair always returns the same instrument.
+Samples are identified by a base name plus optional label key/values
+(:func:`instrument_name`: ``repro_plan_cache_lookups_total{result="hit"}``);
+the same (name, labels) pair always returns the same instrument.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 #: Default histogram bucket upper bounds for latencies, in seconds.  Log-ish
 #: spacing from microseconds (warm cache hits) to tens of seconds (worst-case
@@ -170,6 +171,8 @@ class _NullInstrument:
 NULL_INSTRUMENT = _NullInstrument()
 
 
+Samples = Dict[str, Dict[str, float]]  #: ``{"counters": {name: v}, "gauges": {...}}``
+
 def empty_snapshot() -> Dict[str, object]:
     """A snapshot with no samples (what a disabled registry exports)."""
     return {"counters": {}, "gauges": {}, "histograms": {}, "help": {}}
@@ -186,6 +189,7 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        self._sources: List[Callable[[], Samples]] = []
         self._help: Dict[str, str] = {}
 
     # ------------------------------------------------------------------ #
@@ -227,11 +231,28 @@ class MetricsRegistry:
             self._remember_help(name, help)
             return instrument
 
+    def add_source(self, read: Callable[[], Samples],
+                   help: Mapping[str, str]) -> None:
+        """Export counters and gauges that a component keeps itself.
+
+        ``read()`` returns a :data:`Samples` dict with names built by
+        :func:`instrument_name`, read under the owner's own lock so one
+        snapshot is consistent across them; :meth:`snapshot` calls it
+        outside the registry lock.  ``help`` maps base names to help text.
+        A source stays registered for the registry's lifetime, so exported
+        counters never decrease.
+        """
+        with self._lock:
+            self._sources.append(read)
+            for name, text in help.items():
+                self._remember_help(name, text)
+
     # ------------------------------------------------------------------ #
     # export
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[str, object]:
-        """Point-in-time dict of every sample (JSON-safe, mergeable).
+        """Point-in-time dict of every sample (JSON-safe, mergeable); live
+        instruments and source samples share the dicts, same names adding up.
 
         Layout::
 
@@ -245,10 +266,17 @@ class MetricsRegistry:
             counters = list(self._counters.values())
             gauges = list(self._gauges.values())
             histograms = list(self._histograms.values())
+            sources = list(self._sources)
             help_text = dict(self._help)
+        exported = {"counters": {c.full_name: c.value for c in counters},
+                    "gauges": {g.full_name: g.value for g in gauges}}
+        for read in sources:
+            for kind, samples in read().items():
+                into = exported[kind]
+                for name, value in samples.items():
+                    into[name] = into.get(name, 0.0) + float(value)
         return {
-            "counters": {c.full_name: c.value for c in counters},
-            "gauges": {g.full_name: g.value for g in gauges},
+            **exported,
             "histograms": {h.full_name: h.state() for h in histograms},
             "help": help_text,
         }
@@ -276,6 +304,10 @@ class NullMetricsRegistry:
                   **labels: str) -> _NullInstrument:
         """A shared no-op instrument."""
         return NULL_INSTRUMENT
+
+    def add_source(self, read: Callable[[], Samples],
+                   help: Mapping[str, str]) -> None:
+        """Ignore the source (a disabled registry exports nothing)."""
 
     def snapshot(self) -> Dict[str, object]:
         """Always empty."""

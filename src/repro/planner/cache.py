@@ -4,6 +4,7 @@ The cache maps :meth:`ProblemSignature.key` strings to :class:`PlanEntry`
 values (the ranked recommendations computed by the search).  Serving traffic
 is read-heavy and highly repetitive, so the hot path is a single ordered-dict
 lookup under a lock; hit/miss/eviction counters make cache sizing observable.
+They are kept once, here; a metrics registry exports :meth:`PlanCache.stats`.
 
 Long-lived serving workers mean the store must be **bounded**: in addition to
 the entry-count capacity, the cache can enforce a byte budget (``max_bytes``,
@@ -52,7 +53,7 @@ from typing import Callable, Dict, List, Optional
 from repro.bench.schemes import scheme_by_name
 from repro.bench.selector import PartitioningRecommendation
 from repro.bench.workloads import Workload
-from repro.obs.metrics import NULL_REGISTRY
+from repro.obs.metrics import NULL_REGISTRY, Samples, instrument_name
 
 #: Schema version of the persistent plan store.  Version 3 added per-entry
 #: creation timestamps (for TTL eviction across processes); version 2 added
@@ -212,6 +213,23 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
+_LOOKUPS = "repro_plan_cache_lookups_total"
+
+#: Help text of every sample :meth:`PlanCache._samples` exports.
+_HELP = {
+    "repro_plan_cache_lookups_total": "Plan-cache lookups by result.",
+    "repro_plan_cache_puts_total": "Plan-cache inserts.",
+    "repro_plan_cache_evictions_total": "Entries evicted by capacity/byte pressure.",
+    "repro_plan_cache_expirations_total": "Entries dropped by TTL.",
+    "repro_plan_cache_stale_serves_total":
+        "Expired-but-in-grace entries served pending a refresh.",
+    "repro_plan_cache_invalidations_total":
+        "Entries dropped explicitly (e.g. structure drift).",
+    "repro_plan_cache_entries": "Resident plan-cache entries.",
+    "repro_plan_cache_bytes": "Serialized bytes of resident entries.",
+}
+
+
 class _Slot:
     """Internal cache slot: the entry plus its bookkeeping (age and footprint)."""
 
@@ -265,10 +283,10 @@ class PlanCache:
     outlives a cold-but-recent one under byte pressure.  With no weights set
     the behavior is exactly the historical LRU, bit for bit.
 
-    ``metrics`` optionally wires the counters onto a
-    :class:`~repro.obs.metrics.MetricsRegistry` (hits/misses/puts/evictions/
-    expirations counters plus resident entry/byte gauges); left unset, the
-    no-op registry keeps the hot path free.
+    ``metrics`` optionally exports the counters (lookups by result, puts,
+    evictions, expirations, stale serves, invalidations) and resident
+    entry/byte gauges on a :class:`~repro.obs.metrics.MetricsRegistry`,
+    read from :meth:`stats` at snapshot time.
     """
 
     def __init__(
@@ -305,30 +323,8 @@ class PlanCache:
         self._stale_serves = 0
         self._invalidations = 0
         self._weights: Optional[Dict[str, float]] = None
-        registry = metrics if metrics is not None else NULL_REGISTRY
-        self._m_lookups_hit = registry.counter(
-            "repro_plan_cache_lookups_total", "Plan-cache lookups by result.",
-            result="hit")
-        self._m_lookups_miss = registry.counter(
-            "repro_plan_cache_lookups_total", "Plan-cache lookups by result.",
-            result="miss")
-        self._m_puts = registry.counter(
-            "repro_plan_cache_puts_total", "Plan-cache inserts.")
-        self._m_evictions = registry.counter(
-            "repro_plan_cache_evictions_total",
-            "Entries evicted by capacity/byte pressure.")
-        self._m_expirations = registry.counter(
-            "repro_plan_cache_expirations_total", "Entries dropped by TTL.")
-        self._m_stale_serves = registry.counter(
-            "repro_plan_cache_stale_serves_total",
-            "Expired-but-in-grace entries served pending a refresh.")
-        self._m_invalidations = registry.counter(
-            "repro_plan_cache_invalidations_total",
-            "Entries dropped explicitly (e.g. structure drift).")
-        self._m_entries = registry.gauge(
-            "repro_plan_cache_entries", "Resident plan-cache entries.")
-        self._m_bytes = registry.gauge(
-            "repro_plan_cache_bytes", "Serialized bytes of resident entries.")
+        (metrics if metrics is not None else NULL_REGISTRY).add_source(
+            self._samples, _HELP)
 
     # ------------------------------------------------------------------ #
     # lookup / insert
@@ -340,85 +336,52 @@ class PlanCache:
         slot = self._entries.pop(key)
         self._total_bytes -= slot.size_bytes
 
-    def _sync_gauges(self) -> None:
-        self._m_entries.set(float(len(self._entries)))
-        self._m_bytes.set(float(self._total_bytes))
-
     def get(self, key: str) -> Optional[PlanEntry]:
         """Return the entry for ``key`` (refreshing its recency) or ``None``.
 
         An entry whose TTL has elapsed is dropped and reported as a miss —
-        the caller re-plans exactly as it would for a key never seen.
+        the caller re-plans exactly as it would for a key never seen (the
+        grace window never applies here).
         """
-        found = self.get_with_age(key)
+        found = self._lookup(key, None)
         return found[0] if found is not None else None
-
-    def get_with_age(self, key: str) -> Optional[tuple]:
-        """Like :meth:`get`, but returns ``(entry, age_seconds)`` on a hit.
-
-        The age is measured from the entry's insertion (or its persisted
-        ``created_at`` after a store round trip) — the "plan age" that
-        serving telemetry reports per request.
-        """
-        with self._lock:
-            slot = self._entries.get(key)
-            if slot is None:
-                self._misses += 1
-                self._m_lookups_miss.inc()
-                return None
-            now = self._clock()
-            if self._expired(slot, now):
-                self._drop(key)
-                self._expirations += 1
-                self._misses += 1
-                self._m_expirations.inc()
-                self._m_lookups_miss.inc()
-                self._sync_gauges()
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            self._m_lookups_hit.inc()
-            return (slot.entry, max(0.0, now - slot.created_at))
 
     def get_for_serving(self, key: str) -> Optional[tuple]:
         """Serving lookup: ``(entry, age_seconds, stale)`` or ``None``.
 
-        The stale-while-revalidate variant of :meth:`get_with_age`.  A fresh
-        entry behaves identically (``stale=False``).  An entry whose TTL
-        elapsed less than ``grace_seconds`` ago is *kept and returned* with
-        ``stale=True`` — the caller should serve it immediately and enqueue a
-        background refresh — and counts as a hit plus a stale serve.  Past
+        The age is measured from the entry's insertion (or its persisted
+        ``created_at`` after a store round trip) — the "plan age" serving
+        telemetry reports per request.  A fresh entry is returned with
+        ``stale=False``.  An entry whose TTL elapsed less than
+        ``grace_seconds`` ago is *kept and returned* with ``stale=True`` —
+        the caller should serve it immediately and enqueue a background
+        refresh — and counts as a hit plus a stale serve.  Past
         ``ttl + grace`` (or with no grace window configured) expiry is hard:
         the entry is dropped and the lookup is a miss, exactly as
         :meth:`get`.
         """
+        return self._lookup(key, self.grace_seconds)
+
+    def _lookup(self, key: str, grace: Optional[float]) -> Optional[tuple]:
+        """The one lookup body: hit, miss and expiry are counted here."""
         with self._lock:
             slot = self._entries.get(key)
             if slot is None:
                 self._misses += 1
-                self._m_lookups_miss.inc()
                 return None
             now = self._clock()
-            if self._expired(slot, now):
-                overshoot = (now - slot.created_at) - (self.ttl_seconds or 0.0)
-                if self.grace_seconds is None or overshoot > self.grace_seconds:
-                    self._drop(key)
-                    self._expirations += 1
-                    self._misses += 1
-                    self._m_expirations.inc()
-                    self._m_lookups_miss.inc()
-                    self._sync_gauges()
-                    return None
-                self._entries.move_to_end(key)
-                self._hits += 1
-                self._stale_serves += 1
-                self._m_lookups_hit.inc()
-                self._m_stale_serves.inc()
-                return (slot.entry, max(0.0, now - slot.created_at), True)
+            age = now - slot.created_at
+            stale = self.ttl_seconds is not None and age > self.ttl_seconds
+            if stale and (grace is None or age - self.ttl_seconds > grace):
+                self._drop(key)
+                self._expirations += 1
+                self._misses += 1
+                return None
             self._entries.move_to_end(key)
             self._hits += 1
-            self._m_lookups_hit.inc()
-            return (slot.entry, max(0.0, now - slot.created_at), False)
+            if stale:
+                self._stale_serves += 1
+            return (slot.entry, max(0.0, age), stale)
 
     def invalidate(self, key: str) -> bool:
         """Explicitly drop one entry (no hit/miss accounting); True if present.
@@ -434,8 +397,6 @@ class PlanCache:
                 return False
             self._drop(key)
             self._invalidations += 1
-            self._m_invalidations.inc()
-            self._sync_gauges()
             return True
 
     def _victim(self, protect: str) -> str:
@@ -482,7 +443,6 @@ class PlanCache:
                                        size)
             self._total_bytes += size
             self._puts += 1
-            self._m_puts.inc()
             while len(self._entries) > self.capacity or (
                 self.max_bytes is not None
                 and self._total_bytes > self.max_bytes
@@ -490,8 +450,6 @@ class PlanCache:
             ):
                 self._drop(self._victim(key))
                 self._evictions += 1
-                self._m_evictions.inc()
-            self._sync_gauges()
 
     def set_traffic_weights(self, weights: Optional[Dict[str, float]]) -> None:
         """Install per-signature traffic weights guiding eviction.
@@ -521,9 +479,7 @@ class PlanCache:
             stale = [key for key, slot in self._entries.items() if self._expired(slot, now)]
             for key in stale:
                 self._drop(key)
-                self._m_expirations.inc()
             self._expirations += len(stale)
-            self._sync_gauges()
             return len(stale)
 
     def __len__(self) -> int:
@@ -549,7 +505,6 @@ class PlanCache:
         with self._lock:
             self._entries.clear()
             self._total_bytes = 0
-            self._sync_gauges()
 
     def entry_ages(self) -> Dict[str, float]:
         """Age in seconds of every resident entry (no recency/counter effects)."""
@@ -575,6 +530,23 @@ class PlanCache:
                               stale_serves=self._stale_serves,
                               invalidations=self._invalidations,
                               grace_seconds=self.grace_seconds)
+
+    def _samples(self) -> Samples:
+        """The registry source: every exported sample from one :meth:`stats`."""
+        stats = self.stats()
+        return {
+            "counters": {
+                instrument_name(_LOOKUPS, {"result": "hit"}): stats.hits,
+                instrument_name(_LOOKUPS, {"result": "miss"}): stats.misses,
+                "repro_plan_cache_puts_total": stats.puts,
+                "repro_plan_cache_evictions_total": stats.evictions,
+                "repro_plan_cache_expirations_total": stats.expirations,
+                "repro_plan_cache_stale_serves_total": stats.stale_serves,
+                "repro_plan_cache_invalidations_total": stats.invalidations,
+            },
+            "gauges": {"repro_plan_cache_entries": stats.size,
+                       "repro_plan_cache_bytes": stats.total_bytes},
+        }
 
     # ------------------------------------------------------------------ #
     # persistence
@@ -674,7 +646,6 @@ class PlanCache:
             if self.ttl_seconds is not None and now - created_at > self.ttl_seconds:
                 with self._lock:
                     self._expirations += 1
-                    self._m_expirations.inc()
                 continue
             self.put(str(key), entry, created_at=created_at)
             loaded += 1

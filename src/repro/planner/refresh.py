@@ -33,9 +33,10 @@ never change *what* is recommended — only *when* it is computed.
 
 The engine is **off by default** and costs nothing when off: the service's
 observation hook is ``None`` (one attribute check per request), and no
-thread exists.  When on, everything is observable through the service's
-metrics registry (task counters by kind, a queue-depth gauge, a
-refresh-latency histogram) and :meth:`BackgroundRefresher.stats`.
+thread exists.  When on, everything is observable through
+:meth:`BackgroundRefresher.stats`, which the service's metrics registry
+exports (task counters by kind, completed and skipped counters, a
+queue-depth gauge) beside a live refresh-latency histogram.
 
 Thread and fork semantics: ``start()`` spawns one scheduler plus a bounded
 worker pool, all daemon threads; ``stop()``/``close()`` are idempotent and
@@ -60,7 +61,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.bench.workloads import Workload
 from repro.core.structure import BlockSparse, MoERagged, even_spread_mask
-from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS
+from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, Samples, instrument_name
 from repro.obs.reqlog import iter_records
 from repro.planner.signature import ProblemSignature
 from repro.util.logging import get_logger, log_event
@@ -78,6 +79,16 @@ KIND_PREWARM = "prewarm"
 
 _PRIORITY = {KIND_STALE: 0, KIND_DRIFT: 1, KIND_TTL: 2,
              KIND_ROLLUP: 3, KIND_PREWARM: 4}
+
+#: Help text of every sample :meth:`BackgroundRefresher._samples` exports.
+_HELP = {
+    "repro_refresh_tasks_total": "Background refresh tasks scheduled, by kind.",
+    "repro_refresh_completed_total":
+        "Background refreshes that installed a fresh plan.",
+    "repro_refresh_skipped_total":
+        "Refresh tasks skipped (already in flight or already fresh).",
+    "repro_refresh_queue_depth": "Pending background refresh tasks.",
+}
 
 #: Kinds that are speculative: skipped at execution time if the key became
 #: resident (fresh) in the meantime — recomputing would be pure waste.
@@ -450,20 +461,7 @@ class BackgroundRefresher:
         self._pid: Optional[int] = None
 
         registry = service.metrics_registry
-        self._m_tasks = {
-            kind: registry.counter(
-                "repro_refresh_tasks_total",
-                "Background refresh tasks scheduled, by kind.", kind=kind)
-            for kind in _PRIORITY
-        }
-        self._m_completed = registry.counter(
-            "repro_refresh_completed_total",
-            "Background refreshes that installed a fresh plan.")
-        self._m_skipped = registry.counter(
-            "repro_refresh_skipped_total",
-            "Refresh tasks skipped (already in flight or already fresh).")
-        self._m_depth = registry.gauge(
-            "repro_refresh_queue_depth", "Pending background refresh tasks.")
+        registry.add_source(self._samples, _HELP)
         self._m_latency = registry.histogram(
             "repro_refresh_latency_seconds",
             "Background refresh (search) latency in seconds.",
@@ -530,7 +528,6 @@ class BackgroundRefresher:
                        _Task(self._seq, kind, key, signature, top_k))
         self._enqueued.add(key)
         self._stats.scheduled[kind] += 1
-        self._m_tasks[kind].inc()
         if len(self._heap) > self.max_queue:
             victim = max(self._heap, key=lambda task: (task.priority, task.seq))
             self._heap.remove(victim)
@@ -538,9 +535,7 @@ class BackgroundRefresher:
             self._enqueued.discard(victim.key)
             self._stats.dropped += 1
             if victim.key == key:
-                self._m_depth.set(float(len(self._heap)))
                 return False
-        self._m_depth.set(float(len(self._heap)))
         self._work_ready.notify()
         return True
 
@@ -551,7 +546,6 @@ class BackgroundRefresher:
         task = heapq.heappop(self._heap)
         self._enqueued.discard(task.key)
         self._active.add(task.key)
-        self._m_depth.set(float(len(self._heap)))
         return task
 
     def _execute(self, task: _Task) -> None:
@@ -560,7 +554,6 @@ class BackgroundRefresher:
             if task.kind in _SPECULATIVE and task.key in self.service.cache:
                 with self._lock:
                     self._stats.skipped_fresh += 1
-                self._m_skipped.inc()
                 return
             started = time.perf_counter()
             computed = self.service.refresh(task.signature, top_k=task.top_k)
@@ -571,10 +564,7 @@ class BackgroundRefresher:
                 else:
                     self._stats.skipped_inflight += 1
             if computed:
-                self._m_completed.inc()
                 self._m_latency.observe(elapsed)
-            else:
-                self._m_skipped.inc()
         except Exception as error:  # noqa: BLE001 - the pool must survive
             with self._lock:
                 self._stats.failed += 1
@@ -774,6 +764,17 @@ class BackgroundRefresher:
             snapshot = replace(self._stats, scheduled=dict(self._stats.scheduled))
             snapshot.queue_depth = len(self._heap)
             return snapshot
+
+    def _samples(self) -> Samples:
+        """The registry source: the exported counters from one :meth:`stats`."""
+        stats = self.stats()
+        counters = {instrument_name("repro_refresh_tasks_total", {"kind": kind}): count
+                    for kind, count in stats.scheduled.items()}
+        counters["repro_refresh_completed_total"] = stats.completed
+        counters["repro_refresh_skipped_total"] = (stats.skipped_inflight
+                                                   + stats.skipped_fresh)
+        return {"counters": counters,
+                "gauges": {"repro_refresh_queue_depth": stats.queue_depth}}
 
     # ------------------------------------------------------------------ #
     # threads

@@ -17,8 +17,9 @@ but production-shaped:
 * **observable** — serving counters (requests, hits, coalesced waits,
   simulations, pruning) are aggregated across the service's lifetime, and a
   service constructed with a metrics registry / tracer / request log
-  (:mod:`repro.obs`) publishes per-request telemetry: outcome counters and
-  latency histograms, one span tree per request, one log line per request;
+  (:mod:`repro.obs`) publishes per-request telemetry: outcome counters
+  (exported from :class:`ServiceStats`, the one store) and latency
+  histograms, one span tree per request, one log line per request;
 * **adaptive** — :meth:`~PlannerService.apply_rollup` feeds compacted
   telemetry back into serving (traffic-weighted cache eviction),
   :meth:`~PlannerService.refresh_candidates` names the hot signatures a
@@ -53,7 +54,12 @@ from repro.bench.selector import PartitioningRecommendation
 from repro.bench.workloads import Workload
 from repro.core.config import ExecutionConfig
 from repro.core.cost_model import CostModel
-from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, NULL_REGISTRY
+from repro.obs.metrics import (
+    DEFAULT_LATENCY_BUCKETS,
+    NULL_REGISTRY,
+    Samples,
+    instrument_name,
+)
 from repro.obs.reqlog import RequestRecord
 from repro.obs.rollup import Rollup
 from repro.obs.tracing import NULL_TRACER, current_trace_id
@@ -209,14 +215,14 @@ def _outcome_of(response: "PlanResponse") -> str:
 class _Telemetry:
     """Observability sink for one service (constructed only when enabled).
 
-    Bundles the metrics instruments, the tracer, and the request log so the
+    Bundles the live instruments, the tracer, and the request log so the
     serving path pays exactly one ``is None`` check when observability is
     off, and holds pre-created instruments so the enabled path never pays a
-    registry lookup per request.
+    registry lookup per request.  Request counts live in :class:`ServiceStats`.
     """
 
     __slots__ = ("registry", "tracer", "request_log", "worker_index", "clock",
-                 "_requests", "_latency", "_phase")
+                 "_latency", "_phase")
 
     _OUTCOMES = ("hit", "stale", "computed", "coalesced")
     _PHASES = ("opgen", "bound", "refine", "simulate")
@@ -231,12 +237,6 @@ class _Telemetry:
         # the same clock as TTL/grace/plan-age accounting, or fake-clock
         # replays log wall-clock times the cache state never saw.
         self.clock = clock
-        self._requests = {
-            outcome: self.registry.counter(
-                "repro_planner_requests_total",
-                "Planning requests served, by outcome.", outcome=outcome)
-            for outcome in self._OUTCOMES
-        }
         self._latency = {
             outcome: self.registry.histogram(
                 "repro_planner_latency_seconds",
@@ -254,7 +254,6 @@ class _Telemetry:
     def record(self, response: "PlanResponse", workload_name: str) -> None:
         """Publish one served request to every enabled backend."""
         outcome = _outcome_of(response)
-        self._requests[outcome].inc()
         self._latency[outcome].observe(response.planning_time)
         phases: Dict[str, float] = {}
         stats = response.search_stats
@@ -355,6 +354,9 @@ class PlannerService:
         self._lock = threading.Lock()
         self._inflight: Dict[str, _InFlight] = {}
         self._stats = ServiceStats()
+        self.metrics_registry.add_source(self._samples, {
+            "repro_planner_requests_total":
+                "Planning requests served, by outcome."})
         # The machine and search options are fixed for the service's lifetime,
         # so their digests are computed once — the warm path must stay a dict
         # lookup, not an O(devices^2) hash per request.  The factory is the
@@ -603,12 +605,14 @@ class PlannerService:
             search_stats=search_stats)
 
     def _lead(self, key: str, flight: _InFlight, compute, signature, subject,
-              option) -> Tuple[PlanEntry, SearchStats]:
+              option, background: bool = False) -> Tuple[PlanEntry, SearchStats]:
         """Compute and cache ``key``'s entry as the single-flight leader.
 
         Waiters parked on ``flight`` wake with the entry or the error, and
         the key leaves the in-flight table either way, so a failed flight
-        never poisons it.  Counts the computed plan and autosaves.
+        never poisons it.  Counts the computed plan (a ``background``
+        refresh in the same locked block, so no snapshot sees it as a
+        foreground computation) and autosaves.
         """
         try:
             entry, search_stats = compute(self, signature, subject, option)
@@ -623,6 +627,8 @@ class PlannerService:
             flight.event.set()
         with self._lock:
             self._stats.plans_computed += 1
+            if background:
+                self._stats.background_refreshes += 1
             self._stats.candidates_simulated += search_stats.num_simulated
             self._stats.candidates_pruned += search_stats.num_pruned
             if search_stats.num_seeded:
@@ -701,6 +707,18 @@ class PlannerService:
         """Snapshot of the lifetime serving counters."""
         with self._lock:
             return replace(self._stats)
+
+    def _samples(self) -> Samples:
+        """The registry source: requests by outcome from one :meth:`stats`
+        (a background refresh is a computed plan no request asked for)."""
+        stats = self.stats()
+        counts = {"hit": stats.cache_hits - stats.stale_hits,
+                  "stale": stats.stale_hits,
+                  "coalesced": stats.coalesced_requests,
+                  "computed": stats.plans_computed - stats.background_refreshes}
+        return {"counters": {
+            instrument_name("repro_planner_requests_total", {"outcome": outcome}): count
+            for outcome, count in counts.items()}}
 
     @property
     def metrics_registry(self):
@@ -800,9 +818,7 @@ class PlannerService:
                 return False
             self._inflight[key] = flight
         self._lead(key, flight, PlannerService._compute_plan, signature, None,
-                   self.top_k if top_k is None else top_k)
-        with self._lock:
-            self._stats.background_refreshes += 1
+                   self.top_k if top_k is None else top_k, background=True)
         return True
 
     def cache_stats(self):

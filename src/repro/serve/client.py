@@ -246,7 +246,7 @@ class PlanClient:
 
     def plan_graph(self, graph, *,
                    lattice_size: Optional[int] = None) -> RemoteGraphPlanResponse:
-        """Request a joint layout plan for an op graph (protocol 1.3).
+        """Request a joint layout plan for an op graph.
 
         Same pooling/retry/tracing discipline as :meth:`plan`; the traced
         request runs inside a ``client.plan_graph`` span.
@@ -288,8 +288,8 @@ class PlanClient:
         return response
 
     def ping(self) -> Dict[str, object]:
-        """Liveness probe; returns the owning worker's ``{"worker", "pid"}``
-        (plus its ``protocol`` version on 1.1+ servers)."""
+        """Liveness probe; returns the owning worker's ``{"worker", "pid",
+        "generation", "protocol"}``."""
         return self._request(protocol.ping_request())
 
     def metrics(self) -> Dict[str, object]:

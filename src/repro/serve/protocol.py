@@ -20,8 +20,8 @@ Requests are objects with an ``"op"`` discriminator:
   its recorded spans in the response payload (``"spans"``), so one request
   renders as a single cross-process timeline
 * ``{"op": "plan_graph", "graph": <OpGraph.to_dict()>, "lattice_size":
-  <int|null>}`` — joint layout planning over an op chain/DAG (protocol 1.3);
-  accepts the same optional ``"trace"`` context as ``plan``
+  <int|null>}`` — joint layout planning over an op chain/DAG; accepts the
+  same optional ``"trace"`` context as ``plan``
 * ``{"op": "ping"}`` — identify the worker owning this connection (the reply
   carries the worker's :data:`PROTOCOL_VERSION`)
 * ``{"op": "stats"}`` — that worker's serving/cache counters
@@ -40,12 +40,12 @@ option, optional trace), and a ``plan_graph`` result is the
 ``greedy_makespan`` and ``method`` — read back as a
 :class:`RemoteGraphPlanResponse`, a :class:`RemotePlanResponse` subclass.
 
-Versioning: new request fields are optional and new response fields default
-cleanly, so minor versions interoperate both ways — an old client simply
-never sends ``trace`` and ignores ``plan_age``/``spans``; an old server
-ignores unknown request keys.  :data:`PROTOCOL_VERSION` names the dialect a
-build speaks (minor bumps are additive; a major bump would break framing or
-required fields).
+Versioning: replies have one dialect (:data:`PROTOCOL_VERSION`).  A
+fleet's parent, workers and clients are one build, so every field a server
+always sends is required and a reply missing one raises
+:class:`ProtocolError`; only ``trace_id``/``spans`` are optional (tracing
+is per request).  Requests keep optional fields, and a server ignores
+unknown request keys.
 
 Frames larger than :data:`MAX_MESSAGE_BYTES` are rejected on both send and
 receive — a corrupt length header must fail fast, not allocate gigabytes.
@@ -77,7 +77,7 @@ from repro.planner.service import PlanResponse
 #: ``plan``/``plan_graph``/``ping`` — the answering worker's restart
 #: incarnation (0 for the originally forked worker, +1 per supervised
 #: restart), so clients and tests can tell a fresh-cache restarted worker
-#: from its predecessor.  All additive — 1.x peers interoperate.
+#: from its predecessor.
 PROTOCOL_VERSION = (1, 4)
 
 #: Frame header: one network-order unsigned 32-bit payload length.
@@ -249,7 +249,7 @@ def plan_request(workload: Workload, top_k: Optional[int] = None,
 
 def plan_graph_request(graph, lattice_size: Optional[int] = None,
                        trace: Optional[Dict[str, object]] = None) -> Dict[str, object]:
-    """Build the ``plan_graph`` request for one op graph (protocol 1.3).
+    """Build the ``plan_graph`` request for one op graph.
 
     Args:
         graph: the :class:`repro.core.graph.OpGraph` to plan jointly.
@@ -321,19 +321,18 @@ class RemotePlanResponse:
     num_pruned: int
     worker: int
     pid: int
-    #: Age in seconds of the served plan at serve time (0.0 when computed;
-    #: protocol 1.1, defaults for 1.0 servers).
+    #: Age in seconds of the served plan at serve time (0.0 when computed).
     plan_age: float = 0.0
     #: True when the plan came from an expired-but-in-grace cache entry
-    #: (stale-while-revalidate; protocol 1.2, defaults for older servers).
+    #: (stale-while-revalidate).
     stale: bool = False
-    #: The answering worker's restart incarnation (protocol 1.4; 0 both for
-    #: never-restarted workers and when talking to older servers).
+    #: The answering worker's restart incarnation (0 for a never-restarted
+    #: worker).
     generation: int = 0
     #: Trace id the worker served under (``None`` when tracing was off).
     trace_id: Optional[str] = None
-    #: Wire-form span dicts the worker recorded for this request (protocol
-    #: 1.1; the client absorbs them into its own tracer).
+    #: Wire-form span dicts the worker recorded for this request (the
+    #: client absorbs them into its own tracer).
     spans: List[Dict[str, object]] = field(default_factory=list)
 
     @property
@@ -343,22 +342,33 @@ class RemotePlanResponse:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "RemotePlanResponse":
-        """Rebuild from the wire form produced by :func:`plan_response_payload`."""
+        """Rebuild from the wire form of :func:`plan_response_payload` (or
+        :func:`graph_plan_response_payload`); raises :class:`ProtocolError`
+        when a required field is missing or malformed."""
+        try:
+            return cls(**cls._fields(payload))
+        except (KeyError, TypeError, ValueError) as error:
+            raise ProtocolError(f"malformed {cls.__name__} reply: "
+                                f"{type(error).__name__}: {error}") from error
+
+    @staticmethod
+    def _fields(payload: Dict[str, object]) -> Dict[str, object]:
+        """Constructor arguments read from the wire form (KeyError if absent)."""
         trace_id = payload.get("trace_id")
-        return cls(
+        return dict(
             recommendations=[recommendation_from_dict(item)
                              for item in payload["recommendations"]],  # type: ignore[union-attr]
             signature_key=str(payload["signature_key"]),
             cache_hit=bool(payload["cache_hit"]),
             coalesced=bool(payload["coalesced"]),
             planning_time=float(payload["planning_time"]),  # type: ignore[arg-type]
-            num_simulated=int(payload.get("num_simulated", 0)),  # type: ignore[arg-type]
-            num_pruned=int(payload.get("num_pruned", 0)),  # type: ignore[arg-type]
-            worker=int(payload.get("worker", -1)),  # type: ignore[arg-type]
-            pid=int(payload.get("pid", 0)),  # type: ignore[arg-type]
-            plan_age=float(payload.get("plan_age", 0.0)),  # type: ignore[arg-type]
-            stale=bool(payload.get("stale", False)),
-            generation=int(payload.get("generation", 0)),  # type: ignore[arg-type]
+            num_simulated=int(payload["num_simulated"]),  # type: ignore[arg-type]
+            num_pruned=int(payload["num_pruned"]),  # type: ignore[arg-type]
+            worker=int(payload["worker"]),  # type: ignore[arg-type]
+            pid=int(payload["pid"]),  # type: ignore[arg-type]
+            plan_age=float(payload["plan_age"]),  # type: ignore[arg-type]
+            stale=bool(payload["stale"]),
+            generation=int(payload["generation"]),  # type: ignore[arg-type]
             trace_id=str(trace_id) if trace_id is not None else None,
             spans=list(payload.get("spans") or []),  # type: ignore[arg-type]
         )
@@ -366,7 +376,7 @@ class RemotePlanResponse:
 
 @dataclass
 class RemoteGraphPlanResponse(RemotePlanResponse):
-    """A served joint graph plan as seen by the client (protocol 1.3).
+    """A served joint graph plan as seen by the client.
 
     A :class:`RemotePlanResponse` — ``recommendations`` holds the chosen
     layout per op, in op order — plus the graph fields of
@@ -382,15 +392,17 @@ class RemoteGraphPlanResponse(RemotePlanResponse):
     #: Which solver produced the assignment (chain DP or branch-and-bound).
     method: str = ""
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "RemoteGraphPlanResponse":
-        """Rebuild from the wire form of :func:`graph_plan_response_payload`."""
-        response = super().from_dict(payload)
-        response.assignment = [int(x) for x in payload.get("assignment", [])]  # type: ignore[union-attr]
-        response.makespan = float(payload.get("makespan", 0.0))  # type: ignore[arg-type]
-        response.greedy_makespan = float(payload.get("greedy_makespan", 0.0))  # type: ignore[arg-type]
-        response.method = str(payload.get("method", ""))
-        return response
+    @staticmethod
+    def _fields(payload: Dict[str, object]) -> Dict[str, object]:
+        """The plan fields plus the graph fields (KeyError if absent)."""
+        fields = RemotePlanResponse._fields(payload)
+        fields.update(
+            assignment=[int(x) for x in payload["assignment"]],  # type: ignore[union-attr]
+            makespan=float(payload["makespan"]),  # type: ignore[arg-type]
+            greedy_makespan=float(payload["greedy_makespan"]),  # type: ignore[arg-type]
+            method=str(payload["method"]),
+        )
+        return fields
 
 
 def plan_response_payload(response: PlanResponse, worker: int, pid: int,
@@ -407,7 +419,7 @@ def plan_response_payload(response: PlanResponse, worker: int, pid: int,
         trace_id: the trace the worker served under, when tracing was on.
         spans: the worker's recorded spans for this request (wire-form
             dicts); omitted from the payload when ``None``.
-        generation: the worker's restart incarnation (protocol 1.4).
+        generation: the worker's restart incarnation.
     """
     stats = response.search_stats
     payload: Dict[str, object] = {

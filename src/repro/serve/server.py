@@ -17,10 +17,10 @@ process boundary in the codebase:
   and every connection it owns, decoding frames with
   :class:`~repro.serve.protocol.FrameDecoder` and answering ``plan`` /
   ``ping`` / ``stats`` requests;
-* the parent aggregates per-worker counters on demand
-  (:meth:`PlanServer.aggregate_stats`) by round-tripping a stats request on
-  each control pipe — the only cross-worker communication, and it never
-  blocks serving;
+* the parent aggregates per-worker counters and metrics on demand
+  (:meth:`PlanServer.aggregate_stats` / :meth:`PlanServer.aggregate_metrics`)
+  through one control-pipe round trip per worker (``_collect``) — the only
+  cross-worker communication, and it never blocks serving;
 * a **supervisor** thread in the parent (on by default, see
   ``auto_restart``) detects dead workers and re-forks them in place with a
   bumped ``generation``, backing off exponentially per
@@ -58,7 +58,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bench.workloads import Workload
 from repro.core.graph import OpGraph
-from repro.obs.metrics import MetricsRegistry, empty_snapshot, merge_snapshots
+from repro.obs.metrics import MetricsRegistry, instrument_name, merge_snapshots
 from repro.obs.reqlog import RequestLog
 from repro.obs.tracing import Tracer
 from repro.planner.service import PlannerService
@@ -332,9 +332,6 @@ class PlanServer:
         self._pending_restarts: Dict[int, float] = {}
         self._restart_counts: Dict[int, int] = {}
         self._supervisor_lock = threading.Lock()
-        #: Parent-side registry holding supervision metrics (restart counts);
-        #: merged into :meth:`aggregate_metrics` output.
-        self._parent_metrics = MetricsRegistry() if enable_metrics else None
         self._tempdir: Optional[tempfile.TemporaryDirectory] = None
         self._unix_path: Optional[str] = None
         self._stats_seq = 0
@@ -561,11 +558,6 @@ class PlanServer:
         with self._supervisor_lock:
             self._restart_counts[old.index] = (
                 self._restart_counts.get(old.index, 0) + 1)
-        if self._parent_metrics is not None:
-            self._parent_metrics.counter(
-                "repro_serve_worker_restarts_total",
-                help="Workers re-forked by the parent supervisor.",
-                worker=str(old.index)).inc()
         log_event(_LOG, "serve.worker.restart", worker=old.index,
                   generation=handle.generation, pid=handle.process.pid or 0)
 
@@ -651,22 +643,15 @@ class PlanServer:
         return [h.index for h in self._workers
                 if not h.dead and h.process.is_alive()]
 
-    def aggregate_stats(self, timeout: float = 10.0) -> ServerStats:
-        """Collect and sum every live worker's serving/cache counters.
+    def _collect(self, op: str, timeout: float) -> List[Dict[str, object]]:
+        """Round-trip snapshot ``op`` on every live worker's control pipe.
 
-        Each worker answers a stats round-trip on its control pipe between
-        requests; a worker that stays busy past ``timeout`` (or died) is
-        simply absent from the snapshot.
-
-        Args:
-            timeout: per-worker ceiling on waiting for the reply, seconds.
-
-        Returns:
-            The fleet-wide :class:`~repro.serve.stats.ServerStats`.
+        Returns the replies that arrived; a worker that stays busy past
+        ``timeout`` seconds (or died) is simply absent.
         """
         if not self._started:
             raise RuntimeError("PlanServer not started")
-        snapshots: List[WorkerStats] = []
+        replies: List[Dict[str, object]] = []
         for handle in self._workers:
             if handle.dead or not handle.process.is_alive():
                 continue
@@ -680,7 +665,7 @@ class PlanServer:
                 # worker's reply wait.
                 with handle.stats_lock:
                     with handle.lock:
-                        handle.pipe.send(("stats", seq))
+                        handle.pipe.send((op, seq))
                     # One deadline for the whole wait: draining a stale reply
                     # (from a timed-out earlier round-trip) must not restart
                     # the window, or ``timeout`` stops being a ceiling.
@@ -690,57 +675,41 @@ class PlanServer:
                         if remaining <= 0 or not handle.pipe.poll(remaining):
                             break
                         message = handle.pipe.recv()
-                        if message[0] == "stats" and message[1] == seq:
-                            snapshots.append(WorkerStats.from_dict(message[2]))
+                        if message[0] == op and message[1] == seq:
+                            replies.append(message[2])
                             break
             except (OSError, EOFError, ValueError):
                 continue
-        return ServerStats.from_workers(snapshots,
-                                        restarts=self.restart_counts())
+        return replies
+
+    def aggregate_stats(self, timeout: float = 10.0) -> ServerStats:
+        """Sum every answering worker's serving/cache counters (see
+        :meth:`_collect` for ``timeout``) into a
+        :class:`~repro.serve.stats.ServerStats`."""
+        workers = [WorkerStats.from_dict(reply)
+                   for reply in self._collect("stats", timeout)]
+        return ServerStats.from_workers(workers, restarts=self.restart_counts())
 
     def aggregate_metrics(self, timeout: float = 10.0) -> Dict[str, object]:
-        """Collect and merge every live worker's metrics-registry snapshot.
+        """Merge every answering worker's registry snapshot (see
+        :meth:`_collect` for ``timeout``) into one fleet snapshot.
 
-        Same control-pipe round-trip discipline as :meth:`aggregate_stats`;
-        per-worker snapshots merge by summation
-        (:func:`repro.obs.metrics.merge_snapshots`), so counters and
-        histograms read as fleet totals.  The parent's own supervision
-        counters (``repro_serve_worker_restarts_total``) merge in too.  A
-        fleet started without ``enable_metrics`` returns an empty snapshot.
-
-        Args:
-            timeout: per-worker ceiling on waiting for the reply, seconds.
-
-        Returns:
-            One merged snapshot dict (render with
-            :func:`repro.obs.metrics.render_prometheus`).
+        Snapshots merge by summation
+        (:func:`repro.obs.metrics.merge_snapshots`; render the result with
+        :func:`repro.obs.metrics.render_prometheus`).  The parent's
+        supervision count (``repro_serve_worker_restarts_total{worker}``,
+        read from :meth:`restart_counts`) is added too.  A fleet started
+        without ``enable_metrics`` returns an empty snapshot.
         """
-        if not self._started:
-            raise RuntimeError("PlanServer not started")
-        snapshots: List[Dict[str, object]] = []
-        for handle in self._workers:
-            if handle.dead or not handle.process.is_alive():
-                continue
-            with self._stats_seq_lock:
-                self._stats_seq += 1
-                seq = self._stats_seq
-            try:
-                with handle.stats_lock:
-                    with handle.lock:
-                        handle.pipe.send(("metrics", seq))
-                    deadline = time.monotonic() + timeout
-                    while True:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0 or not handle.pipe.poll(remaining):
-                            break
-                        message = handle.pipe.recv()
-                        if message[0] == "metrics" and message[1] == seq:
-                            snapshots.append(message[2])
-                            break
-            except (OSError, EOFError, ValueError):
-                continue
-        if self._parent_metrics is not None:
-            snapshots.append(self._parent_metrics.snapshot())
+        snapshots = self._collect("metrics", timeout)
+        restarts = self.restart_counts()
+        if self.enable_metrics and restarts:
+            snapshots.append({
+                "counters": {instrument_name("repro_serve_worker_restarts_total",
+                                             {"worker": str(index)}): float(count)
+                             for index, count in restarts.items()},
+                "help": {"repro_serve_worker_restarts_total":
+                         "Workers re-forked by the parent supervisor."}})
         return merge_snapshots(snapshots)
 
 
@@ -880,7 +849,7 @@ def _worker_main(index: int, ctrl, unwanted, listener,
             for key, events in selector.select(timeout=1.0):
                 if key.data == "ctrl":
                     running = _drain_control(index, ctrl, service, selector,
-                                             connections, metrics=metrics)
+                                             connections)
                     continue
                 sock = key.fileobj
                 assert isinstance(sock, socket.socket)
@@ -944,8 +913,7 @@ def _worker_main(index: int, ctrl, unwanted, listener,
                         if fault.action == FAULT_DELAY:
                             time.sleep(fault.delay_seconds)
                     response = _dispatch(index, service, message,
-                                         tracer=tracer, metrics=metrics,
-                                         generation=generation)
+                                         tracer=tracer, generation=generation)
                     try:
                         conn.outbuf.extend(protocol.encode_frame(response))
                     except protocol.ProtocolError:  # pragma: no cover - oversized
@@ -969,9 +937,7 @@ def _worker_main(index: int, ctrl, unwanted, listener,
 
 def _drain_control(index: int, ctrl, service: PlannerService,
                    selector: selectors.BaseSelector,
-                   connections: Dict[int, _Connection],
-                   metrics: Optional[MetricsRegistry] = None,
-                   ) -> bool:
+                   connections: Dict[int, _Connection]) -> bool:
     """Handle every pending parent command; returns False on shutdown."""
     while True:
         try:
@@ -995,27 +961,23 @@ def _drain_control(index: int, ctrl, service: PlannerService,
             sock.setblocking(False)
             connections[sock.fileno()] = _Connection(sock)
             selector.register(sock, selectors.EVENT_READ, data="client")
-        elif op == "stats":
+        elif op in _SNAPSHOT_OPS:
             try:
-                ctrl.send(("stats", message[1],
-                           _worker_snapshot(index, service).to_dict()))
-            except (OSError, ValueError):
-                return False
-        elif op == "metrics":
-            try:
-                ctrl.send(("metrics", message[1],
-                           metrics.snapshot() if metrics is not None
-                           else empty_snapshot()))
+                ctrl.send((op, message[1], _SNAPSHOT_OPS[op](index, service)))
             except (OSError, ValueError):
                 return False
         elif op == "shutdown":
             return False
 
 
-def _worker_snapshot(index: int, service: PlannerService) -> WorkerStats:
-    """This worker's identity + counters (the one source for both stats paths)."""
-    return WorkerStats(worker=index, pid=os.getpid(),
-                       service=service.stats(), cache=service.cache_stats())
+#: The snapshot ops a worker answers on its control pipe and on client
+#: sockets alike (``metrics`` is empty when the worker has no registry).
+_SNAPSHOT_OPS = {
+    "stats": lambda index, service: WorkerStats(
+        worker=index, pid=os.getpid(), service=service.stats(),
+        cache=service.cache_stats()).to_dict(),
+    "metrics": lambda index, service: service.metrics_registry.snapshot(),
+}
 
 
 #: The two plan ops share one dispatch path: op -> (request subject key,
@@ -1035,7 +997,6 @@ _PLAN_OPS = {
 def _dispatch(index: int, service: PlannerService,
               message: Dict[str, object],
               tracer: Optional[Tracer] = None,
-              metrics: Optional[MetricsRegistry] = None,
               generation: int = 0) -> Dict[str, object]:
     """Answer one decoded request; failures become error responses.
 
@@ -1075,11 +1036,9 @@ def _dispatch(index: int, service: PlannerService,
             return protocol.ok_response({"worker": index, "pid": os.getpid(),
                                          "generation": generation,
                                          "protocol": list(protocol.PROTOCOL_VERSION)})
-        if op == "stats":
-            return protocol.ok_response(_worker_snapshot(index, service).to_dict())
-        if op == "metrics":
-            return protocol.ok_response(metrics.snapshot() if metrics is not None
-                                        else empty_snapshot())
+        read = _SNAPSHOT_OPS.get(op) if isinstance(op, str) else None
+        if read is not None:
+            return protocol.ok_response(read(index, service))
         raise ValueError(f"unknown op: {op!r}")
     except Exception as error:  # noqa: BLE001 - every failure must answer
         return protocol.error_response(error)

@@ -4,10 +4,12 @@ Each :class:`~repro.serve.server.PlanServer` worker is shared-nothing — it
 owns a private :class:`~repro.planner.service.PlannerService` whose counters
 (:class:`~repro.planner.service.ServiceStats`) and plan-cache counters
 (:class:`~repro.planner.cache.CacheStats`) describe only that worker's
-traffic.  This module carries those snapshots across the process boundary
-(plain-dict serialization, reusing the dataclass field layout) and sums them
-into the fleet-wide view the ROADMAP's "millions of users" target needs:
-total requests, total hits, how the warm traffic spread across workers.
+traffic; they are the one store of those counters, which the worker's
+metrics registry only exports.  This module carries the snapshots across
+the process boundary (plain dicts in the dataclass field layout; parent
+and workers are one build, so a missing or unknown field is a
+:class:`~repro.serve.protocol.ProtocolError`) and sums them into the
+fleet-wide view: total requests, total hits, how traffic spread.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.planner.cache import CacheStats
 from repro.planner.service import ServiceStats
+from repro.serve.protocol import ProtocolError
 
 
 @dataclass
@@ -42,20 +45,17 @@ class WorkerStats:
     def from_dict(cls, payload: Dict[str, object]) -> "WorkerStats":
         """Rebuild a snapshot from :meth:`to_dict` output.
 
-        Unknown counter fields (a newer worker reporting to an older parent)
-        are dropped rather than failing the aggregation.
+        Raises:
+            ProtocolError: when a field is missing, unknown or malformed.
         """
-        service_fields = {f.name for f in dataclasses.fields(ServiceStats)}
-        cache_fields = {f.name for f in dataclasses.fields(CacheStats)}
-        service_raw: Dict[str, object] = dict(payload.get("service") or {})  # type: ignore[arg-type]
-        cache_raw: Dict[str, object] = dict(payload.get("cache") or {})  # type: ignore[arg-type]
-        return cls(
-            worker=int(payload.get("worker", -1)),  # type: ignore[arg-type]
-            pid=int(payload.get("pid", 0)),  # type: ignore[arg-type]
-            service=ServiceStats(**{k: v for k, v in service_raw.items()
-                                    if k in service_fields}),
-            cache=CacheStats(**{k: v for k, v in cache_raw.items() if k in cache_fields}),
-        )
+        try:
+            return cls(worker=int(payload["worker"]),  # type: ignore[arg-type]
+                       pid=int(payload["pid"]),  # type: ignore[arg-type]
+                       service=ServiceStats(**payload["service"]),  # type: ignore[arg-type]
+                       cache=CacheStats(**payload["cache"]))  # type: ignore[arg-type]
+        except (KeyError, TypeError, ValueError) as error:
+            raise ProtocolError(f"malformed stats reply: "
+                                f"{type(error).__name__}: {error}") from error
 
 
 #: ServiceStats fields that are extremes, not sums — aggregating them by

@@ -110,7 +110,8 @@ class TestWorkerCrash:
         reference = reference_plan(workload)
         with PlanServer(MACHINE, num_workers=2,
                         service_options=SERVICE_OPTIONS, fault_plan=plan,
-                        restart_policy=FAST_RESTART) as srv:
+                        restart_policy=FAST_RESTART,
+                        enable_metrics=True) as srv:
             with PlanClient(srv.address, retries=2, retry_delay=0.01) as cli:
                 response = cli.plan(workload)
                 assert cli.transport_retries >= 1  # the crash cost a retry
@@ -131,6 +132,10 @@ class TestWorkerCrash:
             assert stats.total_restarts == 1
             assert stats.restarts == {0: 1}
             assert "1 restarts" in stats.describe()
+            # The metrics view reads the same supervisor count.
+            counters = srv.aggregate_metrics()["counters"]
+            assert counters['repro_serve_worker_restarts_total{worker="0"}'] == \
+                srv.restart_counts()[0]
 
     def test_restarted_worker_reports_bumped_generation(self):
         plan = FaultPlan([Fault(action=FAULT_EXIT, worker=0, request=0)])

@@ -195,19 +195,21 @@ class TestProtocolVersion11:
         assert remote.spans == spans
         assert remote.plan_age == response.plan_age
 
-    def test_1_0_response_without_telemetry_fields_still_parses(self):
+    def test_reply_missing_a_required_field_is_rejected(self):
         from repro.planner import PlannerService
         from repro.topology.machines import uniform_system
 
         with PlannerService(uniform_system(2), replication_factors=[1]) as service:
             response = service.plan(Workload("w", 96, 80, 64))
         payload = protocol.plan_response_payload(response, worker=0, pid=7)
-        for key in ("plan_age", "trace_id", "spans"):
-            payload.pop(key, None)
+        # Only the tracing fields are optional: an untraced reply parses.
+        assert "trace_id" not in payload and "spans" not in payload
         remote = RemotePlanResponse.from_dict(payload)
-        assert remote.plan_age == 0.0
-        assert remote.trace_id is None
-        assert remote.spans == []
+        assert remote.trace_id is None and remote.spans == []
+        for key in payload:
+            partial = {k: v for k, v in payload.items() if k != key}
+            with pytest.raises(protocol.ProtocolError, match="RemotePlanResponse"):
+                RemotePlanResponse.from_dict(partial)
 
 
 class TestProtocolVersion13:
@@ -257,13 +259,13 @@ class TestProtocolVersion13:
             assert wire.scheme.name == local.scheme.name
             assert wire.simulated_time == local.simulated_time
 
-    def test_graph_response_tolerates_missing_optional_fields(self):
+    def test_graph_reply_missing_a_field_is_rejected(self):
         from repro.serve.protocol import RemoteGraphPlanResponse
 
         _, response = self._served_graph_response()
         payload = protocol.graph_plan_response_payload(response, worker=0, pid=1)
-        for key in ("plan_age", "stale", "trace_id", "spans"):
-            payload.pop(key, None)
-        remote = RemoteGraphPlanResponse.from_dict(payload)
-        assert remote.plan_age == 0.0 and remote.stale is False
-        assert remote.trace_id is None and remote.spans == []
+        for key in payload:
+            partial = {k: v for k, v in payload.items() if k != key}
+            with pytest.raises(protocol.ProtocolError,
+                               match="RemoteGraphPlanResponse"):
+                RemoteGraphPlanResponse.from_dict(partial)

@@ -1,7 +1,10 @@
 """Unit tests for cross-worker stats aggregation."""
 
+import pytest
+
 from repro.planner.cache import CacheStats
 from repro.planner.service import ServiceStats
+from repro.serve.protocol import ProtocolError
 from repro.serve.stats import ServerStats, WorkerStats, aggregate_service_stats
 
 
@@ -66,10 +69,16 @@ class TestSerialization:
         restored = WorkerStats.from_dict(original.to_dict())
         assert restored == original
 
-    def test_unknown_counter_fields_are_dropped(self):
+    @pytest.mark.parametrize("section", ["service", "cache"])
+    def test_unknown_counter_fields_are_rejected(self, section):
         payload = snap(0, requests=1).to_dict()
-        payload["service"]["counter_from_the_future"] = 99
-        payload["cache"]["other_new_thing"] = 1
-        restored = WorkerStats.from_dict(payload)
-        assert restored.service.requests == 1
-        assert not hasattr(restored.service, "counter_from_the_future")
+        payload[section]["counter_from_the_future"] = 99
+        with pytest.raises(ProtocolError, match="counter_from_the_future"):
+            WorkerStats.from_dict(payload)
+
+    @pytest.mark.parametrize("key", ["worker", "pid", "service", "cache"])
+    def test_missing_fields_are_rejected(self, key):
+        payload = snap(0, requests=1).to_dict()
+        del payload[key]
+        with pytest.raises(ProtocolError, match=key):
+            WorkerStats.from_dict(payload)
