@@ -371,7 +371,7 @@ class PlanCache:
                 return None
             now = self._clock()
             age = now - slot.created_at
-            stale = self.ttl_seconds is not None and age > self.ttl_seconds
+            stale = self._expired(slot, now)
             if stale and (grace is None or age - self.ttl_seconds > grace):
                 self._drop(key)
                 self._expirations += 1
