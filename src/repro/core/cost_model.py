@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.slicing import stack_distinct
 from repro.core.structure import WorkloadStructure
 from repro.topology.machines import MachineSpec
 from repro.util.indexing import Interval
@@ -77,13 +76,36 @@ def tile_fetch_bytes(matrix: "DistributedMatrix", role: str,
     """
     grid = matrix.grid
     itemsize = matrix.dtype.itemsize
+    if structure is None:
+        rows, cols = grid.row_splits, grid.col_splits
+        return np.multiply.outer([stop - start for start, stop in zip(rows, rows[1:])],
+                                 [(stop - start) * itemsize
+                                  for start, stop in zip(cols, cols[1:])]).ravel()
     return np.asarray([
-        (r1 - r0) * (c1 - c0) * itemsize if structure is None else
         (r1 - r0) * (c1 - c0) * itemsize
         * structure.live_fraction(role, Interval(r0, r1), Interval(c0, c1))
         for r0, r1 in zip(grid.row_splits, grid.row_splits[1:])
         for c0, c1 in zip(grid.col_splits, grid.col_splits[1:])
     ])
+
+
+def _stack_distinct(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Concatenate the distinct (by identity) arrays along their last axis.
+
+    Returns the concatenation and each item's offset along that axis.
+    """
+    offsets: Dict[int, int] = {}
+    parts = []
+    starts = []
+    total = 0
+    for array in arrays:
+        start = offsets.get(id(array))
+        if start is None:
+            start = offsets[id(array)] = total
+            parts.append(array)
+            total += array.shape[-1]
+        starts.append(start)
+    return np.concatenate(parts, axis=-1), np.asarray(starts, dtype=np.int64)
 
 
 class CostModel:
@@ -252,7 +274,7 @@ class CostModel:
         }
         for x, side in enumerate("ab"):
             key, owner = table[f"{side}_key"], table[f"{side}_owner"]
-            nbytes, at = stack_distinct([pair[x] for pair in tile_bytes])
+            nbytes, at = _stack_distinct([pair[x] for pair in tile_bytes])
             cols.update({f"{side}_owner": owner, f"{side}_key": key,
                          f"{side}_remote": owner != rank,
                          f"{side}_bytes": nbytes[at[task] + key]})

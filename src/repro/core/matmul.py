@@ -96,9 +96,10 @@ def model_reduce_time(c: DistributedMatrix, cost_model: CostModel, origin: int =
         return 0.0
     # Every (tile, non-origin replica) pair, tile-major: each accumulates the
     # tile into its origin owner, and each owner adds its incoming times in
-    # that order (np.bincount sums its weights sequentially).
-    owners = np.array([[c.owner_rank(idx, replica) for replica in range(replicas)]
-                       for idx in c.grid.tiles()], dtype=np.int64)
+    # that order (np.bincount sums its weights sequentially).  Replica r's
+    # copy of a tile lives on rank r * ranks_per_replica + its position.
+    owners = (np.arange(replicas) * c.replication.ranks_per_replica
+              + c._owners.reshape(-1, 1))
     others = [replica for replica in range(replicas) if replica != origin]
     dst = np.repeat(owners[:, origin], len(others))
     nbytes = np.repeat(tile_fetch_bytes(c, ROLE_C, resolve_structure(structure)),

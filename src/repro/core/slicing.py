@@ -29,8 +29,7 @@ and the cost-based strategy choice price the rows without building objects.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import accumulate, product
+from itertools import product
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +37,7 @@ import numpy as np
 from repro.core.ops import LocalMatmulOp, OperandRef
 from repro.core.stationary import Stationary
 from repro.dist.matrix import DistributedMatrix
-from repro.util.indexing import Interval, Rect, block_bounds
+from repro.util.indexing import Interval, Rect
 from repro.util.validation import ShapeError, check_in_range, check_matmul_shapes
 
 
@@ -51,103 +50,107 @@ class OperandLayout:
     def __init__(self, matrix: DistributedMatrix) -> None:
         self.row_splits = matrix.grid.row_splits
         self.col_splits = matrix.grid.col_splits
-        self.ncols = ncols = matrix.grid.num_col_tiles
+        self.ncols = matrix.grid.num_col_tiles
         #: Per-replica owner position of each tile, row-major.
-        self.positions = matrix._owners.ravel()
+        self.positions = positions = matrix._owners.ravel()
         self.ranks_per_replica = rpr = matrix.replication.ranks_per_replica
         self.factor = factor = matrix.replication.factor
-        by_position = matrix._tiles_by_position
-        owned = [[i * ncols + j for i, j in by_position.get(position, ())]
-                 for position in range(rpr)]
         #: ``(rank, flat tile index)`` of every tile each rank owns:
         #: rank-major, and in :meth:`DistributedMatrix.my_tiles` order
-        #: within a rank.  Replica ``r`` holds ranks ``r * rpr ...``.
+        #: (row-major: a stable sort by position) within a rank.  Replica
+        #: ``r`` holds ranks ``r * rpr ...``.
         self.rank_tiles = (
             np.repeat(np.arange(rpr * factor, dtype=np.int64),
-                      [len(tiles) for tiles in owned] * factor),
-            np.array([flat for tiles in owned for flat in tiles] * factor,
-                     dtype=np.int64),
+                      np.concatenate([np.bincount(positions, minlength=rpr)] * factor)),
+            np.concatenate([np.argsort(positions, kind="stable")] * factor),
         )
 
 
-class _Axis:
-    """One axis cut into segments by two split lists and replica-share cuts.
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """The offset of each run when runs of ``counts`` items are laid end to end."""
+    return np.cumsum(counts) - counts
 
-    ``segments`` rows are ``(first tile, second tile, start, stop)`` with
-    one column per segment: its tile index in the two grids and its bounds.
-    ``runs[name]`` rows are ``(first segment, count)`` with one column per
-    tile index of that grid (or per share for ``"share"``): the segments of
-    one tile or share are contiguous.
-    Split lists are short, so plain Python beats numpy's per-call overhead.
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated ``range(start, start + count)`` of each pair."""
+    return np.arange(counts.sum()) + np.repeat(starts - _starts(counts), counts)
+
+
+def _cut_axes(split_lists: Sequence[np.ndarray], first: np.ndarray, second: np.ndarray,
+              factor: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cut the axes ``(split_lists[first], split_lists[second], factor)`` into segments.
+
+    An axis is cut by the split points of the two grids that share it and
+    by the starts of its ``factor`` replica shares.  All axes are cut by one
+    array program: axis ``x``'s points are offset by ``x * span``, so one
+    sorted array holds the axes in turn.  Returns
+
+    * ``segments``: rows ``(first tile, second tile, start, stop)``, one
+      column per segment, axis-major;
+    * ``runs``: rows ``(first segment, count)``, one column per run of
+      contiguous segments in one tile or share.  Per family -- tiles of the
+      first grid, tiles of the second grid, shares -- the runs are
+      axis-major; a grid's runs include an empty one at its extent;
+    * ``run_at``: per family and axis, the run of its tile (or share) 0;
+    * ``first_run``: each segment's run in the first grid.
     """
-
-    __slots__ = ("segments", "runs")
-
-    def __init__(self, first_splits: Tuple[int, ...], second_splits: Tuple[int, ...],
-                 factor: int) -> None:
-        extent = first_splits[-1]
-        shares = [block_bounds(extent, factor, r).start for r in range(factor)]
-        cuts = sorted(set(first_splits).union(second_splits, shares))
-        columns: Tuple[List[int], ...] = ([], [], [], [])
-        counts = ([0] * (len(first_splits) - 1), [0] * (len(second_splits) - 1),
-                  [0] * factor)
-        i = j = share = 0
-        for start, stop in zip(cuts, cuts[1:]):
-            # Every split point is a cut, so a tile index moves by one at most;
-            # empty shares (extent < factor) all start at the extent.
-            if first_splits[i + 1] <= start:
-                i += 1
-            if second_splits[j + 1] <= start:
-                j += 1
-            while share + 1 < factor and shares[share + 1] <= start:
-                share += 1
-            for column, value in zip(columns, (i, j, start, stop)):
-                column.append(value)
-            counts[0][i] += 1
-            counts[1][j] += 1
-            counts[2][share] += 1
-        self.segments = np.array(columns, dtype=np.int64)
-        self.runs = {}
-        for name, count in zip(("first", "second", "share"), counts):
-            lo = list(accumulate(count, initial=0))[:-1]
-            self.runs[name] = np.array((lo, count), dtype=np.int64)
-
-
-#: Axis segment lists, shared by every table built in the process (read only).
-_axis = lru_cache(maxsize=256)(_Axis)
-
-
-def stack_distinct(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate the distinct (by identity) arrays along their last axis.
-
-    Returns the concatenation and each item's offset along that axis.
-    """
-    offsets: Dict[int, int] = {}
-    parts = []
-    starts = []
-    total = 0
-    for array in arrays:
-        start = offsets.get(id(array))
-        if start is None:
-            start = offsets[id(array)] = total
-            parts.append(array)
-            total += array.shape[-1]
-        starts.append(start)
-    return np.concatenate(parts, axis=-1), np.asarray(starts, dtype=np.int64)
+    lengths = np.array([splits.size for splits in split_lists])
+    points_at = _starts(lengths)
+    points = np.concatenate(split_lists)
+    extent = points[points_at[first] + lengths[first] - 1]
+    span = int(extent.max()) + 1
+    offset = np.arange(first.size) * span
+    families = []
+    for lists in (first, second):
+        counts = lengths[lists]
+        families.append((points[_ranges(points_at[lists], counts)]
+                         + np.repeat(offset, counts), counts))
+    # Share r of extent e in f shares starts at r * (e // f) + min(r, e % f);
+    # empty shares (e < f) start at the extent.
+    share = _ranges(np.zeros_like(factor), factor)
+    families.append((share * np.repeat(extent // factor, factor)
+                     + np.minimum(share, np.repeat(extent % factor, factor))
+                     + np.repeat(offset, factor), factor))
+    cuts = np.unique(np.concatenate([keys for keys, _ in families]))
+    inside = cuts[1:] // span == cuts[:-1] // span
+    start, stop = cuts[:-1][inside], cuts[1:][inside]
+    axis = start // span
+    segments = [None, None, start - axis * span, stop - axis * span]
+    runs, run_at = [], []
+    base = 0
+    for family, (keys, counts) in enumerate(families):
+        # Every split point and share start is a cut, so a segment lies in
+        # one tile (or share): the last one starting at or before it.
+        slot = np.searchsorted(keys, start, side="right") - 1
+        first_slot = _starts(counts)
+        if family < 2:
+            segments[family] = slot - first_slot[axis]
+        if family == 0:
+            first_run = slot
+        count = np.bincount(slot, minlength=keys.size)
+        runs.append(np.stack((_starts(count), count)))
+        run_at.append(base + first_slot)
+        base += keys.size
+    return np.stack(segments), np.concatenate(runs, axis=1), np.stack(run_at), first_run
 
 
-#: Per stationary operand, how a block picks its segments on the m, k and n
-#: axes: ``(runs name, coordinate)`` with coordinate 0/1 the stationary
-#: tile's row/column index and 2 the rank's replica (the free-axis share).
-_SELECT = {
-    Stationary.C: (("second", 0), ("share", 2), ("second", 1)),
-    Stationary.B: (("share", 2), ("second", 0), ("first", 1)),
-    Stationary.A: (("first", 0), ("first", 1), ("share", 2)),
-}
-#: Operand index (A, B, C) of each stationary; the free axis has its index
-#: in (m, k, n) order too: B splits m, C splits k, A splits n.
+#: Per stationary operand (A, B, C), how a block picks its segments on the
+#: m, k and n axes: the run family (0 the first grid, 1 the second, 2 the
+#: shares) and the coordinate (0/1 the stationary tile's row/column index,
+#: 2 the rank's replica, i.e. its share of the free axis).
+_RUN_FAMILY = np.array([(0, 0, 2), (2, 1, 0), (1, 2, 1)])
+_RUN_COORD = np.array([(0, 1, 2), (2, 0, 1), (0, 2, 1)])
+#: Operand index (A, B, C) of each stationary, and per operand index its
+#: free axis in (m, k, n) order: A splits n, B splits m, C splits k.
 _OPERAND = {Stationary.A: 0, Stationary.B: 1, Stationary.C: 2}
-_FREE_AXIS = {Stationary.B: 0, Stationary.C: 1, Stationary.A: 2}
+_FREE_AXIS = np.array([2, 0, 1])
+#: Per stationary operand (A, B, C), where a unit's (outer, middle, inner)
+#: segment runs come from: 0-2 the block's m, k, n runs, 3 the unit's group
+#: (a run of m segments for B, of n segments for A), 4 one k segment.
+_UNIT_SOURCES = np.array([(4, 0, 3), (1, 3, 2), (0, 1, 2)])
+#: Per axis (m, k, n), the (operand, grid dimension) of its first and of its
+#: second grid: A rows and C rows, A columns and B rows, B and C columns.
+_AXIS_GRIDS = (((0, 0), (2, 0)), ((0, 1), (1, 0)), ((1, 1), (2, 1)))
 
 
 def slice_table(tasks: Sequence[Tuple[OperandLayout, OperandLayout, OperandLayout,
@@ -164,96 +167,134 @@ def slice_table(tasks: Sequence[Tuple[OperandLayout, OperandLayout, OperandLayou
     ranks ``a_owner/b_owner/c_owner`` in the executing rank's replica, and
     the stationary tile ``stat_i/stat_j``.
 
-    ``tasks`` must not be empty.
+    The work scales with the batch's distinct layouts and axes: each is
+    read or cut once, and tasks index into them.  ``tasks`` must not be
+    empty.
     """
-    axes, blk_rank, blk_flat = [], [], []
-    for a, b, c, stationary in tasks:
-        stat = (a, b, c)[_OPERAND[stationary]]
-        factors = [1, 1, 1]
-        factors[_FREE_AXIS[stationary]] = stat.factor
-        axes.append((_axis(a.row_splits, c.row_splits, factors[0]),
-                     _axis(a.col_splits, b.row_splits, factors[1]),
-                     _axis(b.col_splits, c.col_splits, factors[2])))
-        rank, flat = stat.rank_tiles
-        blk_rank.append(rank)
-        blk_flat.append(flat)
+    # -- distinct layouts (by identity) and split lists (by value) ---------- #
+    given = [layout for task in tasks for layout in task[:3]]
+    _, first_seen, lay = np.unique(np.array([id(layout) for layout in given]),
+                                   return_index=True, return_inverse=True)
+    layouts = [given[at] for at in first_seen.tolist()]
+    lay = lay.reshape(-1, 3)
+    num_tasks = lay.shape[0]
+    kind = np.array([_OPERAND[task[3]] for task in tasks])
+    split_at: Dict[Tuple[int, ...], int] = {}
+    grids = np.array([(split_at.setdefault(layout.row_splits, len(split_at)),
+                       split_at.setdefault(layout.col_splits, len(split_at)))
+                      for layout in layouts])
+    ncols, rpr, factor = (np.array([getattr(layout, name) for layout in layouts])
+                          for name in ("ncols", "ranks_per_replica", "factor"))
+    stat = lay[np.arange(num_tasks), kind]
+
+    # -- distinct axes: (first split list, second split list, factor) ------- #
+    first, second = (np.stack([grids[lay[:, ends[end][0]], ends[end][1]]
+                               for ends in _AXIS_GRIDS], axis=1) for end in (0, 1))
+    factors = np.where(_FREE_AXIS[kind][:, None] == np.arange(3), factor[stat][:, None], 1)
+    num_splits, num_factors = len(split_at), int(factor.max()) + 1
+    keys = (first * num_splits + second) * num_factors + factors
+    distinct, axis = np.unique(keys.ravel(), return_inverse=True)
+    segments, runs, run_at, first_run = _cut_axes(
+        [np.array(splits, dtype=np.int64) for splits in split_at],
+        distinct // num_factors // num_splits, distinct // num_factors % num_splits,
+        distinct % num_factors)
+    axis = axis.reshape(num_tasks, 3)
 
     # -- blocks: one per (task, rank, stationary tile) ---------------------- #
-    blk_task = np.repeat(np.arange(len(tasks)), [part.size for part in blk_rank])
-    blk_rank = np.concatenate(blk_rank)
-    blk_flat = np.concatenate(blk_flat)
-
-    def per_block(values) -> np.ndarray:
-        return np.asarray(values, dtype=np.int64)[blk_task]
-
-    stats = [task[_OPERAND[task[3]]] for task in tasks]
-    ncols = per_block([stat.ncols for stat in stats])
-    stat_i = blk_flat // ncols
-    stat_j = blk_flat - stat_i * ncols
-    coords = np.stack((stat_i, stat_j,
-                       blk_rank // per_block([s.ranks_per_replica for s in stats])))
+    tile_counts = np.array([layout.rank_tiles[0].size for layout in layouts])
+    counts = tile_counts[stat]
+    blk_task = np.repeat(np.arange(num_tasks), counts)
+    blk_at = _ranges(_starts(tile_counts)[stat], counts)
+    blk_rank = np.concatenate([layout.rank_tiles[0] for layout in layouts])[blk_at]
+    blk_flat = np.concatenate([layout.rank_tiles[1] for layout in layouts])[blk_at]
+    blk_stat = stat[blk_task]
+    stat_i = blk_flat // ncols[blk_stat]
+    stat_j = blk_flat - stat_i * ncols[blk_stat]
+    coords = np.stack((stat_i, stat_j, blk_rank // rpr[blk_stat]))
+    blk_kind = kind[blk_task]
     columns = np.arange(blk_task.size)
-    lo, cnt, segments = [], [], []
-    for x in range(3):
-        seg, seg_at = stack_distinct([task_axes[x].segments for task_axes in axes])
-        select = [_SELECT[task[3]][x] for task in tasks]
-        runs, run_at = stack_distinct([task_axes[x].runs[name] for task_axes, (name, _)
-                                       in zip(axes, select)])
-        run = runs[:, per_block(run_at) + coords[per_block([c for _, c in select]),
-                                                   columns]]
-        lo.append(run[0] + per_block(seg_at))
-        cnt.append(run[1])
-        segments.append(seg)
-    size = cnt[0] * cnt[1] * cnt[2]
+    run = (run_at[_RUN_FAMILY[kind], axis][blk_task].T
+           + coords[_RUN_COORD[blk_kind].T, columns])
+    lo, cnt = np.take(runs, run, axis=1)
 
-    # -- rows: expand each block's (m, k, n) segment product --------------- #
-    row_blk = np.repeat(columns, size)
-    local = np.arange(row_blk.size) - np.repeat(np.cumsum(size) - size, size)
-    cm, ck, cn = cnt[0][row_blk], cnt[1][row_blk], cnt[2][row_blk]
-    i_n = local % cn
-    rest = local // cn
-    i_k = rest % ck
-    i_m = rest // ck
-    gm = lo[0][row_blk] + i_m
-    gk = lo[1][row_blk] + i_k
-    gn = lo[2][row_blk] + i_n
-    kind = per_block([_OPERAND[task[3]] for task in tasks])[row_blk]
-    if (kind != 2).any():
-        # The (m, k, n) product order is Stationary C's loop order.  B loops
-        # (A row, k, C row, n) and A loops (k, B col, m, C col); an A row
-        # spans consecutive m segments and a B col consecutive n segments,
-        # so one sort on a per-block key restores both.
-        a_row = segments[0][0, gm]
-        b_col = segments[2][0, gn]
-        key = np.where(kind == 1, ((a_row * ck + i_k) * cm + i_m) * cn + i_n,
-                       np.where(kind == 0,
-                                ((i_k * (int(b_col.max()) + 1) + b_col) * cm + i_m)
-                                * cn + i_n,
-                                local))
-        order = np.lexsort((key, row_blk))
-        row_blk, gm, gk, gn = row_blk[order], gm[order], gk[order], gn[order]
+    # -- units: runs of a block's rows that are one product of segments ----- #
+    # Stationary C loops (A row, A col, B row, B col): its block is one
+    # (m, k, n) product of segments.  B loops (A row, A col, C row, C col):
+    # per A row -- a run of m segments -- one (k, m, n) product.  A loops
+    # (B row, B col, C row, C col): per k segment and B column -- a run of
+    # n segments -- one (k, m, n) product with one k segment.
+    grouped = np.where(blk_kind == 0, 2, 0)
+    group_lo, group_cnt = lo[grouped, columns], cnt[grouped, columns]
+    filled = cnt.prod(axis=0) > 0
+    first_group = first_run[np.where(filled, group_lo, 0)]
+    groups = np.where(blk_kind == 2, 1,
+                      first_run[np.where(filled, group_lo + group_cnt - 1, 0)]
+                      - first_group + 1) * filled
+    units = groups * np.where(blk_kind == 0, cnt[1], 1)
+    unit_blk = np.repeat(columns, units)
+    at = np.arange(unit_blk.size) - np.repeat(_starts(units), units)
+    unit_groups = groups[unit_blk]
+    group = first_group[unit_blk] + at % unit_groups
+    bounds = group_lo[unit_blk], group_lo[unit_blk] + group_cnt[unit_blk]
+    group_start = np.maximum(runs[0, group], bounds[0])
+    block_lo, block_cnt = np.take(lo, unit_blk, axis=1), np.take(cnt, unit_blk, axis=1)
+    unit_kind = blk_kind[unit_blk]
+    pick = _UNIT_SOURCES[unit_kind].T, np.arange(unit_blk.size)
+    unit_lo = np.stack((*block_lo, group_start,
+                        block_lo[1] + at // unit_groups))[pick]
+    unit_cnt = np.stack((*block_cnt,
+                         np.minimum(runs[0, group] + runs[1, group], bounds[1]) - group_start,
+                         np.ones_like(at)))[pick]
 
-    m_seg, k_seg, n_seg = segments[0][:, gm], segments[1][:, gk], segments[2][:, gn]
+    # -- rows: expand each unit's (outer, middle, inner) product ------------ #
+    # Row-length arrays are built in place where they can be: fresh memory
+    # costs as much as the arithmetic on it.
+    size = unit_cnt[0] * unit_cnt[1] * unit_cnt[2]
+    row_unit = np.repeat(np.arange(unit_blk.size), size)
+    outer = np.arange(row_unit.size)
+    outer -= np.repeat(_starts(size), size)
+    count = unit_cnt[2][row_unit]
+    gn = outer % count
+    outer //= count
+    gn += unit_lo[2][row_unit]
+    np.take(unit_cnt[1], row_unit, out=count)
+    middle = outer % count
+    outer //= count
+    del count
+    middle += unit_lo[1][row_unit]
+    outer += unit_lo[0][row_unit]
+    # C's units run (m, k, n), A's and B's (k, m, n).
+    swap = unit_kind[row_unit] != 2
+    gm = np.where(swap, middle, outer)
+    np.copyto(middle, outer, where=swap)
+    gk = middle
+    del outer, swap
+
+    first, second, start, stop = segments
     table = {
-        "task": blk_task[row_blk], "rank": blk_rank[row_blk],
-        "m0": m_seg[2], "m1": m_seg[3], "k0": k_seg[2], "k1": k_seg[3],
-        "n0": n_seg[2], "n1": n_seg[3],
-        "a_i": m_seg[0], "a_j": k_seg[0], "b_i": k_seg[1], "b_j": n_seg[0],
-        "c_i": m_seg[1], "c_j": n_seg[1],
-        "stat_i": stat_i[row_blk], "stat_j": stat_j[row_blk],
+        "task": blk_task[unit_blk][row_unit], "rank": blk_rank[unit_blk][row_unit],
+        "m0": start[gm], "m1": stop[gm], "k0": start[gk], "k1": stop[gk],
+        "n0": start[gn], "n1": stop[gn],
+        "a_i": first[gm], "a_j": first[gk], "b_i": second[gk], "b_j": first[gn],
+        "c_i": second[gm], "c_j": second[gn],
+        "stat_i": stat_i[unit_blk][row_unit], "stat_j": stat_j[unit_blk][row_unit],
     }
-    positions, pos_at = stack_distinct([layout.positions
-                                        for task in tasks for layout in task[:3]])
+    del gm, gk, gn
+    positions = np.concatenate([layout.positions for layout in layouts])
+    positions_at = _starts(np.array([layout.positions.size for layout in layouts]))
+    unit_rank = blk_rank[unit_blk]
     for x, side in enumerate("abc"):
-        layouts = [task[x] for task in tasks]
-        rpr = per_block([layout.ranks_per_replica for layout in layouts])
-        # Owner = the executing rank's replica base + the tile's position.
-        base = (blk_rank // rpr) * rpr
-        key = (table[f"{side}_i"] * per_block([layout.ncols for layout in layouts])[row_blk]
-               + table[f"{side}_j"])
+        unit_lay = lay[blk_task[unit_blk], x]
+        key = ncols[unit_lay][row_unit]
+        key *= table[f"{side}_i"]
+        key += table[f"{side}_j"]
         table[f"{side}_key"] = key
-        table[f"{side}_owner"] = base[row_blk] + positions[pos_at[x::3][blk_task][row_blk]
-                                                           + key]
+        # Owner = the executing rank's replica base + the tile's position.
+        owner = positions_at[unit_lay][row_unit]
+        owner += key
+        owner = positions[owner]
+        owner += (unit_rank // rpr[unit_lay] * rpr[unit_lay])[row_unit]
+        table[f"{side}_owner"] = owner
     return table
 
 

@@ -79,11 +79,20 @@ class DistributedMatrix:
                 f"owner map shape {self._owners.shape} does not match the "
                 f"{grid.shape} tile grid"
             )
+        positions = self._owners.ravel().tolist()
+        ranks_per_replica = self.replication.ranks_per_replica
+        if min(positions) < 0 or max(positions) >= ranks_per_replica:
+            flat = next(flat for flat, position in enumerate(positions)
+                        if not 0 <= position < ranks_per_replica)
+            raise PartitionError(
+                f"partition {partition.name!r} puts tile "
+                f"{divmod(flat, grid.num_col_tiles)} on owner position "
+                f"{positions[flat]}, outside [0, {ranks_per_replica})"
+            )
         self._tiles_by_position: Dict[int, List[TileIndex]] = {}
-        for idx in grid.tiles():
-            position = int(self._owners[idx])
-            check_in_range(position, 0, self.replication.ranks_per_replica, "owner position")
-            self._tiles_by_position.setdefault(position, []).append(idx)
+        for flat, position in enumerate(positions):
+            self._tiles_by_position.setdefault(position, []).append(
+                divmod(flat, grid.num_col_tiles))
         self.materialized = bool(materialize)
         self._freed = False
         self._handles: Dict[TileIndex, SymmetricHandle] = {}

@@ -287,14 +287,16 @@ class BatchEvaluator:
         emission order (bit-equal to the scalar loop), and a per-device max
         finishes the bound.
         """
+        # Building the symbolic operands is op-generation work too.
+        started = time.perf_counter()
         todo: Dict[Tuple[int, Tuple[int, int, int], str], Tuple[object, _ClassData]] = {}
         for candidate in candidates:
             key = self._program_key(candidate)
             if key not in self._programs and key not in todo:
                 todo[key] = (candidate, self._class_data(candidate))
         if not todo:
+            self.opgen_seconds += time.perf_counter() - started
             return
-        started = time.perf_counter()
         entries = list(todo.values())
         table = slice_table([cls.layouts + (parse_stationary(candidate.stationary),)
                              for candidate, cls in entries])
