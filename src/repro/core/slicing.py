@@ -71,6 +71,14 @@ def _starts(counts: np.ndarray) -> np.ndarray:
     return np.cumsum(counts) - counts
 
 
+def _expand(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(run, index in run)`` of each item of runs of ``counts`` laid end to end."""
+    run = np.repeat(np.arange(counts.size), counts)
+    index = np.arange(run.size)
+    index -= np.repeat(_starts(counts), counts)
+    return run, index
+
+
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The concatenated ``range(start, start + count)`` of each pair."""
     return np.arange(counts.sum()) + np.repeat(starts - _starts(counts), counts)
@@ -202,19 +210,19 @@ def slice_table(tasks: Sequence[Tuple[OperandLayout, OperandLayout, OperandLayou
 
     # -- blocks: one per (task, rank, stationary tile) ---------------------- #
     tile_counts = np.array([layout.rank_tiles[0].size for layout in layouts])
-    counts = tile_counts[stat]
-    blk_task = np.repeat(np.arange(num_tasks), counts)
-    blk_at = _ranges(_starts(tile_counts)[stat], counts)
+    blk_task, blk_at = _expand(tile_counts[stat])
+    blk_at += _starts(tile_counts)[stat][blk_task]
     blk_rank = np.concatenate([layout.rank_tiles[0] for layout in layouts])[blk_at]
     blk_flat = np.concatenate([layout.rank_tiles[1] for layout in layouts])[blk_at]
     blk_stat = stat[blk_task]
     stat_i = blk_flat // ncols[blk_stat]
     stat_j = blk_flat - stat_i * ncols[blk_stat]
-    coords = np.stack((stat_i, stat_j, blk_rank // rpr[blk_stat]))
     blk_kind = kind[blk_task]
-    columns = np.arange(blk_task.size)
+    num_blocks = blk_task.size
+    # The run each block takes on the m, k and n axes (rows in that order).
+    coords = np.concatenate((stat_i, stat_j, blk_rank // rpr[blk_stat]))
     run = (run_at[_RUN_FAMILY[kind], axis][blk_task].T
-           + coords[_RUN_COORD[blk_kind].T, columns])
+           + coords[_RUN_COORD[blk_kind].T * num_blocks + np.arange(num_blocks)])
     lo, cnt = np.take(runs, run, axis=1)
 
     # -- units: runs of a block's rows that are one product of segments ----- #
@@ -223,36 +231,31 @@ def slice_table(tasks: Sequence[Tuple[OperandLayout, OperandLayout, OperandLayou
     # per A row -- a run of m segments -- one (k, m, n) product.  A loops
     # (B row, B col, C row, C col): per k segment and B column -- a run of
     # n segments -- one (k, m, n) product with one k segment.
-    grouped = np.where(blk_kind == 0, 2, 0)
-    group_lo, group_cnt = lo[grouped, columns], cnt[grouped, columns]
+    grouped = np.where(blk_kind == 0, 2 * num_blocks, 0) + np.arange(num_blocks)
+    group_lo, group_cnt = lo.ravel()[grouped], cnt.ravel()[grouped]
     filled = cnt.prod(axis=0) > 0
     first_group = first_run[np.where(filled, group_lo, 0)]
     groups = np.where(blk_kind == 2, 1,
                       first_run[np.where(filled, group_lo + group_cnt - 1, 0)]
                       - first_group + 1) * filled
-    units = groups * np.where(blk_kind == 0, cnt[1], 1)
-    unit_blk = np.repeat(columns, units)
-    at = np.arange(unit_blk.size) - np.repeat(_starts(units), units)
+    unit_blk, at = _expand(groups * np.where(blk_kind == 0, cnt[1], 1))
     unit_groups = groups[unit_blk]
     group = first_group[unit_blk] + at % unit_groups
-    bounds = group_lo[unit_blk], group_lo[unit_blk] + group_cnt[unit_blk]
-    group_start = np.maximum(runs[0, group], bounds[0])
-    block_lo, block_cnt = np.take(lo, unit_blk, axis=1), np.take(cnt, unit_blk, axis=1)
+    group_end = group_lo[unit_blk] + group_cnt[unit_blk]
+    group_lo = np.maximum(runs[0, group], group_lo[unit_blk])
+    num_units = unit_blk.size
     unit_kind = blk_kind[unit_blk]
-    pick = _UNIT_SOURCES[unit_kind].T, np.arange(unit_blk.size)
-    unit_lo = np.stack((*block_lo, group_start,
-                        block_lo[1] + at // unit_groups))[pick]
-    unit_cnt = np.stack((*block_cnt,
-                         np.minimum(runs[0, group] + runs[1, group], bounds[1]) - group_start,
-                         np.ones_like(at)))[pick]
+    pick = _UNIT_SOURCES[unit_kind].T * num_units + np.arange(num_units)
+    unit_lo = np.concatenate((*np.take(lo, unit_blk, axis=1), group_lo,
+                              lo[1][unit_blk] + at // unit_groups))[pick]
+    unit_cnt = np.concatenate((*np.take(cnt, unit_blk, axis=1),
+                               np.minimum(runs[0, group] + runs[1, group], group_end)
+                               - group_lo, np.ones_like(at)))[pick]
 
     # -- rows: expand each unit's (outer, middle, inner) product ------------ #
     # Row-length arrays are built in place where they can be: fresh memory
     # costs as much as the arithmetic on it.
-    size = unit_cnt[0] * unit_cnt[1] * unit_cnt[2]
-    row_unit = np.repeat(np.arange(unit_blk.size), size)
-    outer = np.arange(row_unit.size)
-    outer -= np.repeat(_starts(size), size)
+    row_unit, outer = _expand(unit_cnt[0] * unit_cnt[1] * unit_cnt[2])
     count = unit_cnt[2][row_unit]
     gn = outer % count
     outer //= count

@@ -81,18 +81,17 @@ class DistributedMatrix:
             )
         positions = self._owners.ravel().tolist()
         ranks_per_replica = self.replication.ranks_per_replica
+        ncols = grid.num_col_tiles
         if min(positions) < 0 or max(positions) >= ranks_per_replica:
             flat = next(flat for flat, position in enumerate(positions)
                         if not 0 <= position < ranks_per_replica)
             raise PartitionError(
-                f"partition {partition.name!r} puts tile "
-                f"{divmod(flat, grid.num_col_tiles)} on owner position "
-                f"{positions[flat]}, outside [0, {ranks_per_replica})"
+                f"partition {partition.name!r} puts tile {divmod(flat, ncols)} on "
+                f"owner position {positions[flat]}, outside [0, {ranks_per_replica})"
             )
         self._tiles_by_position: Dict[int, List[TileIndex]] = {}
         for flat, position in enumerate(positions):
-            self._tiles_by_position.setdefault(position, []).append(
-                divmod(flat, grid.num_col_tiles))
+            self._tiles_by_position.setdefault(position, []).append(divmod(flat, ncols))
         self.materialized = bool(materialize)
         self._freed = False
         self._handles: Dict[TileIndex, SymmetricHandle] = {}
