@@ -282,9 +282,11 @@ class EventEngine:
         return self.clock.makespan()
 
     def device_finish(self, device: int) -> float:
+        """When ``device``'s last scheduled work item, on any engine, completes."""
         return self.clock.device(device).finish_time()
 
     def busy_time(self, device: int, engine: str) -> float:
+        """Summed occupied time of one engine of ``device`` (gaps not counted)."""
         return self.clock.device(device).busy_time(engine)
 
     def total_busy_time(self) -> float:

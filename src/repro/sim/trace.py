@@ -29,6 +29,7 @@ class TraceRecorder(Protocol):
     """Anything that wants to observe scheduled events."""
 
     def record(self, event: ScheduledEvent) -> None:  # pragma: no cover - protocol
+        """Observe one event, in the order the engine schedules them."""
         ...
 
 
@@ -39,6 +40,7 @@ class InMemoryTraceRecorder:
         self.events: List[ScheduledEvent] = []
 
     def record(self, event: ScheduledEvent) -> None:
+        """Keep ``event``, after every event recorded before it."""
         self.events.append(event)
 
     def clear(self) -> None:
@@ -49,9 +51,11 @@ class InMemoryTraceRecorder:
         return len(self.events)
 
     def by_kind(self, kind: EventKind) -> List[ScheduledEvent]:
+        """The recorded events of one kind, in recording order."""
         return [event for event in self.events if event.kind is kind]
 
     def by_device(self, device: int) -> List[ScheduledEvent]:
+        """The recorded events on one device, in recording order."""
         return [event for event in self.events if event.device == device]
 
     # ------------------------------------------------------------------ #

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.dist.matrix import DistributedMatrix
-from repro.dist.partition import Block2D, ColumnBlock, RowBlock
+from repro.dist.partition import Block2D, ColumnBlock, Partition, RowBlock
+from repro.dist.tile_grid import TileGrid
 from repro.runtime.runtime import Runtime
 from repro.topology.machines import uniform_system
 from repro.util.indexing import Interval, Rect
@@ -34,6 +35,22 @@ class TestOwnership:
         owners_1 = {matrix.owner_rank(idx, 1) for idx in matrix.tiles()}
         assert owners_0 == {0, 1}
         assert owners_1 == {2, 3}
+
+    @pytest.mark.parametrize("bad", [4, -1])
+    def test_out_of_range_owner_position_names_the_first_bad_tile(self, runtime, bad):
+        class BadOwners(Partition):
+            name = "bad_owners"
+
+            def build(self, shape, num_owners):
+                owners = np.arange(6).reshape(2, 3) % num_owners
+                owners[1, 1] = owners[1, 2] = bad
+                return TileGrid((0, 4, 8), (0, 3, 6, 8)), owners
+
+        allocations = []
+        runtime.allocate_on = lambda *args, **kwargs: allocations.append(args)
+        with pytest.raises(PartitionError, match=rf"tile \(1, 1\) on owner position {bad}"):
+            DistributedMatrix.create(runtime, (8, 8), BadOwners(), name="M")
+        assert allocations == []
 
     def test_grid_shape_reflects_per_replica_owners(self, runtime):
         matrix = DistributedMatrix.create(runtime, (16, 16), RowBlock(),

@@ -6,6 +6,8 @@ simulating fewer candidates.  That only holds if the cost-model bound is
 admissible (never exceeds the simulated time), so that is tested directly.
 """
 
+import time
+
 import pytest
 
 from repro.bench.schemes import ua_schemes
@@ -151,3 +153,24 @@ class TestEnumeration:
             MACHINE, SMALL, MACHINE.memory_capacity, ua_schemes(), [1, 2], ("A", "B")
         )
         assert [cand.index for cand in candidates] == list(range(len(candidates)))
+
+
+class TestPhaseAccounting:
+    def test_operand_construction_is_timed_as_opgen(self, monkeypatch):
+        """Building the symbolic operands is op-generation work, not bound work."""
+        delay = 0.01
+        calls = []
+        original = BatchEvaluator._operand
+
+        def slow_operand(self, *args):
+            calls.append(args)
+            time.sleep(delay)
+            return original(self, *args)
+
+        monkeypatch.setattr(BatchEvaluator, "_operand", slow_operand)
+        _, stats = search_partitionings(MACHINE, SMALL, replication_factors=[1],
+                                        stationary_options=("C",))
+        slept = len(calls) * delay
+        assert calls
+        assert stats.opgen_seconds >= slept
+        assert stats.bound_seconds < slept / 2
