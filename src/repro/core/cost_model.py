@@ -196,8 +196,10 @@ class CostModel:
     def _link(self, src, dst, nbytes) -> Tuple[np.ndarray, np.ndarray]:
         """``(latency, latency + nbytes / bandwidth)`` of the ``src -> dst`` links."""
         latency, bandwidth = self.topology.pair_tables()
-        latency = latency[src, dst]
-        return latency, latency + nbytes / bandwidth[src, dst]
+        # One flat index for both tables: cheaper than two 2-D gathers.
+        pair = src * latency.shape[1] + dst
+        latency = latency.take(pair)
+        return latency, latency + nbytes / bandwidth.take(pair)
 
     def transfer_time(self, src, dst, nbytes) -> np.ndarray:
         """Time for one-sided gets/puts of ``nbytes`` from ``src`` to ``dst``."""

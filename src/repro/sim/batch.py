@@ -321,10 +321,9 @@ class BatchEvaluator:
         durations = self.cost_model.price_rows(frame, itemsize, self.structure)
         durations["flops"] = flops
         stride = p * _NUM_ENGINES + 1
-        slots, vals = self._occupancy_rows({**frame, **durations})
         # Rows are program-major, so offsetting each row's 7 slots into its
         # program's segment keeps every per-program accumulation order.
-        slots += np.repeat(task * stride, 7)
+        slots, vals = self._occupancy_rows({**frame, **durations}, task * stride)
         totals = np.bincount(slots, weights=vals, minlength=len(entries) * stride)
         occupancy = totals.reshape(len(entries), stride)[:, :p * _NUM_ENGINES].max(axis=1)
         for t, (key, (candidate, cls)) in enumerate(todo.items()):
@@ -332,7 +331,7 @@ class BatchEvaluator:
                 candidate, cls, frame, durations, int(bounds[t]), int(bounds[t + 1]),
                 rank_starts[t], float(occupancy[t]))
 
-    def _occupancy_rows(self, cols: Dict[str, np.ndarray]
+    def _occupancy_rows(self, cols: Dict[str, np.ndarray], offset=0
                         ) -> Tuple[np.ndarray, np.ndarray]:
         """(slot, value) pairs in the scalar occupancy loop's emission order.
 
@@ -341,32 +340,37 @@ class BatchEvaluator:
         GEMM -> accumulate (remote on the accumulate engine, local on
         compute) -> ingress -> fetch A -> egress A -> fetch B -> egress B.
         Terms the scalar loop never adds are routed to a per-candidate trash
-        slot with value 0.
+        slot with value 0.  ``offset`` (per row, or one for all) is added to
+        every slot.
         """
         num = cols["rank"].shape[0]
         p = self.machine.num_devices
-        trash = p * _NUM_ENGINES
+        trash = offset + p * _NUM_ENGINES
         slots = np.empty((num, 7), dtype=np.int64)
         vals = np.zeros((num, 7), dtype=np.float64)
-        base = cols["rank"] * _NUM_ENGINES
+        base = cols["rank"] * _NUM_ENGINES + offset
         c_remote = cols["c_remote"]
         slots[:, 0] = base + _E_COMPUTE
         vals[:, 0] = cols["gemm"]
         slots[:, 1] = np.where(c_remote, base + _E_ACCUMULATE, base + _E_COMPUTE)
         vals[:, 1] = cols["acc"]
-        slots[:, 2] = np.where(c_remote,
-                               cols["c_owner"] * _NUM_ENGINES + _E_INGRESS, trash)
-        vals[:, 2] = np.where(c_remote, cols["ingress"], 0.0)
+
+        def emit_on(column: int, sent: np.ndarray, slot, value: np.ndarray) -> None:
+            slots[:, column] = trash
+            np.copyto(slots[:, column], slot, where=sent)
+            np.copyto(vals[:, column], value, where=sent)
+
+        emit_on(2, c_remote, cols["c_owner"] * _NUM_ENGINES + (offset + _E_INGRESS),
+                cols["ingress"])
         cache = self.config.cache_remote_tiles
-        for offset, side in ((3, "a"), (5, "b")):
+        for column, side in ((3, "a"), (5, "b")):
             emit = cols[f"{side}_remote"]
             if cache:
                 emit = emit & cols[f"{side}_first"]
-            slots[:, offset] = np.where(emit, base + _E_COPY, trash)
-            vals[:, offset] = np.where(emit, cols[f"{side}_fetch"], 0.0)
-            slots[:, offset + 1] = np.where(
-                emit, cols[f"{side}_owner"] * _NUM_ENGINES + _E_EGRESS, trash)
-            vals[:, offset + 1] = np.where(emit, cols[f"{side}_egress"], 0.0)
+            emit_on(column, emit, base + _E_COPY, cols[f"{side}_fetch"])
+            emit_on(column + 1, emit,
+                    cols[f"{side}_owner"] * _NUM_ENGINES + (offset + _E_EGRESS),
+                    cols[f"{side}_egress"])
         return slots.reshape(-1), vals.reshape(-1)
 
     def frontier_occupancy_bounds(self, candidates) -> List[float]:
