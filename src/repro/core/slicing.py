@@ -91,55 +91,49 @@ def _cut_axes(split_lists: Sequence[np.ndarray], first: np.ndarray, second: np.n
     An axis is cut by the split points of the two grids that share it and
     by the starts of its ``factor`` replica shares.  All axes are cut by one
     array program: axis ``x``'s points are offset by ``x * span``, so one
-    sorted array holds the axes in turn.  Returns
+    sorted array per family of points -- the first grid's, the second
+    grid's, the share starts -- holds the axes in turn.  Returns
 
     * ``segments``: rows ``(first tile, second tile, start, stop)``, one
       column per segment, axis-major;
-    * ``runs``: rows ``(first segment, count)``, one column per run of
-      contiguous segments in one tile or share.  Per family -- tiles of the
-      first grid, tiles of the second grid, shares -- the runs are
-      axis-major; a grid's runs include an empty one at its extent;
+    * ``runs``: rows ``(first segment, count)``, one column per point of
+      each family: the segments from that point to the family's next one
+      are one tile (or share), or none after a grid's last point;
     * ``run_at``: per family and axis, the run of its tile (or share) 0;
     * ``first_run``: each segment's run in the first grid.
     """
     lengths = np.array([splits.size for splits in split_lists])
-    points_at = _starts(lengths)
     points = np.concatenate(split_lists)
+    points_at = _starts(lengths)
     extent = points[points_at[first] + lengths[first] - 1]
     span = int(extent.max()) + 1
-    offset = np.arange(first.size) * span
-    families = []
-    for lists in (first, second):
-        counts = lengths[lists]
-        families.append((points[_ranges(points_at[lists], counts)]
-                         + np.repeat(offset, counts), counts))
+    grids = np.concatenate((first, second))
+    counts = np.concatenate((lengths[grids], factor))
+    # Per family and axis, the index of its first point.
+    run_at = _starts(counts).reshape(3, -1)
+    owner, at = _expand(counts[:grids.size])
+    grid_keys = points[points_at[grids][owner] + at] + owner % first.size * span
     # Share r of extent e in f shares starts at r * (e // f) + min(r, e % f);
     # empty shares (e < f) start at the extent.
-    share = _ranges(np.zeros_like(factor), factor)
-    families.append((share * np.repeat(extent // factor, factor)
-                     + np.minimum(share, np.repeat(extent % factor, factor))
-                     + np.repeat(offset, factor), factor))
-    cuts = np.unique(np.concatenate([keys for keys, _ in families]))
+    axis, share = _expand(factor)
+    keys = np.concatenate((grid_keys, share * (extent // factor)[axis]
+                           + np.minimum(share, (extent % factor)[axis]) + axis * span))
+    cuts = np.unique(keys)
     inside = cuts[1:] // span == cuts[:-1] // span
     start, stop = cuts[:-1][inside], cuts[1:][inside]
+    first_segment = np.searchsorted(start, keys)
+    next_first = np.append(first_segment[1:], 0)
+    second_at, share_at = run_at[1:, 0].tolist()
+    next_first[[second_at - 1, share_at - 1, -1]] = start.size
+    # Every point is a cut, so a segment lies in one tile of each grid: the
+    # last one starting at or before it.
+    first_run = np.searchsorted(grid_keys[:second_at], start, side="right") - 1
+    second_run = np.searchsorted(grid_keys[second_at:], start, side="right") - 1
     axis = start // span
-    segments = [None, None, start - axis * span, stop - axis * span]
-    runs, run_at = [], []
-    base = 0
-    for family, (keys, counts) in enumerate(families):
-        # Every split point and share start is a cut, so a segment lies in
-        # one tile (or share): the last one starting at or before it.
-        slot = np.searchsorted(keys, start, side="right") - 1
-        first_slot = _starts(counts)
-        if family < 2:
-            segments[family] = slot - first_slot[axis]
-        if family == 0:
-            first_run = slot
-        count = np.bincount(slot, minlength=keys.size)
-        runs.append(np.stack((_starts(count), count)))
-        run_at.append(base + first_slot)
-        base += keys.size
-    return np.stack(segments), np.concatenate(runs, axis=1), np.stack(run_at), first_run
+    segments = np.stack((first_run - run_at[0][axis],
+                         second_run + second_at - run_at[1][axis],
+                         start - axis * span, stop - axis * span))
+    return segments, np.stack((first_segment, next_first - first_segment)), run_at, first_run
 
 
 #: Per stationary operand (A, B, C), how a block picks its segments on the
@@ -156,9 +150,11 @@ _FREE_AXIS = np.array([2, 0, 1])
 #: segment runs come from: 0-2 the block's m, k, n runs, 3 the unit's group
 #: (a run of m segments for B, of n segments for A), 4 one k segment.
 _UNIT_SOURCES = np.array([(4, 0, 3), (1, 3, 2), (0, 1, 2)])
-#: Per axis (m, k, n), the (operand, grid dimension) of its first and of its
-#: second grid: A rows and C rows, A columns and B rows, B and C columns.
-_AXIS_GRIDS = (((0, 0), (2, 0)), ((0, 1), (1, 0)), ((1, 1), (2, 1)))
+#: The first and the second grid of the m, k and n axes: per axis, the
+#: operand (A, B, C) and dimension (rows, columns) -- A rows and C rows,
+#: A columns and B rows, B and C columns.
+_AXIS_GRIDS = ((np.array([0, 0, 1]), np.array([0, 1, 1])),
+               (np.array([2, 1, 2]), np.array([0, 0, 1])))
 
 
 def slice_table(tasks: Sequence[Tuple[OperandLayout, OperandLayout, OperandLayout,
@@ -181,10 +177,9 @@ def slice_table(tasks: Sequence[Tuple[OperandLayout, OperandLayout, OperandLayou
     """
     # -- distinct layouts (by identity) and split lists (by value) ---------- #
     given = [layout for task in tasks for layout in task[:3]]
-    _, first_seen, lay = np.unique(np.array([id(layout) for layout in given]),
-                                   return_index=True, return_inverse=True)
-    layouts = [given[at] for at in first_seen.tolist()]
-    lay = lay.reshape(-1, 3)
+    layouts = list(dict.fromkeys(given))  # layouts hash by identity
+    index_of = {layout: index for index, layout in enumerate(layouts)}
+    lay = np.fromiter(map(index_of.__getitem__, given), np.int64, len(given)).reshape(-1, 3)
     num_tasks = lay.shape[0]
     kind = np.array([_OPERAND[task[3]] for task in tasks])
     split_at: Dict[Tuple[int, ...], int] = {}
@@ -196,8 +191,7 @@ def slice_table(tasks: Sequence[Tuple[OperandLayout, OperandLayout, OperandLayou
     stat = lay[np.arange(num_tasks), kind]
 
     # -- distinct axes: (first split list, second split list, factor) ------- #
-    first, second = (np.stack([grids[lay[:, ends[end][0]], ends[end][1]]
-                               for ends in _AXIS_GRIDS], axis=1) for end in (0, 1))
+    first, second = (grids[lay[:, operands], dims] for operands, dims in _AXIS_GRIDS)
     factors = np.where(_FREE_AXIS[kind][:, None] == np.arange(3), factor[stat][:, None], 1)
     num_splits, num_factors = len(split_at), int(factor.max()) + 1
     keys = (first * num_splits + second) * num_factors + factors
