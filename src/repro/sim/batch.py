@@ -298,7 +298,10 @@ class BatchEvaluator:
             self.opgen_seconds += time.perf_counter() - started
             return
         entries = list(todo.values())
-        table = slice_table([cls.layouts + (parse_stationary(candidate.stationary),)
+        # A frontier names three stationaries: parse each once, not per candidate.
+        stationaries = {name: parse_stationary(name)
+                        for name in {candidate.stationary for candidate, _ in entries}}
+        table = slice_table([cls.layouts + (stationaries[candidate.stationary],)
                              for candidate, cls in entries])
         itemsize = entries[0][1].c.dtype.itemsize
         frame = self.cost_model.event_columns(
