@@ -20,8 +20,9 @@ stationary operand's replica-share cuts on its free axis, cut the extent into
 *segments*.  The ops of one stationary tile are the product of the segments
 inside its rows, inside its columns, and inside its replica's share of the
 free axis — the data of CuPy's ``make_2d_index_map``.  :func:`slice_table`
-builds that product for a whole batch of tasks as one array program; the
-paper's loop order is recovered with one sort.  :func:`generate_all_ops`
+builds that product for a whole batch of tasks as one array program: it cuts
+each distinct axis of the batch once and expands every tile's segments
+straight into the paper's loop order.  :func:`generate_all_ops`
 turns the rows into :class:`LocalMatmulOp` objects and :func:`ops_table`
 turns op lists back into rows; the executors, the planner's batch evaluator
 and the cost-based strategy choice price the rows without building objects.
@@ -77,11 +78,6 @@ def _expand(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     index = np.arange(run.size)
     index -= np.repeat(_starts(counts), counts)
     return run, index
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The concatenated ``range(start, start + count)`` of each pair."""
-    return np.arange(counts.sum()) + np.repeat(starts - _starts(counts), counts)
 
 
 def _cut_axes(split_lists: Sequence[np.ndarray], first: np.ndarray, second: np.ndarray,
@@ -236,15 +232,15 @@ def slice_table(tasks: Sequence[Tuple[OperandLayout, OperandLayout, OperandLayou
     unit_groups = groups[unit_blk]
     group = first_group[unit_blk] + at % unit_groups
     group_end = group_lo[unit_blk] + group_cnt[unit_blk]
-    group_lo = np.maximum(runs[0, group], group_lo[unit_blk])
+    group_start = np.maximum(runs[0, group], group_lo[unit_blk])
     num_units = unit_blk.size
     unit_kind = blk_kind[unit_blk]
     pick = _UNIT_SOURCES[unit_kind].T * num_units + np.arange(num_units)
-    unit_lo = np.concatenate((*np.take(lo, unit_blk, axis=1), group_lo,
+    unit_lo = np.concatenate((*np.take(lo, unit_blk, axis=1), group_start,
                               lo[1][unit_blk] + at // unit_groups))[pick]
     unit_cnt = np.concatenate((*np.take(cnt, unit_blk, axis=1),
                                np.minimum(runs[0, group] + runs[1, group], group_end)
-                               - group_lo, np.ones_like(at)))[pick]
+                               - group_start, np.ones_like(at)))[pick]
 
     # -- rows: expand each unit's (outer, middle, inner) product ------------ #
     # Row-length arrays are built in place where they can be: fresh memory
@@ -267,13 +263,13 @@ def slice_table(tasks: Sequence[Tuple[OperandLayout, OperandLayout, OperandLayou
     gk = middle
     del outer, swap
 
-    first, second, start, stop = segments
+    first_tile, second_tile, start, stop = segments
     table = {
         "task": blk_task[unit_blk][row_unit], "rank": blk_rank[unit_blk][row_unit],
         "m0": start[gm], "m1": stop[gm], "k0": start[gk], "k1": stop[gk],
         "n0": start[gn], "n1": stop[gn],
-        "a_i": first[gm], "a_j": first[gk], "b_i": second[gk], "b_j": first[gn],
-        "c_i": second[gm], "c_j": second[gn],
+        "a_i": first_tile[gm], "a_j": first_tile[gk], "b_i": second_tile[gk],
+        "b_j": first_tile[gn], "c_i": second_tile[gm], "c_j": second_tile[gn],
         "stat_i": stat_i[unit_blk][row_unit], "stat_j": stat_j[unit_blk][row_unit],
     }
     del gm, gk, gn
