@@ -220,19 +220,20 @@ def slice_table(tasks: Sequence[Tuple[OperandLayout, OperandLayout, OperandLayou
     # (m, k, n) product of segments.  B loops (A row, A col, C row, C col):
     # per A row -- a run of m segments -- one (k, m, n) product.  A loops
     # (B row, B col, C row, C col): per k segment and B column -- a run of
-    # n segments -- one (k, m, n) product with one k segment.
+    # n segments -- one (k, m, n) product with one k segment.  A group is
+    # the part of such a run inside the block.
     grouped = np.where(blk_kind == 0, 2 * num_blocks, 0) + np.arange(num_blocks)
-    group_lo, group_cnt = lo.ravel()[grouped], cnt.ravel()[grouped]
+    span_lo, span_cnt = lo.ravel()[grouped], cnt.ravel()[grouped]
     filled = cnt.prod(axis=0) > 0
-    first_group = first_run[np.where(filled, group_lo, 0)]
+    first_group = first_run[np.where(filled, span_lo, 0)]
     groups = np.where(blk_kind == 2, 1,
-                      first_run[np.where(filled, group_lo + group_cnt - 1, 0)]
+                      first_run[np.where(filled, span_lo + span_cnt - 1, 0)]
                       - first_group + 1) * filled
     unit_blk, at = _expand(groups * np.where(blk_kind == 0, cnt[1], 1))
     unit_groups = groups[unit_blk]
     group = first_group[unit_blk] + at % unit_groups
-    group_end = group_lo[unit_blk] + group_cnt[unit_blk]
-    group_start = np.maximum(runs[0, group], group_lo[unit_blk])
+    group_end = span_lo[unit_blk] + span_cnt[unit_blk]
+    group_start = np.maximum(runs[0, group], span_lo[unit_blk])
     num_units = unit_blk.size
     unit_kind = blk_kind[unit_blk]
     pick = _UNIT_SOURCES[unit_kind].T * num_units + np.arange(num_units)
