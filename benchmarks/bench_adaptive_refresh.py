@@ -1,10 +1,10 @@
 """Adaptive refresh: background planning must change *when*, never *what*.
 
-PR 8 moved every reason a cold plan used to run synchronously — TTL expiry,
-drifting structure, first-seen-next signatures — off the request path
-(``repro.planner.refresh``).  This benchmark replays one recorded traffic
-trace under a deliberately short TTL in two modes and pins the three
-promises that made that acceptable:
+``repro.planner.refresh`` moves the re-plan of an expiring or just-expired
+plan off the request path: a stale serve enqueues a refresh, and a periodic
+pass refreshes entries before their TTL ends.  This benchmark replays one
+hand-written traffic trace under a deliberately short TTL in two modes and
+pins the three promises that made that acceptable:
 
 * **bit-identical recommendations** — every request's winning plan (scheme,
   replication, stationary operand, simulated time) is identical with the

@@ -25,7 +25,7 @@ from repro.core.structure import (
     structure_from_dict,
 )
 from repro.util.indexing import ceil_div
-from repro.util.validation import check_positive_int
+from repro.util.validation import check_positive_int, read_int
 
 #: Schema version of :meth:`Workload.to_dict` payloads.  Version 2 added the
 #: ``structure`` field (block-sparse / MoE-ragged workloads); version-1
@@ -107,9 +107,9 @@ class Workload:
         """Inverse of :meth:`to_dict` (schema-1 payloads deserialize as dense)."""
         return cls(
             name=str(payload["name"]),
-            m=int(payload["m"]),  # type: ignore[arg-type]
-            n=int(payload["n"]),  # type: ignore[arg-type]
-            k=int(payload["k"]),  # type: ignore[arg-type]
+            m=read_int(payload["m"], "m"),
+            n=read_int(payload["n"], "n"),
+            k=read_int(payload["k"], "k"),
             structure=structure_from_dict(payload.get("structure")),  # type: ignore[arg-type]
         )
 

@@ -29,6 +29,8 @@ from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.util.validation import read_int
+
 #: A data node: (operand name, flat row-major tile index).  A rank's ops
 #: always read its own replica of A and B, so the tile index names the node.
 DataKey = Tuple[str, int]
@@ -173,8 +175,8 @@ class GraphOp:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "GraphOp":
         """Inverse of :meth:`to_dict`."""
-        return cls(name=str(payload["name"]), m=int(payload["m"]),  # type: ignore[arg-type]
-                   n=int(payload["n"]), k=int(payload["k"]))  # type: ignore[arg-type]
+        return cls(name=str(payload["name"]), m=read_int(payload["m"], "m"),
+                   n=read_int(payload["n"], "n"), k=read_int(payload["k"], "k"))
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,8 @@ class GraphEdge:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "GraphEdge":
         """Inverse of :meth:`to_dict`."""
-        return cls(src=int(payload["src"]), dst=int(payload["dst"]),  # type: ignore[arg-type]
+        return cls(src=read_int(payload["src"], "src"),
+                   dst=read_int(payload["dst"], "dst"),
                    operand=str(payload.get("operand", "A")))
 
 

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.util.indexing import Interval, ceil_div
+from repro.util.validation import read_int
 
 #: Operand roles, matching the labels used throughout the executors.
 ROLE_A = "A"
@@ -361,8 +362,8 @@ class BlockSparse(WorkloadStructure):
     def from_dict(cls, payload: Mapping[str, object]) -> "BlockSparse":
         rows = payload["mask"]
         return cls(
-            block_k=int(payload["block_k"]),  # type: ignore[arg-type]
-            block_n=int(payload["block_n"]),  # type: ignore[arg-type]
+            block_k=read_int(payload["block_k"], "block_k"),
+            block_n=read_int(payload["block_n"], "block_n"),
             mask=tuple(tuple(ch == "1" for ch in str(row)) for row in rows),  # type: ignore[union-attr]
         )
 
@@ -508,8 +509,9 @@ class MoERagged(WorkloadStructure):
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "MoERagged":
         return cls(
-            expert_tokens=tuple(int(t) for t in payload["expert_tokens"]),  # type: ignore[union-attr]
-            capacity=int(payload["capacity"]),  # type: ignore[arg-type]
+            expert_tokens=tuple(read_int(t, "expert_tokens")
+                                for t in payload["expert_tokens"]),  # type: ignore[union-attr]
+            capacity=read_int(payload["capacity"], "capacity"),
         )
 
     def signature_token(self) -> str:

@@ -84,6 +84,7 @@ class RowBlock(Partition):
     name = "row"
 
     def build(self, shape: Tuple[int, int], num_owners: int) -> Tuple[TileGrid, np.ndarray]:
+        """Row panels of near-equal height, owners assigned round-robin."""
         check_positive_int(num_owners, "num_owners")
         rows, cols = int(shape[0]), int(shape[1])
         blocks = num_owners if self.num_blocks is None else \
@@ -100,6 +101,7 @@ class ColumnBlock(Partition):
     name = "column"
 
     def build(self, shape: Tuple[int, int], num_owners: int) -> Tuple[TileGrid, np.ndarray]:
+        """Column panels of near-equal width, owners assigned round-robin."""
         check_positive_int(num_owners, "num_owners")
         rows, cols = int(shape[0]), int(shape[1])
         blocks = num_owners if self.num_blocks is None else \
@@ -144,6 +146,7 @@ class Block2D(Partition):
         return near_square_factors(num_owners)
 
     def build(self, shape: Tuple[int, int], num_owners: int) -> Tuple[TileGrid, np.ndarray]:
+        """One block per grid position, owned by that position (row-major)."""
         check_positive_int(num_owners, "num_owners")
         rows, cols = int(shape[0]), int(shape[1])
         grid_rows, grid_cols = self._grid_dims(num_owners)
@@ -171,6 +174,7 @@ class BlockCyclic(Partition):
     name = "block_cyclic"
 
     def build(self, shape: Tuple[int, int], num_owners: int) -> Tuple[TileGrid, np.ndarray]:
+        """Fixed ``tile_shape`` tiles dealt cyclically over the process grid."""
         check_positive_int(num_owners, "num_owners")
         rows, cols = int(shape[0]), int(shape[1])
         tile_rows, tile_cols = int(self.tile_shape[0]), int(self.tile_shape[1])
@@ -212,6 +216,7 @@ class CustomTiles(Partition):
         self.col_splits = tuple(int(s) for s in col_splits)
 
     def build(self, shape: Tuple[int, int], num_owners: int) -> Tuple[TileGrid, np.ndarray]:
+        """The given split lists (checked against ``shape``), owners round-robin."""
         check_positive_int(num_owners, "num_owners")
         grid = TileGrid(self.row_splits, self.col_splits)
         rows, cols = int(shape[0]), int(shape[1])

@@ -43,11 +43,13 @@ class ProcessGrid:
 
     @classmethod
     def near_square(cls, count: int) -> "ProcessGrid":
+        """The grid of :func:`near_square_factors` for ``count`` positions."""
         rows, cols = near_square_factors(count)
         return cls(rows, cols)
 
     @property
     def size(self) -> int:
+        """Number of positions, ``rows * cols``."""
         return self.rows * self.cols
 
     def position_of(self, row: int, col: int) -> int:

@@ -51,10 +51,12 @@ class ReplicationSpec:
     # ------------------------------------------------------------------ #
     @property
     def num_replicas(self) -> int:
+        """Number of replica groups (the replication factor ``c``)."""
         return self.factor
 
     @property
     def ranks_per_replica(self) -> int:
+        """Ranks in each replica group, ``p / c``."""
         return self.num_ranks // self.factor
 
     # ------------------------------------------------------------------ #

@@ -61,10 +61,12 @@ class TileGrid:
 
     @property
     def num_row_tiles(self) -> int:
+        """Number of tiles along the row axis."""
         return len(self.row_splits) - 1
 
     @property
     def num_col_tiles(self) -> int:
+        """Number of tiles along the column axis."""
         return len(self.col_splits) - 1
 
     @property
@@ -74,6 +76,7 @@ class TileGrid:
 
     @property
     def num_tiles(self) -> int:
+        """Total number of tiles in the grid."""
         return self.num_row_tiles * self.num_col_tiles
 
     # ------------------------------------------------------------------ #
@@ -99,6 +102,7 @@ class TileGrid:
         )
 
     def tile_shape(self, idx: TileIndex) -> Tuple[int, int]:
+        """``(rows, cols)`` extent of tile ``idx``."""
         return self.tile_bounds(idx).shape
 
     # ------------------------------------------------------------------ #

@@ -13,8 +13,7 @@ they all report into:
 * :mod:`repro.obs.reqlog` — an append-only, size-rotated JSONL log of served
   requests with crash-safe line-atomic appends;
 * :mod:`repro.obs.rollup` — the compaction pass turning raw logs into
-  per-signature aggregates that feed traffic-weighted cache eviction and
-  background-refresh scheduling.
+  per-signature aggregates that feed traffic-weighted cache eviction.
 
 Everything is off-by-default-cheap: components wired to
 :data:`~repro.obs.metrics.NULL_REGISTRY` / :data:`~repro.obs.tracing.NULL_TRACER`

@@ -6,7 +6,7 @@ the served plan was, where the latency went, which worker answered, and the
 trace id tying the line to a recorded trace.  This is the raw stream the
 ROADMAP's telemetry-driven adaptive planning consumes — the rollup pass
 (:mod:`repro.obs.rollup`) compacts it into per-signature aggregates that
-feed eviction weighting and refresh scheduling.
+feed eviction weighting.
 
 Durability model:
 

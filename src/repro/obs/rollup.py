@@ -11,13 +11,10 @@ the per-signature view adaptive planning actually consumes:
 
 A :class:`Rollup` is itself JSON-persistable, so compaction can run
 out-of-band (a cron pass over the log directory) and the serving processes
-load only the compact artifact.  Consumers in-tree:
-
-* :meth:`repro.planner.cache.PlanCache.set_traffic_weights` — eviction
-  weighted by observed per-signature traffic instead of pure LRU;
-* :meth:`repro.planner.service.PlannerService.refresh_candidates` — the
-  hot signatures whose TTL expires soonest, i.e. what a background
-  refresher should recompute *before* expiry evicts them.
+load only the compact artifact.  The in-tree consumer is
+:meth:`repro.planner.cache.PlanCache.set_traffic_weights` (installed by
+:meth:`repro.planner.service.PlannerService.apply_rollup`): eviction
+weighted by observed per-signature traffic instead of pure LRU.
 """
 
 from __future__ import annotations
@@ -161,8 +158,7 @@ class Rollup:
 
         Ordering is fully deterministic: descending by the field, ties broken
         by ascending signature key — dict insertion order (which depends on
-        log-replay order) never leaks into consumers like
-        :meth:`repro.planner.service.PlannerService.refresh_candidates`.
+        log-replay order) never leaks into reports built from it.
         """
         return sorted(self.signatures.values(),
                       key=lambda agg: (-getattr(agg, by), agg.signature))[:n]

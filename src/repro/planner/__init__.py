@@ -21,9 +21,8 @@ This package is the production answer the ROADMAP's serving goal needs:
   pool, single-flight dedup of concurrent identical requests, and serving
   statistics;
 * :mod:`repro.planner.refresh` — :class:`BackgroundRefresher`, the adaptive
-  refresh engine: stale-while-revalidate revalidation, pre-TTL refresh,
-  predictive prewarming, and drift-triggered re-planning, all off the
-  request path.
+  refresh engine: stale-while-revalidate revalidation and pre-TTL refresh,
+  both off the request path.
 
 ``repro.bench.selector.recommend_partitioning`` delegates here, so existing
 callers get the pruned search transparently.
@@ -47,12 +46,7 @@ from repro.planner.graph import (
     op_workload,
     plan_graph_layouts,
 )
-from repro.planner.refresh import (
-    BackgroundRefresher,
-    DriftTracker,
-    RefreshStats,
-    TransitionTable,
-)
+from repro.planner.refresh import BackgroundRefresher, RefreshStats
 from repro.planner.search import (
     Candidate,
     SearchStats,
@@ -79,9 +73,7 @@ from repro.planner.signature import (
 
 __all__ = [
     "BackgroundRefresher",
-    "DriftTracker",
     "RefreshStats",
-    "TransitionTable",
     "CacheStats",
     "PlanCache",
     "PlanEntry",

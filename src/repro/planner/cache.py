@@ -200,8 +200,6 @@ class CacheStats:
     #: Expired-but-in-grace entries served by :meth:`PlanCache.get_for_serving`
     #: (each also counts as a hit — the caller got an answer).
     stale_serves: int = 0
-    #: Entries dropped by :meth:`PlanCache.invalidate` (drift re-planning).
-    invalidations: int = 0
     #: The configured stale-while-revalidate window (``None`` means expiry
     #: is hard even on the serving path).
     grace_seconds: Optional[float] = None
@@ -223,8 +221,6 @@ _HELP = {
     "repro_plan_cache_expirations_total": "Entries dropped by TTL.",
     "repro_plan_cache_stale_serves_total":
         "Expired-but-in-grace entries served pending a refresh.",
-    "repro_plan_cache_invalidations_total":
-        "Entries dropped explicitly (e.g. structure drift).",
     "repro_plan_cache_entries": "Resident plan-cache entries.",
     "repro_plan_cache_bytes": "Serialized bytes of resident entries.",
 }
@@ -284,9 +280,9 @@ class PlanCache:
     the behavior is exactly the historical LRU, bit for bit.
 
     ``metrics`` optionally exports the counters (lookups by result, puts,
-    evictions, expirations, stale serves, invalidations) and resident
-    entry/byte gauges on a :class:`~repro.obs.metrics.MetricsRegistry`,
-    read from :meth:`stats` at snapshot time.
+    evictions, expirations, stale serves) and resident entry/byte gauges on
+    a :class:`~repro.obs.metrics.MetricsRegistry`, read from :meth:`stats`
+    at snapshot time.
     """
 
     def __init__(
@@ -321,7 +317,6 @@ class PlanCache:
         self._evictions = 0
         self._expirations = 0
         self._stale_serves = 0
-        self._invalidations = 0
         self._weights: Optional[Dict[str, float]] = None
         (metrics if metrics is not None else NULL_REGISTRY).add_source(
             self._samples, _HELP)
@@ -382,22 +377,6 @@ class PlanCache:
             if stale:
                 self._stale_serves += 1
             return (slot.entry, max(0.0, age), stale)
-
-    def invalidate(self, key: str) -> bool:
-        """Explicitly drop one entry (no hit/miss accounting); True if present.
-
-        Used by drift-triggered re-planning: when live structure statistics
-        show a signature's plan was computed for a bucket the traffic has
-        left, the refresher invalidates it so the next lookup re-plans (or a
-        background refresh repopulates it) instead of serving a mispriced
-        plan until TTL.
-        """
-        with self._lock:
-            if key not in self._entries:
-                return False
-            self._drop(key)
-            self._invalidations += 1
-            return True
 
     def _victim(self, protect: str) -> str:
         """Pick the next eviction victim (caller holds the lock).
@@ -528,7 +507,6 @@ class PlanCache:
                               ttl_seconds=self.ttl_seconds,
                               oldest_age_seconds=oldest,
                               stale_serves=self._stale_serves,
-                              invalidations=self._invalidations,
                               grace_seconds=self.grace_seconds)
 
     def _samples(self) -> Samples:
@@ -542,7 +520,6 @@ class PlanCache:
                 "repro_plan_cache_evictions_total": stats.evictions,
                 "repro_plan_cache_expirations_total": stats.expirations,
                 "repro_plan_cache_stale_serves_total": stats.stale_serves,
-                "repro_plan_cache_invalidations_total": stats.invalidations,
             },
             "gauges": {"repro_plan_cache_entries": stats.size,
                        "repro_plan_cache_bytes": stats.total_bytes},

@@ -21,19 +21,16 @@ but production-shaped:
   (exported from :class:`ServiceStats`, the one store) and latency
   histograms, one span tree per request, one log line per request;
 * **adaptive** — :meth:`~PlannerService.apply_rollup` feeds compacted
-  telemetry back into serving (traffic-weighted cache eviction),
-  :meth:`~PlannerService.refresh_candidates` names the hot signatures a
-  background refresher should re-plan first, and
+  telemetry back into serving (traffic-weighted cache eviction), and
   :meth:`~PlannerService.refresh` recomputes one signature off the request
   path (sharing the single-flight table with foreground ``plan()`` calls).
   With a grace window configured (``cache_grace_seconds``) the service
   serves **stale-while-revalidate**: a just-expired plan answers
   immediately (``stale=True``) while the refresher recomputes it, and with
   ``refresh_options`` set the service owns a
-  :class:`~repro.planner.refresh.BackgroundRefresher` that keeps hot plans
-  warm before TTL expiry, prewarms predicted-next signatures, and re-plans
-  drifted MoE/block-sparse buckets — so under steady traffic zero cold
-  plans execute on the request path.
+  :class:`~repro.planner.refresh.BackgroundRefresher` that re-plans stale
+  serves and keeps observed plans warm before TTL expiry — so under steady
+  traffic zero cold plans execute on the request path.
 
 ``plan_many()`` fans a batch of requests over a thread pool, which both
 exercises and benefits from single-flight dedup when the batch repeats
@@ -343,7 +340,6 @@ class PlannerService:
                                          worker_index, clock=self.clock)
         self._tracer = (self._telemetry.tracer if self._telemetry is not None
                         else NULL_TRACER)
-        self._rollup: Optional[Rollup] = None
         # Observation hook for the background refresher (``set_observer``):
         # None when no refresher is attached, so the request path's cost for
         # the disabled feature is one attribute check — the same discipline
@@ -598,7 +594,7 @@ class PlannerService:
         if entry is None:
             raise flight.error  # the leader failed; every waiter re-raises
         if observer is not None:
-            observer.observe_request(signature, option, subject, stale=stale)
+            observer.observe_request(signature, option, stale=stale)
         return response_type._from_entry(
             signature, entry, cache_hit=found is not None, coalesced=coalesced,
             planning_time=elapsed, plan_age=plan_age, stale=stale,
@@ -730,12 +726,11 @@ class PlannerService:
         """Install (or clear, with ``None``) the request-observation hook.
 
         The observer sees every served request as
-        ``observe_request(signature, top_k, workload, stale=...)`` — the feed
-        a :class:`~repro.planner.refresh.BackgroundRefresher` uses for
-        stale-triggered refreshes, transition-table prewarming, and drift
-        tracking.  Calls happen outside the service lock, after the response
-        is accounted; the observer must be cheap and must not call back into
-        ``plan()``.
+        ``observe_request(signature, top_k, stale=...)`` — the feed a
+        :class:`~repro.planner.refresh.BackgroundRefresher` uses for
+        stale-triggered and pre-TTL refreshes.  Calls happen outside the
+        service lock, after the response is accounted; the observer must be
+        cheap and must not call back into ``plan()``.
         """
         self._observer = observer
 
@@ -746,45 +741,11 @@ class PlannerService:
         """Feed compacted serving telemetry back into this service.
 
         Installs the rollup's per-signature traffic as the plan cache's
-        eviction weights (hot signatures outlive cold ones under pressure)
-        and retains it for :meth:`refresh_candidates`.  ``None`` clears both,
-        restoring pure-LRU eviction.
+        eviction weights (hot signatures outlive cold ones under pressure).
+        ``None`` clears them, restoring pure-LRU eviction.
         """
-        with self._lock:
-            self._rollup = rollup
         self.cache.set_traffic_weights(
             rollup.traffic_weights() if rollup is not None else None)
-
-    def refresh_candidates(
-        self, top_n: int = 5, *, min_age_seconds: float = 0.0,
-    ) -> List[Tuple[str, int, Optional[float]]]:
-        """The hottest signatures whose cached plan is stale or absent.
-
-        Walks the applied rollup's signatures in descending traffic order and
-        returns up to ``top_n`` tuples ``(signature_key, requests,
-        age_seconds)`` whose resident plan is at least ``min_age_seconds``
-        old — or missing entirely (``age_seconds`` is ``None``).  This is
-        the work list a background refresher should re-plan first: recomputing
-        these *before* TTL expiry keeps the hottest traffic on warm plans.
-        Empty until :meth:`apply_rollup` has been called.
-
-        Ordering is fully deterministic: descending traffic, ties broken by
-        ascending signature key (see :meth:`repro.obs.rollup.Rollup.top`),
-        so refresher behavior is reproducible run to run.
-        """
-        with self._lock:
-            rollup = self._rollup
-        if rollup is None:
-            return []
-        ages = self.cache.entry_ages()
-        candidates: List[Tuple[str, int, Optional[float]]] = []
-        for aggregate in rollup.top(len(rollup.signatures), by="requests"):
-            age = ages.get(aggregate.signature)
-            if age is None or age >= min_age_seconds:
-                candidates.append((aggregate.signature, aggregate.requests, age))
-            if len(candidates) >= top_n:
-                break
-        return candidates
 
     def refresh(self, signature: ProblemSignature, *,
                 top_k: Optional[int] = None) -> bool:

@@ -77,6 +77,7 @@ from repro.serve.faults import (
 from repro.serve.stats import ServerStats, WorkerStats
 from repro.topology.machines import MachineSpec
 from repro.util.logging import get_logger, log_event
+from repro.util.validation import read_int
 
 _LOG = get_logger("serve.server")
 
@@ -266,10 +267,10 @@ class PlanServer:
         refresh_options: when given, each worker starts its own
             :class:`~repro.planner.refresh.BackgroundRefresher` (constructed
             *after* the fork, so its threads live in the worker) with these
-            keyword arguments — stale-while-revalidate revalidation, pre-TTL
-            refresh, prewarming, and drift re-planning all happen inside the
-            worker, off its request path.  ``None`` (default) serves without
-            background refresh, at zero added cost.
+            keyword arguments — stale-while-revalidate revalidation and
+            pre-TTL refresh both happen inside the worker, off its request
+            path.  ``None`` (default) serves without background refresh, at
+            zero added cost.
         auto_restart: when True (default) the parent runs a supervisor
             thread that detects dead workers and re-forks them in place —
             same worker index, fresh process, ``generation`` bumped by one —
@@ -1017,7 +1018,7 @@ def _dispatch(index: int, service: PlannerService,
             subject_key, decode, option_key, span_name, serve, encode = served
             subject = decode(message[subject_key])
             raw_option = message.get(option_key)
-            option = None if raw_option is None else int(raw_option)  # type: ignore[arg-type]
+            option = None if raw_option is None else read_int(raw_option, option_key)
             trace = message.get("trace")
             if tracer is not None and isinstance(trace, dict):
                 trace_id = str(trace.get("trace_id") or "")

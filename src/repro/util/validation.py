@@ -36,6 +36,10 @@ class SchedulingError(ReproError):
     """IR lowering or execution scheduling failed."""
 
 
+class PayloadError(ReproError):
+    """A decoded wire or store payload holds a field of the wrong JSON type."""
+
+
 def check_positive_int(value: Any, name: str) -> int:
     """Validate that ``value`` is a positive integer and return it as ``int``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -53,6 +57,19 @@ def check_non_negative_int(value: Any, name: str) -> int:
     value = int(value)
     if value < 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
+
+
+def read_int(value: Any, name: str) -> int:
+    """Return decoded JSON field ``name`` if it is an integer.
+
+    A float (``2.7``), a string (``"3"``) or a bool (``true``) raises
+    :class:`PayloadError` naming the field instead of being coerced, so a
+    malformed request can never be planned as a different number.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PayloadError(f"{name} must be a JSON integer, "
+                           f"got {type(value).__name__} {value!r}")
     return value
 
 

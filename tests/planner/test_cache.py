@@ -554,17 +554,6 @@ class TestGraceWindow:
     def test_missing_key_is_none(self):
         assert PlanCache().get_for_serving("nope") is None
 
-    def test_invalidate(self):
-        cache = PlanCache()
-        cache.put("k", make_entry())
-        assert cache.invalidate("k") is True
-        assert cache.invalidate("k") is False
-        assert "k" not in cache
-        stats = cache.stats()
-        assert stats.invalidations == 1
-        # Invalidation is bookkeeping, not traffic: no hit/miss accounting.
-        assert stats.hits == 0 and stats.misses == 0
-
     def test_grace_requires_positive_value(self):
         with pytest.raises(ValueError):
             PlanCache(grace_seconds=0.0)

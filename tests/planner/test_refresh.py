@@ -1,4 +1,4 @@
-"""Background refresher behaviour: staleness, prediction, drift, lifecycle."""
+"""Background refresher behaviour: staleness, pre-TTL refresh, lifecycle."""
 
 import threading
 import time
@@ -6,9 +6,8 @@ import time
 import pytest
 
 from repro.bench.workloads import Workload, moe_workload
-from repro.core.structure import BlockSparse, even_spread_mask
-from repro.planner import BackgroundRefresher, DriftTracker, PlannerService, TransitionTable
-from repro.planner.refresh import KIND_PREWARM, KIND_STALE, KIND_TTL
+from repro.planner import BackgroundRefresher, PlannerService
+from repro.planner.refresh import KIND_STALE, KIND_TTL
 from repro.topology.machines import uniform_system
 
 MACHINE = uniform_system(4)
@@ -105,6 +104,27 @@ class TestStaleWhileRevalidate:
             after = service.plan(SMALL, top_k=3)
             assert [r.describe() for r in after.recommendations] \
                 == [r.describe() for r in before.recommendations]
+            refresher.close()
+
+
+    def test_structured_signature_is_refreshed_like_a_dense_one(self):
+        moe = moe_workload(4, 256, 256, 256, expert_tokens=[100, 50, 150, 100])
+        with small_service() as reference:
+            expected = reference.plan(moe, top_k=2)
+        clock = FakeClock()
+        with small_service(cache_ttl_seconds=10.0, cache_grace_seconds=60.0,
+                           clock=clock) as service:
+            refresher = BackgroundRefresher(service)
+            service.plan(moe, top_k=2)
+            clock.advance(15.0)  # past TTL, inside grace
+            assert service.plan(moe, top_k=2).stale
+            assert refresher.run_once() == 1
+            fresh = service.plan(moe, top_k=2)
+            assert fresh.cache_hit and not fresh.stale
+            assert fresh.plan_age == pytest.approx(0.0)
+            assert service.stats().background_refreshes == 1
+            assert ([r.describe() for r in fresh.recommendations]
+                    == [r.describe() for r in expected.recommendations])
             refresher.close()
 
 
@@ -212,166 +232,6 @@ class TestSingleFlightParity:
             assert stats.coalesced_requests == 1
 
 
-class TestTransitionTable:
-    def test_predicts_most_frequent_successor_first(self):
-        table = TransitionTable()
-        for _ in range(3):
-            table.observe("a", "b")
-        table.observe("a", "c")
-        assert table.predict("a") == ["b", "c"]
-
-    def test_ties_break_on_ascending_key(self):
-        table = TransitionTable()
-        table.observe("a", "z")
-        table.observe("a", "b")
-        assert table.predict("a") == ["b", "z"]
-
-    def test_self_transitions_are_not_predicted(self):
-        table = TransitionTable()
-        for _ in range(5):
-            table.observe("a", "a")
-        table.observe("a", "b")
-        assert table.predict("a") == ["b"]
-
-    def test_successor_bound_drops_lowest_count(self):
-        table = TransitionTable(max_successors=2)
-        for _ in range(3):
-            table.observe("a", "x")
-        for _ in range(2):
-            table.observe("a", "y")
-        table.observe("a", "z")  # evicts the weakest edge
-        assert table.num_edges == 2
-        assert table.predict("a", top_n=3) == ["x", "y"]
-
-    def test_key_bound_evicts_least_recently_updated(self):
-        table = TransitionTable(max_keys=2)
-        table.observe("a", "x")
-        table.observe("b", "x")
-        table.observe("c", "x")
-        assert table.predict("a") == []
-        assert table.predict("b") == ["x"]
-        assert table.predict("c") == ["x"]
-
-    def test_unknown_key_predicts_nothing(self):
-        assert TransitionTable().predict("never-seen") == []
-
-
-class TestPrewarm:
-    def test_observed_sequence_prewarms_likely_next(self):
-        clock = FakeClock()
-        with small_service(cache_ttl_seconds=10.0, clock=clock) as service:
-            refresher = BackgroundRefresher(service)
-            for _ in range(3):
-                service.plan(SMALL)
-                service.plan(OTHER)
-            # Expire OTHER, then request SMALL: prediction SMALL -> OTHER
-            # should re-plan OTHER off-path before traffic returns to it.
-            other_key = service.signature_for(OTHER).key()
-            service.cache.invalidate(other_key)
-            service.plan(SMALL)
-            executed = refresher.run_once()
-            assert executed >= 1
-            assert refresher.stats().scheduled[KIND_PREWARM] >= 1
-            response = service.plan(OTHER)
-            assert response.cache_hit
-            refresher.close()
-
-    def test_resident_prediction_is_not_reenqueued(self):
-        with small_service() as service:
-            refresher = BackgroundRefresher(service)
-            service.plan(SMALL)
-            service.plan(OTHER)
-            service.plan(SMALL)
-            assert refresher.run_once() == 0
-            refresher.close()
-
-    def test_prewarm_can_be_disabled(self):
-        clock = FakeClock()
-        with small_service(cache_ttl_seconds=10.0, clock=clock) as service:
-            refresher = BackgroundRefresher(service, prewarm=False)
-            for _ in range(2):
-                service.plan(SMALL)
-                service.plan(OTHER)
-            service.cache.invalidate(service.signature_for(OTHER).key())
-            service.plan(SMALL)
-            assert refresher.run_once() == 0
-            refresher.close()
-
-    def test_feed_request_log_seeds_transitions(self, tmp_path):
-        from repro.obs.reqlog import RequestLog, RequestRecord
-
-        log_path = str(tmp_path / "requests.jsonl")
-        with RequestLog(log_path) as log:
-            for _ in range(2):
-                log.append(RequestRecord(ts=1.0, signature="ka", workload="a",
-                                         outcome="hit", plan_age=0.0, latency=0.0))
-                log.append(RequestRecord(ts=2.0, signature="kb", workload="b",
-                                         outcome="hit", plan_age=0.0, latency=0.0))
-        with small_service() as service:
-            refresher = BackgroundRefresher(service)
-            consumed = refresher.feed_request_log(log_path)
-            assert consumed == 4
-            assert refresher.transitions.predict("ka") == ["kb"]
-            refresher.close()
-
-
-class TestDrift:
-    def _moe(self, tokens: int) -> Workload:
-        return moe_workload(4, 256, 256, 256, expert_tokens=[tokens // 4] * 4)
-
-    def test_crossing_invalidates_old_bucket_and_plans_new(self):
-        with small_service() as service:
-            refresher = BackgroundRefresher(service)
-            low = self._moe(400)
-            high = self._moe(900)
-            service.plan(low)
-            low_key = service.signature_for(low).key()
-            for _ in range(10):
-                service.plan(high)
-            refresher.run_once()
-            stats = refresher.stats()
-            assert stats.drift_invalidations == 1
-            assert low_key not in service.cache
-            # One crossing fires once: the planned bucket follows the level.
-            refresher.run_once()
-            assert refresher.stats().drift_invalidations == 1
-            refresher.close()
-
-    def test_lookahead_preplans_the_approaching_bucket(self):
-        with small_service() as service:
-            refresher = BackgroundRefresher(service, drift_alpha=0.3)
-            for tokens in (600, 620, 640, 660, 680, 700):
-                service.plan(self._moe(tokens))
-            refresher.run_once()
-            crossing = service.plan(self._moe(800))
-            assert crossing.cache_hit
-            refresher.close()
-
-    def test_block_sparse_drift_metric(self):
-        mask = even_spread_mask(4, 4, 8)
-        workload = Workload("bs", 256, 256, 256,
-                            structure=BlockSparse(block_k=64, block_n=64,
-                                                  mask=mask))
-        from repro.planner.refresh import _live_level
-        assert _live_level(workload) == 8.0
-
-    def test_dense_workloads_never_enter_the_tracker(self):
-        with small_service() as service:
-            refresher = BackgroundRefresher(service)
-            service.plan(SMALL)
-            assert refresher.drift is not None
-            assert refresher.drift.num_families == 0
-            refresher.close()
-
-    def test_tracker_validation(self):
-        with pytest.raises(ValueError):
-            DriftTracker(alpha=0.0)
-        with pytest.raises(ValueError):
-            DriftTracker(lookahead=1.0)
-        with pytest.raises(ValueError):
-            DriftTracker(max_families=0)
-
-
 class TestQueue:
     def test_overflow_drops_lowest_priority(self):
         with small_service() as service:
@@ -379,7 +239,7 @@ class TestQueue:
             sig_a = service.signature_for(SMALL)
             sig_b = service.signature_for(OTHER)
             with refresher._lock:
-                refresher._enqueue_locked(KIND_PREWARM, sig_b.key(), sig_b, 1)
+                refresher._enqueue_locked(KIND_TTL, sig_b.key(), sig_b, 1)
                 refresher._enqueue_locked(KIND_STALE, sig_a.key(), sig_a, 1)
             stats = refresher.stats()
             assert stats.dropped == 1
@@ -517,18 +377,4 @@ class TestStatsAndMetrics:
             assert counters['repro_refresh_tasks_total{kind="stale"}'] >= 1
             assert counters["repro_refresh_completed_total"] >= 1
             assert counters["repro_plan_cache_stale_serves_total"] == 1
-            refresher.close()
-
-    def test_speculative_task_skipped_when_already_fresh(self):
-        with small_service() as service:
-            refresher = BackgroundRefresher(service)
-            service.plan(SMALL)
-            sig = service.signature_for(SMALL)
-            with refresher._lock:
-                refresher._enqueue_locked(KIND_PREWARM, sig.key(), sig, 1)
-                task = refresher._pop_task_locked()
-            refresher._execute(task)
-            stats = refresher.stats()
-            assert stats.skipped_fresh == 1
-            assert stats.completed == 0
             refresher.close()

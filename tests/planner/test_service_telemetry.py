@@ -117,8 +117,7 @@ class TestServiceRequestLog:
 
 
 class TestAdaptiveFeedback:
-    def test_rollup_feeds_eviction_weights_and_refresh_candidates(
-            self, telemetry):
+    def test_rollup_feeds_eviction_weights(self, telemetry):
         service, _, _, log = telemetry
         hot = make_workload(96, 80, 64)
         cold = make_workload(128, 96, 32)
@@ -128,40 +127,14 @@ class TestAdaptiveFeedback:
 
         rollup = rollup_requests(log.path)
         hot_key = service.signature_for(hot).key()
-        cold_key = service.signature_for(cold).key()
         assert rollup.traffic_weights()[hot_key] == 3.0
 
         service.apply_rollup(rollup)
         weights = service.cache.traffic_weights
         assert weights is not None and weights[hot_key] == 3.0
 
-        candidates = service.refresh_candidates(top_n=1)
-        assert [key for key, _, _ in candidates] == [hot_key]
-        (key, requests, age) = candidates[0]
-        assert requests == 3
-        assert age is None or age >= 0.0
-        assert cold_key in [k for k, _, _ in service.refresh_candidates(top_n=5)]
-
         service.apply_rollup(None)
         assert service.cache.traffic_weights is None
-
-    def test_refresh_candidates_without_rollup_is_empty(self):
-        with PlannerService(MACHINE, **SERVICE_OPTIONS) as service:
-            assert service.refresh_candidates() == []
-
-    def test_refresh_candidates_order_is_deterministic_under_ties(
-            self, telemetry):
-        """Equal traffic weights must not leave ordering to dict insertion."""
-        service, _, _, log = telemetry
-        # Three distinct shapes, one request each: a three-way traffic tie.
-        shapes = [make_workload(512, 80, 64), make_workload(96, 80, 64),
-                  make_workload(96, 512, 64)]
-        for workload in shapes:
-            service.plan(workload)
-        service.apply_rollup(rollup_requests(log.path))
-        candidates = service.refresh_candidates(top_n=3)
-        keys = [key for key, _, _ in candidates]
-        assert keys == sorted(keys)
 
     def test_stale_serve_is_logged_as_stale_outcome(self, tmp_path):
         class Clock:

@@ -56,7 +56,6 @@ def cache_samples(stats):
         "repro_plan_cache_evictions_total": stats.evictions,
         "repro_plan_cache_expirations_total": stats.expirations,
         "repro_plan_cache_stale_serves_total": stats.stale_serves,
-        "repro_plan_cache_invalidations_total": stats.invalidations,
     }
     gauges = {"repro_plan_cache_entries": stats.size,
               "repro_plan_cache_bytes": stats.total_bytes}
@@ -69,7 +68,6 @@ ops = st.one_of(
               st.integers(1, 3)),
     st.tuples(st.just("get"), st.sampled_from(KEYS)),
     st.tuples(st.just("get_for_serving"), st.sampled_from(KEYS)),
-    st.tuples(st.just("invalidate"), st.sampled_from(KEYS)),
     st.tuples(st.just("prune_expired")),
     st.tuples(st.just("clear")),
     st.tuples(st.just("save_load")),
@@ -118,8 +116,7 @@ def test_cache_exports_exactly_its_stats_after_every_step(history, capacity,
     assert set(snapshot["help"]) == {
         "repro_plan_cache_lookups_total", "repro_plan_cache_puts_total",
         "repro_plan_cache_evictions_total", "repro_plan_cache_expirations_total",
-        "repro_plan_cache_stale_serves_total",
-        "repro_plan_cache_invalidations_total", "repro_plan_cache_entries",
+        "repro_plan_cache_stale_serves_total", "repro_plan_cache_entries",
         "repro_plan_cache_bytes"}
 
 
