@@ -160,6 +160,8 @@ class BackgroundRefresher:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if not 0.0 < refresh_margin < 1.0:
             raise ValueError(f"refresh_margin must be in (0, 1), got {refresh_margin}")
+        if max_signatures < 1:
+            raise ValueError(f"max_signatures must be >= 1, got {max_signatures}")
         self.service = service
         self.interval_seconds = interval_seconds
         self.num_threads = num_threads

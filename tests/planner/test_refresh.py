@@ -1,5 +1,6 @@
 """Background refresher behaviour: staleness, pre-TTL refresh, lifecycle."""
 
+import inspect
 import threading
 import time
 
@@ -106,7 +107,6 @@ class TestStaleWhileRevalidate:
                 == [r.describe() for r in before.recommendations]
             refresher.close()
 
-
     def test_structured_signature_is_refreshed_like_a_dense_one(self):
         moe = moe_workload(4, 256, 256, 256, expert_tokens=[100, 50, 150, 100])
         with small_service() as reference:
@@ -157,6 +157,45 @@ class TestPreTTLRefresh:
             refresher = BackgroundRefresher(service)
             service.plan(SMALL)
             assert refresher.run_once() == 0
+            refresher.close()
+
+    def test_expired_unrequested_entry_is_scheduled_as_stale(self):
+        clock = FakeClock()
+        with small_service(cache_ttl_seconds=10.0, cache_grace_seconds=60.0,
+                           clock=clock) as service:
+            refresher = BackgroundRefresher(service)
+            service.plan(SMALL)
+            clock.advance(15.0)  # past TTL, not requested since
+            assert refresher.run_once() == 1
+            scheduled = refresher.stats().scheduled
+            assert scheduled == {KIND_STALE: 1, KIND_TTL: 0}
+            response = service.plan(SMALL)
+            assert response.cache_hit and not response.stale
+            assert response.plan_age == pytest.approx(0.0)
+            refresher.close()
+
+    def test_unobserved_entry_is_not_refreshed(self):
+        clock = FakeClock()
+        with small_service(cache_ttl_seconds=10.0, clock=clock) as service:
+            service.plan(SMALL)  # planned before the refresher observes
+            refresher = BackgroundRefresher(service, refresh_margin=0.5)
+            clock.advance(6.0)
+            assert refresher.run_once() == 0
+            assert refresher.stats().total_scheduled == 0
+            assert service.plan(SMALL).plan_age == pytest.approx(6.0)
+            refresher.close()
+
+    def test_signature_map_keeps_the_most_recently_served(self):
+        clock = FakeClock()
+        with small_service(cache_ttl_seconds=10.0, clock=clock) as service:
+            refresher = BackgroundRefresher(service, refresh_margin=0.5,
+                                            max_signatures=1)
+            service.plan(SMALL)
+            service.plan(OTHER)  # evicts SMALL's signature
+            clock.advance(6.0)
+            assert refresher.run_once() == 1
+            assert service.plan(OTHER).plan_age == pytest.approx(0.0)
+            assert service.plan(SMALL).plan_age == pytest.approx(6.0)
             refresher.close()
 
 
@@ -262,9 +301,21 @@ class TestQueue:
     def test_constructor_validation(self):
         with small_service() as service:
             for bad in (dict(interval_seconds=0.0), dict(num_threads=0),
-                        dict(max_queue=0), dict(refresh_margin=1.0)):
+                        dict(max_queue=0), dict(refresh_margin=1.0),
+                        dict(max_signatures=0)):
                 with pytest.raises(ValueError):
                     BackgroundRefresher(service, **bad)
+
+    def test_constructor_takes_exactly_five_settings(self):
+        parameters = inspect.signature(BackgroundRefresher).parameters
+        assert list(parameters) == ["service", "interval_seconds",
+                                    "num_threads", "max_queue",
+                                    "refresh_margin", "max_signatures"]
+        assert all(parameters[name].kind is inspect.Parameter.KEYWORD_ONLY
+                   for name in list(parameters)[1:])
+        with small_service() as service:
+            with pytest.raises(TypeError):
+                BackgroundRefresher(service, prewarm=True)
 
 
 class TestLifecycle:
@@ -358,6 +409,54 @@ class TestStatsAndMetrics:
             assert stats.completed >= 1
             assert stats.total_scheduled >= 1
             assert stats.queue_depth == 0
+            refresher.close()
+
+    def test_failed_refresh_is_counted_and_the_key_is_released(
+            self, monkeypatch):
+        clock = FakeClock()
+        with small_service(cache_ttl_seconds=10.0, cache_grace_seconds=60.0,
+                           clock=clock) as service:
+            refresher = BackgroundRefresher(service)
+            service.plan(SMALL)
+            clock.advance(15.0)
+            assert service.plan(SMALL).stale
+
+            def broken(signature, top_k=1):
+                raise RuntimeError("search failed")
+
+            monkeypatch.setattr(service, "refresh", broken)
+            assert refresher.run_once() == 1
+            stats = refresher.stats()
+            assert (stats.failed, stats.completed, stats.queue_depth) == (1, 0, 0)
+
+            monkeypatch.undo()
+            assert service.plan(SMALL).stale
+            assert refresher.run_once() == 1
+            stats = refresher.stats()
+            assert stats.scheduled[KIND_STALE] == 2
+            assert (stats.failed, stats.completed) == (1, 1)
+            assert not service.plan(SMALL).stale
+            refresher.close()
+
+    def test_inflight_skip_is_exported_as_skipped(self, monkeypatch):
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        clock = FakeClock()
+        with small_service(metrics=registry, cache_ttl_seconds=10.0,
+                           cache_grace_seconds=60.0, clock=clock) as service:
+            refresher = BackgroundRefresher(service)
+            service.plan(SMALL)
+            clock.advance(15.0)
+            service.plan(SMALL)
+            monkeypatch.setattr(service, "refresh",
+                                lambda signature, top_k=1: False)
+            assert refresher.run_once() == 1
+            stats = refresher.stats()
+            assert (stats.skipped_inflight, stats.completed) == (1, 0)
+            counters = registry.snapshot()["counters"]
+            assert counters["repro_refresh_skipped_total"] == 1
+            assert counters["repro_refresh_completed_total"] == 0
             refresher.close()
 
     def test_metrics_registered_on_service_registry(self):

@@ -67,10 +67,15 @@ def test_non_integer_graph_field_is_a_typed_error(service, place):
     (moe_workload(4, 32, 80, 64, expert_tokens=[8, 4, 12, 8]), "capacity"),
     (block_sparse_workload(96, 128, 128, block_k=64, block_n=64, density=0.5),
      "block_k"),
+    (moe_workload(4, 32, 80, 64, expert_tokens=[8, 4, 12, 8]), "expert_tokens"),
 ])
 def test_non_integer_structure_field_is_a_typed_error(service, workload, field):
     message = protocol.plan_request(workload)
-    message["workload"]["structure"][field] = 2.7
+    structure = message["workload"]["structure"]
+    if field == "expert_tokens":
+        structure[field][1] = 2.7
+    else:
+        structure[field] = 2.7
     reply = _dispatch(0, service, message)
     assert reply["ok"] is False
     assert reply["error"]["type"] == "PayloadError"

@@ -6,6 +6,7 @@ import pytest
 from repro.util.validation import (
     CommunicationError,
     PartitionError,
+    PayloadError,
     ReplicationError,
     ReproError,
     SchedulingError,
@@ -16,12 +17,14 @@ from repro.util.validation import (
     check_matrix,
     check_non_negative_int,
     check_positive_int,
+    read_int,
 )
 
 
 class TestExceptionHierarchy:
     @pytest.mark.parametrize("exc", [ShapeError, PartitionError, ReplicationError,
-                                     CommunicationError, SchedulingError])
+                                     CommunicationError, SchedulingError,
+                                     PayloadError])
     def test_all_derive_from_repro_error(self, exc):
         assert issubclass(exc, ReproError)
 
@@ -60,6 +63,17 @@ class TestCheckNonNegativeInt:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             check_non_negative_int(-1, "x")
+
+
+class TestReadInt:
+    def test_accepts_json_integer(self):
+        assert read_int(0, "x") == 0
+        assert read_int(96, "x") == 96
+
+    @pytest.mark.parametrize("value", [2.7, "3", True, None, [3]])
+    def test_rejects_other_json_types_naming_the_field(self, value):
+        with pytest.raises(PayloadError, match="top_k"):
+            read_int(value, "top_k")
 
 
 class TestCheckInRange:
