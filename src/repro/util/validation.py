@@ -36,8 +36,13 @@ class SchedulingError(ReproError):
     """IR lowering or execution scheduling failed."""
 
 
-class PayloadError(ReproError):
-    """A decoded wire or store payload holds a field of the wrong JSON type."""
+class PayloadError(ReproError, ValueError):
+    """A decoded wire or store payload holds a field of the wrong JSON type.
+
+    It is also a :class:`ValueError`, so every decoder loop that skips a
+    malformed entry on ``ValueError`` (plan-store loads, seed harvesting,
+    request-log reads) skips this one too instead of failing the load.
+    """
 
 
 def check_positive_int(value: Any, name: str) -> int:

@@ -146,6 +146,24 @@ class TestPersistence:
         assert fresh.load(path) == 1
         assert "good" in fresh and "bad" not in fresh
 
+    @pytest.mark.parametrize("bad_m", [None, "x", 96.7, True])
+    def test_load_skips_entries_with_a_non_integer_dimension(self, tmp_path,
+                                                             bad_m):
+        cache = PlanCache()
+        cache.put("good", make_entry())
+        path = str(tmp_path / "plans.json")
+        cache.save(path)
+        payload = json.loads(open(path).read())
+        bad = json.loads(json.dumps(payload["entries"][0]))
+        bad["key"] = "bad"
+        bad["plan"]["workload"]["m"] = bad_m
+        payload["entries"].append(bad)
+        open(path, "w").write(json.dumps(payload))
+
+        fresh = PlanCache()
+        assert fresh.load(path) == 1
+        assert "good" in fresh and "bad" not in fresh
+
     def test_concurrent_saves_leave_a_valid_store(self, tmp_path):
         """Parallel save() calls (autosaving services) must never corrupt the store."""
         cache = PlanCache(capacity=8)

@@ -112,6 +112,22 @@ class TestPortabilityPrimitives:
         garbled.write_text("not json{")
         assert load_portable_seeds(str(garbled), profile) == {}
 
+    @pytest.mark.parametrize("bad_m", [None, "x", 96.7])
+    def test_entries_with_a_non_integer_dimension_are_skipped(
+            self, donor_store, tmp_path, bad_m):
+        payload = json.loads(open(donor_store).read())
+        bad = json.loads(json.dumps(payload["entries"][0]))
+        bad["plan"]["workload"]["m"] = bad_m
+        payload["entries"] = [payload["entries"][1], bad]
+        doctored = tmp_path / "doctored.json"
+        doctored.write_text(json.dumps(payload))
+        profile = machine_portability_profile(BASE_MACHINE)
+        assert len(load_portable_seeds(str(doctored), profile)) == 1
+        # A warm start on the doctored store keeps the good entry too.
+        with PlannerService(BASE_MACHINE, store_path=str(doctored),
+                            **SERVICE_OPTIONS) as service:
+            assert len(service.cache) == 1
+
     def test_graph_entries_are_excluded_from_seeding(self, donor_store,
                                                      tmp_path):
         # Stamp a graph-plan marker onto a donor entry: joint graph plans

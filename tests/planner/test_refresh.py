@@ -1,6 +1,5 @@
 """Background refresher behaviour: staleness, pre-TTL refresh, lifecycle."""
 
-import inspect
 import threading
 import time
 
@@ -305,17 +304,6 @@ class TestQueue:
                         dict(max_signatures=0)):
                 with pytest.raises(ValueError):
                     BackgroundRefresher(service, **bad)
-
-    def test_constructor_takes_exactly_five_settings(self):
-        parameters = inspect.signature(BackgroundRefresher).parameters
-        assert list(parameters) == ["service", "interval_seconds",
-                                    "num_threads", "max_queue",
-                                    "refresh_margin", "max_signatures"]
-        assert all(parameters[name].kind is inspect.Parameter.KEYWORD_ONLY
-                   for name in list(parameters)[1:])
-        with small_service() as service:
-            with pytest.raises(TypeError):
-                BackgroundRefresher(service, prewarm=True)
 
 
 class TestLifecycle:

@@ -28,6 +28,10 @@ class TestExceptionHierarchy:
     def test_all_derive_from_repro_error(self, exc):
         assert issubclass(exc, ReproError)
 
+    def test_payload_error_is_a_value_error(self):
+        # Decoder loops that skip malformed store entries catch ValueError.
+        assert issubclass(PayloadError, ValueError)
+
     def test_repro_error_is_exception(self):
         assert issubclass(ReproError, Exception)
 
