@@ -33,7 +33,7 @@ import sys
 import tempfile
 import time
 
-if __package__ in (None, ""):  # script mode: make src/ importable like conftest does
+if __package__ in (None, ""):  # script mode: put src/ on sys.path like conftest does
     _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     if os.path.isdir(_SRC) and _SRC not in sys.path:
         sys.path.insert(0, _SRC)

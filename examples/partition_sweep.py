@@ -28,7 +28,7 @@ def main() -> None:
     config = ExecutionConfig(simulate_only=True)
 
     # Same semantics as benchmarks/harness_common.sweep_jobs (separate tree,
-    # so not importable here): unset or non-numeric means serial.
+    # so not on the import path here): unset or non-numeric means serial.
     raw = os.environ.get("REPRO_SWEEP_JOBS", "").strip()
     try:
         jobs = max(1, int(raw)) if raw else None

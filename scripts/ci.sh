@@ -57,9 +57,6 @@ python benchmarks/bench_planner_throughput.py --check
 echo "== benchmark smoke: serving throughput check (fleet vs snapshot) =="
 python benchmarks/bench_serving_throughput.py --check
 
-echo "== benchmark smoke: fleet serving check (routing + crash resilience vs snapshot) =="
-python benchmarks/bench_fleet_serving.py --check
-
 echo "== benchmark smoke: event-engine drift check =="
 python benchmarks/bench_event_engine_smoke.py --check
 

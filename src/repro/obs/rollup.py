@@ -2,7 +2,7 @@
 
 The append-only request log (:mod:`repro.obs.reqlog`) records every served
 request; this module is the compaction stage that turns that raw stream into
-the per-signature view adaptive planning actually consumes:
+a per-signature report for operators:
 
 * request counts, hit/computed/coalesced splits, and hit ratios;
 * plan-age percentiles at serve time ("how stale is what we serve?");
@@ -11,10 +11,7 @@ the per-signature view adaptive planning actually consumes:
 
 A :class:`Rollup` is itself JSON-persistable, so compaction can run
 out-of-band (a cron pass over the log directory) and the serving processes
-load only the compact artifact.  The in-tree consumer is
-:meth:`repro.planner.cache.PlanCache.set_traffic_weights` (installed by
-:meth:`repro.planner.service.PlannerService.apply_rollup`): eviction
-weighted by observed per-signature traffic instead of pure LRU.
+load only the compact artifact.
 """
 
 from __future__ import annotations
@@ -162,11 +159,6 @@ class Rollup:
         """
         return sorted(self.signatures.values(),
                       key=lambda agg: (-getattr(agg, by), agg.signature))[:n]
-
-    def traffic_weights(self) -> Dict[str, float]:
-        """Per-signature request counts — the eviction-weighting input."""
-        return {key: float(agg.requests)
-                for key, agg in self.signatures.items()}
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly form (inverse of :meth:`from_dict`)."""

@@ -28,13 +28,7 @@ This package is the production answer the ROADMAP's serving goal needs:
 callers get the pruned search transparently.
 """
 
-from repro.planner.cache import (
-    CacheStats,
-    PlanCache,
-    PlanEntry,
-    load_portable_seeds,
-    portable_plan_key,
-)
+from repro.planner.cache import CacheStats, PlanCache, PlanEntry
 from repro.planner.graph import (
     DEFAULT_LATTICE_SIZE,
     GraphPlan,
@@ -67,7 +61,6 @@ from repro.planner.signature import (
     SignatureFactory,
     bucket_dim,
     machine_fingerprint,
-    machine_portability_profile,
     options_fingerprint,
 )
 
@@ -101,8 +94,5 @@ __all__ = [
     "SignatureFactory",
     "bucket_dim",
     "machine_fingerprint",
-    "machine_portability_profile",
     "options_fingerprint",
-    "load_portable_seeds",
-    "portable_plan_key",
 ]

@@ -104,13 +104,6 @@ class PlanEntry:
     #: (:meth:`repro.core.cost_model.CostModel.fingerprint`); ``None`` for
     #: entries built outside a service context.
     fingerprint: Optional[str] = None
-    #: Coarse machine-compatibility digest
-    #: (:func:`repro.planner.signature.machine_portability_profile`).  Two
-    #: entries sharing a profile were computed over the *same candidate
-    #: space* even if their machine fingerprints differ, which qualifies
-    #: this entry to seed another machine's branch-and-bound search.
-    #: ``None`` for entries predating portability (never seeded from).
-    machine_profile: Optional[str] = None
 
     @property
     def best(self) -> PartitioningRecommendation:
@@ -125,7 +118,6 @@ class PlanEntry:
             "num_simulated": self.num_simulated,
             "num_pruned": self.num_pruned,
             "fingerprint": self.fingerprint,
-            "machine_profile": self.machine_profile,
         }
 
     @classmethod
@@ -133,7 +125,6 @@ class PlanEntry:
         """Rebuild an entry from :meth:`to_dict` output (raises on unknown schemes)."""
         workload = payload.get("workload")
         fingerprint = payload.get("fingerprint")
-        machine_profile = payload.get("machine_profile")
         return cls(
             recommendations=[
                 recommendation_from_dict(item) for item in payload["recommendations"]  # type: ignore[union-attr]
@@ -142,8 +133,6 @@ class PlanEntry:
             num_simulated=int(payload.get("num_simulated", 0)),  # type: ignore[arg-type]
             num_pruned=int(payload.get("num_pruned", 0)),  # type: ignore[arg-type]
             fingerprint=str(fingerprint) if fingerprint is not None else None,
-            machine_profile=(str(machine_profile)
-                             if machine_profile is not None else None),
         )
 
 
@@ -272,13 +261,6 @@ class PlanCache:
     defaults to :func:`time.time` (wall clock, so TTLs survive the on-disk
     round trip across processes).
 
-    When **traffic weights** are supplied (:meth:`set_traffic_weights` — the
-    per-signature request counts a telemetry rollup produces), eviction stops
-    being pure LRU: the victim is the entry with the *lowest observed
-    traffic*, ties broken least-recently-used.  A hot-but-old signature then
-    outlives a cold-but-recent one under byte pressure.  With no weights set
-    the behavior is exactly the historical LRU, bit for bit.
-
     ``metrics`` optionally exports the counters (lookups by result, puts,
     evictions, expirations, stale serves) and resident entry/byte gauges on
     a :class:`~repro.obs.metrics.MetricsRegistry`, read from :meth:`stats`
@@ -317,7 +299,6 @@ class PlanCache:
         self._evictions = 0
         self._expirations = 0
         self._stale_serves = 0
-        self._weights: Optional[Dict[str, float]] = None
         (metrics if metrics is not None else NULL_REGISTRY).add_source(
             self._samples, _HELP)
 
@@ -378,34 +359,8 @@ class PlanCache:
                 self._stale_serves += 1
             return (slot.entry, max(0.0, age), stale)
 
-    def _victim(self, protect: str) -> str:
-        """Pick the next eviction victim (caller holds the lock).
-
-        Without traffic weights: the LRU entry, exactly as always.  With
-        weights: the lowest-traffic entry, ties broken LRU; the just-inserted
-        ``protect`` key is spared while any other entry remains, so an insert
-        is always admitted.
-        """
-        if self._weights is None:
-            return next(iter(self._entries))
-        best_key: Optional[str] = None
-        best_rank: Optional[tuple] = None
-        for position, key in enumerate(self._entries):
-            if key == protect and len(self._entries) > 1:
-                continue
-            rank = (self._weights.get(key, 0.0), position)
-            if best_rank is None or rank < best_rank:
-                best_key = key
-                best_rank = rank
-        assert best_key is not None
-        return best_key
-
     def put(self, key: str, entry: PlanEntry, *, created_at: Optional[float] = None) -> None:
-        """Insert/refresh an entry, evicting beyond the bounds.
-
-        Victims are least-recently-used, unless traffic weights are set
-        (:meth:`set_traffic_weights`), in which case the lowest-traffic
-        entry goes first.
+        """Insert/refresh an entry, evicting least-recently-used beyond the bounds.
 
         Args:
             key: the signature key the entry is cached under.
@@ -427,24 +382,8 @@ class PlanCache:
                 and self._total_bytes > self.max_bytes
                 and len(self._entries) > 1
             ):
-                self._drop(self._victim(key))
+                self._drop(next(iter(self._entries)))
                 self._evictions += 1
-
-    def set_traffic_weights(self, weights: Optional[Dict[str, float]]) -> None:
-        """Install per-signature traffic weights guiding eviction.
-
-        ``weights`` maps signature keys to observed request counts (see
-        :meth:`repro.obs.rollup.Rollup.traffic_weights`); keys absent from the
-        map weigh 0.0 (coldest).  Passing ``None`` restores pure LRU.
-        """
-        with self._lock:
-            self._weights = dict(weights) if weights is not None else None
-
-    @property
-    def traffic_weights(self) -> Optional[Dict[str, float]]:
-        """The installed eviction weights (``None`` when eviction is pure LRU)."""
-        with self._lock:
-            return dict(self._weights) if self._weights is not None else None
 
     def prune_expired(self) -> int:
         """Eagerly drop every expired entry; returns how many were dropped.
@@ -627,78 +566,3 @@ class PlanCache:
             self.put(str(key), entry, created_at=created_at)
             loaded += 1
         return loaded
-
-
-# ---------------------------------------------------------------------- #
-# cross-fingerprint portability (plan seeding)
-# ---------------------------------------------------------------------- #
-#: One branch-and-bound seed: ``(scheme_name, replication, stationary)`` —
-#: just enough to re-identify a candidate in another machine's enumeration.
-SeedSpec = tuple
-
-
-def portable_plan_key(workload: Workload) -> str:
-    """Machine-independent identity of a planned (bucket-corner) workload.
-
-    The portable analogue of :meth:`ProblemSignature.key`: the exact
-    dimensions the plan was computed for plus the structure token, with the
-    machine fingerprint, budget, and options digest deliberately dropped —
-    those are what differ across the fleet, and seeds only need to find
-    "the same problem shape" on the destination machine.
-    """
-    structure = workload.structure
-    token = "dense" if structure.is_dense else structure.signature_token()
-    return f"{workload.m}x{workload.n}x{workload.k}|{token}"
-
-
-def load_portable_seeds(path: str, machine_profile: str) -> Dict[str, List[SeedSpec]]:
-    """Harvest branch-and-bound seeds from another machine's plan store.
-
-    Reads a :meth:`PlanCache.save` store written by a *different* machine
-    and returns, per :func:`portable_plan_key`, the candidate specs its
-    ranked plans name — ``(scheme_name, replication_tuple, stationary)``
-    triples.  Only entries stamped with a matching ``machine_profile`` (the
-    same candidate space; see
-    :func:`repro.planner.signature.machine_portability_profile`) qualify;
-    graph entries (``kind``-bearing payloads) and entries without a planned
-    workload are skipped — portability is a single-op relaxation.
-
-    Crucially this is **not** a cache load: the foreign entries' simulated
-    times were priced by a different machine's cost model and never enter
-    the serving cache.  The specs are hints the destination's
-    :func:`~repro.planner.search.search_partitionings` pre-simulates (on
-    its *own* cost model) to establish an incumbent pruning threshold
-    early — so the final ranking is provably identical to a cold search,
-    just cheaper to reach.
-
-    Missing/malformed stores and unknown-scheme entries are tolerated, the
-    same forgiving posture as :meth:`PlanCache.load`.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(payload, dict):
-        return {}
-    version = payload.get("version")
-    if version != STORE_VERSION and version not in LEGACY_STORE_VERSIONS:
-        return {}
-    seeds: Dict[str, List[SeedSpec]] = {}
-    for item in payload.get("entries", []):
-        try:
-            plan = item["plan"]
-            if not isinstance(plan, dict) or plan.get("kind") is not None:
-                continue  # graph entries have no single-op candidate space
-            entry = PlanEntry.from_dict(plan)
-        except (KeyError, TypeError, ValueError):
-            continue
-        if (entry.machine_profile != machine_profile
-                or entry.workload is None or not entry.recommendations):
-            continue
-        bucket = seeds.setdefault(portable_plan_key(entry.workload), [])
-        for rec in entry.recommendations:
-            spec = (rec.scheme.name, tuple(rec.replication), rec.stationary)
-            if spec not in bucket:
-                bucket.append(spec)
-    return seeds

@@ -401,7 +401,6 @@ class GraphPlanEntry(PlanEntry):
             num_simulated=base.num_simulated,
             num_pruned=base.num_pruned,
             fingerprint=base.fingerprint,
-            machine_profile=base.machine_profile,
             graph=OpGraph.from_dict(graph) if graph else None,  # type: ignore[arg-type]
             assignment=tuple(int(x) for x in payload.get("assignment", ())),  # type: ignore[union-attr]
             makespan=float(payload.get("makespan", 0.0)),  # type: ignore[arg-type]

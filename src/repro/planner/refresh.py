@@ -62,6 +62,19 @@ KIND_TTL = "ttl"
 
 _PRIORITY = {KIND_STALE: 0, KIND_TTL: 1}
 
+#: Size of the planning worker pool.  Searches are CPU-bound, so more than a
+#: couple only adds contention.
+NUM_THREADS = 1
+
+#: Pending-task bound; on overflow the lowest-priority (then newest) pending
+#: task is dropped and counted.
+MAX_QUEUE = 64
+
+#: Bound on the observed key -> signature map (least recently served evicted
+#: first; only observed signatures can be refreshed, since only they carry a
+#: plannable signature object).
+MAX_SIGNATURES = 1024
+
 #: Help text of every sample :meth:`BackgroundRefresher._samples` exports.
 _HELP = {
     "repro_refresh_tasks_total": "Background refresh tasks scheduled, by kind.",
@@ -130,16 +143,13 @@ class BackgroundRefresher:
         service: the planner service whose cache this refresher keeps warm.
         interval_seconds: scheduler cadence for the periodic pre-TTL pass;
             stale serves wake it early.
-        num_threads: size of the planning worker pool (>= 1).  Searches are
-            CPU-bound, so more than a couple only adds contention.
-        max_queue: pending-task bound; on overflow the lowest-priority
-            (then newest) pending task is dropped and counted.
         refresh_margin: fraction of the cache TTL treated as the pre-expiry
             refresh window — an entry older than ``ttl * (1 - margin)`` is
             re-planned ahead of expiry.  Ignored without a TTL.
-        max_signatures: bound on the observed key -> signature map (least
-            recently served evicted first; only observed signatures can be
-            refreshed, since only they carry a plannable signature object).
+
+    The pool size, queue bound and signature-map bound are the module
+    constants :data:`NUM_THREADS`, :data:`MAX_QUEUE` and
+    :data:`MAX_SIGNATURES`.
     """
 
     def __init__(
@@ -147,27 +157,15 @@ class BackgroundRefresher:
         service,
         *,
         interval_seconds: float = 1.0,
-        num_threads: int = 1,
-        max_queue: int = 64,
         refresh_margin: float = 0.25,
-        max_signatures: int = 1024,
     ) -> None:
         if interval_seconds <= 0:
             raise ValueError(f"interval_seconds must be > 0, got {interval_seconds}")
-        if num_threads < 1:
-            raise ValueError(f"num_threads must be >= 1, got {num_threads}")
-        if max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if not 0.0 < refresh_margin < 1.0:
             raise ValueError(f"refresh_margin must be in (0, 1), got {refresh_margin}")
-        if max_signatures < 1:
-            raise ValueError(f"max_signatures must be >= 1, got {max_signatures}")
         self.service = service
         self.interval_seconds = interval_seconds
-        self.num_threads = num_threads
-        self.max_queue = max_queue
         self.refresh_margin = refresh_margin
-        self.max_signatures = max_signatures
 
         self._lock = threading.Lock()
         self._work_ready = threading.Condition(self._lock)
@@ -207,7 +205,7 @@ class BackgroundRefresher:
             self._stats.observed_requests += 1
             self._signatures[key] = (signature, top_k)
             self._signatures.move_to_end(key)
-            while len(self._signatures) > self.max_signatures:
+            while len(self._signatures) > MAX_SIGNATURES:
                 self._signatures.popitem(last=False)
             if stale:
                 self._enqueue_locked(KIND_STALE, key, signature, top_k)
@@ -227,7 +225,7 @@ class BackgroundRefresher:
                        _Task(self._seq, kind, key, signature, top_k))
         self._enqueued.add(key)
         self._stats.scheduled[kind] += 1
-        if len(self._heap) > self.max_queue:
+        if len(self._heap) > MAX_QUEUE:
             victim = max(self._heap, key=lambda task: (task.priority, task.seq))
             self._heap.remove(victim)
             heapq.heapify(self._heap)
@@ -341,7 +339,7 @@ class BackgroundRefresher:
                                          name="plan-refresh-scheduler",
                                          daemon=True)
             self._threads.append(scheduler)
-            for index in range(self.num_threads):
+            for index in range(NUM_THREADS):
                 worker = threading.Thread(target=self._worker_loop,
                                           name=f"plan-refresh-{index}",
                                           daemon=True)
@@ -349,7 +347,7 @@ class BackgroundRefresher:
         for thread in self._threads:
             thread.start()
         log_event(_LOG, "refresh.start", pid=os.getpid(),
-                  threads=self.num_threads,
+                  threads=NUM_THREADS,
                   interval=self.interval_seconds)
 
     def stop(self) -> None:

@@ -65,10 +65,6 @@ class SearchStats:
     #: Candidates that survived the cheap occupancy gate and had the
     #: expensive critical-path bound computed for them.
     num_refined: int = 0
-    #: Candidates pre-simulated from cross-fingerprint seeds (a subset of
-    #: ``num_simulated``): another machine's winners, re-priced on *this*
-    #: machine to establish the pruning threshold before the heap walk.
-    num_seeded: int = 0
     pruning_enabled: bool = True
     #: Seconds compiling candidate op streams (batch evaluator only).
     opgen_seconds: float = 0.0
@@ -85,7 +81,6 @@ class SearchStats:
         self.num_simulated += other.num_simulated
         self.num_pruned += other.num_pruned
         self.num_refined += other.num_refined
-        self.num_seeded += other.num_seeded
         self.opgen_seconds += other.opgen_seconds
         self.bound_seconds += other.bound_seconds
         self.refine_seconds += other.refine_seconds
@@ -165,7 +160,6 @@ def search_partitionings(
     config: Optional[ExecutionConfig] = None,
     prune: bool = True,
     tracer=None,
-    seed_candidates: Optional[Sequence[Tuple[str, Tuple[int, int, int], str]]] = None,
 ) -> Tuple[List[PartitioningRecommendation], SearchStats]:
     """Search the design space; returns (ranked recommendations, search stats).
 
@@ -200,21 +194,6 @@ def search_partitionings(
     search phases — the eager frontier pricing plus every refinement and
     simulation — so a traced request shows where its planning time went.
     ``None`` (the default) uses the disabled tracer, which records nothing.
-
-    ``seed_candidates`` warm-starts the branch and bound: each
-    ``(scheme_name, replication, stationary)`` spec naming a member of the
-    enumerated space is simulated *up front* (on this machine's cost model),
-    installing an incumbent top-k threshold before the first heap pop.  A
-    good seed — e.g. another machine's winner for the same problem shape,
-    via :func:`repro.planner.cache.load_portable_seeds` — prunes most of the
-    frontier without a single refinement.  The result is provably unchanged:
-    seeds are candidates the search may only visit *earlier*, the admissible
-    bounds and the strict-inequality prune rule still force every potential
-    top-k member (ties included) through simulation, and the final
-    deterministic sort is order-independent.  Specs naming candidates
-    outside the space (unknown scheme, infeasible replication) are ignored;
-    with pruning off, seeds are ignored entirely (everything is simulated
-    anyway).
     """
     float_dtype(itemsize)  # reject an unsupported element size before any work
     if top_k < 1:
@@ -300,35 +279,14 @@ def search_partitionings(
         if len(best_times) == top_k:
             threshold = best_times[-1]
 
-    # Cross-fingerprint warm start: simulate the seeded candidates first so
-    # the threshold is tight before the heap walk begins.  Their heap
-    # entries remain behind as bookkeeping and are skipped when popped.
-    seeded_pending: set = set()
-    if prune and seed_candidates:
-        spec_index = {(c.scheme.name, c.replication, c.stationary): c
-                      for c in candidates}
-        for name, replication, stationary in seed_candidates:
-            candidate = spec_index.get(
-                (str(name), tuple(int(x) for x in replication), str(stationary)))
-            if candidate is None or candidate.index in seeded_pending:
-                continue
-            seeded_pending.add(candidate.index)
-            simulate(candidate)
-            stats.num_seeded += 1
-
     while heap:
         value, index, refined = heapq.heappop(heap)
-        if index in seeded_pending:
-            # Simulated during seeding: the surviving heap entry is neither
-            # work to do nor a pruned candidate.
-            seeded_pending.discard(index)
-            continue
         # Strict inequality keeps ties simulated, which is what makes the
         # pruned ranking provably identical to the exhaustive one.  Every
         # entry still in the heap carries an admissible bound >= this one,
         # so once the smallest exceeds the threshold the rest follow.
         if prune and value > threshold:
-            stats.num_pruned += 1 + len(heap) - len(seeded_pending)
+            stats.num_pruned += 1 + len(heap)
             break
         candidate = by_index[index]
         if not refined:

@@ -20,10 +20,9 @@ but production-shaped:
   (:mod:`repro.obs`) publishes per-request telemetry: outcome counters
   (exported from :class:`ServiceStats`, the one store) and latency
   histograms, one span tree per request, one log line per request;
-* **adaptive** — :meth:`~PlannerService.apply_rollup` feeds compacted
-  telemetry back into serving (traffic-weighted cache eviction), and
-  :meth:`~PlannerService.refresh` recomputes one signature off the request
-  path (sharing the single-flight table with foreground ``plan()`` calls).
+* **adaptive** — :meth:`~PlannerService.refresh` recomputes one signature
+  off the request path (sharing the single-flight table with foreground
+  ``plan()`` calls).
   With a grace window configured (``cache_grace_seconds``) the service
   serves **stale-while-revalidate**: a just-expired plan answers
   immediately (``stale=True``) while the refresher recomputes it, and with
@@ -58,15 +57,9 @@ from repro.obs.metrics import (
     instrument_name,
 )
 from repro.obs.reqlog import RequestRecord
-from repro.obs.rollup import Rollup
 from repro.obs.tracing import NULL_TRACER, current_trace_id
 from repro.core.graph import OpGraph
-from repro.planner.cache import (
-    PlanCache,
-    PlanEntry,
-    load_portable_seeds,
-    portable_plan_key,
-)
+from repro.planner.cache import PlanCache, PlanEntry
 from repro.planner.graph import (
     DEFAULT_LATTICE_SIZE,
     GraphPlanEntry,
@@ -78,7 +71,6 @@ from repro.planner.signature import (
     GraphSignature,
     ProblemSignature,
     SignatureFactory,
-    machine_portability_profile,
 )
 from repro.topology.machines import MachineSpec
 
@@ -177,13 +169,6 @@ class ServiceStats:
     #: Plans recomputed off the request path (:meth:`PlannerService.refresh`);
     #: a subset of ``plans_computed``.
     background_refreshes: int = 0
-    #: Cross-fingerprint seed specs imported from portable plan stores
-    #: (:meth:`PlannerService.import_portable_plans`).
-    portable_seeds_loaded: int = 0
-    #: Plans whose branch-and-bound was warm-started by at least one
-    #: portable seed (a subset of ``plans_computed``; the recommendations
-    #: are provably identical to a cold search).
-    portable_seeded: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -306,7 +291,6 @@ class PlannerService:
         request_log=None,
         worker_index: int = -1,
         refresh_options: Optional[Dict[str, object]] = None,
-        portable_store_paths: Optional[Sequence[str]] = None,
     ) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
@@ -355,10 +339,7 @@ class PlannerService:
                 "Planning requests served, by outcome."})
         # The machine and search options are fixed for the service's lifetime,
         # so their digests are computed once — the warm path must stay a dict
-        # lookup, not an O(devices^2) hash per request.  The factory is the
-        # shared derivation a fleet router uses to compute identical keys
-        # client-side (repro.serve.fleet), so serving and routing can never
-        # disagree about a request's identity.
+        # lookup, not an O(devices^2) hash per request.
         self._signatures = SignatureFactory(
             machine,
             top_k=top_k,
@@ -371,9 +352,6 @@ class PlannerService:
             bucket_ratio=bucket_ratio,
             config=self.config,
         )
-        #: Coarse compatibility digest stamped on every computed plan so a
-        #: profile-matching machine elsewhere in the fleet can seed from it.
-        self.machine_profile = machine_portability_profile(machine)
         # Plans are priced by the search's default cost model for this
         # machine; its digest stamps every entry so a warm-start store written
         # under a different pricing build invalidates itself on load.
@@ -382,12 +360,6 @@ class PlannerService:
             self._stats.warm_start_entries = self.cache.load(
                 store_path, fingerprint=self.cost_model_fingerprint
             )
-        # Cross-fingerprint warm starts: portable seeds harvested from other
-        # machines' stores, keyed by portable_plan_key.  Never served —
-        # only fed to search_partitionings as incumbent candidates.
-        self._portable_seeds: Dict[str, List[tuple]] = {}
-        for path in portable_store_paths or ():
-            self.import_portable_plans(path)
         # The adaptive refresh engine is owned by the service when asked for:
         # ``refresh_options`` (kwargs for BackgroundRefresher) builds and
         # starts one, and close() stops it.  The import is lazy because
@@ -405,72 +377,10 @@ class PlannerService:
     def signature_for(self, workload: Workload, top_k: Optional[int] = None) -> ProblemSignature:
         """Canonical signature a request maps to (its cache identity).
 
-        Delegates to the shared :class:`~repro.planner.signature.SignatureFactory`
-        derivation — the same one a fleet router runs client-side — so
-        routing keys and serving keys are byte-identical by construction.
+        Delegates to the service's
+        :class:`~repro.planner.signature.SignatureFactory`.
         """
         return self._signatures.signature_for(workload, top_k)
-
-    # ------------------------------------------------------------------ #
-    # cross-fingerprint portability
-    # ------------------------------------------------------------------ #
-    def import_portable_plans(self, path: str) -> int:
-        """Harvest branch-and-bound seeds from another machine's plan store.
-
-        Entries whose :attr:`machine_profile` matches this machine's (same
-        candidate space — see
-        :func:`repro.planner.signature.machine_portability_profile`) become
-        seed specs for future searches of the same problem shape: their
-        named candidates are simulated first, establishing the incumbent
-        pruning threshold before the frontier walk.  The foreign plans are
-        **never served** — their simulated times came from a different cost
-        model — so exact-fingerprint answers stay bit-identical; only the
-        amount of search work changes.
-
-        Args:
-            path: a :meth:`~repro.planner.cache.PlanCache.save` store
-                written by any machine (missing/malformed files are a no-op).
-
-        Returns:
-            How many seed specs were imported from this store.
-        """
-        seeds = load_portable_seeds(path, self.machine_profile)
-        imported = 0
-        with self._lock:
-            for portable_key, specs in seeds.items():
-                bucket = self._portable_seeds.setdefault(portable_key, [])
-                for spec in specs:
-                    if spec not in bucket:
-                        bucket.append(spec)
-                        imported += 1
-            self._stats.portable_seeds_loaded += imported
-        return imported
-
-    def _search(self, planning_workload: Workload, top_k: int):
-        """Run the design-space search for one representative workload.
-
-        The single funnel every compute path (foreground miss, background
-        refresh) goes through, so cross-fingerprint seeding applies
-        identically everywhere: portable seeds filed under the workload's
-        portable key warm-start the branch and bound as incumbents.
-        """
-        with self._lock:
-            seeds = self._portable_seeds.get(portable_plan_key(planning_workload))
-            seeds = list(seeds) if seeds else None
-        return search_partitionings(
-            self.machine,
-            planning_workload,
-            memory_budget_bytes=self.memory_budget_bytes,
-            schemes=self.schemes,
-            replication_factors=self.replication_factors,
-            stationary_options=self.stationary_options,
-            top_k=top_k,
-            itemsize=self.itemsize,
-            config=self.config,
-            prune=self.prune,
-            tracer=self._tracer,
-            seed_candidates=seeds,
-        )
 
     # ------------------------------------------------------------------ #
     # serving
@@ -509,8 +419,9 @@ class PlannerService:
                             lattice_size: Optional[int] = None) -> GraphSignature:
         """Canonical signature of one joint graph-planning request.
 
-        Delegates to the shared :class:`~repro.planner.signature.SignatureFactory`
-        derivation, exactly as :meth:`signature_for` does for single ops.
+        Delegates to the service's
+        :class:`~repro.planner.signature.SignatureFactory`, exactly as
+        :meth:`signature_for` does for single ops.
         """
         return self._signatures.graph_signature_for(graph, lattice_size)
 
@@ -627,8 +538,6 @@ class PlannerService:
                 self._stats.background_refreshes += 1
             self._stats.candidates_simulated += search_stats.num_simulated
             self._stats.candidates_pruned += search_stats.num_pruned
-            if search_stats.num_seeded:
-                self._stats.portable_seeded += 1
         if self.autosave and self.store_path is not None:
             self.cache.save(self.store_path)
         return entry, search_stats
@@ -645,13 +554,24 @@ class PlannerService:
         """
         planning_workload = (signature.representative_workload() if workload is None
                              else signature.representative_workload(name=workload.name))
-        recommendations, search_stats = self._search(planning_workload, top_k)
+        recommendations, search_stats = search_partitionings(
+            self.machine,
+            planning_workload,
+            memory_budget_bytes=self.memory_budget_bytes,
+            schemes=self.schemes,
+            replication_factors=self.replication_factors,
+            stationary_options=self.stationary_options,
+            top_k=top_k,
+            itemsize=self.itemsize,
+            config=self.config,
+            prune=self.prune,
+            tracer=self._tracer,
+        )
         return PlanEntry(recommendations=recommendations,
                          workload=planning_workload,
                          num_simulated=search_stats.num_simulated,
                          num_pruned=search_stats.num_pruned,
-                         fingerprint=self.cost_model_fingerprint,
-                         machine_profile=self.machine_profile), search_stats
+                         fingerprint=self.cost_model_fingerprint), search_stats
 
     def _compute_graph(self, signature: GraphSignature, _graph: OpGraph,
                        lattice_size: int) -> Tuple[GraphPlanEntry, SearchStats]:
@@ -735,18 +655,8 @@ class PlannerService:
         self._observer = observer
 
     # ------------------------------------------------------------------ #
-    # telemetry feedback (adaptive planning)
+    # background refresh
     # ------------------------------------------------------------------ #
-    def apply_rollup(self, rollup: Optional[Rollup]) -> None:
-        """Feed compacted serving telemetry back into this service.
-
-        Installs the rollup's per-signature traffic as the plan cache's
-        eviction weights (hot signatures outlive cold ones under pressure).
-        ``None`` clears them, restoring pure-LRU eviction.
-        """
-        self.cache.set_traffic_weights(
-            rollup.traffic_weights() if rollup is not None else None)
-
     def refresh(self, signature: ProblemSignature, *,
                 top_k: Optional[int] = None) -> bool:
         """Recompute one signature's plan off the request path.

@@ -99,22 +99,6 @@ def machine_fingerprint(machine: MachineSpec) -> str:
     return hashlib.sha1(blob.encode("utf-8")).hexdigest()[:12]
 
 
-def machine_portability_profile(machine: MachineSpec) -> str:
-    """Coarse machine-compatibility digest for cross-fingerprint plan seeding.
-
-    Deliberately much weaker than :func:`machine_fingerprint`: it hashes only
-    what determines whether two machines *enumerate the same candidate
-    space* — the device count (replication factors, partition grids, and
-    per-device footprints all derive from it).  Two machines sharing a
-    profile may still simulate to different winners (different peaks,
-    bandwidths, link matrices), which is exactly why profile-compatible
-    plans are only ever used as branch-and-bound **seeds** — incumbents that
-    tighten the pruning threshold early — and never served directly.
-    """
-    blob = f"devices={machine.num_devices}"
-    return hashlib.sha1(blob.encode("utf-8")).hexdigest()[:12]
-
-
 def options_fingerprint(**options: object) -> str:
     """Digest of search options (top_k, schemes, factors, ...) folded into keys.
 
@@ -236,22 +220,13 @@ class GraphSignature:
 
 
 class SignatureFactory:
-    """Server-independent signature computation (the routing half of serving).
+    """Signature computation apart from any service, cache or search.
 
     :class:`~repro.planner.service.PlannerService` derives each request's
-    cache identity from its construction options; a fleet router
-    (:class:`~repro.serve.fleet.FleetClient`) must derive the *same* key
-    client-side — without building a service, its cache, or its search —
-    so consistent hashing sends every signature to the one server whose
-    warm cache holds it.  This factory is that shared derivation: construct
-    it with the planning-relevant options the servers were given and
-    :meth:`signature_for` / :meth:`graph_signature_for` produce keys
-    byte-identical to the service's own.
-
-    Extra keyword arguments (cache bounds, store paths, worker plumbing —
-    anything in ``service_options`` that cannot change a signature) are
-    accepted and ignored, so callers may pass a server's ``service_options``
-    dict through verbatim.
+    cache identity through this factory: construct it with the
+    planning-relevant options and :meth:`signature_for` /
+    :meth:`graph_signature_for` produce the service's keys without building
+    a service.
     """
 
     def __init__(
@@ -267,7 +242,6 @@ class SignatureFactory:
         dtype: str = "float32",
         bucket_ratio: float = DEFAULT_BUCKET_RATIO,
         config: Optional[ExecutionConfig] = None,
-        **_ignored: object,
     ) -> None:
         self.machine = machine
         self.top_k = top_k
@@ -282,7 +256,7 @@ class SignatureFactory:
         self.bucket_ratio = bucket_ratio
         self.config = config or ExecutionConfig(simulate_only=True)
         # Machine and options are fixed for the factory's lifetime; digests
-        # are memoized so routing stays a dict lookup per request.
+        # are memoized so a signature stays a dict lookup per request.
         self._machine_digest = machine_fingerprint(machine)
         self._options_digests: Dict[int, str] = {}
 

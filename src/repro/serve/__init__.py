@@ -10,13 +10,9 @@ a length-prefixed JSON protocol (:mod:`repro.serve.protocol`) with
 connection pooling and transport retries; :mod:`repro.serve.stats`
 aggregates per-worker counters into the fleet-wide view.
 
-PR 10 takes it cross-machine and makes it fault-tolerant:
-:class:`~repro.serve.fleet.FleetRouter` /
-:class:`~repro.serve.fleet.FleetClient` consistent-hash signature keys
-across several servers so every workload lands on the one warm cache that
-holds it; the server supervises its workers (auto-restart with
-:class:`~repro.serve.server.RestartPolicy` backoff) and re-deals
-connections whose worker died; and :mod:`repro.serve.faults` provides the
+The server is fault-tolerant: it supervises its workers (auto-restart
+with :class:`~repro.serve.server.RestartPolicy` backoff) and re-deals
+connections whose worker died; :mod:`repro.serve.faults` provides the
 deterministic fault-injection seam the crash tests drive.
 
 See ``docs/serving.md`` for the quickstart, the protocol specification, and
@@ -34,7 +30,6 @@ from repro.serve.faults import (
     Fault,
     FaultPlan,
 )
-from repro.serve.fleet import DEFAULT_REPLICAS, FleetClient, FleetRouter
 from repro.serve.protocol import (
     MAX_MESSAGE_BYTES,
     PROTOCOL_VERSION,
@@ -60,7 +55,6 @@ from repro.serve.server import PlanServer, RestartPolicy
 from repro.serve.stats import ServerStats, WorkerStats, aggregate_service_stats
 
 __all__ = [
-    "DEFAULT_REPLICAS",
     "FAULT_DELAY",
     "FAULT_DROP",
     "FAULT_EXIT",
@@ -69,8 +63,6 @@ __all__ = [
     "FAULT_TORN_HANDOFF",
     "Fault",
     "FaultPlan",
-    "FleetClient",
-    "FleetRouter",
     "RestartPolicy",
     "MAX_MESSAGE_BYTES",
     "PROTOCOL_VERSION",

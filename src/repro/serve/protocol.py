@@ -77,8 +77,10 @@ from repro.planner.service import PlanResponse
 #: ``plan``/``plan_graph``/``ping`` — the answering worker's restart
 #: incarnation (0 for the originally forked worker, +1 per supervised
 #: restart), so clients and tests can tell a fresh-cache restarted worker
-#: from its predecessor.
-PROTOCOL_VERSION = (1, 4)
+#: from its predecessor; 1.5 dropped the two cross-fingerprint seeding
+#: counters from the ``stats`` reply's service counters (the seeding was
+#: removed).
+PROTOCOL_VERSION = (1, 5)
 
 #: Frame header: one network-order unsigned 32-bit payload length.
 HEADER = struct.Struct("!I")

@@ -162,12 +162,12 @@ class TestRollup:
         assert (cold.requests, cold.computed) == (1, 1)
         assert cold.workers == 1
 
-    def test_top_and_traffic_weights(self, tmp_path):
+    def test_top_ranks_by_requests(self, tmp_path):
         self._write_fleet_logs(tmp_path)
         rollup = rollup_requests(str(tmp_path))
-        top = rollup.top(1)
-        assert [agg.signature for agg in top] == ["sig-hot"]
-        assert rollup.traffic_weights() == {"sig-hot": 4.0, "sig-cold": 1.0}
+        assert [agg.signature for agg in rollup.top(1)] == ["sig-hot"]
+        assert [(agg.signature, agg.requests) for agg in rollup.top()] == [
+            ("sig-hot", 4), ("sig-cold", 1)]
 
     def test_since_ts_window(self, tmp_path):
         self._write_fleet_logs(tmp_path)
@@ -183,7 +183,7 @@ class TestRollup:
         rollup.save(path)
         loaded = Rollup.load(path)
         assert loaded.records == 5
-        assert loaded.traffic_weights() == rollup.traffic_weights()
+        assert loaded.to_dict() == rollup.to_dict()
         assert loaded.signatures["sig-hot"].age_p90 == pytest.approx(
             rollup.signatures["sig-hot"].age_p90)
 

@@ -86,6 +86,25 @@ class TestLRU:
             thread.join()
         assert len(cache) <= 16
 
+    def test_cache_metrics_track_traffic(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        cache = PlanCache(capacity=2, metrics=registry)
+        cache.put("k1", make_entry())
+        cache.get("k1")
+        cache.get("nope")
+        cache.put("k2", make_entry())
+        cache.put("k3", make_entry())  # evicts k1
+        snap = registry.snapshot()
+        counters = snap["counters"]
+        assert counters['repro_plan_cache_lookups_total{result="hit"}'] == 1.0
+        assert counters['repro_plan_cache_lookups_total{result="miss"}'] == 1.0
+        assert counters["repro_plan_cache_puts_total"] == 3.0
+        assert counters["repro_plan_cache_evictions_total"] == 1.0
+        assert snap["gauges"]["repro_plan_cache_entries"] == 2.0
+        assert snap["gauges"]["repro_plan_cache_bytes"] > 0.0
+
 
 class TestSerialization:
     def test_recommendation_roundtrip(self):
@@ -146,11 +165,18 @@ class TestPersistence:
         assert fresh.load(path) == 1
         assert "good" in fresh and "bad" not in fresh
 
+    @pytest.mark.parametrize("warm_start", [False, True],
+                             ids=["cache", "service"])
     @pytest.mark.parametrize("bad_m", [None, "x", 96.7, True])
     def test_load_skips_entries_with_a_non_integer_dimension(self, tmp_path,
-                                                             bad_m):
+                                                             bad_m, warm_start):
+        from repro.core.cost_model import CostModel
+        from repro.planner.service import PlannerService
+        from repro.topology.machines import uniform_system
+
+        machine = uniform_system(2)
         cache = PlanCache()
-        cache.put("good", make_entry())
+        cache.put("good", make_entry(fingerprint=CostModel(machine).fingerprint()))
         path = str(tmp_path / "plans.json")
         cache.save(path)
         payload = json.loads(open(path).read())
@@ -160,9 +186,15 @@ class TestPersistence:
         payload["entries"].append(bad)
         open(path, "w").write(json.dumps(payload))
 
-        fresh = PlanCache()
-        assert fresh.load(path) == 1
-        assert "good" in fresh and "bad" not in fresh
+        if warm_start:
+            # A service booting on the store keeps exactly the good entry.
+            with PlannerService(machine, store_path=path) as service:
+                assert service.stats().warm_start_entries == 1
+                fresh = service.cache
+        else:
+            fresh = PlanCache()
+            assert fresh.load(path) == 1
+        assert fresh.keys() == ["good"]
 
     def test_concurrent_saves_leave_a_valid_store(self, tmp_path):
         """Parallel save() calls (autosaving services) must never corrupt the store."""
@@ -403,6 +435,28 @@ class TestStoreV3:
         clock.advance(51)
         assert "k" not in warm
 
+    def test_entries_with_unknown_fields_still_load(self, tmp_path):
+        # Stores written before cross-fingerprint seeding was removed stamp
+        # a "machine_profile" on every entry; dropping it must not drop them.
+        from repro.planner.cache import STORE_VERSION
+
+        cache = PlanCache()
+        cache.put("k1", make_entry("column", 60.0))
+        cache.put("k2", make_entry("outer", 40.0))
+        path = str(tmp_path / "plans.json")
+        cache.save(path)
+        payload = json.loads(open(path).read())
+        assert payload["version"] == STORE_VERSION == 3
+        for item in payload["entries"]:
+            item["plan"]["machine_profile"] = "0123456789ab"
+        open(path, "w").write(json.dumps(payload))
+
+        warm = PlanCache()
+        assert warm.load(path) == 2
+        assert warm.keys() == ["k1", "k2"]
+        assert warm.get("k1").to_dict() == make_entry("column", 60.0).to_dict()
+        assert warm.get("k2").to_dict() == make_entry("outer", 40.0).to_dict()
+
     def test_v1_store_still_rejected(self, tmp_path):
         path = tmp_path / "plans.json"
         path.write_text(json.dumps({"version": 1, "entries": []}))
@@ -422,89 +476,6 @@ class TestStoreV3:
         assert small.load(path) == 5  # all parsed; bounds applied as they merge
         assert len(small) == 2
         assert small.keys() == ["k3", "k4"]  # the two most recent survive
-
-
-class TestTrafficWeightedEviction:
-    """Rollup weights steer eviction; without them the cache is pure LRU."""
-
-    def _pressured_cache(self, clock=None):
-        from repro.planner.cache import entry_size_bytes
-
-        size = entry_size_bytes(make_entry())
-        return PlanCache(capacity=100, max_bytes=3 * size,
-                         clock=clock or FakeClock())
-
-    def test_hot_but_old_outlives_cold_but_recent_under_byte_pressure(self):
-        clock = FakeClock()
-        cache = self._pressured_cache(clock)
-        cache.put("hot", make_entry())   # oldest — pure LRU would evict it
-        clock.advance(100)
-        cache.put("cold1", make_entry())
-        clock.advance(1)
-        cache.put("cold2", make_entry())
-        cache.set_traffic_weights({"hot": 40.0, "cold2": 2.0})
-        clock.advance(1)
-        cache.put("new", make_entry())   # byte budget forces one eviction
-        assert "hot" in cache            # heavy traffic spared the LRU head
-        assert "cold1" not in cache      # unweighted (0.0) went instead
-        assert "cold2" in cache and "new" in cache
-        assert cache.entry_ages()["hot"] == pytest.approx(102.0)
-
-    def test_without_weights_the_same_sequence_is_pure_lru(self):
-        cache = self._pressured_cache()
-        for key in ("hot", "cold1", "cold2"):
-            cache.put(key, make_entry())
-        cache.put("new", make_entry())
-        assert "hot" not in cache        # LRU head goes first, as always
-        assert all(key in cache for key in ("cold1", "cold2", "new"))
-
-    def test_ties_break_lru_and_weights_clear_back_to_lru(self):
-        cache = self._pressured_cache()
-        for key in ("a", "b", "c"):
-            cache.put(key, make_entry())
-        cache.set_traffic_weights({"a": 5.0, "b": 5.0, "c": 5.0})
-        cache.put("d", make_entry())
-        assert "a" not in cache          # equal weights: oldest goes
-        cache.set_traffic_weights(None)
-        assert cache.traffic_weights is None
-        cache.put("e", make_entry())
-        assert "b" not in cache          # pure LRU restored
-
-    def test_fresh_insert_is_always_admitted(self):
-        cache = self._pressured_cache()
-        for key in ("a", "b", "c"):
-            cache.put(key, make_entry())
-        # The new key is the coldest by weight, yet must not evict itself.
-        cache.set_traffic_weights({"a": 9.0, "b": 9.0, "c": 9.0})
-        cache.put("new", make_entry())
-        assert "new" in cache
-        assert "a" not in cache
-
-    def test_weights_install_copies(self):
-        cache = PlanCache(capacity=4)
-        weights = {"k": 1.0}
-        cache.set_traffic_weights(weights)
-        weights["k"] = 99.0
-        assert cache.traffic_weights == {"k": 1.0}
-
-    def test_cache_metrics_track_traffic(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        cache = PlanCache(capacity=2, metrics=registry)
-        cache.put("k1", make_entry())
-        cache.get("k1")
-        cache.get("nope")
-        cache.put("k2", make_entry())
-        cache.put("k3", make_entry())  # evicts k1
-        snap = registry.snapshot()
-        counters = snap["counters"]
-        assert counters['repro_plan_cache_lookups_total{result="hit"}'] == 1.0
-        assert counters['repro_plan_cache_lookups_total{result="miss"}'] == 1.0
-        assert counters["repro_plan_cache_puts_total"] == 3.0
-        assert counters["repro_plan_cache_evictions_total"] == 1.0
-        assert snap["gauges"]["repro_plan_cache_entries"] == 2.0
-        assert snap["gauges"]["repro_plan_cache_bytes"] > 0.0
 
 
 class TestServiceBounds:

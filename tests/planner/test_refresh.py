@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.bench.workloads import Workload, moe_workload
+import repro.planner.refresh as refresh_module
 from repro.planner import BackgroundRefresher, PlannerService
 from repro.planner.refresh import KIND_STALE, KIND_TTL
 from repro.topology.machines import uniform_system
@@ -184,11 +185,11 @@ class TestPreTTLRefresh:
             assert service.plan(SMALL).plan_age == pytest.approx(6.0)
             refresher.close()
 
-    def test_signature_map_keeps_the_most_recently_served(self):
+    def test_signature_map_keeps_the_most_recently_served(self, monkeypatch):
+        monkeypatch.setattr(refresh_module, "MAX_SIGNATURES", 1)
         clock = FakeClock()
         with small_service(cache_ttl_seconds=10.0, clock=clock) as service:
-            refresher = BackgroundRefresher(service, refresh_margin=0.5,
-                                            max_signatures=1)
+            refresher = BackgroundRefresher(service, refresh_margin=0.5)
             service.plan(SMALL)
             service.plan(OTHER)  # evicts SMALL's signature
             clock.advance(6.0)
@@ -271,9 +272,10 @@ class TestSingleFlightParity:
 
 
 class TestQueue:
-    def test_overflow_drops_lowest_priority(self):
+    def test_overflow_drops_lowest_priority(self, monkeypatch):
+        monkeypatch.setattr(refresh_module, "MAX_QUEUE", 1)
         with small_service() as service:
-            refresher = BackgroundRefresher(service, max_queue=1)
+            refresher = BackgroundRefresher(service)
             sig_a = service.signature_for(SMALL)
             sig_b = service.signature_for(OTHER)
             with refresher._lock:
@@ -299,9 +301,7 @@ class TestQueue:
 
     def test_constructor_validation(self):
         with small_service() as service:
-            for bad in (dict(interval_seconds=0.0), dict(num_threads=0),
-                        dict(max_queue=0), dict(refresh_margin=1.0),
-                        dict(max_signatures=0)):
+            for bad in (dict(interval_seconds=0.0), dict(refresh_margin=1.0)):
                 with pytest.raises(ValueError):
                     BackgroundRefresher(service, **bad)
 
@@ -322,12 +322,13 @@ class TestLifecycle:
             refresher.close()
             assert not refresher.running
 
-    def test_threads_drain_work_concurrently(self):
+    def test_threads_drain_work_concurrently(self, monkeypatch):
+        monkeypatch.setattr(refresh_module, "NUM_THREADS", 2)
         clock = FakeClock()
         with small_service(cache_ttl_seconds=10.0, cache_grace_seconds=60.0,
                            clock=clock) as service:
-            with BackgroundRefresher(service, interval_seconds=0.02,
-                                     num_threads=2) as refresher:
+            with BackgroundRefresher(service,
+                                     interval_seconds=0.02) as refresher:
                 service.plan(SMALL)
                 clock.advance(12.0)
                 stale = service.plan(SMALL)
@@ -342,8 +343,6 @@ class TestLifecycle:
                 assert fresh.cache_hit and not fresh.stale
 
     def test_inherited_refresher_counts_stopped_after_fork(self, monkeypatch):
-        import repro.planner.refresh as refresh_module
-
         with small_service() as service:
             refresher = BackgroundRefresher(service, interval_seconds=0.05)
             refresher.start()

@@ -117,7 +117,7 @@ class TestServiceRequestLog:
 
 
 class TestAdaptiveFeedback:
-    def test_rollup_feeds_eviction_weights(self, telemetry):
+    def test_rollup_counts_the_service_log(self, telemetry):
         service, _, _, log = telemetry
         hot = make_workload(96, 80, 64)
         cold = make_workload(128, 96, 32)
@@ -126,15 +126,9 @@ class TestAdaptiveFeedback:
         service.plan(cold)
 
         rollup = rollup_requests(log.path)
-        hot_key = service.signature_for(hot).key()
-        assert rollup.traffic_weights()[hot_key] == 3.0
-
-        service.apply_rollup(rollup)
-        weights = service.cache.traffic_weights
-        assert weights is not None and weights[hot_key] == 3.0
-
-        service.apply_rollup(None)
-        assert service.cache.traffic_weights is None
+        assert {agg.signature: agg.requests for agg in rollup.top(2)} == {
+            service.signature_for(hot).key(): 3,
+            service.signature_for(cold).key(): 1}
 
     def test_stale_serve_is_logged_as_stale_outcome(self, tmp_path):
         class Clock:

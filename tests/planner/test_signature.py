@@ -6,6 +6,7 @@ from repro.bench.workloads import Workload, mlp1_workload
 from repro.planner.signature import (
     DEFAULT_BUCKET_RATIO,
     ProblemSignature,
+    SignatureFactory,
     bucket_dim,
     machine_fingerprint,
     options_fingerprint,
@@ -96,3 +97,32 @@ class TestProblemSignature:
         workload = mlp1_workload(1024)
         sig = ProblemSignature.from_request(self.MACHINE, workload)
         assert sig in {ProblemSignature.from_request(self.MACHINE, workload)}
+
+
+class TestSignatureFactoryParity:
+    """A factory built with a service's options derives the service's keys."""
+
+    MACHINE = uniform_system(2)
+    OPTIONS = {"replication_factors": [1]}
+
+    def test_problem_keys_match_the_service(self):
+        from repro.planner.service import PlannerService
+
+        factory = SignatureFactory(self.MACHINE, **self.OPTIONS)
+        with PlannerService(self.MACHINE, **self.OPTIONS) as service:
+            for workload in (Workload("w192x128x96", 192, 128, 96),
+                             Workload("w320x256x128", 320, 256, 128)):
+                assert (factory.signature_for(workload).key()
+                        == service.signature_for(workload).key())
+                assert (factory.signature_for(workload, top_k=3).key()
+                        == service.signature_for(workload, top_k=3).key())
+
+    def test_graph_keys_match_the_service(self):
+        from repro.core.graph import mlp_chain
+        from repro.planner.service import PlannerService
+
+        factory = SignatureFactory(self.MACHINE, **self.OPTIONS)
+        graph = mlp_chain(96, 64)
+        with PlannerService(self.MACHINE, **self.OPTIONS) as service:
+            assert (factory.graph_signature_for(graph).key()
+                    == service.plan_graph(graph).signature.key())

@@ -113,18 +113,23 @@ class TestWorkerCrash:
                         restart_policy=FAST_RESTART,
                         enable_metrics=True) as srv:
             with PlanClient(srv.address, retries=2, retry_delay=0.01) as cli:
-                response = cli.plan(workload)
+                # Sequential requests across the crash: none may be lost.
+                responses = [cli.plan(workload) for _ in range(8)]
                 assert cli.transport_retries >= 1  # the crash cost a retry
-            # The survivor's answer is bit-identical to the uninjected
-            # in-process service: crashes may slow a request, never skew it.
-            got = response.recommendation
+            # Every answer, the survivor's included, is bit-identical to the
+            # uninjected in-process service: crashes may slow a request,
+            # never skew it.
+            assert [r.recommendation.plan_key() for r in responses] == \
+                [reference.plan_key()] * 8
+            got = responses[0].recommendation
             assert got.scheme.name == reference.scheme.name
             assert got.replication == reference.replication
             assert got.stationary == reference.stationary
             assert got.simulated_time == reference.simulated_time
 
-            # The parent notices the corpse and re-forks it...
+            # The parent notices the corpse and re-forks it exactly once...
             assert wait_until(lambda: srv.restart_counts().get(0, 0) == 1)
+            assert srv.restart_counts() == {0: 1}
             # ...and the fleet view converges back to two reporting workers,
             # now carrying the supervisor's restart accounting.
             assert wait_until(lambda: srv.aggregate_stats().num_workers == 2)
