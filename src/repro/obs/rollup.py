@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Union
 
@@ -183,11 +184,21 @@ class Rollup:
         """Persist the rollup as JSON (atomically via rename)."""
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
-        tmp_path = path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, separators=(",", ":"))
-            handle.write("\n")
-        os.replace(tmp_path, path)
+        # A per-call staging file: concurrent saves to one path must not
+        # move each other's staging file away before its os.replace.
+        fd, tmp_path = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
+                                        suffix=".tmp", dir=directory)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                json.dump(self.to_dict(), handle, separators=(",", ":"))
+                handle.write("\n")
+            os.replace(tmp_path, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_path)
+            except OSError:
+                pass
+            raise
         return path
 
     @classmethod

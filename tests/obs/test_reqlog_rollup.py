@@ -224,3 +224,44 @@ class TestRollup:
         rollup = rollup_requests(path)
         assert [agg.signature for agg in rollup.top(3)] \
             == ["sig-a", "sig-m", "sig-z"]
+
+    def test_top_ranks_by_any_counter(self, tmp_path):
+        self._write_fleet_logs(tmp_path)
+        rollup = rollup_requests(str(tmp_path))
+        assert [(agg.signature, agg.computed)
+                for agg in rollup.top(by="computed")] == [
+            ("sig-cold", 1), ("sig-hot", 1)]
+        assert [agg.signature for agg in rollup.top(by="hits")] == [
+            "sig-hot", "sig-cold"]
+
+    def test_from_dict_rebuilds_an_equal_report(self, tmp_path):
+        self._write_fleet_logs(tmp_path)
+        rollup = rollup_requests(str(tmp_path))
+        rebuilt = Rollup.from_dict(json.loads(json.dumps(rollup.to_dict())))
+        assert rebuilt == rollup
+        assert ([agg.signature for agg in rebuilt.top()]
+                == [agg.signature for agg in rollup.top()])
+
+    def test_concurrent_saves_leave_a_valid_rollup(self, tmp_path):
+        self._write_fleet_logs(tmp_path)
+        rollup = rollup_requests(str(tmp_path))
+        path = str(tmp_path / "rollup.json")
+        errors = []
+
+        def saver():
+            try:
+                for _ in range(50):
+                    rollup.save(path)
+            except Exception as error:  # noqa: BLE001 - collected for assert
+                errors.append(error)
+
+        threads = [threading.Thread(target=saver) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert Rollup.load(path).to_dict() == rollup.to_dict()
+        assert os.listdir(tmp_path).count("rollup.json") == 1
+        assert not [name for name in os.listdir(tmp_path)
+                    if name.endswith(".tmp")]

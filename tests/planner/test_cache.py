@@ -106,6 +106,120 @@ class TestLRU:
         assert snap["gauges"]["repro_plan_cache_bytes"] > 0.0
 
 
+class TestPlainLRU:
+    """Eviction is plain LRU: the victim is always the least recently used."""
+
+    def test_put_on_a_resident_key_refreshes_recency(self):
+        cache = PlanCache(capacity=2)
+        cache.put("k1", make_entry())
+        cache.put("k2", make_entry())
+        cache.put("k1", make_entry("outer"))  # re-put: k2 is now LRU
+        cache.put("k3", make_entry())
+        assert cache.keys() == ["k1", "k3"]
+        assert cache.get("k1").best.scheme.name == "outer"
+
+    def test_contains_and_keys_do_not_touch_recency(self):
+        cache = PlanCache(capacity=2)
+        cache.put("k1", make_entry())
+        cache.put("k2", make_entry())
+        assert "k1" in cache
+        assert cache.keys() == ["k1", "k2"]
+        cache.put("k3", make_entry())
+        assert cache.keys() == ["k2", "k3"]
+        assert cache.stats().hits == 0
+
+    def test_serving_lookup_refreshes_recency(self):
+        cache = PlanCache(capacity=2)
+        cache.put("k1", make_entry())
+        cache.put("k2", make_entry())
+        assert cache.get_for_serving("k1") is not None
+        cache.put("k3", make_entry())
+        assert cache.keys() == ["k1", "k3"]
+
+    def test_a_miss_leaves_the_order_alone(self):
+        cache = PlanCache(capacity=2)
+        cache.put("k1", make_entry())
+        cache.put("k2", make_entry())
+        assert cache.get("absent") is None
+        assert cache.keys() == ["k1", "k2"]
+
+    def test_byte_pressure_evicts_oldest_until_under_budget(self):
+        from repro.planner.cache import entry_size_bytes
+
+        small = make_entry()
+        size = entry_size_bytes(small)
+        cache = PlanCache(capacity=100, max_bytes=4 * size)
+        for i in range(4):
+            cache.put(f"k{i}", make_entry())
+        big = make_entry()
+        big.recommendations = big.recommendations * 5
+        assert 2 * size < entry_size_bytes(big) <= 3 * size
+        cache.put("big", big)
+        # Only the oldest go, and only as many as the budget needs.
+        assert cache.keys() == ["k3", "big"]
+        assert cache.stats().evictions == 3
+        assert cache.stats().total_bytes <= 4 * size
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 5])
+    def test_matches_a_reference_lru(self, capacity):
+        import random
+        from collections import OrderedDict
+
+        rng = random.Random(capacity)
+        cache = PlanCache(capacity=capacity)
+        model: "OrderedDict[str, None]" = OrderedDict()
+        evictions = 0
+        for _ in range(300):
+            key = f"k{rng.randrange(2 * capacity + 1)}"
+            if rng.random() < 0.5:
+                cache.put(key, make_entry())
+                model[key] = None
+                model.move_to_end(key)
+                while len(model) > capacity:
+                    model.popitem(last=False)
+                    evictions += 1
+            else:
+                assert (cache.get(key) is not None) == (key in model)
+                if key in model:
+                    model.move_to_end(key)
+            assert cache.keys() == list(model)
+        assert cache.stats().evictions == evictions
+
+    def test_entry_ages_do_not_touch_recency_or_counters(self):
+        clock = FakeClock()
+        cache = PlanCache(capacity=2, clock=clock)
+        cache.put("k1", make_entry())
+        clock.advance(5)
+        cache.put("k2", make_entry())
+        assert cache.entry_ages() == {"k1": 5.0, "k2": 0.0}
+        cache.put("k3", make_entry())
+        assert cache.keys() == ["k2", "k3"]
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (0, 0)
+
+    def test_clear_keeps_counters(self):
+        cache = PlanCache(capacity=1)
+        cache.put("k1", make_entry())
+        cache.put("k2", make_entry())
+        cache.get("k2")
+        cache.clear()
+        stats = cache.stats()
+        assert (stats.size, stats.total_bytes) == (0, 0)
+        assert (stats.puts, stats.evictions, stats.hits) == (2, 1, 1)
+
+    def test_expiry_is_not_counted_as_eviction(self):
+        clock = FakeClock()
+        cache = PlanCache(capacity=2, ttl_seconds=10.0, clock=clock)
+        cache.put("k1", make_entry())
+        clock.advance(11)
+        assert cache.get("k1") is None
+        cache.put("k2", make_entry())
+        cache.put("k3", make_entry())
+        stats = cache.stats()
+        assert (stats.expirations, stats.evictions) == (1, 0)
+        assert cache.keys() == ["k2", "k3"]
+
+
 class TestSerialization:
     def test_recommendation_roundtrip(self):
         entry = make_entry()

@@ -322,6 +322,20 @@ class TestLifecycle:
             refresher.close()
             assert not refresher.running
 
+    @pytest.mark.parametrize("num_threads", [1, 3])
+    def test_start_spawns_a_scheduler_and_num_threads_workers(
+            self, monkeypatch, num_threads):
+        monkeypatch.setattr(refresh_module, "NUM_THREADS", num_threads)
+        with small_service() as service:
+            with BackgroundRefresher(service,
+                                     interval_seconds=0.05) as refresher:
+                assert refresher.running
+                names = sorted(t.name for t in threading.enumerate()
+                               if t.name.startswith("plan-refresh"))
+                assert names == sorted(["plan-refresh-scheduler"] + [
+                    f"plan-refresh-{i}" for i in range(num_threads)])
+            assert not refresher.running
+
     def test_threads_drain_work_concurrently(self, monkeypatch):
         monkeypatch.setattr(refresh_module, "NUM_THREADS", 2)
         clock = FakeClock()

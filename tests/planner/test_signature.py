@@ -126,3 +126,50 @@ class TestSignatureFactoryParity:
         with PlannerService(self.MACHINE, **self.OPTIONS) as service:
             assert (factory.graph_signature_for(graph).key()
                     == service.plan_graph(graph).signature.key())
+
+    @pytest.mark.parametrize("options", [
+        {"top_k": 2},
+        {"memory_budget_bytes": float(1 << 30)},
+        {"schemes": ("column", "outer")},
+        {"stationary_options": ("A",)},
+        {"itemsize": 2, "dtype": "float16"},
+        {"bucket_ratio": 1.0},
+        {"config": "iteration_offset_off"},
+    ], ids=["top_k", "memory_budget", "schemes", "stationary", "itemsize",
+            "bucket_ratio", "config"])
+    def test_every_planning_option_keys_alike(self, options):
+        # Any option the factory hashed differently from the service would
+        # send every request of a client-side ledger to a cold cache.
+        from repro.bench.schemes import scheme_by_name
+        from repro.core.config import ExecutionConfig
+        from repro.planner.service import PlannerService
+
+        options = dict(options)
+        if "schemes" in options:
+            options["schemes"] = [scheme_by_name(name)
+                                  for name in options["schemes"]]
+        if "config" in options:
+            options["config"] = ExecutionConfig(simulate_only=True,
+                                                iteration_offset=False)
+        workload = Workload("w200x130x100", 200, 130, 100)
+        factory = SignatureFactory(self.MACHINE, **options)
+        default_key = SignatureFactory(self.MACHINE).signature_for(workload).key()
+        with PlannerService(self.MACHINE, **options) as service:
+            key = factory.signature_for(workload).key()
+            assert key == service.signature_for(workload).key()
+            assert key != default_key  # the option reaches the key
+
+    def test_structured_keys_match_the_service(self):
+        from repro.bench.workloads import block_sparse_workload, moe_workload
+        from repro.planner.service import PlannerService
+
+        factory = SignatureFactory(self.MACHINE, **self.OPTIONS)
+        with PlannerService(self.MACHINE, **self.OPTIONS) as service:
+            for workload in (
+                    block_sparse_workload(128, 256, 256, density=0.1),
+                    moe_workload(4, 64, 256, 128,
+                                 expert_tokens=[64, 5, 9, 1])):
+                key = factory.signature_for(workload).key()
+                assert key == service.signature_for(workload).key()
+                assert key != factory.signature_for(Workload(
+                    "dense", workload.m, workload.n, workload.k)).key()

@@ -269,3 +269,26 @@ class TestProtocolVersion13:
             with pytest.raises(protocol.ProtocolError,
                                match="RemoteGraphPlanResponse"):
                 RemoteGraphPlanResponse.from_dict(partial)
+
+
+class TestProtocolVersion15:
+    """1.5: the ``stats`` reply's service counters lost the seed counters."""
+
+    def test_version_is_at_least_1_5(self):
+        assert protocol.PROTOCOL_VERSION >= (1, 5)
+
+    @pytest.mark.parametrize("field", ["portable_seeds_loaded",
+                                       "portable_seeded"])
+    def test_a_1_4_stats_reply_is_rejected_by_name(self, field):
+        # A 1.4 worker still sends the two counters; a 1.5 client names the
+        # field it cannot place instead of silently dropping it.
+        from repro.planner.cache import CacheStats
+        from repro.planner.service import ServiceStats
+        from repro.serve.stats import WorkerStats
+
+        payload = WorkerStats(worker=0, pid=1, service=ServiceStats(),
+                              cache=CacheStats()).to_dict()
+        assert field not in payload["service"]
+        payload["service"][field] = 0
+        with pytest.raises(ProtocolError, match=field):
+            WorkerStats.from_dict(payload)
