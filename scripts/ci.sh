@@ -57,6 +57,9 @@ python benchmarks/bench_planner_throughput.py --check
 echo "== benchmark smoke: serving throughput check (fleet vs snapshot) =="
 python benchmarks/bench_serving_throughput.py --check
 
+echo "== benchmark smoke: classical baselines (E9 orderings: UA-traditional vs SUMMA and the 1-D series) =="
+python -m pytest -q --benchmark-disable benchmarks/bench_baselines_classic.py
+
 echo "== benchmark smoke: event-engine drift check =="
 python benchmarks/bench_event_engine_smoke.py --check
 

@@ -9,15 +9,14 @@ the COSMA-style selector is available as a baseline for Figure 3.
 
 Every algorithm provides
 
-* ``simulate(m, n, k, machine)`` — analytic execution-time model at any scale,
-* ``simulate_events(m, n, k, machine)`` — the same schedule emitted as typed
-  events through the unified :class:`repro.sim.EventEngine` (the closed form
-  above is retained as a cross-check on the trace),
+* ``simulate(m, n, k, machine)`` — the one analytic execution-time model, at
+  any scale (the test oracle ``tests/baseline_oracle.py`` emits the same
+  schedule through the event engine and the property suite holds them equal),
 * ``run(a, b)`` — a real (NumPy) execution of the algorithm's communication
   schedule at small scale, used by the correctness tests.
 """
 
-from repro.baselines.base import BaselineAlgorithm, BaselinePhase, BaselineResult
+from repro.baselines.base import BaselineAlgorithm, BaselineResult
 from repro.baselines.one_d import OneDRing
 from repro.baselines.summa import Summa
 from repro.baselines.cannon import Cannon
@@ -27,7 +26,6 @@ from repro.baselines.cosma import CosmaLike, CosmaDecomposition, select_cosma_de
 
 __all__ = [
     "BaselineAlgorithm",
-    "BaselinePhase",
     "BaselineResult",
     "OneDRing",
     "Summa",

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.baselines.base import BaselineAlgorithm, BaselinePhase, BaselineResult
+from repro.baselines.base import BaselineAlgorithm, BaselineResult
 from repro.collectives.models import allreduce_time
 from repro.core.cost_model import CostModel
 from repro.topology.machines import MachineSpec
@@ -45,7 +45,8 @@ class OneAndHalfD(BaselineAlgorithm):
 
     def _terms(self, m: int, n: int, k: int, machine: MachineSpec,
                itemsize: int) -> dict:
-        """Per-step model terms shared by the closed form and the event trace."""
+        """Per-step model terms: ``simulate`` reads them, and
+        ``tests/baseline_oracle.py`` rebuilds the schedule from them."""
         p = machine.num_devices
         c = self.replication
         group = self._group_size(p)
@@ -91,21 +92,6 @@ class OneAndHalfD(BaselineAlgorithm):
             group_size=t["group"],
             steps=steps,
         )
-
-    def phases(self, m: int, n: int, k: int, machine: MachineSpec,
-               itemsize: int = 4) -> list:
-        """Ring rotations over the group's inner share, then the replica all-reduce."""
-        t = self._terms(m, n, k, machine, itemsize)
-        phases = []
-        if t["steps"] > 1:
-            phases.append(BaselinePhase(label="ring-step", compute=t["gemm_step"],
-                                        comm=t["shift_step"], overlap=self.overlap,
-                                        repeat=t["steps"] - 1))
-        phases.append(BaselinePhase(label="final-multiply", compute=t["gemm_step"]))
-        if t["reduce_total"] > 0.0:
-            phases.append(BaselinePhase(label="replica-allreduce",
-                                        comm=t["reduce_total"], collective=True))
-        return phases
 
     # ------------------------------------------------------------------ #
     def run(self, a: np.ndarray, b: np.ndarray, num_procs: Optional[int] = None) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.baselines.base import BaselineAlgorithm, BaselinePhase, BaselineResult
+from repro.baselines.base import BaselineAlgorithm, BaselineResult
 from repro.collectives.models import allreduce_time, broadcast_time
 from repro.core.cost_model import CostModel
 from repro.topology.machines import MachineSpec
@@ -43,7 +43,8 @@ class TwoAndHalfD(BaselineAlgorithm):
 
     def _terms(self, m: int, n: int, k: int, machine: MachineSpec,
                itemsize: int) -> dict:
-        """Per-step model terms shared by the closed form and the event trace."""
+        """Per-step model terms: ``simulate`` reads them, and
+        ``tests/baseline_oracle.py`` rebuilds the schedule from them."""
         p = machine.num_devices
         c = self.replication
         side = self._layer_side(p)
@@ -96,23 +97,6 @@ class TwoAndHalfD(BaselineAlgorithm):
             steps_per_layer=steps_per_layer,
             devices_used=side * side * c,
         )
-
-    def num_active_devices(self, m: int, n: int, k: int, machine: MachineSpec,
-                           itemsize: int = 4) -> int:
-        side = self._layer_side(machine.num_devices)
-        return side * side * self.replication
-
-    def phases(self, m: int, n: int, k: int, machine: MachineSpec,
-               itemsize: int = 4) -> list:
-        """Each layer's share of SUMMA panel updates, then the layer all-reduce."""
-        t = self._terms(m, n, k, machine, itemsize)
-        phases = [BaselinePhase(label="panel-update", compute=t["gemm_step"],
-                                comm=t["comm_step"], overlap=self.overlap,
-                                repeat=t["steps_per_layer"], collective=True)]
-        if t["reduce_total"] > 0.0:
-            phases.append(BaselinePhase(label="layer-allreduce",
-                                        comm=t["reduce_total"], collective=True))
-        return phases
 
     # ------------------------------------------------------------------ #
     def run(self, a: np.ndarray, b: np.ndarray, num_procs: Optional[int] = None) -> np.ndarray:

@@ -1,23 +1,21 @@
 """Shared interface and result type for the baseline algorithms.
 
-Every baseline retains its closed-form time model (the numbers quoted in the
-paper's comparisons) *and* can emit the same schedule as typed events through
-the unified :class:`~repro.sim.engine.EventEngine` — so baseline-vs-universal
-comparisons price through one engine, and the closed form doubles as a
-cross-check on the event trace (they must agree to ~1e-9).
+Every baseline has one time model: the closed form ``simulate`` (the numbers
+quoted in the paper's comparisons), summed from per-step terms its
+``_terms`` method computes.  The test oracle ``tests/baseline_oracle.py``
+rebuilds each schedule from those terms and emits it through the event
+engine, and the property suite holds the two equal.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core.cost_model import CostModel
-from repro.sim.engine import EventEngine
-from repro.sim.events import ScheduledEvent
 from repro.topology.machines import MachineSpec
 
 
@@ -45,25 +43,6 @@ class BaselineResult:
         }
 
 
-@dataclass(frozen=True)
-class BaselinePhase:
-    """One (possibly repeated) step of a baseline's bulk-synchronous schedule.
-
-    ``overlap=True`` runs the phase's communication and computation
-    concurrently (the phase takes their max); ``overlap=False`` serialises
-    communication before computation.  ``collective=True`` marks the
-    communication as a modelled collective (broadcast/all-reduce) rather than
-    a point-to-point shift.
-    """
-
-    label: str
-    compute: float = 0.0
-    comm: float = 0.0
-    overlap: bool = True
-    repeat: int = 1
-    collective: bool = False
-
-
 class BaselineAlgorithm(abc.ABC):
     """A classical distributed matmul algorithm with a time model and a reference run."""
 
@@ -80,91 +59,6 @@ class BaselineAlgorithm(abc.ABC):
     @abc.abstractmethod
     def run(self, a: np.ndarray, b: np.ndarray, num_procs: Optional[int] = None) -> np.ndarray:
         """Execute the algorithm's schedule on real (small) matrices and return C."""
-
-    @abc.abstractmethod
-    def phases(self, m: int, n: int, k: int, machine: MachineSpec,
-               itemsize: int = 4) -> List[BaselinePhase]:
-        """The algorithm's schedule as a list of bulk-synchronous phases.
-
-        This is the same step structure the closed-form model in
-        :meth:`simulate` sums up, exposed so :meth:`simulate_events` can emit
-        it through the unified event engine.
-        """
-
-    def num_active_devices(self, m: int, n: int, k: int, machine: MachineSpec,
-                           itemsize: int = 4) -> int:
-        """How many devices the algorithm's schedule actually occupies.
-
-        Algorithms with grid constraints (Cannon's square grids, COSMA's
-        factorisations, 2.5D's layer grids) may leave devices idle;
-        overridden there so event traces show those devices as idle instead
-        of busy.
-        """
-        return machine.num_devices
-
-    # ------------------------------------------------------------------ #
-    def simulate_events(
-        self,
-        m: int,
-        n: int,
-        k: int,
-        machine: MachineSpec,
-        itemsize: int = 4,
-        engine: Optional[EventEngine] = None,
-    ) -> EventEngine:
-        """Emit the algorithm's schedule as typed events on every participating device.
-
-        Every participating device (see :meth:`num_active_devices`) executes
-        the same bulk-synchronous phase sequence, so the engine's makespan
-        reproduces the closed-form :meth:`simulate` time (the property suite
-        asserts agreement).  Returns the engine for trace inspection /
-        makespan queries.
-        """
-        engine = engine or EventEngine(machine.num_devices)
-        phase_list = self.phases(m, n, k, machine, itemsize)
-        for device in range(self.num_active_devices(m, n, k, machine, itemsize)):
-            barrier: Optional[ScheduledEvent] = None
-            for phase in phase_list:
-                label = f"{self.name}:{phase.label}"
-                for _ in range(phase.repeat):
-                    barrier = self._emit_phase(engine, device, phase, label, barrier)
-        return engine
-
-    def _emit_phase(
-        self,
-        engine: EventEngine,
-        device: int,
-        phase: BaselinePhase,
-        label: str,
-        barrier: Optional[ScheduledEvent],
-    ) -> Optional[ScheduledEvent]:
-        """Emit one repetition of a phase; returns the new chain barrier."""
-
-        def comm_event(deps) -> ScheduledEvent:
-            if phase.collective:
-                return engine.collective(device, phase.comm, deps=deps, label=label)
-            return engine.fetch(device, phase.comm, deps=deps, label=label)
-
-        if not phase.overlap:
-            # Serial: communication completes before the local update starts.
-            tail = barrier
-            if phase.comm > 0.0:
-                tail = comm_event((tail,))
-            if phase.compute > 0.0:
-                tail = engine.gemm(device, phase.compute, deps=(tail,), label=label)
-            return tail
-
-        concurrent: List[Optional[ScheduledEvent]] = []
-        if phase.comm > 0.0:
-            concurrent.append(comm_event((barrier,)))
-        if phase.compute > 0.0:
-            concurrent.append(engine.gemm(device, phase.compute, deps=(barrier,),
-                                          label=label))
-        if not concurrent:
-            return barrier
-        if len(concurrent) == 1:
-            return concurrent[0]
-        return engine.sync(device, deps=concurrent + [barrier], label=f"{label}:sync")
 
     # ------------------------------------------------------------------ #
     def _combine(self, compute: float, communication: float) -> float:

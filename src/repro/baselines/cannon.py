@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.baselines.base import BaselineAlgorithm, BaselinePhase, BaselineResult
+from repro.baselines.base import BaselineAlgorithm, BaselineResult
 from repro.core.cost_model import CostModel
 from repro.topology.machines import MachineSpec
 from repro.util.indexing import block_bounds
@@ -50,7 +50,8 @@ class Cannon(BaselineAlgorithm):
 
     def _terms(self, m: int, n: int, k: int, machine: MachineSpec,
                itemsize: int) -> dict:
-        """Per-step model terms shared by the closed form and the event trace."""
+        """Per-step model terms: ``simulate`` reads them, and
+        ``tests/baseline_oracle.py`` rebuilds the schedule from them."""
         side = self._side(machine.num_devices)
         cost_model = CostModel(machine)
         m_local = -(-m // side)
@@ -93,25 +94,6 @@ class Cannon(BaselineAlgorithm):
         )
         result.metadata["idle_devices"] = machine.num_devices - used_devices
         return result
-
-    def num_active_devices(self, m: int, n: int, k: int, machine: MachineSpec,
-                           itemsize: int = 4) -> int:
-        side = self._side(machine.num_devices)
-        return side * side
-
-    def phases(self, m: int, n: int, k: int, machine: MachineSpec,
-               itemsize: int = 4) -> list:
-        """Initial skew, ``side - 1`` multiply+rotate steps, one final multiply."""
-        t = self._terms(m, n, k, machine, itemsize)
-        side, gemm_step, shift_step = t["side"], t["gemm_step"], t["shift_step"]
-        if side <= 1:
-            return [BaselinePhase(label="multiply", compute=gemm_step)]
-        return [
-            BaselinePhase(label="skew", comm=shift_step),
-            BaselinePhase(label="multiply-rotate", compute=gemm_step,
-                          comm=shift_step, overlap=self.overlap, repeat=side - 1),
-            BaselinePhase(label="final-multiply", compute=gemm_step),
-        ]
 
     # ------------------------------------------------------------------ #
     def run(self, a: np.ndarray, b: np.ndarray, num_procs: Optional[int] = None) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.base import BaselineAlgorithm, BaselinePhase, BaselineResult
+from repro.baselines.base import BaselineAlgorithm, BaselineResult
 from repro.collectives.models import allreduce_time, broadcast_time
 from repro.core.cost_model import CostModel
 from repro.topology.machines import MachineSpec
@@ -133,16 +133,8 @@ class CosmaLike(BaselineAlgorithm):
 
     def _terms(self, m: int, n: int, k: int, machine: MachineSpec,
                itemsize: int) -> dict:
-        """Per-step model terms shared by the closed form and the event trace.
-
-        Memoizes the last problem so one ``simulate_events`` call (which needs
-        the terms for both the device count and the phases) runs the
-        decomposition search once.
-        """
-        key = (m, n, k, itemsize, machine)
-        cached = getattr(self, "_terms_memo", None)
-        if cached is not None and cached[0] == key:
-            return cached[1]
+        """Per-step model terms: ``simulate`` reads them, and
+        ``tests/baseline_oracle.py`` rebuilds the schedule from them."""
         decomposition = select_cosma_decomposition(
             m, n, k, machine.num_devices, self.memory_budget_bytes, itemsize
         )
@@ -164,10 +156,8 @@ class CosmaLike(BaselineAlgorithm):
         reduce_total = (
             allreduce_time(machine, layer_peers, cm * cn * itemsize) if pk > 1 else 0.0
         )
-        terms = dict(decomposition=decomposition, steps=steps, comm_step=comm_step,
-                     gemm_step=gemm_step, reduce_total=reduce_total)
-        self._terms_memo = (key, terms)
-        return terms
+        return dict(decomposition=decomposition, steps=steps, comm_step=comm_step,
+                    gemm_step=gemm_step, reduce_total=reduce_total)
 
     # ------------------------------------------------------------------ #
     def simulate(self, m: int, n: int, k: int, machine: MachineSpec,
@@ -190,22 +180,6 @@ class CosmaLike(BaselineAlgorithm):
             decomposition=f"{decomposition.pm}x{decomposition.pn}x{decomposition.pk}",
             steps=steps,
         )
-
-    def num_active_devices(self, m: int, n: int, k: int, machine: MachineSpec,
-                           itemsize: int = 4) -> int:
-        return self._terms(m, n, k, machine, itemsize)["decomposition"].processes
-
-    def phases(self, m: int, n: int, k: int, machine: MachineSpec,
-               itemsize: int = 4) -> list:
-        """SUMMA panel updates within each layer, then the partial-C all-reduce."""
-        t = self._terms(m, n, k, machine, itemsize)
-        phases = [BaselinePhase(label="panel-update", compute=t["gemm_step"],
-                                comm=t["comm_step"], overlap=self.overlap,
-                                repeat=t["steps"], collective=True)]
-        if t["reduce_total"] > 0.0:
-            phases.append(BaselinePhase(label="partial-allreduce",
-                                        comm=t["reduce_total"], collective=True))
-        return phases
 
     # ------------------------------------------------------------------ #
     def run(self, a: np.ndarray, b: np.ndarray, num_procs: Optional[int] = None) -> np.ndarray:

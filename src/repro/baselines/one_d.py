@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.baselines.base import BaselineAlgorithm, BaselinePhase, BaselineResult
+from repro.baselines.base import BaselineAlgorithm, BaselineResult
 from repro.core.cost_model import CostModel
 from repro.topology.machines import MachineSpec
 from repro.util.indexing import block_bounds
@@ -30,7 +30,8 @@ class OneDRing(BaselineAlgorithm):
 
     def _terms(self, m: int, n: int, k: int, machine: MachineSpec,
                itemsize: int) -> dict:
-        """Per-step model terms shared by the closed form and the event trace."""
+        """Per-step model terms: ``simulate`` reads them, and
+        ``tests/baseline_oracle.py`` rebuilds the schedule from them."""
         p = machine.num_devices
         cost_model = CostModel(machine)
         m_local = -(-m // p)
@@ -64,19 +65,6 @@ class OneDRing(BaselineAlgorithm):
             communication_bytes=t["shift_bytes"] * (p - 1) * p,
             steps=p,
         )
-
-    def phases(self, m: int, n: int, k: int, machine: MachineSpec,
-               itemsize: int = 4) -> list:
-        """``p - 1`` multiply+shift steps and one final multiply (no shift)."""
-        t = self._terms(m, n, k, machine, itemsize)
-        p, gemm_step, shift_step = t["p"], t["gemm_step"], t["shift_step"]
-        if p <= 1:
-            return [BaselinePhase(label="multiply", compute=gemm_step)]
-        return [
-            BaselinePhase(label="multiply-shift", compute=gemm_step,
-                          comm=shift_step, overlap=self.overlap, repeat=p - 1),
-            BaselinePhase(label="final-multiply", compute=gemm_step),
-        ]
 
     # ------------------------------------------------------------------ #
     def run(self, a: np.ndarray, b: np.ndarray, num_procs: Optional[int] = None) -> np.ndarray:

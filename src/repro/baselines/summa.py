@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.base import BaselineAlgorithm, BaselinePhase, BaselineResult
+from repro.baselines.base import BaselineAlgorithm, BaselineResult
 from repro.collectives.models import broadcast_time
 from repro.core.cost_model import CostModel
 from repro.dist.process_grid import near_square_factors
@@ -50,7 +50,8 @@ class Summa(BaselineAlgorithm):
 
     def _terms(self, m: int, n: int, k: int, machine: MachineSpec,
                itemsize: int) -> dict:
-        """Per-step model terms shared by the closed form and the event trace."""
+        """Per-step model terms: ``simulate`` reads them, and
+        ``tests/baseline_oracle.py`` rebuilds the schedule from them."""
         pr, pc = self._grid(machine.num_devices)
         cost_model = CostModel(machine)
         m_local = -(-m // pr)
@@ -90,14 +91,6 @@ class Summa(BaselineAlgorithm):
             steps=steps,
             panel_width=t["panel"],
         )
-
-    def phases(self, m: int, n: int, k: int, machine: MachineSpec,
-               itemsize: int = 4) -> list:
-        """``steps`` identical panel updates: broadcast the panels, rank-kb update."""
-        t = self._terms(m, n, k, machine, itemsize)
-        return [BaselinePhase(label="panel-update", compute=t["gemm_step"],
-                              comm=t["comm_step"], overlap=self.overlap,
-                              repeat=t["steps"], collective=True)]
 
     # ------------------------------------------------------------------ #
     def run(self, a: np.ndarray, b: np.ndarray, num_procs: Optional[int] = None) -> np.ndarray:

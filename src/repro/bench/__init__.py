@@ -37,7 +37,7 @@ from repro.bench.sweep import (
     run_baseline_series,
 )
 from repro.bench.report import format_table, series_from_points, print_figure
-from repro.bench.selector import PartitioningRecommendation, recommend_partitioning
+from repro.bench.selector import PartitioningRecommendation
 
 __all__ = [
     "MLP_HIDDEN",
@@ -66,5 +66,4 @@ __all__ = [
     "series_from_points",
     "print_figure",
     "PartitioningRecommendation",
-    "recommend_partitioning",
 ]

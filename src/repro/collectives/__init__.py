@@ -1,42 +1,26 @@
-"""Collective communication: analytic time models and one-sided implementations.
+"""Collective communication: closed-form ring-algorithm time models.
 
 The universal algorithm itself needs only one-sided primitives, but its
 comparators do not: PyTorch DTensor dispatches to collective-based matmul
 rules (all-gather / all-reduce / reduce-scatter), and the classical baselines
-(SUMMA, Cannon, 2.5D, COSMA) are formulated with broadcasts and reductions.
-This package provides
-
-* :mod:`repro.collectives.models` — ring-algorithm time models priced on the
-  same machine model as everything else, and
-* :mod:`repro.collectives.ops` — actual data-movement implementations built
-  from the runtime's one-sided primitives, used by the correctness tests of
-  the baselines and the DTensor-like comparator.
+(SUMMA, 2.5D, 1.5D, COSMA) are formulated with broadcasts and reductions.
+:mod:`repro.collectives.models` prices those collectives with ring-algorithm
+formulas on the same machine model (:mod:`repro.topology`) as everything
+else; nothing here moves data.
 """
 
 from repro.collectives.models import (
-    CollectiveModel,
     allgather_time,
     allreduce_time,
     alltoall_time,
     broadcast_time,
     reduce_scatter_time,
 )
-from repro.collectives.ops import (
-    allgather,
-    allreduce,
-    broadcast,
-    reduce_scatter,
-)
 
 __all__ = [
-    "CollectiveModel",
     "allgather_time",
     "allreduce_time",
     "alltoall_time",
     "broadcast_time",
     "reduce_scatter_time",
-    "allgather",
-    "allreduce",
-    "broadcast",
-    "reduce_scatter",
 ]

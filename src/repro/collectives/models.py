@@ -16,7 +16,6 @@ one-sided algorithm so the comparison is apples-to-apples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.topology.machines import MachineSpec
@@ -83,24 +82,3 @@ def alltoall_time(machine: MachineSpec, ranks: Sequence[int], nbytes_per_pair: f
     bandwidth, latency = _group_bandwidth_latency(machine, ranks)
     return (group - 1) * (latency + nbytes_per_pair / bandwidth)
 
-
-@dataclass(frozen=True)
-class CollectiveModel:
-    """Object-oriented facade bound to one machine (convenient for comparators)."""
-
-    machine: MachineSpec
-
-    def broadcast(self, ranks: Sequence[int], nbytes: int) -> float:
-        return broadcast_time(self.machine, ranks, nbytes)
-
-    def allgather(self, ranks: Sequence[int], total_bytes: int) -> float:
-        return allgather_time(self.machine, ranks, total_bytes)
-
-    def reduce_scatter(self, ranks: Sequence[int], total_bytes: int) -> float:
-        return reduce_scatter_time(self.machine, ranks, total_bytes)
-
-    def allreduce(self, ranks: Sequence[int], nbytes: int) -> float:
-        return allreduce_time(self.machine, ranks, nbytes)
-
-    def alltoall(self, ranks: Sequence[int], nbytes_per_pair: float) -> float:
-        return alltoall_time(self.machine, ranks, nbytes_per_pair)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.collectives.models import CollectiveModel
 from repro.core.cost_model import CostModel
 from repro.topology.machines import MachineSpec
 from repro.util.validation import check_positive_int
@@ -45,9 +44,6 @@ class DeviceMesh:
     @property
     def device_ranks(self) -> List[int]:
         return list(self._ranks)
-
-    def collectives(self) -> CollectiveModel:
-        return CollectiveModel(self.machine)
 
     def cost_model(self) -> CostModel:
         return CostModel(self.machine)

@@ -16,6 +16,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.collectives.models import (
+    allgather_time,
+    allreduce_time,
+    alltoall_time,
+    reduce_scatter_time,
+)
 from repro.dtensor.device_mesh import DeviceMesh
 from repro.dtensor.placement import Partial, Placement, Replicate, Shard
 from repro.util.indexing import block_bounds
@@ -140,7 +146,7 @@ class DTensor:
 
     def redistribute_cost(self, placement: Placement) -> RedistributeCost:
         """Modelled cost of converting this tensor's placement to ``placement``."""
-        model = self.mesh.collectives()
+        machine = self.mesh.machine
         ranks = self.mesh.device_ranks
         size = self.mesh.size
         src, dst = self.placement, placement
@@ -150,19 +156,21 @@ class DTensor:
         if isinstance(src, Replicate) and isinstance(dst, Shard):
             return RedistributeCost("slice", 0.0, 0)
         if isinstance(src, Shard) and isinstance(dst, Replicate):
-            return RedistributeCost("all_gather", model.allgather(ranks, self.nbytes), self.nbytes)
+            return RedistributeCost("all_gather", allgather_time(machine, ranks, self.nbytes),
+                                    self.nbytes)
         if isinstance(src, Shard) and isinstance(dst, Shard):
             # True division: flooring nbytes // size**2 priced any tensor
             # smaller than size^2 bytes as a zero-cost reshard, which poisons
             # consumers that use this as an edge weight (graph planning).
             per_pair = self.nbytes / max(size * size, 1)
-            return RedistributeCost("all_to_all", model.alltoall(ranks, per_pair),
+            return RedistributeCost("all_to_all", alltoall_time(machine, ranks, per_pair),
                                     self.nbytes * (size - 1) // size)
         if isinstance(src, Partial) and isinstance(dst, Shard):
             return RedistributeCost("reduce_scatter",
-                                    model.reduce_scatter(ranks, self.nbytes), self.nbytes)
+                                    reduce_scatter_time(machine, ranks, self.nbytes),
+                                    self.nbytes)
         if isinstance(src, Partial) and isinstance(dst, Replicate):
-            return RedistributeCost("all_reduce", model.allreduce(ranks, self.nbytes),
+            return RedistributeCost("all_reduce", allreduce_time(machine, ranks, self.nbytes),
                                     2 * self.nbytes)
         if isinstance(src, Replicate) and isinstance(dst, Partial):
             return RedistributeCost("none", 0.0, 0)

@@ -23,9 +23,6 @@ This package is the production answer the ROADMAP's serving goal needs:
 * :mod:`repro.planner.refresh` — :class:`BackgroundRefresher`, the adaptive
   refresh engine: stale-while-revalidate revalidation and pre-TTL refresh,
   both off the request path.
-
-``repro.bench.selector.recommend_partitioning`` delegates here, so existing
-callers get the pruned search transparently.
 """
 
 from repro.planner.cache import CacheStats, PlanCache, PlanEntry

@@ -1,11 +1,11 @@
 """repro.sim — the unified discrete-event simulation engine.
 
-Every time path in the library prices through this package: the direct
-executor and the IR executor emit typed events instead of charging clocks
-inline, the classical baselines emit event traces alongside their retained
-closed-form models, and the planner's critical-path pruning bound is the
+Every event-level time path in the library prices through this package:
+the direct executor and the IR executor emit typed events instead of
+charging clocks inline, and the planner's critical-path pruning bound is the
 makespan of the same event stream scheduled on a relaxed (contention-free)
-engine.
+engine.  (The comparators price with closed forms; the test oracle
+``tests/baseline_oracle.py`` replays their schedules here.)
 
 Quickstart — record a trace of a real execution::
 

@@ -1,7 +1,7 @@
 """The discrete-event simulation engine: one time path for the whole system.
 
-Every simulated activity — direct-execution op walks, IR step schedules,
-baseline algorithm phases — is expressed as typed events posted to an
+Every event-level simulated activity — direct-execution op walks and IR
+step schedules — is expressed as typed events posted to an
 :class:`EventEngine`.  The engine is the *only* place that knows about
 
 * per-device engine timelines (compute / copy / accumulate queues with FIFO

@@ -9,7 +9,7 @@ a simulated schedule can be inspected on a real timeline viewer::
 
     recorder = InMemoryTraceRecorder()
     engine = EventEngine(num_devices=4, recorder=recorder)
-    ...  # run an executor or baseline through the engine
+    ...  # run an executor through the engine
     recorder.dump_chrome_trace("trace.json")
 """
 

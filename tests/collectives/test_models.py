@@ -3,7 +3,6 @@
 import pytest
 
 from repro.collectives.models import (
-    CollectiveModel,
     allgather_time,
     allreduce_time,
     alltoall_time,
@@ -70,13 +69,3 @@ class TestMachineSensitivity:
         slow = allgather_time(machine, [0, 2], 1 << 26)
         assert fast < slow
 
-
-class TestFacade:
-    def test_collective_model_delegates(self, machine):
-        model = CollectiveModel(machine)
-        ranks = list(range(4))
-        assert model.broadcast(ranks, 1024) == broadcast_time(machine, ranks, 1024)
-        assert model.allreduce(ranks, 1024) == allreduce_time(machine, ranks, 1024)
-        assert model.allgather(ranks, 1024) == allgather_time(machine, ranks, 1024)
-        assert model.reduce_scatter(ranks, 1024) == reduce_scatter_time(machine, ranks, 1024)
-        assert model.alltoall(ranks, 1024) == alltoall_time(machine, ranks, 1024)

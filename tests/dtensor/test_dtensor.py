@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.collectives import allgather_time, allreduce_time, alltoall_time, reduce_scatter_time
 from repro.dtensor.device_mesh import DeviceMesh
 from repro.dtensor.dtensor import DTensor
 from repro.dtensor.placement import Partial, Replicate, Shard
-from repro.topology.machines import uniform_system
+from repro.topology.machines import pvc_system, uniform_system
 from repro.util.validation import ShapeError
 
 
@@ -137,3 +138,28 @@ class TestSmallTensorAllToAll:
         large = DTensor.symbolic(mesh, (512, 512), Shard(0), dtype=np.float32)
         assert large.redistribute_cost(Shard(1)).time > \
             small.redistribute_cost(Shard(1)).time
+
+
+class TestRedistributePricing:
+    """``redistribute_cost`` prices each conversion with its ring formula over the mesh's ranks."""
+
+    @pytest.mark.parametrize("src, dst, price", [
+        (Shard(0), Replicate(), lambda machine, ranks, nbytes:
+            allgather_time(machine, ranks, nbytes)),
+        (Shard(0), Shard(1), lambda machine, ranks, nbytes:
+            alltoall_time(machine, ranks, nbytes / len(ranks) ** 2)),
+        (Partial(), Shard(1), lambda machine, ranks, nbytes:
+            reduce_scatter_time(machine, ranks, nbytes)),
+        (Partial(), Replicate(), lambda machine, ranks, nbytes:
+            allreduce_time(machine, ranks, nbytes)),
+    ])
+    def test_subset_mesh_prices_over_its_own_ranks(self, src, dst, price):
+        # On the PVC model ranks 0 and 1 are the two tiles of one GPU (fast
+        # fabric); ranks 0 and 2 sit on different GPUs.
+        machine = pvc_system(12)
+        costs = {}
+        for ranks in ([0, 1], [0, 2]):
+            tensor = DTensor.symbolic(DeviceMesh(machine, ranks=ranks), (1024, 768), src)
+            costs[tuple(ranks)] = tensor.redistribute_cost(dst).time
+            assert costs[tuple(ranks)] == price(machine, ranks, tensor.nbytes)
+        assert costs[(0, 1)] < costs[(0, 2)]

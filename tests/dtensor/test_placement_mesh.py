@@ -49,10 +49,9 @@ class TestDeviceMesh:
         with pytest.raises(ValueError):
             DeviceMesh(uniform_system(4), ranks=[0, 7])
 
-    def test_cost_and_collective_models(self):
+    def test_cost_model(self):
         mesh = DeviceMesh(uniform_system(4))
         assert mesh.cost_model().machine is mesh.machine
-        assert mesh.collectives().machine is mesh.machine
 
     def test_iteration(self):
         mesh = DeviceMesh(uniform_system(3))

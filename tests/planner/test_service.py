@@ -15,7 +15,7 @@ from repro.bench.workloads import Workload, attention_workload
 from repro.core.graph import mlp_chain
 from repro.planner import PlannerService
 from repro.planner.graph import GraphPlan
-from repro.planner.search import SearchStats
+from repro.planner.search import SearchStats, search_partitionings
 from repro.topology.machines import uniform_system
 
 MACHINE = uniform_system(4)
@@ -62,10 +62,9 @@ class TestMemoization:
         assert len(response.recommendations) == 3
 
     def test_matches_direct_selector(self):
-        """With bucketing disabled the service answers exactly like the selector."""
-        from repro.bench.selector import recommend_partitioning
-        expected = recommend_partitioning(MACHINE, SMALL, replication_factors=[1, 2],
-                                          stationary_options=("B", "C"))[0]
+        """With bucketing disabled the service answers exactly like the search."""
+        expected = search_partitionings(MACHINE, SMALL, replication_factors=[1, 2],
+                                        stationary_options=("B", "C"))[0][0]
         with small_service(bucket_ratio=1.0) as service:
             got = service.plan(SMALL).recommendation
         assert (got.scheme.name, got.replication, got.stationary,

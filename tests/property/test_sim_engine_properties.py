@@ -9,8 +9,9 @@ Three families of properties, as demanded by the engine's contract:
    bound never exceeds the simulated time, which never exceeds the summed
    busy time across all engines (the schedule has no globally idle instant
    before the makespan).
-3. **Baseline parity** — the baselines' event traces reproduce their
-   retained closed-form models.
+3. **Baseline parity** — the baselines' schedules, emitted through the
+   engine by the oracle ``tests/baseline_oracle.py``, reproduce their
+   closed-form models.
 """
 
 import math
@@ -31,6 +32,7 @@ from repro.dist.matrix import DistributedMatrix
 from repro.runtime.clock import ENGINES
 from repro.sim import EventEngine
 from repro.topology.machines import GB, uniform_system
+from tests.baseline_oracle import simulate_events
 from tests.bound_oracle import critical_path_lower_bound, direct_lower_bound
 from tests.slicing_oracle import apply_iteration_offset
 
@@ -182,7 +184,21 @@ class TestBaselineEventParity:
                                              algorithm):
         machine = uniform_system(devices, link_bandwidth=link_gb * GB)
         closed = algorithm.simulate(m, n, k, machine).simulated_time
-        traced = algorithm.simulate_events(m, n, k, machine).makespan()
+        traced = simulate_events(algorithm, m, n, k, machine).makespan()
         assert math.isclose(traced, closed, rel_tol=1e-9), (
             algorithm.name, closed, traced
         )
+
+    @pytest.mark.parametrize("algorithm, devices, active", [
+        (Cannon(), 12, 9),            # the largest square grid, 3x3
+        (TwoAndHalfD(2), 12, 8),      # two 2x2 layers
+        (CosmaLike(), 12, 12),
+        (Summa(), 12, 12),
+    ])
+    def test_idle_devices_get_no_events(self, algorithm, devices, active):
+        machine = uniform_system(devices)
+        engine = simulate_events(algorithm, 2048, 2048, 2048, machine)
+        busy = {event.device for event in engine.events}
+        assert busy == set(range(active))
+        assert all(engine.device_finish(device) == 0.0
+                   for device in range(active, devices))
