@@ -81,4 +81,3 @@ def alltoall_time(machine: MachineSpec, ranks: Sequence[int], nbytes_per_pair: f
         return 0.0
     bandwidth, latency = _group_bandwidth_latency(machine, ranks)
     return (group - 1) * (latency + nbytes_per_pair / bandwidth)
-
