@@ -20,9 +20,12 @@ Two things happen at once here: the *data* path really moves NumPy buffers
 through the PGAS runtime (so results are bit-exact checkable against
 ``A @ B``), and the *time* path emits typed fetch/gemm/accumulate events to
 the :class:`~repro.sim.engine.EventEngine`, which owns every engine timeline
-and all link contention.  The interleaved, step-by-step walk over ranks makes
-contention for shared links emerge naturally, which is exactly the effect the
-paper's iteration offset exists to mitigate.
+and the devices' shared ingress/egress capacity.  The interleaved,
+step-by-step walk over ranks makes contention for that capacity emerge
+naturally, which is exactly the effect the paper's iteration offset exists to
+mitigate.  The planner's :meth:`repro.sim.batch.BatchEvaluator.simulate`
+walks the same columns with the same state as plain floats (no engine), held
+``==`` to this walk by ``tests/property/test_column_walk_properties.py``.
 
 This class is a *front-end*: it decides what happens and in which order, but
 never charges time itself.  Handing it a relaxed engine

@@ -6,8 +6,8 @@ it unnecessary, and this module exists so benchmarks and tests can price that
 alternative honestly.  Unlike the out-of-band ``from_dense``/``to_dense``
 helpers, redistribution is charged through the runtime: every cross-rank move
 is a one-sided ``get`` recorded in the traffic counters, and its modelled
-duration occupies the source's egress, the destination's copy engine, and the
-link between them on the simulated clock.
+duration occupies the source's egress and the destination's copy engine on
+the simulated clock.
 
 Each destination owner pulls the overlapping regions of the source tiles from
 the source replica group *it belongs to* (reads are local whenever the two
@@ -97,7 +97,7 @@ def redistribute(
 
 
 def _charge_transfer(runtime, src_rank: int, dst_rank: int, nbytes: int) -> None:
-    """Occupy egress/link/copy for one tile-region move (no cost for local reads)."""
+    """Occupy egress and copy for one tile-region move (no cost for local reads)."""
     if src_rank == dst_rank or nbytes <= 0:
         return
     clock = runtime.clock
@@ -105,9 +105,8 @@ def _charge_transfer(runtime, src_rank: int, dst_rank: int, nbytes: int) -> None
     destination = clock.device(dst_rank)
     source = clock.device(src_rank)
     earliest = destination.available_at(COPY)
-    start = source.find_slot(EGRESS, duration, earliest)
-    source.reserve_slot(EGRESS, duration, start, label="redistribute-egress")
-    clock.reserve_link(src_rank, dst_rank, duration, start)
+    start, _ = source.reserve_slot(EGRESS, duration, earliest,
+                                   label="redistribute-egress")
     destination.reserve(COPY, duration, start, label="redistribute-copy")
 
 

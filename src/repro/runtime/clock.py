@@ -139,31 +139,21 @@ class DeviceTimeline:
 
 
 class SimClock:
-    """Collection of device timelines for a whole machine plus link usage."""
+    """Collection of device timelines for a whole machine.
+
+    There is no per-link state: a transfer's duration is priced from its
+    link's bandwidth, and the devices' shared ingress/egress engines are
+    where concurrent transfers serialise.
+    """
 
     def __init__(self, num_devices: int) -> None:
         if num_devices <= 0:
             raise ValueError("num_devices must be positive")
         self.num_devices = num_devices
         self.devices = [DeviceTimeline(d) for d in range(num_devices)]
-        # Directed link occupancy: serialising transfers that share a link
-        # models link contention between prefetches.
-        self._link_available: Dict[Tuple[int, int], float] = {}
 
     def device(self, index: int) -> DeviceTimeline:
         return self.devices[index]
-
-    def reserve_link(
-        self, src: int, dst: int, duration: float, earliest_start: float = 0.0
-    ) -> Tuple[float, float]:
-        """Occupy the directed link ``src -> dst`` for ``duration`` seconds."""
-        if duration < 0:
-            raise ValueError(f"duration must be non-negative, got {duration}")
-        key = (src, dst)
-        start = max(earliest_start, self._link_available.get(key, 0.0))
-        end = start + duration
-        self._link_available[key] = end
-        return start, end
 
     def makespan(self) -> float:
         """Finish time of the slowest device — the modelled wall-clock time."""
@@ -172,4 +162,3 @@ class SimClock:
     def reset(self) -> None:
         for device in self.devices:
             device.reset()
-        self._link_available.clear()

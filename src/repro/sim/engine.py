@@ -8,8 +8,11 @@ step schedules — is expressed as typed events posted to an
   stream semantics),
 * shared ingress/egress capacity (earliest-fitting-gap semantics, which is
   what serialises many-to-one accumulate fan-in and one-to-many tile
-  fan-out),
-* directed link occupancy between device pairs.
+  fan-out).
+
+There is no per-link state: a device pair's link bandwidth prices a
+transfer's duration, and the devices' shared ingress/egress capacity is
+what serialises concurrent transfers.
 
 Events are scheduled immediately as they are posted, in emission order —
 exactly the discipline the direct executor's interleaved walk relies on —
@@ -17,7 +20,7 @@ and each realized event records the dependency edges that explain its start
 time, so the full run forms a DAG.
 
 ``contention=False`` produces the *relaxed* engine: the same events, the
-same per-device FIFO queues, but no cross-device egress/ingress/link floors.
+same per-device FIFO queues, but no cross-device egress/ingress floors.
 Because every constraint the relaxed engine enforces is also enforced by the
 full engine (on the identical emission sequence), the relaxed makespan never
 exceeds the contended one — which is what makes the planner's
@@ -165,18 +168,16 @@ class EventEngine:
 
         The transfer serialises on the reader's copy queue (program order).
         With contention modelled and a source device given, it must also find
-        an idle slot in the owner's shared egress capacity and occupies the
-        directed ``src -> device`` link — one-to-many tile fan-out serialises
-        at the owner, exactly as in the paper's per-device bandwidth model.
+        an idle slot in the owner's shared egress capacity — one-to-many tile
+        fan-out serialises at the owner, exactly as in the paper's per-device
+        bandwidth model.
         """
         timeline = self.clock.device(device)
         earliest = self._floor(min_start, deps)
         earliest = max(earliest, timeline.available_at(COPY))
         if self.contention and src is not None and src != device:
-            source = self.clock.device(src)
-            start = source.find_slot(EGRESS, occupancy, earliest)
-            source.reserve_slot(EGRESS, occupancy, start, label=f"egress:{label}")
-            self.clock.reserve_link(src, device, duration, start)
+            start, _ = self.clock.device(src).reserve_slot(
+                EGRESS, occupancy, earliest, label=f"egress:{label}")
         else:
             start = earliest
         return self._reserve_fifo(EventKind.FETCH, device, COPY, duration,
@@ -209,20 +210,17 @@ class EventEngine:
 
         Runs as a kernel on the initiator's accumulate queue.  With
         contention modelled, it must find a free slot in the destination's
-        shared ingress capacity (many-to-one fan-in serialises there) and
-        occupies the directed link; ``interference`` additionally steals the
-        given fraction of the initiator's compute engine while it runs (the
-        paper observes this on H100).
+        shared ingress capacity (many-to-one fan-in serialises there);
+        ``interference`` additionally steals the given fraction of the
+        initiator's compute engine while it runs (the paper observes this on
+        H100).
         """
         timeline = self.clock.device(device)
         earliest = self._floor(min_start, deps)
         earliest = max(earliest, timeline.available_at(ACCUMULATE))
         if self.contention and dst is not None and dst != device:
-            destination = self.clock.device(dst)
-            start = destination.find_slot(INGRESS, occupancy, earliest)
-            destination.reserve_slot(INGRESS, occupancy, start,
-                                     label=f"ingress:{label}")
-            self.clock.reserve_link(device, dst, duration, start)
+            start, _ = self.clock.device(dst).reserve_slot(
+                INGRESS, occupancy, earliest, label=f"ingress:{label}")
         else:
             start = earliest
         event = self._reserve_fifo(EventKind.ACCUMULATE, device, ACCUMULATE,
@@ -332,15 +330,3 @@ class EventEngine:
             longest = max(longest, path[event.uid])
         return longest
 
-    def reset(self) -> None:
-        """Clear the schedule (and the attached recorder, if it supports it).
-
-        Without clearing the recorder, a reused engine would append a second
-        run with restarting uids and timestamps into the same trace.
-        """
-        self.clock.reset()
-        self.events.clear()
-        self._engine_tail.clear()
-        clear = getattr(self.recorder, "clear", None)
-        if callable(clear):
-            clear()

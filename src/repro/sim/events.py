@@ -5,7 +5,7 @@ model can price *every* operation in the system.  This module defines the
 five event kinds that cover all of them:
 
 * :attr:`EventKind.FETCH` — a one-sided tile get (copy engine, plus egress
-  capacity on the owner and the directed link when contention is modelled);
+  capacity on the owner when contention is modelled);
 * :attr:`EventKind.GEMM` — a local matrix multiply on the compute engine;
 * :attr:`EventKind.ACCUMULATE` — a local or one-sided remote accumulate
   (accumulate engine, plus ingress capacity on the destination);

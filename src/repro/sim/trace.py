@@ -43,10 +43,6 @@ class InMemoryTraceRecorder:
         """Keep ``event``, after every event recorded before it."""
         self.events.append(event)
 
-    def clear(self) -> None:
-        """Drop all recorded events (called by ``EventEngine.reset``)."""
-        self.events.clear()
-
     def __len__(self) -> int:
         return len(self.events)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime.clock import ACCUMULATE, COMPUTE, COPY, DeviceTimeline, SimClock
+from repro.runtime.clock import ACCUMULATE, COMPUTE, COPY, EGRESS, DeviceTimeline, SimClock
 from repro.runtime.traffic import ACCUMULATE as ACC_KIND
 from repro.runtime.traffic import GET, PUT, TrafficCounter, TransferRecord
 
@@ -57,19 +57,6 @@ class TestSimClock:
         clock.device(2).reserve(COMPUTE, 4.0)
         assert clock.makespan() == pytest.approx(4.0)
 
-    def test_link_reservation_serialises(self):
-        clock = SimClock(2)
-        first = clock.reserve_link(0, 1, 2.0)
-        second = clock.reserve_link(0, 1, 1.0)
-        assert first == (0.0, 2.0)
-        assert second == (2.0, 3.0)
-
-    def test_different_links_independent(self):
-        clock = SimClock(3)
-        clock.reserve_link(0, 1, 5.0)
-        other = clock.reserve_link(1, 2, 1.0)
-        assert other == (0.0, 1.0)
-
     def test_invalid_device_count(self):
         with pytest.raises(ValueError):
             SimClock(0)
@@ -77,10 +64,10 @@ class TestSimClock:
     def test_reset(self):
         clock = SimClock(2)
         clock.device(0).reserve(COMPUTE, 1.0)
-        clock.reserve_link(0, 1, 1.0)
+        clock.device(1).reserve_slot(EGRESS, 2.0)
         clock.reset()
         assert clock.makespan() == 0.0
-        assert clock.reserve_link(0, 1, 1.0) == (0.0, 1.0)
+        assert clock.device(1).reserve_slot(EGRESS, 1.0) == (0.0, 1.0)
 
 
 class TestTrafficCounter:

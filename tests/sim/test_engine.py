@@ -132,12 +132,3 @@ class TestRecorderAndReset:
         assert len(recorder) == 3
         assert len(recorder.by_kind(EventKind.GEMM)) == 1
         assert len(recorder.by_device(0)) == 3
-
-    def test_reset_clears_everything(self):
-        engine = EventEngine(2)
-        engine.gemm(0, 1.0)
-        engine.reset()
-        assert engine.makespan() == 0.0
-        assert engine.events == []
-        follow_up = engine.gemm(0, 1.0)
-        assert follow_up.start == 0.0 and follow_up.engine_dep is None

@@ -3,8 +3,10 @@
 ``docs/architecture.md`` draws the packages as a bottom-up stack.  These
 tests pin the edges of it that the comparators and the benchmark package
 keep: the baselines price with closed forms and need no event engine, the
-collective models sit directly on the machine model, and the benchmark
-package never reaches up into the planner, not even from inside a function.
+collective models sit directly on the machine model, the benchmark package
+never reaches up into the planner, not even from inside a function, and the
+planner's batch evaluator walks its priced columns without the direct
+executor or the event engine (they are its test oracle).
 """
 
 from __future__ import annotations
@@ -79,3 +81,14 @@ def test_collectives_import_only_the_machine_model():
 
 def test_bench_does_not_import_the_planner():
     assert not _offending("repro.bench", lambda name: _within(name, "repro.planner"))
+
+
+def test_batch_evaluator_builds_no_executor_or_engine():
+    names = _imports(SRC / "repro" / "sim" / "batch.py")
+    assert "repro.core.slicing" in names
+    forbidden = ("repro.core.direct", "repro.sim.engine")
+    assert not sorted(
+        name for name in names
+        if name in ("repro.core", "repro.sim")
+        or any(_within(name, module) for module in forbidden)
+    )
