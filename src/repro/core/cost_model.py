@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.core.structure import WorkloadStructure
 from repro.topology.machines import MachineSpec
-from repro.util.indexing import Interval
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dist.matrix import DistributedMatrix
@@ -76,17 +75,16 @@ def tile_fetch_bytes(matrix: "DistributedMatrix", role: str,
     """
     grid = matrix.grid
     itemsize = matrix.dtype.itemsize
+    rows, cols = grid.row_splits, grid.col_splits
     if structure is None:
-        rows, cols = grid.row_splits, grid.col_splits
         return np.multiply.outer([stop - start for start, stop in zip(rows, rows[1:])],
                                  [(stop - start) * itemsize
                                   for start, stop in zip(cols, cols[1:])]).ravel()
-    return np.asarray([
-        (r1 - r0) * (c1 - c0) * itemsize
-        * structure.live_fraction(role, Interval(r0, r1), Interval(c0, c1))
-        for r0, r1 in zip(grid.row_splits, grid.row_splits[1:])
-        for c0, c1 in zip(grid.col_splits, grid.col_splits[1:])
-    ])
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    # Every (row band, column band) rectangle, row-major.
+    r0, r1 = (np.repeat(bounds, cols.size - 1) for bounds in (rows[:-1], rows[1:]))
+    c0, c1 = (np.tile(bounds, rows.size - 1) for bounds in (cols[:-1], cols[1:]))
+    return (r1 - r0) * (c1 - c0) * itemsize * structure.live_fractions(role, r0, r1, c0, c1)
 
 
 def _stack_distinct(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
@@ -167,9 +165,8 @@ class CostModel:
         """Roofline time of the *live* GEMMs of (m, n, k) cuboids under a structure.
 
         ``fractions`` are the cuboids' ``(flops, a, b, c)`` live fractions
-        (:meth:`~repro.core.structure.WorkloadStructure.op_fractions`) and
-        ``dims`` their effective ``(m, n, k)``
-        (:meth:`~repro.core.structure.WorkloadStructure.gemm_dims`).  Flops
+        and ``dims`` their effective ``(m, n, k)``, rows 0-3 and 4-6 of
+        :meth:`~repro.core.structure.WorkloadStructure.cuboid_terms`.  Flops
         and bytes scale by the fractions, and the shape efficiency is taken
         at the effective dimensions — a ragged expert batch really runs a
         skinnier, less efficient GEMM.  Every scale factor is in ``[0, 1]``,
@@ -238,8 +235,7 @@ class CostModel:
     # ------------------------------------------------------------------ #
     def event_columns(self, table: Dict[str, np.ndarray],
                       tile_bytes: Sequence[Tuple[np.ndarray, np.ndarray]], itemsize: int,
-                      structure: Optional[WorkloadStructure] = None,
-                      cuboids: Optional[dict] = None, prune: bool = True
+                      structure: Optional[WorkloadStructure] = None, prune: bool = True
                       ) -> Dict[str, np.ndarray]:
         """Per-op event columns of :func:`repro.core.slicing.slice_table` rows.
 
@@ -247,8 +243,8 @@ class CostModel:
         ``itemsize`` is C's.  Columns: ``task``, ``rank``, ``m/n/k``,
         ``m0/k0/n0``, ``stat_i/j``, ``c_key/owner/remote/bytes``, ``gemm`` (zero
         on dense rows, which :meth:`price_rows` prices), ``flops``, and
-        ``a_``/``b_`` ``owner/key/remote/bytes``.  Under a structure each
-        distinct (m, k, n) cuboid is priced once (memoized in ``cuboids``);
+        ``a_``/``b_`` ``owner/key/remote/bytes``.  Under a structure the
+        distinct (m, k, n) cuboids of the table are priced in one array pass;
         ``prune`` drops fully masked rows (no flops survive).
         """
         m = table["m1"] - table["m0"]
@@ -259,8 +255,7 @@ class CostModel:
             gemm = np.zeros(m.size)
             flops = 2 * m * n * k
         else:
-            live, c_bytes, gemm, flops = self._price_cuboids(
-                table, itemsize, structure, {} if cuboids is None else cuboids)
+            live, c_bytes, gemm, flops = self._price_cuboids(table, itemsize, structure)
             if prune:
                 table = {name: arr[live] for name, arr in table.items()}
                 m, n, k, c_bytes, gemm, flops = (
@@ -283,13 +278,13 @@ class CostModel:
         return cols
 
     def _price_cuboids(self, table: Dict[str, np.ndarray], itemsize: int,
-                       structure: WorkloadStructure, memo: dict):
+                       structure: WorkloadStructure):
         """``(live, c_bytes, gemm, flops)`` per row, priced once per distinct cuboid.
 
         ``live`` is False for fully masked cuboids (no flops survive).  The
-        structure's geometry scan runs once per cuboid ever (``memo`` keeps
-        its live fractions and effective dimensions); the pricing is one
-        array pass.
+        structure's geometry
+        (:meth:`~repro.core.structure.WorkloadStructure.cuboid_terms`) and
+        the pricing are each one array pass over the distinct cuboids.
         """
         ids = []
         for lo, hi in (("m0", "m1"), ("k0", "k1"), ("n0", "n1")):
@@ -300,18 +295,8 @@ class CostModel:
         _, first, inverse = np.unique((m_id * nk + k_id) * nn + n_id,
                                       return_index=True, return_inverse=True)
         bounds = {name: table[name][first] for name in ("m0", "m1", "k0", "k1", "n0", "n1")}
-        terms = []
-        for cuboid in zip(*[column.tolist() for column in bounds.values()]):
-            value = memo.get(cuboid)
-            if value is None:
-                m0, m1, k0, k1, n0, n1 = cuboid
-                intervals = Interval(m0, m1), Interval(k0, k1), Interval(n0, n1)
-                fractions = structure.op_fractions(*intervals)
-                value = memo[cuboid] = fractions + structure.gemm_dims(*intervals,
-                                                                       fractions[0])
-            terms.append(value)
         # Per cuboid: (flops, a, b, c) live fractions, then effective (m, n, k).
-        terms = np.array(terms, dtype=np.float64).reshape(-1, 7).T
+        terms = structure.cuboid_terms(*bounds.values())
         m, n, k = (bounds[f"{axis}1"] - bounds[f"{axis}0"] for axis in "mnk")
         flops_frac, c_frac = terms[0], terms[3]
         # The op's c_bytes (m * n * itemsize) and flops (2 * m * n * k), scaled

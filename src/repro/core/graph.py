@@ -111,13 +111,16 @@ class ComputationGraph:
         return self.dependencies[op_index] <= satisfied
 
     def unsatisfied_deps(self, op_index: int, satisfied: Set[DataKey]) -> List[DataKey]:
+        """The data op ``op_index`` still needs that is not in ``satisfied``."""
         return [key for key in self.dependencies[op_index] if key not in satisfied]
 
     @property
     def num_ops(self) -> int:
+        """GEMM nodes in the graph."""
         return len(self.gemm)
 
     def total_remote_bytes(self) -> int:
+        """Bytes of every data node not satisfied at the start (it must be fetched)."""
         return sum(
             node.nbytes
             for key, node in self.data_nodes.items()

@@ -44,6 +44,7 @@ class IRStep:
 
     @property
     def is_empty(self) -> bool:
+        """True when the step neither computes nor communicates."""
         return not self.computes and not self.comms
 
 
@@ -56,6 +57,7 @@ class IRProgram:
 
     @property
     def num_steps(self) -> int:
+        """Steps in the program."""
         return len(self.steps)
 
     def compute_indices(self) -> List[int]:
@@ -63,6 +65,7 @@ class IRProgram:
         return [op.op_index for step in self.steps for op in step.computes]
 
     def comm_keys(self) -> List[DataKey]:
+        """The data key of every communication, in step order."""
         return [comm.data for step in self.steps for comm in step.comms]
 
     def validate(self, num_ops: int) -> None:

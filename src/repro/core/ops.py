@@ -32,6 +32,7 @@ class OperandRef:
 
     @property
     def is_full_tile(self) -> bool:
+        """True when the region starts at the tile's origin."""
         return self.local.rows.start == 0 and self.local.cols.start == 0
 
 
@@ -58,14 +59,17 @@ class LocalMatmulOp:
     # ------------------------------------------------------------------ #
     @property
     def m(self) -> int:
+        """Rows of the op's A and C blocks."""
         return self.m_bound.extent
 
     @property
     def k(self) -> int:
+        """Inner dimension of the op."""
         return self.k_bound.extent
 
     @property
     def n(self) -> int:
+        """Columns of the op's B and C blocks."""
         return self.n_bound.extent
 
     @property
@@ -75,6 +79,7 @@ class LocalMatmulOp:
 
     @property
     def is_empty(self) -> bool:
+        """True when any of the op's dimensions is zero."""
         return self.m == 0 or self.n == 0 or self.k == 0
 
     # -- communication footprint ---------------------------------------- #
@@ -95,14 +100,17 @@ class LocalMatmulOp:
 
     @property
     def a_is_remote(self) -> bool:
+        """True when A's tile lives on another rank."""
         return self.a.owner != self.rank
 
     @property
     def b_is_remote(self) -> bool:
+        """True when B's tile lives on another rank."""
         return self.b.owner != self.rank
 
     @property
     def c_is_remote(self) -> bool:
+        """True when C's tile lives on another rank."""
         return self.c.owner != self.rank
 
     @property

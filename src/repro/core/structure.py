@@ -18,16 +18,26 @@ A :class:`WorkloadStructure` describes which parts of the envelope are live:
   token groups padded to a uniform ``capacity`` (the dense envelope is
   ``num_experts * capacity`` rows); padding rows of ``A``/``C`` are skipped.
 
-Every consumer asks the same three questions, all answered in *global*
-coordinates of the envelope so ops and tiles can be priced uniformly:
+Geometry is answered in *global* coordinates of the envelope, over arrays,
+by two methods per structure that share one exact counting routine:
 
-* ``live_fraction(role, rows, cols)`` — what fraction of a rectangle of
-  ``A``/``B``/``C`` is live (scales fetch and accumulate traffic);
-* ``flops_fraction(m_bound, k_bound, n_bound)`` — what fraction of a
-  cuboid's elementary products are computed (scales GEMM work);
-* ``storage_bytes(role, rows, cols, itemsize)`` — how many bytes a matrix
-  actually occupies (block formats store whole live blocks, ragged batches
-  store live rows), used by the planner's memory-feasibility check.
+* ``live_fractions(role, row_start, row_stop, col_start, col_stop)`` — the
+  live fraction of each rectangle of ``A``/``B``/``C`` (scales fetch and
+  accumulate traffic; :func:`repro.core.cost_model.tile_fetch_bytes`);
+* ``cuboid_terms(m0, m1, k0, k1, n0, n1)`` — per op cuboid, the seven terms
+  the pricer needs: the ``(flops, a, b, c)`` live fractions and the
+  effective ``(m, n, k)`` of the live GEMM.
+
+A block-sparse mask counts live elements with an int64 summed-area table
+over its block grid, read at each rectangle's four element corners, so the
+cost of a rectangle does not grow with the grid.  A ragged batch counts
+live rows with cumulative expert tokens.  Every count is an exact integer,
+so each fraction is one IEEE division of two exact integers.  The scalar
+API (``live_fraction``, ``op_fractions``, ``flops_fraction``,
+``gemm_dims``) is the array routine on one rectangle or cuboid.  The
+per-block and per-expert loop form of the same rules is the test oracle
+``tests/structure_oracle.py``; ``storage_bytes`` (how many bytes a matrix
+actually occupies) feeds the planner's memory-feasibility check.
 
 Structure only changes the *time* model: structured execution is
 simulate-only (the data path keeps its dense bit-exactness guarantees), and a
@@ -45,7 +55,10 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.util.indexing import Interval, ceil_div
 from repro.util.validation import read_int
@@ -57,13 +70,26 @@ ROLE_C = "C"
 _ROLES = (ROLE_A, ROLE_B, ROLE_C)
 
 
+def _fraction(live: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """``live / total`` where ``total > 0``, else 0.0 (exact int64 counts in)."""
+    return np.where(total > 0, live / np.maximum(total, 1), 0.0)
+
+
+def _envelope_dims(m0, m1, k0, k1, n0, n1) -> List[np.ndarray]:
+    """The cuboids' ``(m, n, k)`` extents as float64 (exact: each is an int)."""
+    return [np.subtract(stop, start, dtype=np.float64)
+            for start, stop in ((m0, m1), (n0, n1), (k0, k1))]
+
+
 class WorkloadStructure:
     """Base class: a description of which parts of the envelope are live.
 
     Subclasses must be immutable and hashable (frozen dataclasses with tuple
     fields): structures are embedded in frozen :class:`Workload` and
     :class:`~repro.planner.signature.ProblemSignature` instances and used as
-    cache-key components.
+    cache-key components.  Each implements the two array methods
+    :meth:`live_fractions` and :meth:`cuboid_terms`; the scalar API below is
+    those methods on one rectangle or cuboid.
     """
 
     #: Stable kind tag used by serialization and signature tokens.
@@ -74,44 +100,57 @@ class WorkloadStructure:
     # ------------------------------------------------------------------ #
     @property
     def is_dense(self) -> bool:
+        """True only for :class:`Dense`, whose every element is live."""
         return False
+
+    def live_fractions(self, role: str, row_start, row_stop, col_start,
+                       col_stop) -> np.ndarray:
+        """Live fraction of each rectangle ``[row_start, row_stop) x [col_start, col_stop)``.
+
+        Elementwise over same-shaped int arrays (scalars give a 0-d array)
+        in ``role``'s global coordinates; an empty rectangle of a structured
+        operand is 0.
+        """
+        raise NotImplementedError
+
+    def cuboid_terms(self, m0, m1, k0, k1, n0, n1) -> np.ndarray:
+        """Pricing terms of each cuboid ``[m0, m1) x [k0, k1) x [n0, n1)``, shape ``(7, N)``.
+
+        Rows 0-3 are the ``(flops, a, b, c)`` live fractions (products
+        computed, and the live share of the A, B and C blocks the op
+        touches); rows 4-6 are the effective ``(m, n, k)`` of the live GEMM,
+        the envelope extents unless the structure shrinks a dimension (ragged
+        rows), so the shape model sees the smaller, less efficient multiply
+        that really runs.
+        """
+        raise NotImplementedError
 
     def live_fraction(self, role: str, rows: Interval, cols: Interval) -> float:
         """Fraction of ``role``'s global rectangle that carries live data."""
-        raise NotImplementedError
+        return float(self.live_fractions(role, rows.start, rows.stop,
+                                         cols.start, cols.stop))
+
+    def _terms(self, m_bound: Interval, k_bound: Interval,
+               n_bound: Interval) -> List[float]:
+        return self.cuboid_terms(m_bound.start, m_bound.stop, k_bound.start,
+                                 k_bound.stop, n_bound.start, n_bound.stop).tolist()
+
+    def op_fractions(self, m_bound: Interval, k_bound: Interval,
+                     n_bound: Interval) -> Tuple[float, float, float, float]:
+        """``(flops, a, b, c)`` live fractions of one op's cuboid."""
+        flops, a, b, c = self._terms(m_bound, k_bound, n_bound)[:4]
+        return flops, a, b, c
 
     def flops_fraction(self, m_bound: Interval, k_bound: Interval,
                        n_bound: Interval) -> float:
         """Fraction of the cuboid's elementary products actually computed."""
-        raise NotImplementedError
+        return self._terms(m_bound, k_bound, n_bound)[0]
 
-    def op_fractions(self, m_bound: Interval, k_bound: Interval,
-                     n_bound: Interval) -> Tuple[float, float, float, float]:
-        """``(flops, a, b, c)`` live fractions of one op's cuboid, in one pass.
-
-        This is the pricing hot path: the planner evaluates it per op per
-        candidate per bound, so subclasses scan their mask/raggedness
-        geometry exactly once and derive all four fractions from it.
-        """
-        return (
-            self.flops_fraction(m_bound, k_bound, n_bound),
-            self.live_fraction(ROLE_A, m_bound, k_bound),
-            self.live_fraction(ROLE_B, k_bound, n_bound),
-            self.live_fraction(ROLE_C, m_bound, n_bound),
-        )
-
-    def gemm_dims(self, m_bound: Interval, k_bound: Interval, n_bound: Interval,
-                  flops_fraction: float) -> Tuple[float, float, float]:
-        """Effective (m, n, k) of the op's live GEMM, for shape efficiency.
-
-        Defaults to the envelope extents; structures that shrink a dimension
-        (ragged rows) return the live extent so the shape model sees the
-        smaller — less efficient — multiply that really runs.
-        ``flops_fraction`` is the already-computed op fraction, so no
-        structure needs a second geometry scan here.
-        """
-        del flops_fraction
-        return (float(m_bound.extent), float(n_bound.extent), float(k_bound.extent))
+    def gemm_dims(self, m_bound: Interval, k_bound: Interval,
+                  n_bound: Interval) -> Tuple[float, float, float]:
+        """Effective (m, n, k) of the op's live GEMM, for shape efficiency."""
+        m, n, k = self._terms(m_bound, k_bound, n_bound)[4:]
+        return m, n, k
 
     def effective_flops(self, m: int, n: int, k: int) -> float:
         """Total live flops of the whole problem (drives percent-of-peak)."""
@@ -129,6 +168,7 @@ class WorkloadStructure:
         raise NotImplementedError
 
     def to_dict(self) -> Dict[str, object]:
+        """JSON-ready form; :func:`structure_from_dict` inverts it."""
         raise NotImplementedError
 
     def signature_token(self) -> str:
@@ -183,34 +223,45 @@ class Dense(WorkloadStructure):
 
     @property
     def is_dense(self) -> bool:
+        """Always True."""
         return True
 
-    def live_fraction(self, role: str, rows: Interval, cols: Interval) -> float:
+    def live_fractions(self, role: str, row_start, row_stop, col_start,
+                       col_stop) -> np.ndarray:
+        """1.0 for every rectangle, empty ones included."""
         _check_role(role)
-        return 1.0
+        return np.ones(np.broadcast(row_start, row_stop, col_start, col_stop).shape)
 
-    def flops_fraction(self, m_bound: Interval, k_bound: Interval,
-                       n_bound: Interval) -> float:
-        return 1.0
+    def cuboid_terms(self, m0, m1, k0, k1, n0, n1) -> np.ndarray:
+        """Fractions 1.0 and the envelope extents."""
+        m, n, k = _envelope_dims(m0, m1, k0, k1, n0, n1)
+        ones = np.ones(m.shape)
+        return np.stack([ones, ones, ones, ones, m, n, k])
 
     def effective_flops(self, m: int, n: int, k: int) -> float:
+        """The dense ``2 m n k``."""
         return 2.0 * m * n * k
 
     def storage_bytes(self, role: str, rows: int, cols: int, itemsize: int) -> int:
+        """Every element is stored."""
         _check_role(role)
         return rows * cols * itemsize
 
     def validate(self, m: int, n: int, k: int) -> None:
+        """Every envelope fits."""
         return None
 
     def to_dict(self) -> Dict[str, object]:
+        """``{"kind": "dense"}``."""
         return {"kind": self.kind}
 
     def signature_token(self) -> str:
+        """``"dense"``."""
         return "dense"
 
     def bucket_envelope(self, m: int, n: int, k: int,
                         ratio: Optional[float]) -> Tuple[int, int, int, "WorkloadStructure"]:
+        """The envelope unchanged: a dense structure is its own corner."""
         return m, n, k, self
 
 
@@ -221,19 +272,6 @@ DENSE = Dense()
 # ---------------------------------------------------------------------- #
 # block-sparse weights
 # ---------------------------------------------------------------------- #
-def _interval_block_overlaps(bound: Interval, block: int, count: int):
-    """Yield ``(index, overlap_extent)`` for grid blocks intersecting ``bound``."""
-    if bound.extent <= 0:
-        return
-    first = bound.start // block
-    last = min(count - 1, (bound.stop - 1) // block)
-    for idx in range(first, last + 1):
-        lo = max(bound.start, idx * block)
-        hi = min(bound.stop, (idx + 1) * block)
-        if hi > lo:
-            yield idx, hi - lo
-
-
 def even_spread_mask(k_blocks: int, n_blocks: int, live: int) -> Tuple[Tuple[bool, ...], ...]:
     """A deterministic mask with exactly ``live`` live blocks spread evenly.
 
@@ -249,6 +287,17 @@ def even_spread_mask(k_blocks: int, n_blocks: int, live: int) -> Tuple[Tuple[boo
     return tuple(
         tuple(flat[row * n_blocks:(row + 1) * n_blocks]) for row in range(k_blocks)
     )
+
+
+def _block_split(coord: np.ndarray, block: int, count: int):
+    """``(block index, offset in it)`` of element coordinates along one grid axis.
+
+    Coordinates past the grid clip to its end, which reads as the last block
+    at offset ``block``: elements beyond the grid are never live.
+    """
+    coord = np.minimum(coord, block * count)
+    index = np.minimum(coord // block, count - 1)
+    return index, coord - index * block
 
 
 @dataclass(frozen=True)
@@ -285,14 +334,17 @@ class BlockSparse(WorkloadStructure):
     # -- derived geometry ------------------------------------------------ #
     @property
     def k_blocks(self) -> int:
+        """Block rows of the grid (along ``k``)."""
         return len(self.mask)
 
     @property
     def n_blocks(self) -> int:
+        """Block columns of the grid (along ``n``)."""
         return len(self.mask[0])
 
     @property
     def live_blocks(self) -> int:
+        """Live blocks of the mask."""
         return sum(sum(1 for live in row if live) for row in self.mask)
 
     @property
@@ -300,36 +352,57 @@ class BlockSparse(WorkloadStructure):
         """Live fraction of the block grid (the headline sparsity number)."""
         return self.live_blocks / (self.k_blocks * self.n_blocks)
 
+    @cached_property
+    def _block_prefix(self) -> np.ndarray:
+        """Flat summed-area table: ``[i * (n_blocks + 1) + j]`` = live blocks in
+        block rows ``< i`` and block columns ``< j``."""
+        table = np.zeros((self.k_blocks + 1, self.n_blocks + 1), dtype=np.int64)
+        # bytes() of a bool row is one 0/1 byte per block: the fastest way in.
+        live = np.frombuffer(b"".join(map(bytes, self.mask)), dtype=np.uint8) != 0
+        np.cumsum(live.reshape(self.k_blocks, self.n_blocks), axis=0, dtype=np.int64,
+                  out=table[1:, 1:])
+        np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
+        return table.ravel()
+
+    def _live_below(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Live elements of ``B`` in ``[0, rows) x [0, cols)``, exactly."""
+        prefix, width = self._block_prefix, self.n_blocks + 1
+        qr, rr = _block_split(rows, self.block_k, self.k_blocks)
+        qc, rc = _block_split(cols, self.block_n, self.n_blocks)
+        # The table at the corners of block (qr, qc): all live blocks above
+        # and left of it, plus its own row, its own column, and itself.
+        at = qr * width + qc
+        full, right = prefix.take(at), prefix.take(at + 1)
+        down, diagonal = prefix.take(at + width), prefix.take(at + (width + 1))
+        return ((self.block_k * self.block_n) * full + (rr * self.block_n) * (down - full)
+                + (self.block_k * rc) * (right - full)
+                + (rr * rc) * (diagonal - down - right + full))
+
     # -- structure API --------------------------------------------------- #
-    def live_fraction(self, role: str, rows: Interval, cols: Interval) -> float:
+    def live_fractions(self, role: str, row_start, row_stop, col_start,
+                       col_stop) -> np.ndarray:
+        """``B``: live area over area, by four summed-area corners; ``A``, ``C``: 1.0."""
         _check_role(role)
         if role != ROLE_B:
-            return 1.0
-        area = rows.extent * cols.extent
-        if area <= 0:
-            return 0.0
-        live = 0
-        for k_idx, k_extent in _interval_block_overlaps(rows, self.block_k, self.k_blocks):
-            row_mask = self.mask[k_idx]
-            for n_idx, n_extent in _interval_block_overlaps(cols, self.block_n, self.n_blocks):
-                if row_mask[n_idx]:
-                    live += k_extent * n_extent
-        return live / area
+            return np.ones(np.broadcast(row_start, row_stop, col_start, col_stop).shape)
+        r0, r1, c0, c1 = (np.asarray(v, dtype=np.int64)
+                          for v in (row_start, row_stop, col_start, col_stop))
+        below = self._live_below(np.stack([r1, r0, r1, r0]), np.stack([c1, c1, c0, c0]))
+        live = below[0] - below[1] - below[2] + below[3]
+        return _fraction(live, (r1 - r0) * (c1 - c0))
 
-    def flops_fraction(self, m_bound: Interval, k_bound: Interval,
-                       n_bound: Interval) -> float:
-        # A product A[i, l] * B[l, j] survives iff B's (l, j) block is live.
-        return self.live_fraction(ROLE_B, k_bound, n_bound)
-
-    def op_fractions(self, m_bound: Interval, k_bound: Interval,
-                     n_bound: Interval) -> Tuple[float, float, float, float]:
-        b_fraction = self.live_fraction(ROLE_B, k_bound, n_bound)
-        return (b_fraction, 1.0, b_fraction, 1.0)
+    def cuboid_terms(self, m0, m1, k0, k1, n0, n1) -> np.ndarray:
+        """A product survives iff its ``B`` element is live: ``(b, 1, b, 1)``, envelope dims."""
+        b = self.live_fractions(ROLE_B, k0, k1, n0, n1)
+        ones = np.ones(b.shape)
+        return np.stack([b, ones, b, ones, *_envelope_dims(m0, m1, k0, k1, n0, n1)])
 
     def effective_flops(self, m: int, n: int, k: int) -> float:
+        """Dense flops scaled by the whole mask's live fraction."""
         return 2.0 * m * self.live_fraction(ROLE_B, Interval(0, k), Interval(0, n)) * k * n
 
     def storage_bytes(self, role: str, rows: int, cols: int, itemsize: int) -> int:
+        """``B`` stores whole live blocks; ``A`` and ``C`` are dense."""
         _check_role(role)
         if role != ROLE_B:
             return rows * cols * itemsize
@@ -339,6 +412,7 @@ class BlockSparse(WorkloadStructure):
         return min(rows * cols, self.live_blocks * self.block_k * self.block_n) * itemsize
 
     def validate(self, m: int, n: int, k: int) -> None:
+        """The mask must have exactly the ``(k, n)`` envelope's block grid."""
         if self.k_blocks != ceil_div(k, self.block_k):
             raise ValueError(
                 f"mask has {self.k_blocks} block rows but k={k} with "
@@ -351,6 +425,7 @@ class BlockSparse(WorkloadStructure):
             )
 
     def to_dict(self) -> Dict[str, object]:
+        """Block sizes and the mask as one ``"0"``/``"1"`` string per block row."""
         return {
             "kind": self.kind,
             "block_k": self.block_k,
@@ -360,6 +435,7 @@ class BlockSparse(WorkloadStructure):
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "BlockSparse":
+        """Inverse of :meth:`to_dict`."""
         rows = payload["mask"]
         return cls(
             block_k=read_int(payload["block_k"], "block_k"),
@@ -368,6 +444,7 @@ class BlockSparse(WorkloadStructure):
         )
 
     def signature_token(self) -> str:
+        """Grid, block sizes, live count and a digest of the mask bits."""
         bits = "".join("1" if live else "0" for row in self.mask for live in row)
         digest = hashlib.sha1(bits.encode("ascii")).hexdigest()[:10]
         return (f"bs:{self.k_blocks}x{self.n_blocks}:{self.block_k}x{self.block_n}"
@@ -375,6 +452,7 @@ class BlockSparse(WorkloadStructure):
 
     def bucket_envelope(self, m: int, n: int, k: int,
                         ratio: Optional[float]) -> Tuple[int, int, int, "WorkloadStructure"]:
+        """The same block sizes, the live count at its bucket corner, spread evenly."""
         if ratio is None or ratio <= 1.0:
             # Bucketing disabled: exact-match serving keeps the exact mask.
             return m, n, k, self
@@ -429,10 +507,12 @@ class MoERagged(WorkloadStructure):
     # -- derived geometry ------------------------------------------------ #
     @property
     def num_experts(self) -> int:
+        """Experts in the batch."""
         return len(self.expert_tokens)
 
     @property
     def total_tokens(self) -> int:
+        """Tokens routed to any expert (the live rows of ``A`` and ``C``)."""
         return sum(self.expert_tokens)
 
     @property
@@ -440,51 +520,48 @@ class MoERagged(WorkloadStructure):
         """Live fraction of the padded batch (the headline raggedness number)."""
         return self.total_tokens / (self.num_experts * self.capacity)
 
-    def _live_rows(self, rows: Interval) -> int:
-        if rows.extent <= 0:
-            return 0
-        live = 0
-        first = rows.start // self.capacity
-        last = min(self.num_experts - 1, (rows.stop - 1) // self.capacity)
-        for expert in range(first, last + 1):
-            lo = max(rows.start, expert * self.capacity)
-            hi = min(rows.stop, expert * self.capacity + self.expert_tokens[expert])
-            if hi > lo:
-                live += hi - lo
-        return live
+    @cached_property
+    def _token_prefix(self) -> np.ndarray:
+        """``[e]`` = tokens routed to experts ``< e`` (length ``num_experts + 1``)."""
+        return np.concatenate(([0], np.cumsum(self.expert_tokens, dtype=np.int64)))
+
+    def _tokens_below(self, rows: np.ndarray) -> np.ndarray:
+        """Live token rows in ``[0, rows)``, exactly."""
+        prefix = self._token_prefix
+        rows = np.minimum(rows, self.capacity * self.num_experts)
+        expert = np.minimum(rows // self.capacity, self.num_experts - 1)
+        before = prefix[expert]
+        return before + np.minimum(rows - expert * self.capacity,
+                                   prefix[expert + 1] - before)
 
     # -- structure API --------------------------------------------------- #
-    def live_fraction(self, role: str, rows: Interval, cols: Interval) -> float:
+    def live_fractions(self, role: str, row_start, row_stop, col_start,
+                       col_stop) -> np.ndarray:
+        """``A``, ``C``: live rows over rows (columns are all live); ``B``: 1.0."""
         _check_role(role)
         if role == ROLE_B:
-            return 1.0
-        if rows.extent <= 0:
-            return 0.0
-        return self._live_rows(rows) / rows.extent
+            return np.ones(np.broadcast(row_start, row_stop, col_start, col_stop).shape)
+        r0, r1 = (np.asarray(v, dtype=np.int64) for v in (row_start, row_stop))
+        below = self._tokens_below(np.stack([r1, r0]))
+        return _fraction(below[0] - below[1], r1 - r0)
 
-    def flops_fraction(self, m_bound: Interval, k_bound: Interval,
-                       n_bound: Interval) -> float:
-        # Only live token rows produce elementary products.
-        return self.live_fraction(ROLE_A, m_bound, k_bound)
-
-    def op_fractions(self, m_bound: Interval, k_bound: Interval,
-                     n_bound: Interval) -> Tuple[float, float, float, float]:
-        row_fraction = self.live_fraction(ROLE_A, m_bound, k_bound)
-        return (row_fraction, row_fraction, 1.0, row_fraction)
-
-    def gemm_dims(self, m_bound: Interval, k_bound: Interval, n_bound: Interval,
-                  flops_fraction: float) -> Tuple[float, float, float]:
+    def cuboid_terms(self, m0, m1, k0, k1, n0, n1) -> np.ndarray:
+        """Only live token rows compute: ``(r, r, 1, r)``, effective ``m = r * m``."""
+        row = self.live_fractions(ROLE_A, m0, m1, k0, k1)
+        ones = np.ones(row.shape)
+        m, n, k = _envelope_dims(m0, m1, k0, k1, n0, n1)
         # The live GEMM really runs with the smaller ragged m; surfacing it
         # to the shape model prices the efficiency loss of skinny expert
         # batches (still strictly below the dense envelope: flops shrink
         # linearly while the m efficiency factor shrinks sublinearly).
-        return (flops_fraction * m_bound.extent, float(n_bound.extent),
-                float(k_bound.extent))
+        return np.stack([row, row, ones, row, row * m, n, k])
 
     def effective_flops(self, m: int, n: int, k: int) -> float:
+        """``2 n k`` per routed token."""
         return 2.0 * self.total_tokens * n * k
 
     def storage_bytes(self, role: str, rows: int, cols: int, itemsize: int) -> int:
+        """``A`` and ``C`` store live token rows only; ``B`` is dense."""
         _check_role(role)
         if role == ROLE_B:
             return rows * cols * itemsize
@@ -492,6 +569,7 @@ class MoERagged(WorkloadStructure):
         return min(rows, self.total_tokens) * cols * itemsize
 
     def validate(self, m: int, n: int, k: int) -> None:
+        """``m`` must be ``num_experts * capacity``."""
         envelope = self.num_experts * self.capacity
         if m != envelope:
             raise ValueError(
@@ -500,6 +578,7 @@ class MoERagged(WorkloadStructure):
             )
 
     def to_dict(self) -> Dict[str, object]:
+        """Per-expert tokens and the capacity."""
         return {
             "kind": self.kind,
             "expert_tokens": list(self.expert_tokens),
@@ -508,6 +587,7 @@ class MoERagged(WorkloadStructure):
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "MoERagged":
+        """Inverse of :meth:`to_dict`."""
         return cls(
             expert_tokens=tuple(read_int(t, "expert_tokens")
                                 for t in payload["expert_tokens"]),  # type: ignore[union-attr]
@@ -515,12 +595,14 @@ class MoERagged(WorkloadStructure):
         )
 
     def signature_token(self) -> str:
+        """Experts, capacity, total tokens and a digest of the per-expert counts."""
         blob = ",".join(str(t) for t in self.expert_tokens)
         digest = hashlib.sha1(blob.encode("ascii")).hexdigest()[:10]
         return f"moe:e{self.num_experts}:c{self.capacity}:t{self.total_tokens}:{digest}"
 
     def bucket_envelope(self, m: int, n: int, k: int,
                         ratio: Optional[float]) -> Tuple[int, int, int, "WorkloadStructure"]:
+        """Capacity and total tokens at their bucket corners, tokens spread evenly."""
         # The envelope's m must stay expert-aligned, so bucket the capacity
         # (not m directly) and re-derive m; total routed tokens bucket to
         # their corner and are spread evenly — the balanced corner dominates
@@ -570,4 +652,3 @@ def resolve_structure(structure: Optional[WorkloadStructure]) -> Optional[Worklo
     if structure is None or structure.is_dense:
         return None
     return structure
-

@@ -16,8 +16,10 @@ of that into a compile-once / price-vectorized / replay-memoized pipeline:
    ``generate_all_ops`` turns into op objects — and the frontier pass builds
    every uncompiled candidate of the frontier in one call, because numpy's
    per-call overhead would dominate tables of a few dozen rows built one at
-   a time.  Structured workloads price each distinct (m, k, n) cuboid once
-   and drop fully masked rows before the first-fetch flags are computed.
+   a time.  Structured workloads price the frontier's distinct (m, k, n)
+   cuboids in one exact array pass over the structure's geometry
+   (:meth:`repro.core.structure.WorkloadStructure.cuboid_terms`) and drop
+   fully masked rows before the first-fetch flags are computed.
    Symbolic matrices, their slicing layouts, whole-tile bytes, and the
    replica-reduction term are built once per operand — one (role, partition,
    replication) — and shared by every class and stationary variant that
@@ -212,9 +214,6 @@ class BatchEvaluator:
         #: (role, partition, replication) -> (matrix, layout, per-tile term).
         self._operands: Dict[Tuple[str, object, int],
                              Tuple[DistributedMatrix, OperandLayout, object]] = {}
-        #: Structured geometry per distinct (m, k, n) cuboid: bounds ->
-        #: (flops, a, b, c) live fractions + effective (m, n, k).
-        self._cuboids: Dict[Tuple[int, ...], Tuple[float, ...]] = {}
         self._classes: Dict[Tuple[int, Tuple[int, int, int]], _ClassData] = {}
         self._programs: Dict[Tuple[int, Tuple[int, int, int], str],
                              CandidateProgram] = {}
@@ -308,8 +307,7 @@ class BatchEvaluator:
                              for candidate, cls in entries])
         itemsize = entries[0][1].c.dtype.itemsize
         frame = self.cost_model.event_columns(
-            table, [cls.tile_bytes for _, cls in entries], itemsize, self.structure,
-            self._cuboids)
+            table, [cls.tile_bytes for _, cls in entries], itemsize, self.structure)
         task, rank, flops = frame.pop("task"), frame["rank"], frame.pop("flops")
         del frame["c_key"]  # simulate-only: the walk never views a C tile
         p = self.machine.num_devices

@@ -248,18 +248,6 @@ class EventEngine:
         return self._reserve_fifo(EventKind.ACCUMULATE, device, COMPUTE,
                                   duration, min_start, deps, label)
 
-    def collective(
-        self,
-        device: int,
-        duration: float,
-        min_start: float = 0.0,
-        deps: Sequence[Optional[ScheduledEvent]] = (),
-        label: str = "collective",
-    ) -> ScheduledEvent:
-        """One participant's share of a modelled collective (copy engine)."""
-        return self._reserve_fifo(EventKind.COLLECTIVE, device, COPY, duration,
-                                  min_start, deps, label)
-
     def sync(
         self,
         device: int,

@@ -12,7 +12,9 @@ five event kinds that cover all of them:
 * :attr:`EventKind.SYNC` — a zero-duration join of other events (IR step
   barriers, phase boundaries);
 * :attr:`EventKind.COLLECTIVE` — a modelled collective (broadcast,
-  all-reduce) charged as one occupancy interval per participant.
+  all-reduce) charged as one occupancy interval per participant.  The
+  library posts none; the baselines' event-level test oracle
+  (``tests/baseline_oracle.py``) reserves them on the copy engine.
 
 Every scheduled event records its realized ``(start, end)`` interval, its
 explicit dependencies, and the implicit program-order predecessor on its

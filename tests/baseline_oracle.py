@@ -25,8 +25,9 @@ from repro.baselines import (
     Summa,
     TwoAndHalfD,
 )
+from repro.runtime.clock import COPY
 from repro.sim.engine import EventEngine
-from repro.sim.events import ScheduledEvent
+from repro.sim.events import EventKind, ScheduledEvent
 from repro.topology.machines import MachineSpec
 
 
@@ -154,7 +155,9 @@ def _emit_phase(
 
     def comm_event(deps) -> ScheduledEvent:
         if phase.collective:
-            return engine.collective(device, phase.comm, deps=deps, label=label)
+            # One participant's share of the collective, FIFO on its copy engine.
+            return engine._reserve_fifo(EventKind.COLLECTIVE, device, COPY,
+                                        phase.comm, 0.0, deps, label)
         return engine.fetch(device, phase.comm, deps=deps, label=label)
 
     if not phase.overlap:

@@ -48,6 +48,7 @@ from tests.pricing_oracle import (
     transfer_time,
 )
 from tests.slicing_oracle import apply_iteration_offset, oracle_all_ops, prune_structured_ops
+from tests import structure_oracle as geometry
 
 #: The engine-occupancy bound: per-engine summed busy time.
 BOUND_OCCUPANCY = "occupancy"
@@ -96,7 +97,7 @@ def direct_lower_bound(
             bounds = matrix.tile_bounds(tile_idx)
             nbytes = bounds.size * matrix.dtype.itemsize
             if structure is not None:
-                nbytes *= structure.live_fraction(label, bounds.rows, bounds.cols)
+                nbytes *= geometry.live_fraction(structure, label, bounds.rows, bounds.cols)
             tile_bytes[key] = nbytes
         return tile_bytes[key]
 
@@ -107,7 +108,8 @@ def direct_lower_bound(
                 fractions = None
                 c_bytes = op.c_bytes
             else:
-                fractions = structure.op_fractions(op.m_bound, op.k_bound, op.n_bound)
+                fractions = geometry.op_fractions(structure, op.m_bound, op.k_bound,
+                                                  op.n_bound)
                 c_bytes = op.c_bytes * fractions[3]
             compute[rank] += structured_op_compute_time(cost_model, op, structure,
                                                         fractions)

@@ -27,6 +27,7 @@ from repro.dist.matrix import DistributedMatrix
 from repro.runtime.clock import ACCUMULATE, COMPUTE, COPY
 from repro.sim.engine import EventEngine
 from repro.sim.events import ScheduledEvent
+from tests import structure_oracle as geometry
 from tests.pricing_oracle import (
     accumulate_time,
     device_link_time,
@@ -178,8 +179,8 @@ class OracleExecutor:
         else:
             # One geometry scan per op: the same fractions price the GEMM,
             # the accumulate, and the stats.
-            fractions = self.structure.op_fractions(op.m_bound, op.k_bound,
-                                                    op.n_bound)
+            fractions = geometry.op_fractions(self.structure, op.m_bound, op.k_bound,
+                                              op.n_bound)
             op_flops = op.flops * fractions[0]
             c_bytes = op.c_bytes * fractions[3]
         gemm_duration = structured_op_compute_time(self.cost_model, op, self.structure,
@@ -266,7 +267,8 @@ class OracleExecutor:
         if self.structure is not None:
             # Only live data crosses the wire: masked B blocks and padding
             # rows of A are never fetched (a fully masked tile costs 0).
-            nbytes *= self.structure.live_fraction(matrix_key, bounds.rows, bounds.cols)
+            nbytes *= geometry.live_fraction(self.structure, matrix_key, bounds.rows,
+                                            bounds.cols)
         duration = transfer_time(self.cost_model, owner, rank, nbytes)
         occupancy = device_link_time(self.cost_model, nbytes)
         # The fetch starts once the reader's own copy queue (its ingress

@@ -19,6 +19,7 @@ from repro.core.ops import LocalMatmulOp
 from repro.core.structure import ROLE_C, WorkloadStructure, resolve_structure
 from repro.dist.matrix import DistributedMatrix
 from repro.util.indexing import Interval
+from tests import structure_oracle as geometry
 
 
 # ---------------------------------------------------------------------- #
@@ -56,7 +57,7 @@ def live_gemm_time(model: CostModel, m_bound: Interval, k_bound: Interval,
     efficiency is evaluated at the live effective dimensions.
     """
     if fractions is None:
-        fractions = structure.op_fractions(m_bound, k_bound, n_bound)
+        fractions = geometry.op_fractions(structure, m_bound, k_bound, n_bound)
     flops_frac, a_frac, b_frac, c_frac = fractions
     if flops_frac <= 0.0:
         return 0.0
@@ -66,7 +67,8 @@ def live_gemm_time(model: CostModel, m_bound: Interval, k_bound: Interval,
     bytes_touched = float(itemsize) * (
         a_frac * (m * k) + b_frac * (k * n) + 2.0 * c_frac * (m * n)
     )
-    m_eff, n_eff, k_eff = structure.gemm_dims(m_bound, k_bound, n_bound, flops_frac)
+    m_eff, n_eff, k_eff = geometry.gemm_dims(structure, m_bound, k_bound, n_bound,
+                                             flops_frac)
     eff = machine.gemm_efficiency * efficiency(model.shape_model, m_eff, n_eff, k_eff)
     compute_time = flops / (machine.flops_peak * max(eff, 1.0e-3))
     memory_time = bytes_touched / machine.memory_bandwidth
@@ -196,7 +198,7 @@ def reduce_time(model: CostModel, c: DistributedMatrix, origin: int = 0,
         bounds = c.tile_bounds(tile_idx)
         nbytes = bounds.size * c.dtype.itemsize
         if structure is not None:
-            nbytes *= structure.live_fraction(ROLE_C, bounds.rows, bounds.cols)
+            nbytes *= geometry.live_fraction(structure, ROLE_C, bounds.rows, bounds.cols)
         dst_owner = c.owner_rank(tile_idx, origin)
         for replica in range(c.replication.num_replicas):
             if replica == origin:

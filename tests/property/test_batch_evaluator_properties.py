@@ -48,6 +48,7 @@ from tests.bound_oracle import (
     candidate_lower_bound,
     exhaustive_ranking,
 )
+from tests import structure_oracle as geometry
 from tests.pricing_oracle import structured_op_compute_time
 from tests.slicing_oracle import oracle_all_ops, prune_structured_ops
 
@@ -199,7 +200,7 @@ def _assert_table_matches_oracle(machine, workload, config, candidate):
         bounds = matrix.tile_bounds(index)
         nbytes = bounds.size * matrix.dtype.itemsize
         if structure is not None:
-            nbytes *= structure.live_fraction(label, bounds.rows, bounds.cols)
+            nbytes *= geometry.live_fraction(structure, label, bounds.rows, bounds.cols)
         return nbytes
 
     fetched = set()
@@ -215,7 +216,8 @@ def _assert_table_matches_oracle(machine, workload, config, candidate):
         c_bytes = op.c_bytes
         gemm = 0.0  # dense GEMMs are priced by the vectorized pass
         if structure is not None:
-            c_bytes *= structure.op_fractions(op.m_bound, op.k_bound, op.n_bound)[3]
+            c_bytes *= geometry.op_fractions(structure, op.m_bound, op.k_bound,
+                                             op.n_bound)[3]
             gemm = structured_op_compute_time(cost_model, op, structure)
         expected = {
             "rank": op.rank, "m": op.m, "n": op.n, "k": op.k,

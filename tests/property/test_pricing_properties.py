@@ -32,6 +32,7 @@ from repro.runtime.runtime import Runtime
 from repro.topology.machines import h100_system, pvc_system, uniform_system
 from repro.util.indexing import Interval
 from tests import pricing_oracle as oracle
+from tests import structure_oracle as geometry
 from tests.property.test_batch_evaluator_properties import any_workload
 
 _MACHINES = {"uniform": uniform_system, "pvc": pvc_system, "h100": h100_system}
@@ -123,8 +124,8 @@ class TestFormulasEqualOracle:
                 stop = data.draw(st.integers(min_value=start + 1, max_value=extent))
                 bounds.append(Interval(start, stop))
             cuboids.append(tuple(bounds))
-        fractions = [structure.op_fractions(*cuboid) for cuboid in cuboids]
-        dims = [structure.gemm_dims(*cuboid, fraction[0])
+        fractions = [geometry.op_fractions(structure, *cuboid) for cuboid in cuboids]
+        dims = [geometry.gemm_dims(structure, *cuboid, fraction[0])
                 for cuboid, fraction in zip(cuboids, fractions)]
         m, k, n = (np.array([bound.extent for bound in column], dtype=np.int64)
                    for column in zip(*cuboids))

