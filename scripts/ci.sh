@@ -93,7 +93,8 @@ python benchmarks/e2e/run.py --workload matmul_direct --seconds 3
 echo "== docs: markdown link check + executable-doc snippet smoke =="
 python scripts/check_docs.py
 
-echo "== docs: docstring coverage gate (planner + serve + obs + sim + dist + core >= 90%) =="
-python scripts/check_docstrings.py --threshold 90 src/repro/planner src/repro/serve src/repro/obs src/repro/sim src/repro/dist src/repro/core
+echo "== docs: docstring coverage gate (planner + serve + obs + sim + dist + core + runtime + topology + collectives >= 90%) =="
+python scripts/check_docstrings.py --threshold 90 src/repro/planner src/repro/serve src/repro/obs src/repro/sim src/repro/dist src/repro/core \
+  src/repro/runtime src/repro/topology src/repro/collectives
 
 echo "CI passed."

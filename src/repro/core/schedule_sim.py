@@ -5,8 +5,9 @@ one aggregate fetch event, one compute event, and one accumulate event, all
 gated on the previous step's sync barrier, then joins them with a new sync —
 so the step's duration is the maximum of the three.  The explicit per-step
 synchronisation is the defining difference from the free-running direct
-executor; both now price through the same
-:class:`~repro.sim.engine.EventEngine`.
+executor.  The IR executor schedules its steps on an
+:class:`~repro.sim.engine.EventEngine`; the direct walk keeps its own time
+by the same engine rules.
 
 Two entry points:
 
@@ -35,6 +36,7 @@ from repro.core.direct import TableExecutor
 from repro.core.graph import ComputationGraph, DataKey
 from repro.core.ir import IRProgram
 from repro.core.result import RankStats
+from repro.core.walk import tile_regions
 from repro.dist.matrix import DistributedMatrix
 from repro.sim.engine import EventEngine
 from repro.sim.events import ScheduledEvent
@@ -67,7 +69,8 @@ class IRExecutor(TableExecutor):
                  cost_model: CostModel, config: Optional[ExecutionConfig] = None,
                  engine: Optional[EventEngine] = None) -> None:
         # Dense only: universal_matmul rejects structured workloads in IR mode.
-        super().__init__(a, b, c, cost_model, config, engine)
+        super().__init__(a, b, c, cost_model, config,
+                         engine or EventEngine(a.runtime.num_ranks))
 
     # ------------------------------------------------------------------ #
     def execute(
@@ -84,7 +87,7 @@ class IRExecutor(TableExecutor):
         num_ranks = self.runtime.num_ranks
         bounds = np.searchsorted(cols["rank"], np.arange(num_ranks + 1)).tolist()
         tiles, regions = (([], []) if self.config.simulate_only
-                          else self.tile_regions(cols))
+                          else tile_regions(cols, (self.a, self.b, self.c)))
         rows = {name: cols[name].tolist()
                 for name in ("gemm", "acc", "c_owner", "c_bytes", "flops",
                              "a_key", "a_owner", "b_key", "b_owner")}

@@ -15,7 +15,7 @@ The layering inside the package is strictly bottom-up:
     :class:`DistributedMatrix` — the Table 1 primitive set, backed by the
     simulated PGAS runtime.
 ``redistribute``
-    Layout conversion priced through the runtime's traffic/clock model.
+    Layout conversion through the runtime's one-sided gets, and its price.
 
 Everything above this package (``repro.core``, the baselines, the bench
 harness) consumes distributed matrices only through the interfaces exported

@@ -17,7 +17,7 @@ primitive set: ``grid_shape``, ``tile``, ``get_tile``, ``get_tile_async``,
 
 Data *distribution* helpers (``from_dense``, ``to_dense``, ``fill``,
 ``fill_random``) write through local heap views without touching the traffic
-counters or the simulated clock: they model out-of-band data loading, so the
+counters: they model out-of-band data loading, so the
 accounted communication of an execution is exactly what the algorithm itself
 moved.  ``materialize=False`` builds the metadata only (no allocations),
 which is what the simulate-only benchmark sweeps use to explore full-size
@@ -278,7 +278,7 @@ class DistributedMatrix:
                                         initiator=source_owner)
 
     # ------------------------------------------------------------------ #
-    # whole-matrix data movement (out-of-band: no traffic, no clock)
+    # whole-matrix data movement (out-of-band: no traffic)
     # ------------------------------------------------------------------ #
     def _scatter(self, dense: np.ndarray) -> None:
         for idx in self.grid.tiles():

@@ -4,17 +4,16 @@
 whose operand layouts do not match its kernels; the universal algorithm makes
 it unnecessary, and this module exists so benchmarks and tests can price that
 alternative honestly.  Unlike the out-of-band ``from_dense``/``to_dense``
-helpers, redistribution is charged through the runtime: every cross-rank move
-is a one-sided ``get`` recorded in the traffic counters, and its modelled
-duration occupies the source's egress and the destination's copy engine on
-the simulated clock.
+helpers, redistribution goes through the runtime: every cross-rank move is a
+one-sided ``get`` recorded in the traffic counters.  Its modelled time is
+:func:`redistribution_cost`'s.
 
 Each destination owner pulls the overlapping regions of the source tiles from
 the source replica group *it belongs to* (reads are local whenever the two
 layouts co-locate data), which is the same locality rule the executors use.
 Both :func:`redistribute` and :func:`redistribution_cost` walk the one
 transfer set produced by :func:`_transfer_plan`, so the priced cost cannot
-drift from the charged cost.
+drift from the moves made.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from typing import Iterator, Optional, Tuple
 
 from repro.dist.matrix import DistributedMatrix
 from repro.dist.partition import Partition
-from repro.runtime.clock import COPY, EGRESS
 from repro.util.indexing import Rect
 
 #: One region move: (src tile, dst tile, overlap rect, src rank, dst rank).
@@ -63,10 +61,9 @@ def redistribute(
 
     The source is left untouched.  The new matrix lives on the same runtime
     with the same shape and dtype; ``replication`` defaults to the source's
-    factor.  For a source created with ``materialize=False`` the clock is
-    still charged (so simulate-only sweeps can price a reshard), but the
-    traffic counters — which record real data movement only — stay untouched;
-    use :func:`redistribution_cost` for the byte count in that mode.
+    factor.  For a source created with ``materialize=False`` no data moves
+    and the traffic counters — which record real data movement only — stay
+    untouched; use :func:`redistribution_cost` for the bytes and time.
     """
     runtime = matrix.runtime
     factor = matrix.replication.factor if replication is None else int(replication)
@@ -80,11 +77,9 @@ def redistribute(
         materialize=matrix.materialized,
     )
 
-    itemsize = matrix.dtype.itemsize
+    if not matrix.materialized:
+        return target
     for src_idx, dst_idx, region, src_owner, dst_owner in _transfer_plan(matrix, target):
-        _charge_transfer(runtime, src_owner, dst_owner, region.size * itemsize)
-        if not matrix.materialized:
-            continue
         data = runtime.get(
             matrix._handle(src_idx), src_owner, initiator=dst_owner,
             rect=region.localize(matrix.tile_bounds(src_idx)),
@@ -94,20 +89,6 @@ def redistribute(
             rect=region.localize(target.tile_bounds(dst_idx)),
         )
     return target
-
-
-def _charge_transfer(runtime, src_rank: int, dst_rank: int, nbytes: int) -> None:
-    """Occupy egress and copy for one tile-region move (no cost for local reads)."""
-    if src_rank == dst_rank or nbytes <= 0:
-        return
-    clock = runtime.clock
-    duration = runtime.transfer_time(src_rank, dst_rank, nbytes)
-    destination = clock.device(dst_rank)
-    source = clock.device(src_rank)
-    earliest = destination.available_at(COPY)
-    start, _ = source.reserve_slot(EGRESS, duration, earliest,
-                                   label="redistribute-egress")
-    destination.reserve(COPY, duration, start, label="redistribute-copy")
 
 
 def redistribution_cost(
@@ -138,7 +119,7 @@ def redistribution_cost(
         nbytes = region.size * itemsize
         total_bytes += nbytes
         per_rank_time[dst_owner] = per_rank_time.get(dst_owner, 0.0) + \
-            runtime.transfer_time(src_owner, dst_owner, nbytes)
+            runtime.topology.transfer_time(src_owner, dst_owner, nbytes)
     return {
         "modelled_time_s": max(per_rank_time.values(), default=0.0),
         "moved_bytes": total_bytes,

@@ -274,7 +274,6 @@ class PlannerService:
         replication_factors: Optional[Sequence[int]] = None,
         stationary_options: Sequence[str] = ("A", "B", "C"),
         itemsize: int = 4,
-        dtype: str = "float32",
         bucket_ratio: float = DEFAULT_BUCKET_RATIO,
         prune: bool = True,
         config: Optional[ExecutionConfig] = None,
@@ -305,7 +304,6 @@ class PlannerService:
         )
         self.stationary_options = tuple(stationary_options)
         self.itemsize = itemsize
-        self.dtype = dtype
         self.bucket_ratio = bucket_ratio
         self.prune = prune
         self.config = config or ExecutionConfig(simulate_only=True)
@@ -348,7 +346,6 @@ class PlannerService:
             replication_factors=self.replication_factors,
             stationary_options=self.stationary_options,
             itemsize=itemsize,
-            dtype=dtype,
             bucket_ratio=bucket_ratio,
             config=self.config,
         )

@@ -27,6 +27,7 @@ from repro.core.config import ExecutionConfig
 from repro.core.structure import DENSE, WorkloadStructure, geometric_bucket
 from repro.planner.graph import DEFAULT_LATTICE_SIZE, op_workload
 from repro.topology.machines import MachineSpec
+from repro.util.validation import float_dtype
 
 #: Requests whose dimensions differ by less than ~±11% share a bucket.
 DEFAULT_BUCKET_RATIO = 1.25
@@ -239,7 +240,6 @@ class SignatureFactory:
         replication_factors: Optional[Sequence[int]] = None,
         stationary_options: Sequence[str] = ("A", "B", "C"),
         itemsize: int = 4,
-        dtype: str = "float32",
         bucket_ratio: float = DEFAULT_BUCKET_RATIO,
         config: Optional[ExecutionConfig] = None,
     ) -> None:
@@ -252,7 +252,8 @@ class SignatureFactory:
         )
         self.stationary_options = tuple(stationary_options)
         self.itemsize = itemsize
-        self.dtype = dtype
+        #: The keys' dtype label: the float dtype of ``itemsize`` bytes.
+        self.dtype = float_dtype(itemsize).name
         self.bucket_ratio = bucket_ratio
         self.config = config or ExecutionConfig(simulate_only=True)
         # Machine and options are fixed for the factory's lifetime; digests

@@ -48,9 +48,11 @@ class SequentialBackend(Backend):
     name = "sequential"
 
     def run(self, functions: Sequence[Callable[[], Any]]) -> List[Any]:
+        """Call each rank's function in rank order."""
         return [function() for function in functions]
 
     def make_barrier(self, num_ranks: int) -> Callable[[], None]:
+        """A no-op barrier: sequential ranks never wait for each other."""
         def barrier() -> None:
             return None
 
@@ -70,6 +72,7 @@ class ThreadedBackend(Backend):
         self.timeout = timeout
 
     def run(self, functions: Sequence[Callable[[], Any]]) -> List[Any]:
+        """Run each rank's function on its own thread; a failed rank raises ``RuntimeError``."""
         results: List[Any] = [None] * len(functions)
         errors: List[Optional[BaseException]] = [None] * len(functions)
 
@@ -95,6 +98,7 @@ class ThreadedBackend(Backend):
         return results
 
     def make_barrier(self, num_ranks: int) -> Callable[[], None]:
+        """A ``threading.Barrier`` over ``num_ranks`` threads."""
         barrier = threading.Barrier(num_ranks)
 
         def wait() -> None:

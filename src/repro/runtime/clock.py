@@ -122,6 +122,7 @@ class DeviceTimeline:
         return start, end
 
     def entries(self, engine: str) -> List[TimelineEntry]:
+        """A copy of the engine's reservations, sorted by start."""
         return list(self._entries[engine])
 
     def busy_time(self, engine: str) -> float:
@@ -133,6 +134,7 @@ class DeviceTimeline:
         return max(self._available.values())
 
     def reset(self) -> None:
+        """Free every engine and drop its reservations."""
         for name in ENGINES:
             self._available[name] = 0.0
             self._entries[name] = []
@@ -153,6 +155,7 @@ class SimClock:
         self.devices = [DeviceTimeline(d) for d in range(num_devices)]
 
     def device(self, index: int) -> DeviceTimeline:
+        """The timeline of device ``index``."""
         return self.devices[index]
 
     def makespan(self) -> float:
@@ -160,5 +163,6 @@ class SimClock:
         return max(device.finish_time() for device in self.devices)
 
     def reset(self) -> None:
+        """Reset every device's timeline."""
         for device in self.devices:
             device.reset()

@@ -50,6 +50,7 @@ class Future:
 
     # ------------------------------------------------------------------ #
     def done(self) -> bool:
+        """Whether the result (or error) is set."""
         return self._event.is_set()
 
     def wait(self, timeout: Optional[float] = None) -> Any:
@@ -64,6 +65,7 @@ class Future:
     result = wait
 
     def add_done_callback(self, callback: Callable[["Future"], None]) -> None:
+        """Call ``callback(self)`` once done (now, if already done)."""
         if self.done():
             callback(self)
         else:

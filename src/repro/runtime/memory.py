@@ -42,6 +42,7 @@ class SymmetricHandle:
 
     @property
     def nbytes(self) -> int:
+        """Bytes of the allocation on one rank."""
         count = 1
         for dim in self.shape:
             count *= int(dim)
@@ -64,6 +65,7 @@ class SymmetricHeap:
         self._locks: Dict[int, threading.Lock] = {}
 
     def register(self, handle: SymmetricHandle, array: np.ndarray) -> None:
+        """Store ``array`` as this rank's buffer of ``handle``."""
         if handle.alloc_id in self._arrays:
             raise ValueError(f"allocation {handle.alloc_id} already exists on rank {self.rank}")
         if tuple(array.shape) != tuple(handle.shape):
@@ -74,10 +76,12 @@ class SymmetricHeap:
         self._locks[handle.alloc_id] = threading.Lock()
 
     def deregister(self, handle: SymmetricHandle) -> None:
+        """Drop this rank's buffer of ``handle`` (no-op if absent)."""
         self._arrays.pop(handle.alloc_id, None)
         self._locks.pop(handle.alloc_id, None)
 
     def array(self, handle: SymmetricHandle) -> np.ndarray:
+        """This rank's buffer of ``handle``; ``KeyError`` if absent."""
         try:
             return self._arrays[handle.alloc_id]
         except KeyError:
@@ -86,6 +90,7 @@ class SymmetricHeap:
             ) from None
 
     def lock(self, handle: SymmetricHandle) -> threading.Lock:
+        """The lock that makes accumulates into ``handle`` atomic."""
         return self._locks[handle.alloc_id]
 
     def __contains__(self, handle: SymmetricHandle) -> bool:
@@ -96,6 +101,7 @@ class SymmetricHeap:
 
     @property
     def allocated_bytes(self) -> int:
+        """Bytes of every buffer on this rank."""
         return sum(arr.nbytes for arr in self._arrays.values())
 
 
@@ -185,6 +191,7 @@ class MemoryPool:
 
     @property
     def retained_bytes(self) -> int:
+        """Bytes held in the free lists."""
         with self._lock:
             return sum(
                 buf.nbytes for buffers in self._free.values() for buf in buffers

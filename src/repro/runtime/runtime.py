@@ -12,9 +12,9 @@ A :class:`Runtime` owns
 One-sided operations (`get`, `put`, `accumulate`) address a buffer by
 ``(handle, target_rank)`` and never require the target rank's participation,
 matching the SHMEM/RDMA semantics the paper's implementation relies on.
-Data movement is performed eagerly with NumPy; the modelled transfer time is
-available from :meth:`Runtime.transfer_time` for the execution engines and
-cost models to consume.
+Data movement is performed eagerly with NumPy; the machine's topology prices
+it (``runtime.topology.transfer_time``), and the cost model and event engine
+keep all modelled time.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.runtime.backend import Backend, SequentialBackend, make_backend
-from repro.runtime.clock import SimClock
 from repro.runtime.future import CompletedFuture, Future
 from repro.runtime.memory import MemoryPool, SymmetricHandle, SymmetricHeap, make_handle
 from repro.runtime.traffic import ACCUMULATE, GET, PUT, TrafficCounter, TransferRecord
@@ -49,29 +48,36 @@ class RankContext:
 
     # -- delegation helpers ------------------------------------------------
     def barrier(self) -> None:
+        """Wait until every rank of the SPMD region reaches the barrier."""
         self._barrier()
 
     def get(self, handle: SymmetricHandle, target_rank: int, rect: Optional[Rect] = None,
             out: Optional[np.ndarray] = None) -> np.ndarray:
+        """One-sided get from ``target_rank``, initiated by this rank."""
         return self.runtime.get(handle, target_rank, initiator=self.rank, rect=rect, out=out)
 
     def get_async(self, handle: SymmetricHandle, target_rank: int,
                   rect: Optional[Rect] = None) -> Future:
+        """Asynchronous one-sided get, initiated by this rank."""
         return self.runtime.get_async(handle, target_rank, initiator=self.rank, rect=rect)
 
     def put(self, handle: SymmetricHandle, target_rank: int, data: np.ndarray,
             rect: Optional[Rect] = None) -> None:
+        """One-sided put into ``target_rank``, initiated by this rank."""
         self.runtime.put(handle, target_rank, data, initiator=self.rank, rect=rect)
 
     def accumulate(self, handle: SymmetricHandle, target_rank: int, data: np.ndarray,
                    rect: Optional[Rect] = None) -> None:
+        """One-sided accumulate into ``target_rank``, initiated by this rank."""
         self.runtime.accumulate(handle, target_rank, data, initiator=self.rank, rect=rect)
 
     def local_view(self, handle: SymmetricHandle, rect: Optional[Rect] = None) -> np.ndarray:
+        """A view of this rank's own buffer of ``handle``."""
         return self.runtime.local_view(handle, self.rank, rect=rect)
 
     @property
     def pool(self) -> MemoryPool:
+        """This rank's memory pool."""
         return self.runtime.pool(self.rank)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -100,7 +106,6 @@ class Runtime:
         self.topology = machine.topology
         self.backend = backend if isinstance(backend, Backend) else make_backend(backend)
         self.traffic = TrafficCounter(keep_records=keep_traffic_records)
-        self.clock = SimClock(self.num_ranks)
         self._heaps = [SymmetricHeap(rank) for rank in range(self.num_ranks)]
         self._pools = [MemoryPool(pool_buffers_per_key) for _ in range(self.num_ranks)]
         self._alloc_lock = threading.Lock()
@@ -155,6 +160,7 @@ class Runtime:
         return handle in self._heaps[rank]
 
     def pool(self, rank: int) -> MemoryPool:
+        """The memory pool of ``rank``."""
         check_in_range(rank, 0, self.num_ranks, "rank")
         return self._pools[rank]
 
@@ -265,24 +271,6 @@ class Runtime:
                                            handle.label))
 
     # ------------------------------------------------------------------ #
-    # modelled timing helpers
-    # ------------------------------------------------------------------ #
-    def transfer_time(self, src_rank: int, dst_rank: int, nbytes: int,
-                      accumulate: bool = False) -> float:
-        """Modelled seconds to move ``nbytes`` between two ranks.
-
-        Accumulates are charged at the machine's ``accumulate_efficiency``
-        fraction of link bandwidth, reflecting the paper's measurement that
-        the atomic accumulate kernel reaches ~80% of copy bandwidth.
-        """
-        time = self.topology.transfer_time(src_rank, dst_rank, nbytes)
-        if accumulate and src_rank != dst_rank:
-            efficiency = max(1.0e-6, self.machine.accumulate_efficiency)
-            latency = self.topology.latency(src_rank, dst_rank)
-            time = latency + (time - latency) / efficiency
-        return time
-
-    # ------------------------------------------------------------------ #
     # SPMD execution
     # ------------------------------------------------------------------ #
     def run_spmd(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> List[Any]:
@@ -299,9 +287,8 @@ class Runtime:
         return self.backend.run([make_call(ctx) for ctx in contexts])
 
     def reset_counters(self) -> None:
-        """Clear traffic and simulated-clock state (allocations are kept)."""
+        """Clear the traffic counters (allocations are kept)."""
         self.traffic.reset()
-        self.clock.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

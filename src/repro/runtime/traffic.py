@@ -32,6 +32,7 @@ class TransferRecord:
 
     @property
     def is_local(self) -> bool:
+        """Whether the initiator is the target."""
         return self.initiator == self.target
 
 
@@ -48,6 +49,7 @@ class TrafficCounter:
         self._bytes_by_initiator: Dict[int, int] = {}
 
     def record(self, record: TransferRecord) -> None:
+        """Count one transfer (and keep it, if records are kept)."""
         if record.kind not in KINDS:
             raise ValueError(f"unknown transfer kind {record.kind!r}")
         with self._lock:
@@ -66,10 +68,12 @@ class TrafficCounter:
     # ------------------------------------------------------------------ #
     @property
     def records(self) -> List[TransferRecord]:
+        """A copy of the kept transfer records."""
         with self._lock:
             return list(self._records)
 
     def total_bytes(self, kind: Optional[str] = None, remote_only: bool = False) -> int:
+        """Bytes moved, of one ``kind`` or all, optionally remote only."""
         with self._lock:
             source = self._remote_bytes_by_kind if remote_only else self._bytes_by_kind
             if kind is None:
@@ -77,19 +81,23 @@ class TrafficCounter:
             return source.get(kind, 0)
 
     def operation_count(self, kind: Optional[str] = None) -> int:
+        """Transfers counted, of one ``kind`` or all."""
         with self._lock:
             if kind is None:
                 return sum(self._count_by_kind.values())
             return self._count_by_kind.get(kind, 0)
 
     def bytes_by_initiator(self) -> Dict[int, int]:
+        """Bytes moved per initiating rank."""
         with self._lock:
             return dict(self._bytes_by_initiator)
 
     def remote_bytes(self) -> int:
+        """Bytes moved between distinct ranks."""
         return self.total_bytes(remote_only=True)
 
     def reset(self) -> None:
+        """Clear every counter and kept record."""
         with self._lock:
             self._records.clear()
             for kind in KINDS:

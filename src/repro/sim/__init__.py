@@ -1,11 +1,16 @@
-"""repro.sim — the unified discrete-event simulation engine.
+"""repro.sim — the discrete-event simulation engine and the planner's evaluator.
 
-Every event-level time path in the library prices through this package:
-the direct executor and the IR executor emit typed events instead of
-charging clocks inline, and the planner's critical-path pruning bound is the
-makespan of the same event stream scheduled on a relaxed (contention-free)
-engine.  (The comparators price with closed forms; the test oracle
-``tests/baseline_oracle.py`` replays their schedules here.)
+The :class:`EventEngine` schedules typed events on per-device timelines.
+The IR executor schedules its steps on one.  The direct executor times its
+walk (:func:`repro.core.walk.walk_columns`) with plain floats, and an
+engine handed to it only records: the walk posts every fetch, GEMM and
+accumulate, and the engine schedules them by the same rules, for traces and
+critical paths.  The planner's batch evaluator (:mod:`repro.sim.batch`)
+prices search frontiers and simulates winners with the same walk, building
+no engine; its critical-path pruning bound is the relaxed
+(contention-free) form of that walk.  (The comparators price with closed
+forms; the test oracle ``tests/baseline_oracle.py`` replays their schedules
+here.)
 
 Quickstart — record a trace of a real execution::
 

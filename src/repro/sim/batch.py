@@ -43,13 +43,14 @@ of that into a compile-once / price-vectorized / replay-memoized pipeline:
    memoized under those columns' exact bytes: a rank stream seen before in
    the same search, on any rank of any candidate, is not replayed again.
 
-4. **Simulation** (:meth:`BatchEvaluator.simulate`) — the contended walk
-   (:meth:`BatchEvaluator._walk`) reads the program's priced execution-order
-   columns and keeps the direct executor's state as plain floats and lists:
-   per-rank engine free times, tile caches and prefetch windows, and per
-   device the shared egress/ingress reservations.  No op objects, executor,
-   ``EventEngine`` or events are built; ``DirectExecutor.execute_columns``
-   on an ``EventEngine`` is its ``==`` oracle
+4. **Simulation** (:meth:`BatchEvaluator.simulate`) — the program's priced
+   execution-order columns go to :func:`repro.core.walk.walk_columns`, the
+   one contended direct walk, which ``DirectExecutor.execute_columns`` calls
+   too.  It keeps its state as plain floats and lists: per-rank engine free
+   times, tile caches and prefetch windows, and per device the shared
+   egress/ingress reservations.  No op objects, executor, ``EventEngine`` or
+   events are built; the op-object executor ``tests/direct_oracle.py`` on an
+   ``EventEngine`` is its ``==`` oracle
    (``tests/property/test_column_walk_properties.py``).
 
 Correctness bar: every number this module produces is **bit-equal** to the
@@ -66,7 +67,6 @@ MoE-ragged workloads.
 from __future__ import annotations
 
 import time
-from bisect import insort
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -87,6 +87,7 @@ from repro.core.slicing import (
 )
 from repro.core.stationary import parse_stationary
 from repro.core.structure import ROLE_A, ROLE_B, ROLE_C, resolve_structure
+from repro.core.walk import walk_columns
 from repro.dist.matrix import DistributedMatrix
 from repro.runtime.runtime import Runtime
 from repro.topology.machines import MachineSpec
@@ -440,8 +441,10 @@ class BatchEvaluator:
         and the accumulate-compute interference slice.  Reads only the
         :data:`_REPLAY_COLUMNS` rows ``[lo, hi)`` plus the evaluator's config
         and machine, and returns the rank's finish time.  Its contended twin,
-        :meth:`_walk`, adds the shared egress/ingress capacity, which couples
-        the ranks, so it walks every rank at once and is not memoized.
+        :func:`repro.core.walk.walk_columns`, adds the shared egress/ingress
+        capacity, which couples the ranks, so it walks every rank at once and
+        is not memoized.  The general walk run relaxed could replace this
+        fold, but it costs more per rank stream (``docs/performance.md``).
         """
         config = self.config
         depth = config.prefetch_depth
@@ -551,154 +554,15 @@ class BatchEvaluator:
         return finish_time
 
     # ------------------------------------------------------------------ #
-    # batch simulation (contended walk of the priced columns)
+    # batch simulation (the contended direct walk of the priced columns)
     # ------------------------------------------------------------------ #
-    def _walk(self, cols: Dict[str, np.ndarray], bounds: List[int]
-              ) -> Tuple[float, float, float]:
-        """The contended timing walk of one program's execution-order columns.
-
-        The contended twin of :meth:`_fold`: the state of
-        ``DirectExecutor.execute_columns`` on a contended ``EventEngine``,
-        held as plain floats and lists.  Per rank: the compute, copy and
-        accumulate free times, the tile caches' fetch end times, the pending
-        prefetches, and the GEMM start/end and accumulate end of every op.
-        Per device: the shared egress and ingress reservations, sorted
-        ``(start, end)`` pairs placed by the earliest-fitting-gap rule of
-        ``DeviceTimeline.find_slot``.  Ranks interleave step-major, rank-minor,
-        as in the executor, and a remote accumulate steals the machine's
-        interference slice of the initiator's compute.  ``bounds`` are the
-        rank boundaries of the rows.  Returns the makespan and the remote
-        get and accumulate byte totals.
-        """
-        config = self.config
-        depth = config.prefetch_depth
-        async_ = config.async_execution
-        w_acc = config.max_concurrent_accumulates
-        w_g = config.max_concurrent_gemms
-        cache_tiles = config.cache_remote_tiles
-        interference = self.machine.accumulate_compute_interference
-        p = self.machine.num_devices
-        owners, keys, nbytes, fetch_time, egress_time = (
-            [cols[f"{side}_{name}"].tolist() for side in "ab"]
-            for name in ("owner", "key", "bytes", "fetch", "egress"))
-        gemm_time, c_owner, c_bytes, acc_time, ingress_time = (
-            cols[name].tolist() for name in ("gemm", "c_owner", "c_bytes", "acc",
-                                             "ingress"))
-
-        compute = [0.0] * p
-        copy = [0.0] * p
-        accumulate = [0.0] * p
-        # Shared capacity per device: reservations sorted by start, and the
-        # latest end (the device's finish time on that engine).
-        egress: List[List[Tuple[float, float]]] = [[] for _ in range(p)]
-        ingress: List[List[Tuple[float, float]]] = [[] for _ in range(p)]
-        egress_end = [0.0] * p
-        ingress_end = [0.0] * p
-        # Byte totals per rank, summed over ranks at the end as the executor's
-        # per-rank stats are (structured bytes are floats: the order rounds).
-        get_bytes = [0] * p
-        acc_bytes = [0] * p
-        # Remote-tile fetch end per flat tile id, per rank and side.
-        caches = [({}, {}) for _ in range(p)]
-        # Issued-but-unconsumed prefetches: op index -> (A ready, B ready).
-        pending: List[Dict[int, Tuple[float, float]]] = [{} for _ in range(p)]
-        next_pref = [0] * p
-        gemm_start: List[List[float]] = [[] for _ in range(p)]
-        gemm_end: List[List[float]] = [[] for _ in range(p)]
-        acc_end: List[List[float]] = [[] for _ in range(p)]
-
-        def place(slots: List[List[Tuple[float, float]]], ends: List[float],
-                  device: int, duration: float, earliest: float) -> float:
-            """Reserve ``device``'s earliest gap of ``duration`` at or after
-            ``earliest``; returns its start."""
-            cursor = earliest
-            for start, end in slots[device]:
-                if start - cursor >= duration:
-                    break
-                if end > cursor:
-                    cursor = end
-            end = cursor + duration
-            insort(slots[device], (cursor, end))
-            if end > ends[device]:
-                ends[device] = end
-            return cursor
-
-        def fetch(rank: int, x: int, row: int, floor: float) -> float:
-            """Issue one tile's get; returns when the tile is ready."""
-            owner = owners[x][row]
-            if owner == rank:
-                return 0.0
-            if cache_tiles:
-                cache = caches[rank][x]
-                end = cache.get(keys[x][row])
-                if end is not None:
-                    return end
-            earliest = floor if floor > copy[rank] else copy[rank]
-            start = place(egress, egress_end, owner, egress_time[x][row], earliest)
-            end = copy[rank] = start + fetch_time[x][row]
-            get_bytes[rank] += nbytes[x][row]
-            if cache_tiles:
-                cache[keys[x][row]] = end
-            return end
-
-        num = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-        for i in range(max(num, default=0)):
-            for rank in range(p):
-                if i >= num[rank]:
-                    continue
-                lo = bounds[rank]
-                starts, ends, accs = gemm_start[rank], gemm_end[rank], acc_end[rank]
-                floor = starts[i - 1] if i > 0 else 0.0
-                if not async_ and i > 0 and accs[i - 1] > floor:
-                    floor = accs[i - 1]
-                horizon = i + depth
-                if horizon > num[rank] - 1:
-                    horizon = num[rank] - 1
-                waiting = pending[rank]
-                while next_pref[rank] <= horizon:
-                    issue = next_pref[rank]
-                    a_ready = fetch(rank, 0, lo + issue, floor)
-                    waiting[issue] = (a_ready, fetch(rank, 1, lo + issue, floor))
-                    next_pref[rank] = issue + 1
-                a_ready, b_ready = waiting.pop(i)
-                earliest = a_ready if a_ready > b_ready else b_ready
-                if async_:
-                    if i >= w_acc and accs[i - w_acc] > earliest:
-                        earliest = accs[i - w_acc]
-                    if i >= w_g and ends[i - w_g] > earliest:
-                        earliest = ends[i - w_g]
-                elif i > 0 and accs[i - 1] > earliest:
-                    earliest = accs[i - 1]
-                row = lo + i
-                begin = earliest if earliest > compute[rank] else compute[rank]
-                finish = compute[rank] = begin + gemm_time[row]
-                starts.append(begin)
-                ends.append(finish)
-                owner = c_owner[row]
-                if owner != rank:
-                    earliest = finish if finish > accumulate[rank] else accumulate[rank]
-                    begin = place(ingress, ingress_end, owner, ingress_time[row], earliest)
-                    done = accumulate[rank] = begin + acc_time[row]
-                    acc_bytes[rank] += c_bytes[row]
-                    if interference > 0.0:
-                        if compute[rank] > begin:
-                            begin = compute[rank]
-                        compute[rank] = begin + acc_time[row] * interference
-                else:
-                    begin = finish if finish > compute[rank] else compute[rank]
-                    done = compute[rank] = begin + acc_time[row]
-                accs.append(done)
-
-        makespan = max(max(compute), max(copy), max(accumulate),
-                       max(egress_end), max(ingress_end))
-        return makespan, sum(get_bytes), sum(acc_bytes)
-
     def simulate(self, candidate) -> SweepPoint:
         """Full contended simulation, bit-equal to ``run_ua_point``.
 
         Reuses the class's symbolic matrices and walks the program's priced
-        execution-order columns with :meth:`_walk`, building no runtime,
-        executor, engine or events per point.
+        execution-order columns with :func:`repro.core.walk.walk_columns`,
+        the direct executor's walk, building no runtime, executor, engine or
+        events per point.
         """
         program = self.compile(candidate)
         cls = program.cls
@@ -710,9 +574,9 @@ class BatchEvaluator:
             # ops, exactly as universal_matmul does.
             check_coverage(cls.a, cls.b, cls.c, generate_all_ops(
                 cls.a, cls.b, cls.c, parse_stationary(candidate.stationary)))
-        makespan, get_bytes, acc_bytes = self._walk(
-            program.exec_columns(self.config.iteration_offset),
-            program.rank_starts.tolist())
+        makespan, stats = walk_columns(
+            program.exec_columns(self.config.iteration_offset), (cls.a, cls.b, cls.c),
+            self.config, self.machine.accumulate_compute_interference)
         reduce_time = cls.reduce_time if cls.c.replication.num_replicas > 1 else 0.0
         if self.structure is None:
             total_flops = 2 * self.m * self.n * self.k
@@ -720,8 +584,9 @@ class BatchEvaluator:
             total_flops = self.structure.effective_flops(self.m, self.n, self.k)
         simulated_time = makespan + reduce_time
         extra = {
-            "remote_get_bytes": get_bytes,
-            "remote_accumulate_bytes": acc_bytes,
+            "remote_get_bytes": sum(s.remote_get_bytes for s in stats.values()),
+            "remote_accumulate_bytes": sum(s.remote_accumulate_bytes
+                                           for s in stats.values()),
             "total_ops": program.num_ops,
         }
         if not self.workload.structure.is_dense:

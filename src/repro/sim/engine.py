@@ -1,8 +1,10 @@
-"""The discrete-event simulation engine: one time path for the whole system.
+"""The discrete-event simulation engine: typed events on device timelines.
 
-Every event-level simulated activity — direct-execution op walks and IR
-step schedules — is expressed as typed events posted to an
-:class:`EventEngine`.  The engine is the *only* place that knows about
+The IR executor's step schedules are typed events posted to an
+:class:`EventEngine`, and so is a recorded direct walk
+(:func:`repro.core.walk.walk_columns` posts every fetch, GEMM and
+accumulate when handed an engine; it keeps its own time with plain floats
+by the same rules).  The engine schedules
 
 * per-device engine timelines (compute / copy / accumulate queues with FIFO
   stream semantics),
@@ -15,8 +17,8 @@ transfer's duration, and the devices' shared ingress/egress capacity is
 what serialises concurrent transfers.
 
 Events are scheduled immediately as they are posted, in emission order —
-exactly the discipline the direct executor's interleaved walk relies on —
-and each realized event records the dependency edges that explain its start
+exactly the discipline of the direct walk's step-major interleave — and
+each realized event records the dependency edges that explain its start
 time, so the full run forms a DAG.
 
 ``contention=False`` produces the *relaxed* engine: the same events, the

@@ -123,6 +123,7 @@ class Topology:
         return self._pair_tables
 
     def is_local(self, src: int, dst: int) -> bool:
+        """Whether a transfer from ``src`` to ``dst`` stays on one device."""
         return src == dst
 
     def min_remote_bandwidth(self) -> float:

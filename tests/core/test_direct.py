@@ -12,7 +12,9 @@ from repro.core.stationary import Stationary
 from repro.dist.matrix import DistributedMatrix
 from repro.dist.partition import Block2D, ColumnBlock, RowBlock
 from repro.runtime.runtime import Runtime
-from repro.topology.machines import pvc_system, uniform_system
+from repro.sim.engine import EventEngine
+from repro.sim.events import ScheduledEvent
+from repro.topology.machines import h100_system, pvc_system, uniform_system
 from tests.pricing_oracle import op_compute_time
 from tests.slicing_oracle import apply_iteration_offset
 
@@ -143,8 +145,6 @@ class TestOptimisationEffects:
 
     def test_h100_accumulate_interference_charged(self):
         """On H100 the accumulate kernel steals compute time (paper §5.2.1)."""
-        from repro.topology.machines import h100_system
-
         machine = h100_system(8)
         runtime, a, b, c = build_problem(num_ranks=8, m=64, n=64, k=64,
                                          parts=(ColumnBlock(), RowBlock(), Block2D()),
@@ -181,3 +181,48 @@ class TestPrefetchDepths:
             config = ExecutionConfig(simulate_only=True, prefetch_depth=depth)
             times[depth], _ = DirectExecutor(a, b, c, CostModel(machine), config).execute(ops)
         assert times[2] <= times[0] + 1e-12
+
+
+class TestEngineOnlyRecords:
+    """The walk times with plain floats; an event engine only records it."""
+
+    @pytest.mark.parametrize("materialize", [True, False])
+    def test_universal_matmul_builds_no_engine_or_event(self, monkeypatch, materialize):
+        built = []
+        for cls in (EventEngine, ScheduledEvent):
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built.append(_name)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        runtime, a, b, c = build_problem(parts=(RowBlock(), ColumnBlock(), Block2D()),
+                                         materialize=materialize)
+        config = ExecutionConfig(simulate_only=not materialize)
+        result = universal_matmul(a, b, c, stationary="A", config=config)
+        assert result.remote_get_bytes > 0 and result.remote_accumulate_bytes > 0
+        assert built == []
+        if materialize:
+            np.testing.assert_allclose(c.to_dense(), a.to_dense() @ b.to_dense(),
+                                       rtol=1e-9)
+        # The counters see an engine that is asked for.
+        DirectExecutor(a, b, c, CostModel(runtime.machine), config,
+                       engine=EventEngine(runtime.num_ranks)).execute(
+            generate_all_ops(a, b, c, Stationary.A))
+        assert "EventEngine" in built and "ScheduledEvent" in built
+
+    @pytest.mark.parametrize("contention", [True, False])
+    def test_recording_changes_nothing(self, contention):
+        """With an engine the walk returns what it returns without one, and
+        its makespan is the engine's."""
+        machine = h100_system(8)
+        runtime, a, b, c = build_problem(num_ranks=8, m=64, n=64, k=64,
+                                         parts=(ColumnBlock(), RowBlock(), Block2D()),
+                                         materialize=False, machine=machine)
+        ops = generate_all_ops(a, b, c, Stationary.B)
+        cost_model = CostModel(machine)
+        config = ExecutionConfig(simulate_only=True)
+        engine = EventEngine(runtime.num_ranks, contention=contention)
+        recorded = DirectExecutor(a, b, c, cost_model, config, engine=engine).execute(ops)
+        assert recorded[0] == engine.makespan()
+        assert engine.events
+        if contention:
+            assert recorded == DirectExecutor(a, b, c, cost_model, config).execute(ops)

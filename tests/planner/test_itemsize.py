@@ -68,7 +68,7 @@ def test_batch_and_scalar_paths_bit_equal_at_itemsize_2():
 
 def test_float16_winner_resimulates_to_its_time():
     machine = uniform_system(8)
-    with PlannerService(machine, itemsize=2, dtype="float16") as service:
+    with PlannerService(machine, itemsize=2) as service:
         response = service.plan(attention_workload(1024))
     workload = response.signature.representative_workload()
     for rec in response.recommendations:
@@ -87,3 +87,14 @@ def test_unsupported_itemsize_raises_before_any_work(itemsize, monkeypatch):
     monkeypatch.setattr(search_module, "enumerate_candidates", no_work)
     with pytest.raises(ValueError, match="itemsize"):
         search_partitionings(MACHINE, SMALL, itemsize=itemsize)
+
+
+@pytest.mark.parametrize("itemsize, label", [(2, "float16"), (4, "float32"), (8, "float64")])
+def test_key_dtype_label_follows_itemsize(itemsize, label):
+    """The default (4 bytes) keys as ``float32``, so stores written before
+    the label was derived still load."""
+    from repro.planner.signature import SignatureFactory
+
+    signature = SignatureFactory(MACHINE, itemsize=itemsize).signature_for(SMALL)
+    assert signature.dtype == label
+    assert signature.key().split("|")[1] == label

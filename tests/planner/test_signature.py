@@ -132,7 +132,7 @@ class TestSignatureFactoryParity:
         {"memory_budget_bytes": float(1 << 30)},
         {"schemes": ("column", "outer")},
         {"stationary_options": ("A",)},
-        {"itemsize": 2, "dtype": "float16"},
+        {"itemsize": 2},
         {"bucket_ratio": 1.0},
         {"config": "iteration_offset_off"},
     ], ids=["top_k", "memory_budget", "schemes", "stationary", "itemsize",

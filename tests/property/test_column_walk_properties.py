@@ -1,13 +1,14 @@
-"""The planner's contended column walk equals the direct executor's event walk.
+"""The planner's contended column walk equals the op-object executor.
 
-``BatchEvaluator.simulate`` ranks the winners with ``BatchEvaluator._walk``:
-the contended timing walk of a program's priced execution-order columns,
-its state held as plain floats and lists.  The oracle is the one event walk,
-``DirectExecutor.execute_columns`` on a fresh contended ``EventEngine`` over
-the same columns.  The makespan and both remote-byte totals must be equal
-with ``==`` across machines (with and without accumulate-compute
-interference), every ``ExecutionConfig`` window, dense, block-sparse and MoE
-workloads, uneven ``CustomTiles`` and replication.
+``BatchEvaluator.simulate`` ranks the winners with
+``repro.core.walk.walk_columns``, the direct executor's walk: the contended
+timing walk of a program's priced execution-order columns, its state held as
+plain floats and lists.  The oracle is ``tests/direct_oracle.OracleExecutor``
+on a fresh contended ``EventEngine``, walking the same candidate's op
+objects.  The makespan and both remote-byte totals must be equal with ``==``
+across machines (with and without accumulate-compute interference), every
+``ExecutionConfig`` window, dense, block-sparse and MoE workloads, uneven
+``CustomTiles`` and replication.
 """
 
 import random
@@ -20,13 +21,16 @@ from repro.bench.schemes import PartitioningScheme, ua_schemes
 from repro.bench.sweep import valid_replication_factors
 from repro.bench.workloads import Workload
 from repro.core.config import ExecutionConfig
-from repro.core.direct import DirectExecutor
+from repro.core.stationary import parse_stationary
 from repro.core.structure import BlockSparse, MoERagged
+from repro.core.walk import walk_columns
 from repro.dist.partition import CustomTiles
 from repro.planner.search import enumerate_candidates
 from repro.sim.batch import BatchEvaluator
 from repro.sim.engine import EventEngine
 from repro.topology.machines import h100_system, pvc_system, uniform_system
+from tests.direct_oracle import OracleExecutor
+from tests.property.test_direct_oracle_properties import _oracle_ops
 
 MACHINES = {
     "h100_8": h100_system(8),
@@ -104,16 +108,28 @@ def _candidates(machine, workload, seed: int):
     return candidates
 
 
-def engine_walk(evaluator: BatchEvaluator, program, cols):
-    """The oracle: the executor's walk on a fresh contended ``EventEngine``."""
-    cls = program.cls
-    executor = DirectExecutor(cls.a, cls.b, cls.c, evaluator.cost_model,
-                              evaluator.config,
-                              engine=EventEngine(evaluator.machine.num_devices),
-                              structure=evaluator.structure)
-    makespan, stats = executor.execute_columns(cols)
+def _totals(makespan, stats):
     return (makespan, sum(s.remote_get_bytes for s in stats.values()),
             sum(s.remote_accumulate_bytes for s in stats.values()))
+
+
+def column_walk(evaluator: BatchEvaluator, program, cols):
+    """The walk ``simulate`` runs, on a program's execution-order columns."""
+    cls = program.cls
+    return _totals(*walk_columns(cols, (cls.a, cls.b, cls.c), evaluator.config,
+                                 evaluator.machine.accumulate_compute_interference))
+
+
+def oracle_walk(evaluator: BatchEvaluator, program):
+    """The oracle: the op-object executor on a fresh contended ``EventEngine``."""
+    cls = program.cls
+    config = evaluator.config
+    executor = OracleExecutor(cls.a, cls.b, cls.c, evaluator.cost_model, config,
+                              engine=EventEngine(evaluator.machine.num_devices),
+                              structure=evaluator.structure)
+    ops = _oracle_ops(cls.a, cls.b, cls.c, parse_stationary(program.candidate.stationary),
+                      config, evaluator.structure)
+    return _totals(*executor.execute(ops))
 
 
 def assert_walks_equal(machine, workload, config, candidates) -> None:
@@ -121,16 +137,16 @@ def assert_walks_equal(machine, workload, config, candidates) -> None:
     for candidate in candidates:
         program = evaluator.compile(candidate)
         cols = program.exec_columns(config.iteration_offset)
-        walked = evaluator._walk(cols, program.rank_starts.tolist())
-        assert walked == engine_walk(evaluator, program, cols), candidate
+        assert column_walk(evaluator, program, cols) == oracle_walk(evaluator, program), \
+            candidate
 
 
-class TestColumnWalkEqualsEngine:
+class TestColumnWalkEqualsOracle:
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(machine=st.sampled_from(sorted(MACHINES)), config=walk_config(),
            workload=any_workload(), seed=st.integers(min_value=0, max_value=2**16))
-    def test_walk_equals_event_engine(self, machine, config, workload, seed):
+    def test_walk_equals_oracle(self, machine, config, workload, seed):
         machine = MACHINES[machine]
         candidates = _candidates(machine, workload, seed)
         rng = random.Random(seed)
@@ -151,15 +167,14 @@ class TestColumnWalkEqualsEngine:
                            random.Random(0).sample(candidates, k=min(48, len(candidates))))
 
     def test_simulate_reports_the_walk(self):
-        """``simulate``'s makespan and byte totals are the walk's."""
+        """``simulate``'s makespan and byte totals are the oracle's."""
         machine = MACHINES["h100_8"]
         workload = Workload("dense_256x256x128", 256, 256, 128)
         config = ExecutionConfig(simulate_only=True)
         evaluator = BatchEvaluator(machine, workload, config)
         for candidate in _candidates(machine, workload, seed=0)[:12]:
             program = evaluator.compile(candidate)
-            cols = program.exec_columns(config.iteration_offset)
-            makespan, get_bytes, acc_bytes = engine_walk(evaluator, program, cols)
+            makespan, get_bytes, acc_bytes = oracle_walk(evaluator, program)
             point = evaluator.simulate(candidate)
             reduce_time = (program.cls.reduce_time
                            if program.cls.c.replication.num_replicas > 1 else 0.0)

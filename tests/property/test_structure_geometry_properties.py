@@ -152,6 +152,13 @@ class TestBlockSparseGeometry:
         structure, k, n = case
         assert structure.effective_flops(m, n, k) == oracle.effective_flops(structure, m, n, k)
 
+    @_SETTINGS
+    @given(case=block_sparse())
+    def test_live_blocks(self, case):
+        structure = case[0]
+        live = structure.live_blocks
+        assert type(live) is int and live == oracle.live_blocks(structure)
+
     def test_partial_last_block_and_past_the_grid(self):
         # k=10, n=7 over 4x3 blocks: the last block row holds 2 rows, the
         # last block column 1 column; coordinates past the grid are dead.

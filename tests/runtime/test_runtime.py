@@ -156,26 +156,19 @@ class TestTrafficAccounting:
         runtime.get(handle, 1, initiator=0)
         runtime.reset_counters()
         assert runtime.traffic.total_bytes() == 0
-        assert runtime.clock.makespan() == 0.0
 
 
 class TestTransferTimeModel:
     def test_local_transfer_cheaper_than_remote(self):
-        rt = Runtime(machine=pvc_system(12))
-        local = rt.transfer_time(0, 0, 1 << 20)
-        remote = rt.transfer_time(0, 5, 1 << 20)
+        topology = Runtime(machine=pvc_system(12)).topology
+        local = topology.transfer_time(0, 0, 1 << 20)
+        remote = topology.transfer_time(0, 5, 1 << 20)
         assert local < remote
 
-    def test_accumulate_slower_than_get(self):
-        rt = Runtime(machine=pvc_system(12))
-        get = rt.transfer_time(0, 5, 1 << 20)
-        acc = rt.transfer_time(0, 5, 1 << 20, accumulate=True)
-        assert acc > get
-
     def test_intra_gpu_tile_pair_faster_than_xe_link(self):
-        rt = Runtime(machine=pvc_system(12))
+        topology = Runtime(machine=pvc_system(12)).topology
         # tiles 0 and 1 share a GPU; 0 and 2 do not.
-        assert rt.transfer_time(0, 1, 1 << 24) < rt.transfer_time(0, 2, 1 << 24)
+        assert topology.transfer_time(0, 1, 1 << 24) < topology.transfer_time(0, 2, 1 << 24)
 
 
 class TestSpmd:

@@ -51,6 +51,11 @@ def interval_block_overlaps(bound: Interval, block: int, count: int):
             yield idx, hi - lo
 
 
+def live_blocks(structure: BlockSparse) -> int:
+    """Live blocks of the mask, counted one block at a time."""
+    return sum(1 for row in structure.mask for live in row if live)
+
+
 def _block_live_fraction(structure: BlockSparse, role: str, rows: Interval,
                          cols: Interval) -> float:
     _check_role(role)
