@@ -60,6 +60,12 @@ python benchmarks/bench_serving_throughput.py --check
 echo "== benchmark smoke: classical baselines (E9 orderings: UA-traditional vs SUMMA and the 1-D series) =="
 python -m pytest -q --benchmark-disable benchmarks/bench_baselines_classic.py
 
+echo "== benchmark smoke: paper figures and tables (Fig. 2-3 MLPs, Tables 1-2, replication ablation) =="
+python -m pytest -q --benchmark-disable benchmarks/bench_fig2_mlp1_pvc.py \
+  benchmarks/bench_fig2_mlp2_pvc.py benchmarks/bench_fig3_mlp1_h100.py \
+  benchmarks/bench_fig3_mlp2_h100.py benchmarks/bench_table1_primitives.py \
+  benchmarks/bench_table2_systems.py benchmarks/bench_ablation_replication.py
+
 echo "== benchmark smoke: event-engine drift check =="
 python benchmarks/bench_event_engine_smoke.py --check
 

@@ -141,11 +141,13 @@ class CostModel:
     # ------------------------------------------------------------------ #
     # compute
     # ------------------------------------------------------------------ #
-    def _roofline(self, flops, bytes_touched, m, n, k) -> np.ndarray:
+    def roofline(self, flops, bytes_touched, m, n, k) -> np.ndarray:
         """Launch overhead plus the slower of compute and memory time.
 
         Compute runs at the machine's GEMM efficiency scaled by the shape
-        efficiency of the (m, n, k) the kernel really runs.
+        efficiency of the (m, n, k) the kernel really runs.  The shape
+        efficiency rises with each dimension, so pricing ``flops`` at
+        dimensions no smaller than a kernel's never overstates its time.
         """
         machine = self.machine
         efficiency = machine.gemm_efficiency * self.shape_model.efficiency(m, n, k)
@@ -158,7 +160,7 @@ class CostModel:
         flops = 2.0 * m * n * k
         bytes_touched = float(itemsize) * (m * k + k * n + 2 * m * n)
         return np.where((m <= 0) | (n <= 0) | (k <= 0), 0.0,
-                        self._roofline(flops, bytes_touched, m, n, k))
+                        self.roofline(flops, bytes_touched, m, n, k))
 
     def live_gemm_time(self, m, n, k, itemsize: int,
                        fractions: Sequence, dims: Sequence) -> np.ndarray:
@@ -178,7 +180,7 @@ class CostModel:
         bytes_touched = float(itemsize) * (
             a_frac * (m * k) + b_frac * (k * n) + 2.0 * c_frac * (m * n)
         )
-        return np.where(flops_frac <= 0.0, 0.0, self._roofline(flops, bytes_touched, *dims))
+        return np.where(flops_frac <= 0.0, 0.0, self.roofline(flops, bytes_touched, *dims))
 
     def local_accumulate_time(self, nbytes) -> np.ndarray:
         """Time to add a temporary result into a locally owned tile (memory bound)."""

@@ -111,7 +111,11 @@ class DirectExecutor(TableExecutor):
 
         ``cols`` are :meth:`CostModel.event_columns` rows priced by
         :meth:`CostModel.price_rows`, rank-major and in execution order.
+        The walk returns plain per-rank totals; each rank's
+        :class:`~repro.core.result.RankStats` is built from them here.
         """
-        return walk_columns(cols, (self.a, self.b, self.c), self.config,
-                            self.cost_model.machine.accumulate_compute_interference,
-                            self.engine)
+        makespan, totals = walk_columns(
+            cols, (self.a, self.b, self.c), self.config,
+            self.cost_model.machine.accumulate_compute_interference, self.engine)
+        return makespan, {rank: RankStats(rank, *values)
+                          for rank, values in enumerate(zip(*totals))}

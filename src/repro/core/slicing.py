@@ -26,11 +26,14 @@ straight into the paper's loop order.  :func:`generate_all_ops`
 turns the rows into :class:`LocalMatmulOp` objects and :func:`ops_table`
 turns op lists back into rows; the executors, the planner's batch evaluator
 and the cost-based strategy choice price the rows without building objects.
+:func:`tile_traffic` runs the same arithmetic at tile granularity: which
+tiles each rank's stationary tiles meet, without cutting any axis into
+segments; the planner's table-free pre-bound prices it.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -290,6 +293,184 @@ def slice_table(tasks: Sequence[Tuple[OperandLayout, OperandLayout, OperandLayou
         owner += (unit_rank // rpr[unit_lay] * rpr[unit_lay])[row_unit]
         table[f"{side}_owner"] = owner
     return table
+
+
+def tile_traffic(tasks: Sequence[Tuple[OperandLayout, OperandLayout, OperandLayout,
+                                       Stationary]]
+                 ) -> Tuple[Dict[str, np.ndarray], ...]:
+    """Per task, what each rank computes, reads and accumulates, tile by tile.
+
+    The index arithmetic of :func:`slice_table` at tile granularity.  A
+    *block* is a rank's stationary tile cut to the rank's replica share of
+    the free axis: one interval on each of m, k and n.  The tiles of an
+    operand it meets are the *rectangle* of that operand's tiles
+    overlapping two of those intervals (A: m and k, B: k and n, C: m and
+    n).  No segment or op is built, so the work scales with the tiles met,
+    not with the ops.  Returns four tables of columns:
+
+    * ``blocks``: per block its ``task``, ``rank``, stationary ``tile``
+      (flat index) and per axis ``x`` of m, k, n: the interval length
+      ``x``, a lower bound ``x_segments`` on the segments it is cut into
+      (either operand on the axis has that many tiles in it) and an upper
+      bound ``x_longest`` on a segment's length (each lies in one tile of
+      either operand).  The block's ops are the product of its segments.
+    * ``reads``: one row per distinct ``(task, rank, side, tile)`` of a
+      non-stationary A (``side`` 0) or B (1) tile: exactly the distinct
+      ``(rank, a_key)`` and ``(rank, b_key)`` of the task's
+      :func:`slice_table` rows, less the stationary operand's own tiles.
+    * ``writes``: per block and C tile it meets, the ``block``, the
+      ``tile`` and the ``elements`` of the block's m x n product that land
+      in it; each of them is accumulated once per k segment.
+    * ``tiles``: per tile of the distinct layouts, laid end to end, its
+      ``position`` (owner within a replica) and its layout's
+      ``ranks_per_replica`` (``tile`` columns index this table).  A rank
+      reaches every tile in its own replica: the owner is
+      ``rank // ranks_per_replica * ranks_per_replica + position``.  Also
+      each tile's ``elements``.
+
+    ``tasks`` must not be empty.
+    """
+    given = [layout for task in tasks for layout in task[:3]]
+    layouts = list(dict.fromkeys(given))  # layouts hash by identity
+    index_of = {layout: index for index, layout in enumerate(layouts)}
+    lay = np.fromiter(map(index_of.__getitem__, given), np.int64, len(given)).reshape(-1, 3)
+    num_tasks = lay.shape[0]
+    kind = np.array([_OPERAND[task[3]] for task in tasks])
+    ncols, rpr, factor = (np.array([getattr(layout, name) for layout in layouts])
+                          for name in ("ncols", "ranks_per_replica", "factor"))
+    num_tiles = np.array([layout.positions.size for layout in layouts])
+    tile_at = _starts(num_tiles)
+    p = int(rpr[0] * factor[0])
+
+    # -- split lists: layout x's rows are list 2x, its columns 2x + 1 ------ #
+    # Band t of list l is [low[band_at[l] + t], high[band_at[l] + t]).  For
+    # the overlap queries each list is offset by l * span, so one sorted
+    # array of band starts (and one of stops) holds every list.
+    splits = [s for layout in layouts for s in (layout.row_splits, layout.col_splits)]
+    sizes = np.array([len(s) for s in splits])
+    points = np.fromiter(chain.from_iterable(splits), np.int64, int(sizes.sum()))
+    is_last = np.zeros(points.size, dtype=bool)
+    is_last[np.cumsum(sizes) - 1] = True
+    low, high = points[~is_last], points[~np.roll(is_last, 1)]
+    band_at = _starts(sizes - 1)
+    extents = points[is_last]
+    span = int(extents.max()) + 1
+    offset = np.repeat(np.arange(sizes.size) * span, sizes - 1)
+    low_key, high_key = low + offset, high + offset
+
+    # -- blocks: one per (task, rank, stationary tile) ---------------------- #
+    stat = lay[np.arange(num_tasks), kind]
+    tile_counts = np.array([layout.rank_tiles[0].size for layout in layouts])
+    blk_task, blk_at = _expand(tile_counts[stat])
+    blk_at += _starts(tile_counts)[stat][blk_task]
+    blk_rank = np.concatenate([layout.rank_tiles[0] for layout in layouts])[blk_at]
+    blk_flat = np.concatenate([layout.rank_tiles[1] for layout in layouts])[blk_at]
+    blk_stat = stat[blk_task]
+    blk_kind = kind[blk_task]
+    blk_lay = lay[blk_task].T
+    # The stationary tile's row and column bands, and the rank's share r of
+    # the free axis's extent e in f shares: [r * (e // f) + min(r, e % f), ...).
+    stat_i = blk_flat // ncols[blk_stat]
+    stat_j = blk_flat - stat_i * ncols[blk_stat]
+    rows = band_at[2 * blk_stat] + stat_i
+    cols = band_at[2 * blk_stat + 1] + stat_j
+    # The free axis's extent: B's columns for n (A stationary), A's rows for
+    # m (B stationary), A's columns for k (C stationary).
+    is_a, is_b = blk_kind == 0, blk_kind == 1
+    extent = extents[np.where(is_a, 2 * blk_lay[1] + 1, 2 * blk_lay[0] + (blk_kind == 2))]
+    share = blk_rank // rpr[blk_stat]
+    width, extra = np.divmod(extent, factor[blk_stat])
+    share_lo = share * width + np.minimum(share, extra)
+    share_hi = share_lo + width + (share < extra)
+    # (m, k, n) per stationary A, B, C: (rows, cols, share), (share, rows,
+    # cols), (rows, share, cols).
+    lo, hi = ((np.where(is_b, free, band_rows), np.where(is_a, band_cols, np.where(
+                  is_b, band_rows, free)), np.where(is_a, free, band_cols))
+              for band_rows, band_cols, free in ((low[rows], low[cols], share_lo),
+                                                 (high[rows], high[cols], share_hi)))
+    m, k, n = (h - l for l, h in zip(lo, hi))
+    live = (m > 0) & (k > 0) & (n > 0)
+
+    # -- rectangles: the tiles of A (m, k), B (k, n) and C (m, n) ----------- #
+    # Rows: A rows and columns, B rows and columns, C rows and columns.  The
+    # stationary operand's rectangle is its own tile; the others' are
+    # searched: a band overlaps [lo, hi) when it stops after lo and starts
+    # before hi.
+    axis = [0, 1, 1, 2, 0, 2]
+    lists_all = 2 * blk_lay.repeat(2, axis=0)
+    lists_all[1::2] += 1
+    search = np.repeat(np.arange(3), 2)[:, None] != blk_kind
+    lists = lists_all[search]
+    shift = lists * span
+    found = np.searchsorted(high_key, np.stack([lo[x] for x in axis])[search] + shift,
+                            side="right")
+    first = np.stack((stat_i, stat_j) * 3)
+    first[search] = found - band_at[lists]
+    count = np.ones_like(first)
+    count[search] = np.searchsorted(low_key, np.stack([hi[x] for x in axis])[search]
+                                    + shift) - found
+    count *= live  # an empty block meets no tile
+    # Per axis, the segments: at least as many as either operand has tiles
+    # in the interval, and none longer than the interval or either
+    # operand's longest tile.
+    blocks = {"task": blk_task, "rank": blk_rank, "tile": blk_flat}
+    longest = np.maximum.reduceat(high - low, band_at)[lists_all]
+    for x, (size, one, other) in enumerate(zip((m, k, n), (0, 1, 3), (4, 2, 5))):
+        name = "mkn"[x]
+        blocks[name] = size
+        blocks[f"{name}_segments"] = np.maximum(count[one], count[other])
+        blocks[f"{name}_longest"] = np.minimum(size, np.minimum(longest[one], longest[other]))
+    # The stationary operand's own tile is the reading rank's.
+    count[:4] *= search[:4]
+    first_tile = tile_at[blk_lay] + first[0::2] * ncols[blk_lay] + first[1::2]
+
+    num_blocks = blk_task.size
+
+    def expand(sides):
+        """``(side, block, row, column, tile)`` of every tile in the given
+        sides' rectangles; row and column count from the rectangle's corner."""
+        widths = count[1::2][sides].ravel()
+        unit, at = _expand(count[0::2][sides].ravel() * widths)
+        side = unit >= num_blocks
+        blk = unit - side * num_blocks
+        row, col = np.divmod(at, widths[unit])
+        tile = (first_tile[sides].ravel()[unit] + col
+                + row * ncols[blk_lay[sides].ravel()[unit]])
+        return side, blk, row, col, tile
+
+    side, blk, _, _, tile = expand([0, 1])
+    task, rank = blk_task[blk], blk_rank[blk]
+    # A rank with several stationary tiles may meet a tile more than once;
+    # it reads it once.
+    group = blk_task * p + blk_rank
+    several = np.bincount(group, minlength=num_tasks * p)[group] > 1
+    if several.any():
+        shared = several[blk]
+        keys = ((group[blk] * 2 + side) * int(num_tiles.sum()) + tile)[shared]
+        keep = ~shared
+        keep[np.flatnonzero(shared)[np.unique(keys, return_index=True)[1]]] = True
+        task, rank, side, tile = task[keep], rank[keep], side[keep], tile[keep]
+    reads = {"task": task, "rank": rank, "side": side.astype(np.int64), "tile": tile}
+
+    _, blk, row, col, tile = expand([2])
+    c_lay = blk_lay[2, blk]
+    row += band_at[2 * c_lay] + first[4, blk]
+    col += band_at[2 * c_lay + 1] + first[5, blk]
+    overlap = ((np.minimum(hi[0][blk], high[row]) - np.maximum(lo[0][blk], low[row]))
+               * (np.minimum(hi[2][blk], high[col]) - np.maximum(lo[2][blk], low[col])))
+    writes = {"block": blk, "tile": tile, "elements": overlap}
+
+    # -- tiles: every layout's, row-major -------------------------------- #
+    tile_lay = np.repeat(np.arange(len(layouts)), num_tiles)
+    tile_i, tile_j = np.divmod(np.arange(tile_lay.size) - tile_at[tile_lay], ncols[tile_lay])
+    row = band_at[2 * tile_lay] + tile_i
+    col = band_at[2 * tile_lay + 1] + tile_j
+    tiles = {
+        "position": np.concatenate([layout.positions for layout in layouts]),
+        "ranks_per_replica": rpr[tile_lay],
+        "elements": (high[row] - low[row]) * (high[col] - low[col]),
+    }
+    return blocks, reads, writes, tiles
 
 
 def first_occurrence(group: np.ndarray, key: np.ndarray, mask: np.ndarray) -> np.ndarray:

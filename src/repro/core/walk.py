@@ -43,17 +43,33 @@ planner's critical-path bound.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import ExecutionConfig
-from repro.core.result import RankStats
 from repro.util.indexing import Interval, Rect
 
 #: A tile held for an op is ``(ready time, fetch event, data)``; this is a
 #: local tile of a walk that moves no data.
 _LOCAL = (0.0, None, None)
+
+
+class RankTotals(NamedTuple):
+    """One walk's per-rank totals: each field is a list indexed by rank.
+
+    The fields are those of :class:`repro.core.result.RankStats`, in its
+    order, so ``RankStats(rank, *values)`` rebuilds one rank's record.
+    """
+
+    num_ops: List[int]
+    flops: List[int]
+    remote_get_bytes: List[int]
+    remote_accumulate_bytes: List[int]
+    compute_time: List[float]
+    copy_time: List[float]
+    accumulate_time: List[float]
+    finish_time: List[float]
 
 
 def tile_regions(cols: Dict[str, np.ndarray], matrices: Sequence) -> Tuple[list, list]:
@@ -75,15 +91,18 @@ def tile_regions(cols: Dict[str, np.ndarray], matrices: Sequence) -> Tuple[list,
 
 def walk_columns(cols: Dict[str, np.ndarray], matrices: Sequence,
                  config: ExecutionConfig, interference: float, engine=None
-                 ) -> Tuple[float, Dict[int, RankStats]]:
-    """Walk priced op columns; returns (compute makespan, per-rank stats).
+                 ) -> Tuple[float, RankTotals]:
+    """Walk priced op columns; returns (compute makespan, per-rank totals).
 
     ``matrices`` are the multiply's A, B and C.  ``interference`` is the
     share of a rank's compute that its remote accumulates steal.  ``engine``,
     an optional :class:`~repro.sim.engine.EventEngine`, records the walk.  Each
     rank's busy times are summed in posting order, as
     :meth:`~repro.runtime.clock.DeviceTimeline.busy_time` sums them, and its
-    finish time includes its device's egress and ingress ends.
+    finish time includes its device's egress and ingress ends.  The GEMM
+    window (``max_concurrent_gemms``) never moves a start, because GEMMs run
+    FIFO on the compute engine; it only shapes the dependency edge a traced
+    run records.
     """
     runtime = matrices[0].runtime
     p = runtime.num_ranks
@@ -300,17 +319,10 @@ def walk_columns(cols: Dict[str, np.ndarray], matrices: Sequence,
                     if owners[x][row] != rank:
                         runtime.pool(rank).release(tile[2])
 
-    stats = {}
-    for rank in range(p):
-        for buffer in cached_buffers[rank]:
-            runtime.pool(rank).release(buffer)
-        stats[rank] = RankStats(
-            rank=rank, num_ops=num[rank], flops=flop_sum[rank],
-            remote_get_bytes=get_bytes[rank], remote_accumulate_bytes=acc_bytes[rank],
-            compute_time=compute_busy[rank], copy_time=copy_busy[rank],
-            accumulate_time=accumulate_busy[rank],
-            finish_time=max(compute[rank], copy[rank], accumulate[rank],
-                            egress_end[rank], ingress_end[rank]))
-    makespan = max(max(compute), max(copy), max(accumulate),
-                   max(egress_end), max(ingress_end))
-    return makespan, stats
+    if pooled:
+        for rank in range(p):
+            for buffer in cached_buffers[rank]:
+                runtime.pool(rank).release(buffer)
+    finish = list(map(max, compute, copy, accumulate, egress_end, ingress_end))
+    return max(finish), RankTotals(num, flop_sum, get_bytes, acc_bytes, compute_busy,
+                                   copy_busy, accumulate_busy, finish)

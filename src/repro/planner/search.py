@@ -4,14 +4,26 @@ The exhaustive selector simulates every (scheme, replication, stationary)
 candidate.  Simulation is the expensive part: the direct executor walks every
 generated op through the per-engine clock.  This module keeps the exhaustive
 enumeration but adds branch-and-bound pruning on top of the *admissible*
-bounds of :class:`repro.sim.batch.BatchEvaluator` — the one bound path: a
-per-engine occupancy bound priced for the whole frontier at once, refined to
-a critical-path bound (a relaxed replay of the event stream) for candidates
-that reach the top of the heap.  Both bounds never exceed the simulated
-makespan, so:
+bounds of :class:`repro.sim.batch.BatchEvaluator` — the one bound path, in
+three stages of rising cost:
+
+1. a table-free *pre-bound* for the whole frontier at once, priced from the
+   tiles each rank meets (no slicing table is built);
+2. the per-engine *occupancy bound*, priced from a candidate's slicing
+   table.  Unbuilt candidates wait in (pre-bound, index) order; whenever
+   the next one would precede the heap top, a *prefix batch* of them is
+   built (``max(8, n // 8)`` candidates, doubling each time, plus every
+   candidate tied with the batch's last) and their occupancy bounds join
+   the heap.  A pre-bound never exceeds the occupancy bound, so the heap
+   pops exactly what it would pop with every table built;
+3. the *critical-path bound* (a relaxed replay of the event stream), for
+   candidates that reach the top of the heap.
+
+Every bound never exceeds the simulated makespan, so:
 
 * a candidate whose bound is already worse than the incumbent's **simulated**
-  time cannot win and is skipped without simulating it;
+  time cannot win and is skipped without simulating it (or, when its
+  pre-bound is, without building its table);
 * candidates are visited in ascending-bound order, so a strong incumbent is
   found early and prunes most of the space;
 * strict inequality at the threshold guarantees the pruned search returns the
@@ -29,6 +41,8 @@ import heapq
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.bench.schemes import PartitioningScheme, ua_schemes
 from repro.bench.selector import PartitioningRecommendation
@@ -65,10 +79,13 @@ class SearchStats:
     #: Candidates that survived the cheap occupancy gate and had the
     #: expensive critical-path bound computed for them.
     num_refined: int = 0
+    #: Candidates whose slicing table was built: those the table-free
+    #: pre-bound could not prune, plus the rest of their prefix batches.
+    num_built: int = 0
     pruning_enabled: bool = True
     #: Seconds compiling candidate op streams (batch evaluator only).
     opgen_seconds: float = 0.0
-    #: Seconds pricing the eager occupancy bound for the frontier.
+    #: Seconds pricing the pre-bound and the prefix batches' occupancy bounds.
     bound_seconds: float = 0.0
     #: Seconds refining heap-top candidates with the critical-path bound.
     refine_seconds: float = 0.0
@@ -81,6 +98,7 @@ class SearchStats:
         self.num_simulated += other.num_simulated
         self.num_pruned += other.num_pruned
         self.num_refined += other.num_refined
+        self.num_built += other.num_built
         self.opgen_seconds += other.opgen_seconds
         self.bound_seconds += other.bound_seconds
         self.refine_seconds += other.refine_seconds
@@ -171,15 +189,18 @@ def search_partitionings(
     Every bound comes from one :class:`repro.sim.batch.BatchEvaluator`, built
     for any direct-mode config: bounds read no data, so a materializing
     config is bounded with its ``simulate_only`` twin.  The bounds are staged
-    by cost (lazy best-first refinement): the cheap occupancy bound is priced
-    eagerly for the whole frontier in one vectorized pass, and candidates are
+    by cost (lazy best-first refinement): the table-free pre-bound is priced
+    for the whole frontier in one vectorized pass, occupancy bounds for
+    prefix batches of it as the search reaches them, and candidates are
     visited through a min-heap keyed by their best-known bound.  When an
     *unrefined* candidate reaches the top, its critical-path bound — a
     relaxed replay of the whole event stream, memoized per rank stream — is
     computed and the candidate is pushed back; only candidates that surface
     again are simulated.  The visit order therefore converges to the
     tight-bound order (strong incumbents found early) while candidates
-    prunable by the cheap bound never pay for the expensive one.
+    prunable by a cheaper bound never pay for a dearer one.  The search
+    stops when the smaller of the heap top and the next unbuilt pre-bound
+    exceeds the top-k threshold.
     Simulate-only configs are simulated by the same evaluator, which shares
     each candidate's compiled program between its bounds and its simulation;
     materializing configs and IR mode (which is never pruned) simulate with
@@ -191,8 +212,9 @@ def search_partitionings(
     raises :class:`ValueError` before any work.
 
     ``tracer`` (a :class:`repro.obs.tracing.Tracer`) opens child spans for the
-    search phases — the eager frontier pricing plus every refinement and
-    simulation — so a traced request shows where its planning time went.
+    search phases — the pre-bound and every prefix build (``search.bound``),
+    refinement and simulation — so a traced request shows where its planning
+    time went.
     ``None`` (the default) uses the disabled tracer, which records nothing.
     """
     float_dtype(itemsize)  # reject an unsupported element size before any work
@@ -226,28 +248,29 @@ def search_partitionings(
                                    config.evolve(simulate_only=True), itemsize=itemsize)
     simulator = evaluator if evaluator is not None and config.simulate_only else None
 
-    by_index = {candidate.index: candidate for candidate in candidates}
+    bound_seconds = 0.0  # the pre-bound and the prefix builds
+    bound_opgen = 0.0  # the op generation inside them
     if prune:
         started = time.perf_counter()
-        # Cheap bound for everyone; `False` marks the bound as not yet
-        # refined to the tight (expensive) one.  Heap order is (bound, index),
-        # so ties fall back to enumeration order, deterministically.
         with tracer.span("search.bound", candidates=len(candidates)):
-            eager = evaluator.frontier_occupancy_bounds(candidates)
-            heap = [(bound, candidate.index, False)
-                    for bound, candidate in zip(eager, candidates)]
-            heapq.heapify(heap)
-        elapsed = time.perf_counter() - started
-        stats.opgen_seconds = evaluator.opgen_seconds
-        stats.bound_seconds = elapsed - evaluator.opgen_seconds
+            pre = evaluator.frontier_pre_bounds(candidates)
+        # Unbuilt candidates wait in (pre-bound, index) order: `order[built:]`.
+        order = np.argsort(pre, kind="stable")
+        waiting = pre[order]
+        bound_seconds = time.perf_counter() - started
+        bound_opgen = evaluator.opgen_seconds
+        heap: List[Tuple[float, int, bool]] = []
     else:
+        order = waiting = np.zeros(0)
         heap = [(0.0, candidate.index, True) for candidate in candidates]
+    built = 0
+    batch = max(8, len(order) // 8)
 
     results: List[Tuple[int, PartitioningRecommendation]] = []
     best_times: List[float] = []  # k smallest simulated times seen so far
     threshold = float("inf")
     refine_seconds = 0.0
-    opgen_loop_start = evaluator.opgen_seconds if evaluator is not None else 0.0
+    build_seconds = 0.0  # prefix builds inside the loop
     started = time.perf_counter()
 
     def simulate(candidate: Candidate) -> None:
@@ -279,16 +302,44 @@ def search_partitionings(
         if len(best_times) == top_k:
             threshold = best_times[-1]
 
-    while heap:
+    while True:
+        if built < len(order) and (not heap or (float(waiting[built]), int(order[built]))
+                                   < heap[0][:2]):
+            # The next unbuilt candidate would precede the heap top, so its
+            # occupancy bound might too: build a prefix batch.  A pre-bound
+            # never exceeds the occupancy bound, so every candidate still
+            # waiting after it follows it in the heap order as well.
+            if waiting[built] > threshold:
+                stats.num_pruned += len(heap) + len(order) - built
+                break
+            # The batch takes every candidate tied with its last member.
+            end = int(np.searchsorted(waiting, waiting[min(built + batch, len(order)) - 1],
+                                      side="right"))
+            batch_started = time.perf_counter()
+            opgen_before = evaluator.opgen_seconds
+            with tracer.span("search.bound", candidates=end - built):
+                prefix = [candidates[index] for index in order[built:end].tolist()]
+                for bound, candidate in zip(evaluator.frontier_occupancy_bounds(prefix),
+                                            prefix):
+                    # `False`: not yet refined to the critical-path bound.
+                    heapq.heappush(heap, (bound, candidate.index, False))
+            build_seconds += time.perf_counter() - batch_started
+            bound_opgen += evaluator.opgen_seconds - opgen_before
+            built = end
+            batch *= 2
+            continue
+        if not heap:
+            break
         value, index, refined = heapq.heappop(heap)
         # Strict inequality keeps ties simulated, which is what makes the
         # pruned ranking provably identical to the exhaustive one.  Every
-        # entry still in the heap carries an admissible bound >= this one,
-        # so once the smallest exceeds the threshold the rest follow.
+        # entry still in the heap, and every candidate still unbuilt,
+        # carries an admissible bound >= this one, so once the smallest
+        # exceeds the threshold the rest follow.
         if prune and value > threshold:
-            stats.num_pruned += 1 + len(heap)
+            stats.num_pruned += 1 + len(heap) + len(order) - built
             break
-        candidate = by_index[index]
+        candidate = candidates[index]  # an enumeration index is a position
         if not refined:
             refine_started = time.perf_counter()
             with tracer.span("search.refine", candidate=index):
@@ -298,16 +349,17 @@ def search_partitionings(
             heapq.heappush(heap, (tight, index, True))
             continue
         simulate(candidate)
-    # Refinements run inside the loop but are bound work, not simulation
-    # work; likewise compile time incurred during the loop (exhaustive runs
-    # compile lazily inside simulate) is op-gen work.
-    loop_elapsed = time.perf_counter() - started
-    loop_opgen = 0.0
+    # Prefix builds and refinements run inside the loop but are bound work,
+    # not simulation work; likewise compile time incurred during the loop
+    # (exhaustive runs compile lazily inside simulate) is op-gen work.
+    loop_seconds = time.perf_counter() - started - build_seconds - refine_seconds
     if evaluator is not None:
-        loop_opgen = evaluator.opgen_seconds - opgen_loop_start
-        stats.opgen_seconds += loop_opgen
+        stats.opgen_seconds = evaluator.opgen_seconds
+        stats.num_built = evaluator.num_built
+        loop_seconds -= evaluator.opgen_seconds - bound_opgen
+    stats.bound_seconds = bound_seconds + build_seconds - bound_opgen
     stats.refine_seconds = refine_seconds
-    stats.simulate_seconds = loop_elapsed - refine_seconds - loop_opgen
+    stats.simulate_seconds = loop_seconds
 
     # Exhaustive order: percent-of-peak descending, enumeration order on ties.
     results.sort(key=lambda pair: (-pair[1].percent_of_peak, pair[0]))

@@ -158,6 +158,8 @@ class ServiceStats:
     coalesced_requests: int = 0
     candidates_simulated: int = 0
     candidates_pruned: int = 0
+    #: Candidates whose slicing table a search built (``SearchStats.num_built``).
+    candidates_built: int = 0
     total_planning_time: float = 0.0
     #: Slowest single request observed (an extreme, not a sum — fleet
     #: aggregation must take the max of per-worker values).
@@ -334,7 +336,9 @@ class PlannerService:
         self._stats = ServiceStats()
         self.metrics_registry.add_source(self._samples, {
             "repro_planner_requests_total":
-                "Planning requests served, by outcome."})
+                "Planning requests served, by outcome.",
+            "repro_planner_tables_built_total":
+                "Candidate slicing tables built by plan searches."})
         # The machine and search options are fixed for the service's lifetime,
         # so their digests are computed once — the warm path must stay a dict
         # lookup, not an O(devices^2) hash per request.
@@ -535,6 +539,7 @@ class PlannerService:
                 self._stats.background_refreshes += 1
             self._stats.candidates_simulated += search_stats.num_simulated
             self._stats.candidates_pruned += search_stats.num_pruned
+            self._stats.candidates_built += search_stats.num_built
         if self.autosave and self.store_path is not None:
             self.cache.save(self.store_path)
         return entry, search_stats
@@ -622,16 +627,19 @@ class PlannerService:
             return replace(self._stats)
 
     def _samples(self) -> Samples:
-        """The registry source: requests by outcome from one :meth:`stats`
-        (a background refresh is a computed plan no request asked for)."""
+        """The registry source: requests by outcome (a background refresh is
+        a computed plan no request asked for) and tables built, from one
+        :meth:`stats`."""
         stats = self.stats()
         counts = {"hit": stats.cache_hits - stats.stale_hits,
                   "stale": stats.stale_hits,
                   "coalesced": stats.coalesced_requests,
                   "computed": stats.plans_computed - stats.background_refreshes}
-        return {"counters": {
+        counters = {
             instrument_name("repro_planner_requests_total", {"outcome": outcome}): count
-            for outcome, count in counts.items()}}
+            for outcome, count in counts.items()}
+        counters["repro_planner_tables_built_total"] = stats.candidates_built
+        return {"counters": counters}
 
     @property
     def metrics_registry(self):

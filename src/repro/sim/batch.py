@@ -6,17 +6,27 @@ simulation), each one rebuilding ``Runtime``/``DistributedMatrix`` objects
 and walking Python ``LocalMatmulOp`` dataclasses.  This module collapses all
 of that into a compile-once / price-vectorized / replay-memoized pipeline:
 
-1. **Candidate compilation** (:meth:`BatchEvaluator.compile`,
-   :meth:`BatchEvaluator.frontier_occupancy_bounds`) — each (scheme,
-   replication, stationary) candidate is compiled exactly once into a
-   :class:`CandidateProgram`: numpy event columns, one row per generated op
-   (rank, shape and bound starts, operand owners/tiles/bytes, the
-   remote/first-fetch flags).  The rows come from the slicing table
-   generator :func:`repro.core.slicing.slice_table` — the same rows
-   ``generate_all_ops`` turns into op objects — and the frontier pass builds
-   every uncompiled candidate of the frontier in one call, because numpy's
-   per-call overhead would dominate tables of a few dozen rows built one at
-   a time.  Structured workloads price the frontier's distinct (m, k, n)
+1. **Pre-bound, then candidate compilation**
+   (:meth:`BatchEvaluator.frontier_pre_bounds`,
+   :meth:`BatchEvaluator.compile`,
+   :meth:`BatchEvaluator.frontier_occupancy_bounds`) — the bounds come in
+   three stages of rising cost: a table-free pre-bound, the occupancy
+   bound, the critical-path bound (item 3).  The pre-bound prices the
+   frontier at tile granularity: :func:`repro.core.slicing.tile_traffic`
+   gives each rank's blocks, the distinct tiles it reads and the C tiles
+   it accumulates into, in one array program over tile rectangles, and
+   each engine slot of the occupancy bound gets a lower bound from them.
+   It never exceeds the occupancy bound, so the search builds tables only
+   for the candidates it cannot prune.  A candidate that needs a table is
+   compiled exactly once into a :class:`CandidateProgram`: numpy event
+   columns, one row per generated op (rank, shape and bound starts, operand
+   owners/tiles/bytes, the remote/first-fetch flags).  The rows come from
+   the slicing table generator :func:`repro.core.slicing.slice_table` — the
+   same rows ``generate_all_ops`` turns into op objects — and
+   :meth:`~BatchEvaluator.frontier_occupancy_bounds` builds a whole prefix
+   batch of candidates in one call, because numpy's per-call overhead
+   would dominate tables of a few dozen rows built one at a time.
+   Structured workloads price the frontier's distinct (m, k, n)
    cuboids in one exact array pass over the structure's geometry
    (:meth:`repro.core.structure.WorkloadStructure.cuboid_terms`) and drop
    fully masked rows before the first-fetch flags are computed.
@@ -26,7 +36,7 @@ of that into a compile-once / price-vectorized / replay-memoized pipeline:
    places that operand alike, so the frontier table concatenates each
    distinct operand's arrays once.
 
-2. **Vectorized frontier pricing**
+2. **Vectorized batch pricing**
    (:meth:`BatchEvaluator.frontier_occupancy_bounds`) — the table build also
    prices it with the pricer the direct executor reads
    (:meth:`repro.core.cost_model.CostModel.price_rows`); the terms are laid
@@ -84,6 +94,7 @@ from repro.core.slicing import (
     generate_all_ops,
     offset_permutation,
     slice_table,
+    tile_traffic,
 )
 from repro.core.stationary import parse_stationary
 from repro.core.structure import ROLE_A, ROLE_B, ROLE_C, resolve_structure
@@ -97,6 +108,16 @@ from repro.util.validation import check_matmul_shapes, float_dtype
 #: arbitrary (the bound takes a max over engines) but must stay fixed.
 _E_COMPUTE, _E_COPY, _E_ACCUMULATE, _E_INGRESS, _E_EGRESS = range(5)
 _NUM_ENGINES = 5
+
+#: Relative deflation of the pre-bound (:meth:`BatchEvaluator.frontier_pre_bounds`).
+#: Its fetch and egress terms add the same per-tile times as the occupancy
+#: bound's copy and egress slots, in another order, and its other terms are
+#: at most the occupancy terms in exact arithmetic.  A float sum of ``n``
+#: non-negative terms is within ``(n - 1)`` units of roundoff (``2**-53``)
+#: of the exact sum, relative to it, so this margin keeps the pre-bound at
+#: or below the occupancy bound, bit for bit, up to ~4 million terms in
+#: one engine slot of one device.
+PRE_BOUND_MARGIN = 1e-9
 
 #: The priced columns the relaxed replay reads: one rank's stream of these
 #: rows fixes its finish time, so their exact bytes key the replay memo.
@@ -223,6 +244,8 @@ class BatchEvaluator:
         self._replays: Dict[Tuple[bytes, ...], float] = {}
         #: Seconds spent compiling candidate event tables (op generation).
         self.opgen_seconds = 0.0
+        #: Candidate event tables built so far.
+        self.num_built = 0
         #: Relaxed-replay counters: cold folds and memo hits.
         self.replay_stats = {"cold": 0, "full": 0}
 
@@ -301,6 +324,7 @@ class BatchEvaluator:
             self.opgen_seconds += time.perf_counter() - started
             return
         entries = list(todo.values())
+        self.num_built += len(entries)
         # A frontier names three stationaries: parse each once, not per candidate.
         stationaries = {name: parse_stationary(name)
                         for name in {candidate.stationary for candidate, _ in entries}}
@@ -379,14 +403,103 @@ class BatchEvaluator:
         return slots.reshape(-1), vals.reshape(-1)
 
     def frontier_occupancy_bounds(self, candidates) -> List[float]:
-        """Occupancy bound (+ class reduce term) for a whole frontier at once.
+        """Occupancy bound (+ class reduce term) for a batch of candidates.
 
         Every not-yet-compiled candidate is built and priced by one
-        :meth:`_build` call; the rest reuse their cached programs.
+        :meth:`_build` call; the rest reuse their cached programs.  The
+        search calls it on prefix batches of the frontier in pre-bound
+        order.
         """
         self._build(candidates)
         return [program.occupancy + program.cls.reduce_time
                 for program in map(self.compile, candidates)]
+
+    def frontier_pre_bounds(self, candidates) -> np.ndarray:
+        """A table-free lower bound on each candidate's occupancy bound.
+
+        :func:`repro.core.slicing.tile_traffic` gives, with one array
+        program over the frontier's tile rectangles and no slicing table,
+        each rank's blocks, the distinct A and B tiles it reads and the C
+        tiles it accumulates into.  Per device, each engine slot of the
+        occupancy bound then has a lower bound of the same shape:
+
+        * compute: per block its flops at the shape efficiency of its
+          longest possible segments (no op runs more efficiently), or the
+          bytes its ops must touch, plus a launch per op it must have; and
+          its local accumulates;
+        * copy: the fetch time of the distinct remote tiles its rank reads;
+        * egress: the egress time of those tiles at their owners;
+        * accumulate and ingress: its rank's remote accumulates, and their
+          ingress at the C owners, each counted at least as often as the
+          block's k axis is cut.
+
+        The max over devices and engines, deflated by
+        :data:`PRE_BOUND_MARGIN`, plus the class's replica-reduction term,
+        never exceeds :meth:`frontier_occupancy_bounds`.  Structured
+        workloads get 0: a tile whose every op is fully masked is never
+        fetched, so dense tile counts would overstate them.
+        """
+        if self.structure is not None or not candidates:
+            return np.zeros(len(candidates))
+        # Building the symbolic operands is op-generation work.
+        started = time.perf_counter()
+        classes = [self._class_data(candidate) for candidate in candidates]
+        self.opgen_seconds += time.perf_counter() - started
+        stationaries = {name: parse_stationary(name)
+                        for name in {candidate.stationary for candidate in candidates}}
+        blocks, reads, writes, tiles = tile_traffic([
+            cls.layouts + (stationaries[candidate.stationary],)
+            for candidate, cls in zip(candidates, classes)])
+        model = self.cost_model
+        p = self.machine.num_devices
+        size = len(candidates) * p
+        itemsize = self.dtype.itemsize
+        # Per (tile, rank): the owner the rank reaches it at, its fetch time
+        # and, when remote, its egress time at the owner.
+        rpr = tiles["ranks_per_replica"][:, None]
+        reader = np.arange(p)
+        owner = tiles["position"][:, None] + reader // rpr * rpr
+        nbytes = tiles["elements"][:, None] * itemsize
+        fetch = model.transfer_time(owner, reader, nbytes)
+        egress = np.where(owner != reader, model.device_link_time(nbytes), 0.0)
+        at = reads["tile"] * p + reads["rank"]
+        base = reads["task"] * p
+        copy = np.bincount(base + reads["rank"], weights=fetch.take(at), minlength=size)
+        sent = np.bincount(base + owner.take(at), weights=egress.take(at), minlength=size)
+
+        block = writes["block"]
+        rank = blocks["rank"].take(block)
+        c_owner = owner.take(writes["tile"] * p + rank)
+        c_bytes = writes["elements"] * itemsize
+        repeats = blocks["k_segments"].take(block)
+        remote = c_owner != rank
+        base = blocks["task"].take(block) * p
+        accumulate = np.bincount(
+            base + rank, weights=model.accumulate_time(rank, c_owner, c_bytes) * repeats,
+            minlength=size)
+        ingress = np.bincount(
+            base + c_owner, minlength=size,
+            weights=np.where(remote, model.device_link_time(c_bytes, accumulate=True), 0.0)
+            * repeats)
+        # A block's GEMMs: its flops at the shape efficiency of its longest
+        # segments, its bytes with each operand read once per segment of the
+        # axis it lacks, and a launch per op.
+        m, n, k = blocks["m"], blocks["n"], blocks["k"]
+        m_seg, n_seg, k_seg = (blocks[f"{x}_segments"] for x in "mnk")
+        ops = m_seg * n_seg * k_seg
+        gemm = np.where(ops > 0, model.roofline(
+            2.0 * m * n * k,
+            float(itemsize) * (m * k * n_seg + k * n * m_seg + 2 * m * n * k_seg),
+            *(blocks[f"{x}_longest"] for x in "mnk"))
+            + (ops - 1) * self.machine.kernel_launch_overhead, 0.0)
+        compute = np.bincount(
+            np.concatenate((blocks["task"] * p + blocks["rank"], base + rank)),
+            weights=np.concatenate((
+                gemm, np.where(remote, 0.0, model.local_accumulate_time(c_bytes) * repeats))),
+            minlength=size)
+        bound = np.maximum.reduce((compute, copy, accumulate, ingress, sent))
+        return (bound.reshape(-1, p).max(axis=1) * (1.0 - PRE_BOUND_MARGIN)
+                + np.array([cls.reduce_time for cls in classes]))
 
     def _single_occupancy(self, cols: Dict[str, np.ndarray]) -> float:
         slots, vals = self._occupancy_rows(cols)
@@ -437,8 +550,10 @@ class BatchEvaluator:
 
         Mirrors the ``DirectExecutor.execute_columns`` walk running on
         ``EventEngine(contention=False)``: prefetch issue floors, the
-        per-engine FIFO availability updates, the async concurrency windows,
-        and the accumulate-compute interference slice.  Reads only the
+        per-engine FIFO availability updates, the async accumulate window,
+        and the accumulate-compute interference slice.  The GEMM window is
+        left out: GEMMs run FIFO on the compute engine, which is free only
+        after every earlier GEMM has ended, so it never moves a start.  Reads only the
         :data:`_REPLAY_COLUMNS` rows ``[lo, hi)`` plus the evaluator's config
         and machine, and returns the rank's finish time.  Its contended twin,
         :func:`repro.core.walk.walk_columns`, adds the shared egress/ingress
@@ -450,7 +565,6 @@ class BatchEvaluator:
         depth = config.prefetch_depth
         async_ = config.async_execution
         w_acc = config.max_concurrent_accumulates
-        w_g = config.max_concurrent_gemms
         cache_tiles = config.cache_remote_tiles
         interference = self.machine.accumulate_compute_interference
         num = hi - lo
@@ -472,7 +586,6 @@ class BatchEvaluator:
         pending: Dict[int, Tuple[float, float]] = {}
         next_pref = 0
         gemm_start: List[float] = []
-        gemm_end: List[float] = []
         acc_end: List[float] = []
 
         def issue(j: int, floor: float) -> None:
@@ -524,15 +637,12 @@ class BatchEvaluator:
             if async_:
                 if i >= w_acc and acc_end[i - w_acc] > earliest:
                     earliest = acc_end[i - w_acc]
-                if i >= w_g and gemm_end[i - w_g] > earliest:
-                    earliest = gemm_end[i - w_g]
             elif i > 0 and acc_end[i - 1] > earliest:
                 earliest = acc_end[i - 1]
             begin = earliest if earliest > avail_c else avail_c
             finish = begin + gemm_dur[i]
             avail_c = finish
             gemm_start.append(begin)
-            gemm_end.append(finish)
             if c_rem[i]:
                 acc_begin = finish if finish > avail_a else avail_a
                 acc_finish = acc_begin + acc_dur[i]
@@ -574,7 +684,7 @@ class BatchEvaluator:
             # ops, exactly as universal_matmul does.
             check_coverage(cls.a, cls.b, cls.c, generate_all_ops(
                 cls.a, cls.b, cls.c, parse_stationary(candidate.stationary)))
-        makespan, stats = walk_columns(
+        makespan, totals = walk_columns(
             program.exec_columns(self.config.iteration_offset), (cls.a, cls.b, cls.c),
             self.config, self.machine.accumulate_compute_interference)
         reduce_time = cls.reduce_time if cls.c.replication.num_replicas > 1 else 0.0
@@ -584,9 +694,8 @@ class BatchEvaluator:
             total_flops = self.structure.effective_flops(self.m, self.n, self.k)
         simulated_time = makespan + reduce_time
         extra = {
-            "remote_get_bytes": sum(s.remote_get_bytes for s in stats.values()),
-            "remote_accumulate_bytes": sum(s.remote_accumulate_bytes
-                                           for s in stats.values()),
+            "remote_get_bytes": sum(totals.remote_get_bytes),
+            "remote_accumulate_bytes": sum(totals.remote_accumulate_bytes),
             "total_ops": program.num_ops,
         }
         if not self.workload.structure.is_dense:

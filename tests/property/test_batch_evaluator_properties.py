@@ -21,10 +21,17 @@ families:
 4. **End-to-end search** — ``search_partitionings`` returns the ranking of
    an exhaustive ``run_ua_point`` pass over every candidate, and accounts
    for every candidate as simulated or pruned.
+5. **Table-free pre-bound** — ``frontier_pre_bounds`` is ``<=`` the
+   occupancy bound, bit for bit, on dense workloads with uneven
+   ``CustomTiles`` (several tiles per device), every stationary and every
+   replication that divides the machine; and ``tile_traffic``, the tile
+   geometry it prices, agrees with the op table it stands in for.
 """
 
+import collections
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -34,13 +41,13 @@ from repro.bench.sweep import run_ua_point, valid_replication_factors
 from repro.bench.workloads import Workload
 from repro.core.config import ExecutionConfig
 from repro.core.cost_model import CostModel
-from repro.core.slicing import check_coverage, generate_all_ops
+from repro.core.slicing import check_coverage, generate_all_ops, slice_table, tile_traffic
 from repro.core.stationary import Stationary, parse_stationary
 from repro.core.structure import ROLE_A, ROLE_B, BlockSparse, MoERagged, resolve_structure
 from repro.dist.partition import CustomTiles
 from repro.planner.search import Candidate, enumerate_candidates, search_partitionings
 from repro.sim.batch import BatchEvaluator
-from repro.topology.machines import GB, uniform_system
+from repro.topology.machines import GB, h100_system, pvc_system, uniform_system
 from tests.bound_oracle import (
     BOUND_CRITICAL_PATH,
     BOUND_OCCUPANCY,
@@ -322,3 +329,135 @@ class TestSearchEqualsExhaustiveRanking:
         assert as_ranking(recommendations) == exhaustive_ranking(
             machine, workload, top_k, config)
         assert stats.num_simulated + stats.num_pruned == stats.num_candidates
+
+
+# ---------------------------------------------------------------------- #
+# the table-free pre-bound
+# ---------------------------------------------------------------------- #
+def _uneven_splits(extent: int, parts: int, rng: random.Random) -> list:
+    parts = max(1, min(parts, extent))
+    return [0] + sorted(rng.sample(range(1, extent), parts - 1)) + [extent]
+
+
+def uneven_scheme(seed: int) -> PartitioningScheme:
+    """Custom tiles with seeded uneven splits, up to several tiles per owner."""
+
+    def factory(role: str):
+        def build(shape, owners):
+            rng = random.Random(f"{seed}:{role}:{shape}:{owners}")
+            rows = rng.choice([1, owners, 2 * owners, 3])
+            cols = max(1, (owners * rng.choice([1, 2, 3])) // rows)
+            return CustomTiles(_uneven_splits(shape[0], rows, rng),
+                               _uneven_splits(shape[1], cols, rng))
+        return build
+
+    return PartitioningScheme(name=f"uneven_{seed}", label="uneven custom tiles",
+                              a_factory=factory("A"), b_factory=factory("B"),
+                              c_factory=factory("C"))
+
+
+#: The side (A, B, C) of each stationary.
+_STATIONARY_SIDE = {Stationary.A: 0, Stationary.B: 1, Stationary.C: 2}
+
+PRE_BOUND_MACHINES = [uniform_system(2), uniform_system(4, link_bandwidth=2 * GB),
+                      uniform_system(8), pvc_system(12), h100_system(8)]
+
+
+@st.composite
+def dense_frontier(draw):
+    """A machine, a config, and a slice of a dense frontier with uneven tiles."""
+    machine = draw(st.sampled_from(PRE_BOUND_MACHINES))
+    config = ExecutionConfig(simulate_only=True,
+                             cache_remote_tiles=draw(st.booleans()),
+                             iteration_offset=draw(st.booleans()))
+    m, n, k = (draw(st.integers(min_value=3, max_value=700)) for _ in range(3))
+    workload = Workload(f"dense_{m}x{n}x{k}", m, n, k)
+    seeds = draw(st.lists(st.integers(min_value=0, max_value=2**16), min_size=1,
+                          max_size=2))
+    candidates, _ = enumerate_candidates(
+        machine, workload, float("inf"),
+        list(ua_schemes()) + [uneven_scheme(seed) for seed in seeds],
+        valid_replication_factors(machine.num_devices), ("A", "B", "C"))
+    start = draw(st.integers(min_value=0, max_value=len(candidates) - 1))
+    return machine, config, workload, candidates[start:start + 24]
+
+
+class TestPreBoundBelowOccupancy:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(frontier=dense_frontier())
+    def test_pre_bound_never_exceeds_occupancy(self, frontier):
+        machine, config, workload, candidates = frontier
+        evaluator = BatchEvaluator(machine, workload, config)
+        pre = evaluator.frontier_pre_bounds(candidates)
+        occupancy = evaluator.frontier_occupancy_bounds(candidates)
+        for candidate, low, bound in zip(candidates, pre.tolist(), occupancy):
+            assert low <= bound, (candidate, low, bound)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(frontier=dense_frontier())
+    def test_tile_traffic_matches_the_op_table(self, frontier):
+        """Reads are the table's distinct non-stationary tiles (owners
+        included), writes carry the table's C volume per C tile, each
+        block's volume is its ops', and per axis its segment count and
+        longest segment bound the table's from below and above."""
+        machine, _, workload, candidates = frontier
+        evaluator = BatchEvaluator(machine, workload)
+        tasks = [evaluator.compile(candidate).cls.layouts
+                 + (parse_stationary(candidate.stationary),) for candidate in candidates]
+        blocks, reads, writes, tiles = tile_traffic(tasks)
+        rows = {name: column.tolist() for name, column in slice_table(tasks).items()}
+        layouts = list(dict.fromkeys(layout for task in tasks for layout in task[:3]))
+        tile_at = dict(zip(map(id, layouts), np.cumsum(
+            [0] + [layout.positions.size for layout in layouts]).tolist()))
+
+        def tile(task, side, key):
+            return tile_at[id(tasks[task][side])] + key
+
+        owners = {}
+        volume = collections.Counter()
+        segments = collections.defaultdict(lambda: ([set(), set(), set()]))
+        for i, task in enumerate(rows["task"]):
+            rank = rows["rank"][i]
+            stationary = tasks[task][3]
+            layout = tasks[task][_STATIONARY_SIDE[stationary]]
+            block = (task, rank, rows["stat_i"][i] * layout.ncols + rows["stat_j"][i])
+            size = 1
+            for x, axis in enumerate("mkn"):
+                size *= rows[f"{axis}1"][i] - rows[f"{axis}0"][i]
+                segments[block][x].add((rows[f"{axis}0"][i], rows[f"{axis}1"][i]))
+            volume[block] += size
+            volume[(task, rank, tile(task, 2, rows["c_key"][i]))] += size
+            for side, name in enumerate("ab"):
+                if side != _STATIONARY_SIDE[stationary]:
+                    owners[(task, rank, side, tile(task, side, rows[f"{name}_key"][i]))] = (
+                        rows[f"{name}_owner"][i])
+
+        got_reads = list(zip(*(reads[name].tolist()
+                               for name in ("task", "rank", "side", "tile"))))
+        assert len(got_reads) == len(set(got_reads))
+        assert set(got_reads) == set(owners)
+        rpr = tiles["ranks_per_replica"][reads["tile"]]
+        owner = tiles["position"][reads["tile"]] + reads["rank"] // rpr * rpr
+        assert owner.tolist() == [owners[read] for read in got_reads]
+
+        got = collections.Counter()
+        keys = list(zip(*(blocks[name].tolist() for name in ("task", "rank", "tile"))))
+        sizes = (blocks["m"] * blocks["k"] * blocks["n"]).tolist()
+        least, longest = ([blocks[f"{axis}_{name}"].tolist() for axis in "mkn"]
+                          for name in ("segments", "longest"))
+        for i, (key, size) in enumerate(zip(keys, sizes)):
+            if key in segments:
+                got[key] += size
+                for x, cuts in enumerate(segments[key]):
+                    assert 1 <= least[x][i] <= len(cuts)
+                    assert longest[x][i] >= max(stop - start for start, stop in cuts)
+            else:  # a block with no ops: an empty share of the free axis
+                assert size == 0 and least[0][i] * least[1][i] * least[2][i] == 0
+        for block, c_tile, elements in zip(*(writes[name].tolist()
+                                             for name in ("block", "tile", "elements"))):
+            task, rank, _ = keys[block]
+            assert elements > 0
+            got[(task, rank, c_tile)] += elements * int(blocks["k"][block])
+        assert got == volume

@@ -116,8 +116,9 @@ def _totals(makespan, stats):
 def column_walk(evaluator: BatchEvaluator, program, cols):
     """The walk ``simulate`` runs, on a program's execution-order columns."""
     cls = program.cls
-    return _totals(*walk_columns(cols, (cls.a, cls.b, cls.c), evaluator.config,
-                                 evaluator.machine.accumulate_compute_interference))
+    makespan, totals = walk_columns(cols, (cls.a, cls.b, cls.c), evaluator.config,
+                                    evaluator.machine.accumulate_compute_interference)
+    return (makespan, sum(totals.remote_get_bytes), sum(totals.remote_accumulate_bytes))
 
 
 def oracle_walk(evaluator: BatchEvaluator, program):

@@ -129,6 +129,10 @@ def requests(registry):
             for outcome in ("hit", "stale", "coalesced", "computed")}
 
 
+def tables_built(registry):
+    return registry.snapshot()["counters"]["repro_planner_tables_built_total"]
+
+
 def identities(stats):
     return {"hit": stats.cache_hits - stats.stale_hits,
             "stale": stats.stale_hits,
@@ -155,8 +159,10 @@ class TestServiceOutcomes:
             for step in steps:
                 step()
                 assert requests(registry) == identities(service.stats())
+                assert tables_built(registry) == service.stats().candidates_built
             assert requests(registry) == {"hit": 1.0, "stale": 1.0,
                                           "coalesced": 0.0, "computed": 2.0}
+            assert service.stats().candidates_built > 0
 
     def test_a_background_refresh_is_not_a_request(self):
         registry = MetricsRegistry()
@@ -263,6 +269,7 @@ def test_concurrent_requests_and_snapshots_agree():
             assert stats.requests == 240
             assert sum(requests(registry).values()) == 240
             assert requests(registry) == identities(stats)
+            assert tables_built(registry) == stats.candidates_built
             counters, gauges = cache_samples(service.cache_stats())
             snapshot = registry.snapshot()
             assert all(snapshot["counters"][n] == v for n, v in counters.items())
