@@ -340,7 +340,12 @@ def _uneven_splits(extent: int, parts: int, rng: random.Random) -> list:
 
 
 def uneven_scheme(seed: int) -> PartitioningScheme:
-    """Custom tiles with seeded uneven splits, up to several tiles per owner."""
+    """Custom tiles with seeded uneven splits, up to several tiles per owner.
+
+    A wider draw than ``test_column_walk_properties.uneven_scheme`` (which
+    cannot be imported here: that module imports this one through
+    ``test_direct_oracle_properties``): up to three tiles per owner.
+    """
 
     def factory(role: str):
         def build(shape, owners):
