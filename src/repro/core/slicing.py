@@ -297,7 +297,8 @@ def slice_table(tasks: Sequence[Tuple[OperandLayout, OperandLayout, OperandLayou
 
 def tile_traffic(tasks: Sequence[Tuple[OperandLayout, OperandLayout, OperandLayout,
                                        Stationary]]
-                 ) -> Tuple[Dict[str, np.ndarray], ...]:
+                 ) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray],
+                            Dict[str, np.ndarray], Dict[str, np.ndarray], np.ndarray]:
     """Per task, what each rank computes, reads and accumulates, tile by tile.
 
     The index arithmetic of :func:`slice_table` at tile granularity.  A
@@ -306,7 +307,7 @@ def tile_traffic(tasks: Sequence[Tuple[OperandLayout, OperandLayout, OperandLayo
     operand it meets are the *rectangle* of that operand's tiles
     overlapping two of those intervals (A: m and k, B: k and n, C: m and
     n).  No segment or op is built, so the work scales with the tiles met,
-    not with the ops.  Returns four tables of columns:
+    not with the ops.  Returns four tables of columns and an array:
 
     * ``blocks``: per block its ``task``, ``rank``, stationary ``tile``
       (flat index) and per axis ``x`` of m, k, n: the interval length
@@ -315,9 +316,10 @@ def tile_traffic(tasks: Sequence[Tuple[OperandLayout, OperandLayout, OperandLayo
       bound ``x_longest`` on a segment's length (each lies in one tile of
       either operand).  The block's ops are the product of its segments.
     * ``reads``: one row per distinct ``(task, rank, side, tile)`` of a
-      non-stationary A (``side`` 0) or B (1) tile: exactly the distinct
-      ``(rank, a_key)`` and ``(rank, b_key)`` of the task's
-      :func:`slice_table` rows, less the stationary operand's own tiles.
+      non-stationary A (``side`` 0) or B (1) tile, for the tasks that are
+      their own ``reader`` (below): exactly the distinct ``(rank, a_key)``
+      and ``(rank, b_key)`` of the task's :func:`slice_table` rows, less
+      the stationary operand's own tiles.
     * ``writes``: per block and C tile it meets, the ``block``, the
       ``tile`` and the ``elements`` of the block's m x n product that land
       in it; each of them is accumulated once per k segment.
@@ -327,6 +329,9 @@ def tile_traffic(tasks: Sequence[Tuple[OperandLayout, OperandLayout, OperandLayo
       reaches every tile in its own replica: the owner is
       ``rank // ranks_per_replica * ranks_per_replica + position``.  Also
       each tile's ``elements``.
+    * ``reader``: per task, the task whose ``reads`` are its reads.  Tasks
+      with A or B stationary read the same tiles whatever C's layout is,
+      so all those on the same A and B layouts share one task's reads.
 
     ``tasks`` must not be empty.
     """
@@ -341,6 +346,13 @@ def tile_traffic(tasks: Sequence[Tuple[OperandLayout, OperandLayout, OperandLayo
     num_tiles = np.array([layout.positions.size for layout in layouts])
     tile_at = _starts(num_tiles)
     p = int(rpr[0] * factor[0])
+    # Each task reads as the first task with its stationary, A and B
+    # layouts and -- only when C is stationary -- C layout.
+    size = len(layouts) + 1
+    read_as = ((kind * size + lay[:, 0]) * size + lay[:, 1]) * size + np.where(
+        kind == 2, lay[:, 2] + 1, 0)
+    _, first_reader, read_as = np.unique(read_as, return_index=True, return_inverse=True)
+    reader = first_reader[read_as.reshape(-1)]
 
     # -- split lists: layout x's rows are list 2x, its columns 2x + 1 ------ #
     # Band t of list l is [low[band_at[l] + t], high[band_at[l] + t]).  For
@@ -420,8 +432,9 @@ def tile_traffic(tasks: Sequence[Tuple[OperandLayout, OperandLayout, OperandLayo
         blocks[name] = size
         blocks[f"{name}_segments"] = np.maximum(count[one], count[other])
         blocks[f"{name}_longest"] = np.minimum(size, np.minimum(longest[one], longest[other]))
-    # The stationary operand's own tile is the reading rank's.
-    count[:4] *= search[:4]
+    # The stationary operand's own tile is the reading rank's; only the
+    # reader of each group of tasks reads.
+    count[:4] *= search[:4] & (reader == np.arange(num_tasks))[blk_task]
     first_tile = tile_at[blk_lay] + first[0::2] * ncols[blk_lay] + first[1::2]
 
     num_blocks = blk_task.size
@@ -470,7 +483,7 @@ def tile_traffic(tasks: Sequence[Tuple[OperandLayout, OperandLayout, OperandLayo
         "ranks_per_replica": rpr[tile_lay],
         "elements": (high[row] - low[row]) * (high[col] - low[col]),
     }
-    return blocks, reads, writes, tiles
+    return blocks, reads, writes, tiles, reader
 
 
 def first_occurrence(group: np.ndarray, key: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -447,7 +447,7 @@ class BatchEvaluator:
         self.opgen_seconds += time.perf_counter() - started
         stationaries = {name: parse_stationary(name)
                         for name in {candidate.stationary for candidate in candidates}}
-        blocks, reads, writes, tiles = tile_traffic([
+        blocks, reads, writes, tiles, reader = tile_traffic([
             cls.layouts + (stationaries[candidate.stationary],)
             for candidate, cls in zip(candidates, classes)])
         model = self.cost_model
@@ -457,15 +457,18 @@ class BatchEvaluator:
         # Per (tile, rank): the owner the rank reaches it at, its fetch time
         # and, when remote, its egress time at the owner.
         rpr = tiles["ranks_per_replica"][:, None]
-        reader = np.arange(p)
-        owner = tiles["position"][:, None] + reader // rpr * rpr
+        ranks = np.arange(p)
+        owner = tiles["position"][:, None] + ranks // rpr * rpr
         nbytes = tiles["elements"][:, None] * itemsize
-        fetch = model.transfer_time(owner, reader, nbytes)
-        egress = np.where(owner != reader, model.device_link_time(nbytes), 0.0)
+        fetch = model.transfer_time(owner, ranks, nbytes)
+        egress = np.where(owner != ranks, model.device_link_time(nbytes), 0.0)
+        # A task's reads are those of its reader.
         at = reads["tile"] * p + reads["rank"]
         base = reads["task"] * p
-        copy = np.bincount(base + reads["rank"], weights=fetch.take(at), minlength=size)
-        sent = np.bincount(base + owner.take(at), weights=egress.take(at), minlength=size)
+        copy = np.bincount(base + reads["rank"], weights=fetch.take(at),
+                           minlength=size).reshape(-1, p)[reader]
+        sent = np.bincount(base + owner.take(at), weights=egress.take(at),
+                           minlength=size).reshape(-1, p)[reader]
 
         block = writes["block"]
         rank = blocks["rank"].take(block)
@@ -497,8 +500,9 @@ class BatchEvaluator:
             weights=np.concatenate((
                 gemm, np.where(remote, 0.0, model.local_accumulate_time(c_bytes) * repeats))),
             minlength=size)
-        bound = np.maximum.reduce((compute, copy, accumulate, ingress, sent))
-        return (bound.reshape(-1, p).max(axis=1) * (1.0 - PRE_BOUND_MARGIN)
+        bound = np.maximum.reduce((compute.reshape(-1, p), copy, accumulate.reshape(-1, p),
+                                   ingress.reshape(-1, p), sent))
+        return (bound.max(axis=1) * (1.0 - PRE_BOUND_MARGIN)
                 + np.array([cls.reduce_time for cls in classes]))
 
     def _single_occupancy(self, cols: Dict[str, np.ndarray]) -> float:

@@ -411,7 +411,7 @@ class TestPreBoundBelowOccupancy:
         evaluator = BatchEvaluator(machine, workload)
         tasks = [evaluator.compile(candidate).cls.layouts
                  + (parse_stationary(candidate.stationary),) for candidate in candidates]
-        blocks, reads, writes, tiles = tile_traffic(tasks)
+        blocks, reads, writes, tiles, reader = tile_traffic(tasks)
         rows = {name: column.tolist() for name, column in slice_table(tasks).items()}
         layouts = list(dict.fromkeys(layout for task in tasks for layout in task[:3]))
         tile_at = dict(zip(map(id, layouts), np.cumsum(
@@ -439,13 +439,20 @@ class TestPreBoundBelowOccupancy:
                     owners[(task, rank, side, tile(task, side, rows[f"{name}_key"][i]))] = (
                         rows[f"{name}_owner"][i])
 
-        got_reads = list(zip(*(reads[name].tolist()
-                               for name in ("task", "rank", "side", "tile"))))
-        assert len(got_reads) == len(set(got_reads))
-        assert set(got_reads) == set(owners)
+        # A task's reads are its reader's.
         rpr = tiles["ranks_per_replica"][reads["tile"]]
-        owner = tiles["position"][reads["tile"]] + reads["rank"] // rpr * rpr
-        assert owner.tolist() == [owners[read] for read in got_reads]
+        owner = (tiles["position"][reads["tile"]] + reads["rank"] // rpr * rpr).tolist()
+        by_reader = collections.defaultdict(list)
+        for row in zip(*(reads[name].tolist() for name in ("task", "rank", "side", "tile")),
+                       owner):
+            by_reader[row[0]].append(row[1:])
+        got_reads = {}
+        for task, read_as in enumerate(reader.tolist()):
+            rows = by_reader[read_as]
+            assert len(rows) == len(set(rows))
+            got_reads.update(((task,) + row[:3], row[3]) for row in rows)
+        assert set(by_reader) <= set(reader.tolist())
+        assert got_reads == owners
 
         got = collections.Counter()
         keys = list(zip(*(blocks[name].tolist() for name in ("task", "rank", "tile"))))
