@@ -13,9 +13,10 @@ no per-op cost-model call; it moves the operands' data unless the config is
 lists into the same rows with :func:`~repro.core.slicing.ops_table`.
 
 The executor's ``engine`` only records.  Given an
-:class:`~repro.sim.engine.EventEngine`, the walk posts every event to it,
-for traces and :meth:`~repro.sim.engine.EventEngine.critical_path`; without
-one, no event is built.  A relaxed engine (``EventEngine(contention=False)``)
+:class:`~repro.sim.engine.EventEngine`, the walk records every event it
+timed, with the start and duration it computed, for traces and
+:meth:`~repro.sim.engine.EventEngine.critical_path`; without one, no event
+is built.  A relaxed engine (``EventEngine(contention=False)``)
 makes the walk drop the cross-device egress/ingress floors: the relaxation
 behind the planner's critical-path lower bound.
 """

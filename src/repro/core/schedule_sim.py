@@ -1,22 +1,24 @@
 """Execution and time-estimation of IR programs.
 
-Each IR step overlaps its communication with its computation: the step emits
-one aggregate fetch event, one compute event, and one accumulate event, all
-gated on the previous step's sync barrier, then joins them with a new sync —
-so the step's duration is the maximum of the three.  The explicit per-step
-synchronisation is the defining difference from the free-running direct
-executor.  The IR executor schedules its steps on an
-:class:`~repro.sim.engine.EventEngine`; the direct walk keeps its own time
-by the same engine rules.
+Each IR step overlaps its communication with its computation: its comm,
+compute and accumulate sums all start at the previous step's barrier, and
+the next barrier waits for all three, so the step takes the max of the three
+(:func:`step_time`).  The explicit per-step synchronisation is the defining
+difference from the free-running direct executor.  The IR never models
+cross-rank contention, so a rank's time is its steps' sum.
 
-Two entry points:
+Two entry points share that rule:
 
-* :func:`estimate_program_time` — estimate of one rank's program from its
+* :func:`estimate_program_time` — one rank's program time from its
   :class:`~repro.core.graph.ComputationGraph`, used inside the
   exhaustive-search lowering.
 * :class:`IRExecutor` — executes the programs of all ranks (real data
-  movement + event emission), the IR-mode counterpart of
-  :class:`repro.core.direct.DirectExecutor`.
+  movement unless ``simulate_only``), the IR-mode counterpart of
+  :class:`repro.core.direct.DirectExecutor`.  Handed an
+  :class:`~repro.sim.engine.EventEngine`, it records each step as one
+  fetch, one GEMM and one accumulate event (those that take time) gated on
+  the previous barrier, and a sync joining them; without one it builds no
+  event.
 
 Both read durations the cost model priced once for the whole slicing table
 (:meth:`~repro.core.direct.TableExecutor.price`): the GEMM, accumulate and
@@ -30,18 +32,19 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.config import ExecutionConfig
-from repro.core.cost_model import CostModel
 from repro.core.direct import TableExecutor
 from repro.core.graph import ComputationGraph, DataKey
 from repro.core.ir import IRProgram
 from repro.core.result import RankStats
 from repro.core.walk import tile_regions
-from repro.dist.matrix import DistributedMatrix
-from repro.sim.engine import EventEngine
-from repro.sim.events import ScheduledEvent
+from repro.sim.events import ACCUMULATE, COMPUTE, COPY, EventKind, ScheduledEvent
 from repro.util.indexing import Interval, Rect
 from repro.util.validation import SchedulingError
+
+
+def step_time(comm: float, compute: float, accumulate: float) -> float:
+    """One IR step's seconds: its comm, compute and accumulate sums overlap."""
+    return max(comm, compute, accumulate)
 
 
 def estimate_program_time(program: IRProgram, graph: ComputationGraph) -> float:
@@ -58,21 +61,13 @@ def estimate_program_time(program: IRProgram, graph: ComputationGraph) -> float:
                 accumulate_time += graph.acc[index]
             else:
                 compute_time += graph.acc[index]
-        total += max(comm_time, compute_time, accumulate_time)
+        total += step_time(comm_time, compute_time, accumulate_time)
     return total
 
 
 class IRExecutor(TableExecutor):
-    """Executes lowered IR programs for every rank."""
+    """Executes lowered IR programs for every rank (dense workloads only)."""
 
-    def __init__(self, a: DistributedMatrix, b: DistributedMatrix, c: DistributedMatrix,
-                 cost_model: CostModel, config: Optional[ExecutionConfig] = None,
-                 engine: Optional[EventEngine] = None) -> None:
-        # Dense only: universal_matmul rejects structured workloads in IR mode.
-        super().__init__(a, b, c, cost_model, config,
-                         engine or EventEngine(a.runtime.num_ranks))
-
-    # ------------------------------------------------------------------ #
     def execute(
         self,
         cols: Mapping[str, np.ndarray],
@@ -131,6 +126,7 @@ class IRExecutor(TableExecutor):
                 f"rank {rank} needs tile {key} but it was never fetched by the IR program"
             )
 
+        elapsed = 0.0
         barrier: Optional[ScheduledEvent] = None
         for step_index, step in enumerate(program.steps):
             comm_time = 0.0
@@ -175,28 +171,36 @@ class IRExecutor(TableExecutor):
             rank_stats.copy_time += comm_time
             rank_stats.accumulate_time += accumulate_time
 
-            # One aggregate event per activity, all gated on the previous
-            # step's barrier; the IR never models cross-rank contention, so
-            # transfers are charged to the rank's own copy queue only.
-            step_events: List[Optional[ScheduledEvent]] = []
-            deps = (barrier,)
-            if comm_time > 0.0:
-                step_events.append(self.engine.fetch(
-                    rank, comm_time, deps=deps, label=f"ir-comm:step{step_index}"
-                ))
-            if compute_time > 0.0:
-                step_events.append(self.engine.gemm(
-                    rank, compute_time, deps=deps, label=f"ir-compute:step{step_index}"
-                ))
-            if accumulate_time > 0.0:
-                step_events.append(self.engine.accumulate(
-                    rank, accumulate_time, deps=deps,
-                    label=f"ir-accumulate:step{step_index}"
-                ))
-            if step_events:
-                barrier = self.engine.sync(rank, deps=step_events + [barrier],
-                                           label=f"ir-sync:step{step_index}")
+            start = elapsed
+            elapsed = start + step_time(comm_time, compute_time, accumulate_time)
+            if self.engine is not None:
+                barrier = self._record_step(rank, step_index, start, elapsed, barrier,
+                                            comm_time, compute_time, accumulate_time)
 
-        elapsed = barrier.end if barrier is not None else 0.0
         rank_stats.finish_time = elapsed
         return elapsed, rank_stats
+
+    def _record_step(self, rank: int, step_index: int, start: float, end: float,
+                     barrier: Optional[ScheduledEvent], comm_time: float,
+                     compute_time: float, accumulate_time: float
+                     ) -> Optional[ScheduledEvent]:
+        """Record one step's events from ``start``; returns the new barrier.
+
+        One aggregate event per activity that takes time, each on its
+        engine queue and gated on the previous barrier, then a sync at
+        ``end`` joining them.  Transfers are charged to the rank's own copy
+        queue only.
+        """
+        step_events: List[Optional[ScheduledEvent]] = [
+            self.engine.record(kind, rank, queue, start, seconds, deps=(barrier,),
+                               label=f"ir-{name}:step{step_index}")
+            for kind, queue, name, seconds in (
+                (EventKind.FETCH, COPY, "comm", comm_time),
+                (EventKind.GEMM, COMPUTE, "compute", compute_time),
+                (EventKind.ACCUMULATE, ACCUMULATE, "accumulate", accumulate_time))
+            if seconds > 0.0]
+        if not step_events:
+            return barrier
+        return self.engine.record(EventKind.SYNC, rank, None, end, 0.0,
+                                  deps=step_events + [barrier],
+                                  label=f"ir-sync:step{step_index}")

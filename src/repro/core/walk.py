@@ -20,10 +20,10 @@ execution order) and, for every op of every rank,
 Ranks interleave step-major, rank-minor.  Each rank's compute, copy and
 accumulate engines are FIFO queues, kept as the time each is next free.
 Each device's shared egress and ingress capacity is kept as sorted
-``(start, end)`` reservations, placed by the earliest-fitting-gap rule of
-:meth:`repro.runtime.clock.DeviceTimeline.find_slot`: one-to-many tile
-fan-out serialises at the owner's egress, many-to-one accumulate fan-in at
-the destination's ingress.  That contention is the effect the paper's
+``(start, end)`` reservations; a transfer takes the earliest gap that fits
+it at or after its ready time, so one-to-many tile fan-out serialises at the
+owner's egress and many-to-one accumulate fan-in at the destination's
+ingress, whatever order the walk posts them in.  That contention is the effect the paper's
 iteration offset exists to mitigate.  A remote accumulate also steals the
 machine's interference share of the initiator's compute.
 
@@ -32,9 +32,10 @@ operands are materialized, and the walk moves their data through the PGAS
 runtime as it goes (views of local tiles, one-sided ``get_tile`` and
 ``accumulate_tile`` otherwise, fetch buffers from the rank's memory pool),
 so C is bit-exact checkable against ``A @ B``.  Given an
-:class:`~repro.sim.engine.EventEngine`, the walk also posts every fetch,
-GEMM and accumulate to it.  The engine only records: it schedules the posted
-calls by the same rules, so its events, critical path and makespan describe
+:class:`~repro.sim.engine.EventEngine`, the walk also records every fetch,
+GEMM and accumulate it timed, with the start and duration it computed (and
+a remote accumulate's stolen compute share as an event of its own).  The
+engine only records, so its events, critical path and makespan describe
 the walk's schedule.  A relaxed engine (``contention=False``) makes the walk
 skip the egress/ingress placement, which is the relaxation behind the
 planner's critical-path bound.
@@ -48,6 +49,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import ExecutionConfig
+from repro.sim.events import ACCUMULATE, COMPUTE, COPY, EventKind
 from repro.util.indexing import Interval, Rect
 
 #: A tile held for an op is ``(ready time, fetch event, data)``; this is a
@@ -97,9 +99,9 @@ def walk_columns(cols: Dict[str, np.ndarray], matrices: Sequence,
     ``matrices`` are the multiply's A, B and C.  ``interference`` is the
     share of a rank's compute that its remote accumulates steal.  ``engine``,
     an optional :class:`~repro.sim.engine.EventEngine`, records the walk.  Each
-    rank's busy times are summed in posting order, as
-    :meth:`~repro.runtime.clock.DeviceTimeline.busy_time` sums them, and its
-    finish time includes its device's egress and ingress ends.  The GEMM
+    rank's busy times are its events' ``end - start``, summed in posting
+    order, and its finish time includes its device's egress and ingress
+    ends.  The GEMM
     window (``max_concurrent_gemms``) never moves a start, because GEMMs run
     FIFO on the compute engine; it only shapes the dependency edge a traced
     run records.
@@ -204,9 +206,9 @@ def walk_columns(cols: Dict[str, np.ndarray], matrices: Sequence,
         get_bytes[rank] += nbytes[x][row]
         event = data = None
         if engine is not None:
-            event = engine.fetch(rank, fetch_time[x][row], src=owner,
-                                 occupancy=egress_time[x][row], min_start=floor,
-                                 label=f"get:{'AB'[x]}{divmod(key, col_tiles[x])}")
+            event = engine.record(EventKind.FETCH, rank, COPY, start, fetch_time[x][row],
+                                  peer=owner, occupancy=egress_time[x][row],
+                                  label=f"get:{'AB'[x]}{divmod(key, col_tiles[x])}")
         if materialize:
             matrix, index = matrices[x], tiles[x][row]
             buffer = (runtime.pool(rank).acquire(matrix.tile_bounds(index).shape,
@@ -267,7 +269,8 @@ def walk_columns(cols: Dict[str, np.ndarray], matrices: Sequence,
                         deps.append(gemm_events[rank][i - w_g])
                 elif i > 0:
                     deps.append(acc_events[rank][i - 1])
-                gemm_event = engine.gemm(rank, gemm_time[row], deps=deps, label="gemm")
+                gemm_event = engine.record(EventKind.GEMM, rank, COMPUTE, begin,
+                                           gemm_time[row], deps=deps, label="gemm")
                 gemm_events[rank].append(gemm_event)
             if materialize:
                 r0, r1, c0, c1 = regions[0][row]
@@ -292,10 +295,17 @@ def walk_columns(cols: Dict[str, np.ndarray], matrices: Sequence,
                     compute[rank] = stolen + acc_time[row] * interference
                     compute_busy[rank] += compute[rank] - stolen
                 if engine is not None:
-                    acc_event = engine.accumulate(rank, acc_time[row], dst=owner,
-                                                  occupancy=ingress_time[row],
-                                                  interference=interference,
-                                                  deps=(gemm_event,), label="accumulate")
+                    acc_event = engine.record(EventKind.ACCUMULATE, rank, ACCUMULATE,
+                                              begin, acc_time[row], peer=owner,
+                                              deps=(gemm_event,), label="accumulate",
+                                              occupancy=ingress_time[row])
+                    if interference > 0.0:
+                        # Concurrent with the accumulate: the stolen slice
+                        # shares its dependency rather than following it.
+                        engine.record(EventKind.ACCUMULATE, rank, COMPUTE, stolen,
+                                      acc_time[row] * interference, peer=owner,
+                                      deps=(gemm_event,),
+                                      label="interference:accumulate")
                 if materialize:
                     matrices[2].accumulate_tile(
                         tiles[2][row], product, replica_idx=replicas[2][rank],
@@ -305,9 +315,9 @@ def walk_columns(cols: Dict[str, np.ndarray], matrices: Sequence,
                 done = compute[rank] = begin + acc_time[row]
                 compute_busy[rank] += done - begin
                 if engine is not None:
-                    acc_event = engine.local_accumulate(rank, acc_time[row],
-                                                        deps=(gemm_event,),
-                                                        label="local-accumulate")
+                    acc_event = engine.record(EventKind.ACCUMULATE, rank, COMPUTE, begin,
+                                              acc_time[row], deps=(gemm_event,),
+                                              label="local-accumulate")
                 if materialize:
                     view(2, rank, row)[r0:r1, c0:c1] += product
             accs.append(done)

@@ -25,7 +25,6 @@ report percent-of-peak numbers comparable in shape to the paper's figures.
 
 from repro.runtime.future import Future, CompletedFuture
 from repro.runtime.memory import MemoryPool, SymmetricHeap, SymmetricHandle
-from repro.runtime.clock import DeviceTimeline, SimClock
 from repro.runtime.traffic import TrafficCounter, TransferRecord
 from repro.runtime.backend import Backend, SequentialBackend, ThreadedBackend
 from repro.runtime.runtime import Runtime, RankContext
@@ -36,8 +35,6 @@ __all__ = [
     "MemoryPool",
     "SymmetricHeap",
     "SymmetricHandle",
-    "DeviceTimeline",
-    "SimClock",
     "TrafficCounter",
     "TransferRecord",
     "Backend",

@@ -1,16 +1,15 @@
-"""repro.sim — the discrete-event simulation engine and the planner's evaluator.
+"""repro.sim — the event recorder and the planner's evaluator.
 
-The :class:`EventEngine` schedules typed events on per-device timelines.
-The IR executor schedules its steps on one.  The direct executor times its
-walk (:func:`repro.core.walk.walk_columns`) with plain floats, and an
-engine handed to it only records: the walk posts every fetch, GEMM and
-accumulate, and the engine schedules them by the same rules, for traces and
-critical paths.  The planner's batch evaluator (:mod:`repro.sim.batch`)
-prices search frontiers and simulates winners with the same walk, building
-no engine; its critical-path pruning bound is the relaxed
-(contention-free) form of that walk.  (The comparators price with closed
-forms; the test oracle ``tests/baseline_oracle.py`` replays their schedules
-here.)
+The direct walk (:func:`repro.core.walk.walk_columns`) and the IR executor
+keep their own time with plain floats.  An :class:`EventEngine` handed to
+either only records: the walk posts every fetch, GEMM and accumulate with
+the start and duration it computed, and the engine keeps them as a DAG for
+traces and critical paths.  The planner's batch evaluator
+(:mod:`repro.sim.batch`) prices search frontiers and simulates winners with
+the same walk, building no engine; its critical-path pruning bound is the
+relaxed (contention-free) form of that walk.  (The comparators price with
+closed forms; the test oracle ``tests/baseline_oracle.py`` replays their
+schedules on the scheduling engine of ``tests/engine_oracle.py``.)
 
 Quickstart — record a trace of a real execution::
 

@@ -59,8 +59,8 @@ of that into a compile-once / price-vectorized / replay-memoized pipeline:
    too.  It keeps its state as plain floats and lists: per-rank engine free
    times, tile caches and prefetch windows, and per device the shared
    egress/ingress reservations.  No op objects, executor, ``EventEngine`` or
-   events are built; the op-object executor ``tests/direct_oracle.py`` on an
-   ``EventEngine`` is its ``==`` oracle
+   events are built; the op-object executor ``tests/direct_oracle.py`` on the
+   scheduling engine of ``tests/engine_oracle.py`` is its ``==`` oracle
    (``tests/property/test_column_walk_properties.py``).
 
 Correctness bar: every number this module produces is **bit-equal** to the
@@ -552,8 +552,8 @@ class BatchEvaluator:
     def _fold(self, cols: Dict[str, np.ndarray], lo: int, hi: int) -> float:
         """The relaxed-engine timing recurrence for one rank's op stream.
 
-        Mirrors the ``DirectExecutor.execute_columns`` walk running on
-        ``EventEngine(contention=False)``: prefetch issue floors, the
+        Mirrors :func:`repro.core.walk.walk_columns` run relaxed (as on an
+        ``EventEngine(contention=False)``): prefetch issue floors, the
         per-engine FIFO availability updates, the async accumulate window,
         and the accumulate-compute interference slice.  The GEMM window is
         left out: GEMMs run FIFO on the compute engine, which is free only

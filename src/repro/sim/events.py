@@ -1,25 +1,22 @@
-"""Typed simulation events: the vocabulary every time path now speaks.
+"""Typed simulation events: the vocabulary every recorded walk speaks.
 
 The paper's claim (Section 4.3) is that one roofline-plus-bandwidth cost
 model can price *every* operation in the system.  This module defines the
-five event kinds that cover all of them:
+four event kinds that cover all of them:
 
-* :attr:`EventKind.FETCH` — a one-sided tile get (copy engine, plus egress
-  capacity on the owner when contention is modelled);
+* :attr:`EventKind.FETCH` — a one-sided tile get (copy engine; with
+  contention modelled it also holds the owner's egress capacity);
 * :attr:`EventKind.GEMM` — a local matrix multiply on the compute engine;
 * :attr:`EventKind.ACCUMULATE` — a local or one-sided remote accumulate
-  (accumulate engine, plus ingress capacity on the destination);
+  (accumulate engine; a remote one also holds the destination's ingress
+  capacity), or the compute share a remote accumulate steals;
 * :attr:`EventKind.SYNC` — a zero-duration join of other events (IR step
-  barriers, phase boundaries);
-* :attr:`EventKind.COLLECTIVE` — a modelled collective (broadcast,
-  all-reduce) charged as one occupancy interval per participant.  The
-  library posts none; the baselines' event-level test oracle
-  (``tests/baseline_oracle.py``) reserves them on the copy engine.
+  barriers).
 
-Every scheduled event records its realized ``(start, end)`` interval, its
-explicit dependencies, and the implicit program-order predecessor on its
-engine, so the full execution forms a DAG that trace recorders can export
-and that :meth:`repro.sim.engine.EventEngine.critical_path` can walk.
+Every recorded event carries its ``(start, end)`` interval, its explicit
+dependencies, and the program-order predecessor on its engine queue, so the
+full execution forms a DAG that trace recorders can export and that
+:meth:`repro.sim.engine.EventEngine.critical_path` can walk.
 """
 
 from __future__ import annotations
@@ -28,24 +25,28 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+#: The engine queues of a device that recorded events run on.
+COMPUTE = "compute"
+COPY = "copy"
+ACCUMULATE = "accumulate"
+
 
 class EventKind(enum.Enum):
-    """The typed vocabulary of the discrete-event engine."""
+    """The typed vocabulary of the event recorder."""
 
     FETCH = "fetch"
     GEMM = "gemm"
     ACCUMULATE = "accumulate"
     SYNC = "sync"
-    COLLECTIVE = "collective"
 
 
 @dataclass(frozen=True)
 class ScheduledEvent:
-    """One event after scheduling: immutable, with its realized interval.
+    """One recorded event: immutable, with its realized interval.
 
     ``deps`` are the uids of the events whose completion explicitly gated
     this one (data dependencies).  ``engine_dep`` is the uid of the previous
-    event scheduled on the same (device, engine) queue — the implicit
+    event recorded on the same (device, engine) queue — the implicit
     program-order edge.  ``binding`` is the uid of whichever predecessor
     actually determined ``start`` (``None`` when the event started at its
     floor), which is what makes critical paths walkable without re-deriving

@@ -1,10 +1,10 @@
-"""Test oracle: the baselines' schedules emitted through the event engine.
+"""Test oracle: the baselines' schedules emitted through the scheduling engine.
 
 Every baseline in :mod:`repro.baselines` prices itself with one closed form,
 ``simulate``, which sums per-step terms from the algorithm's ``_terms``.
 This module rebuilds the same schedules from those terms as lists of
 bulk-synchronous phases, and emits each phase on every participating device
-through :class:`repro.sim.engine.EventEngine`.  The property suite holds the
+through the scheduling engine of ``tests/engine_oracle.py``.  The property suite holds the
 engine's makespan equal to the closed form (``rel_tol=1e-9``), so the closed
 form is checked against an independent event-level walk of its schedule.
 
@@ -25,10 +25,9 @@ from repro.baselines import (
     Summa,
     TwoAndHalfD,
 )
-from repro.runtime.clock import COPY
-from repro.sim.engine import EventEngine
-from repro.sim.events import EventKind, ScheduledEvent
+from repro.sim.events import ScheduledEvent
 from repro.topology.machines import MachineSpec
+from tests.engine_oracle import OracleEngine
 
 
 @dataclass(frozen=True)
@@ -37,9 +36,9 @@ class Phase:
 
     ``overlap=True`` runs the phase's communication and computation
     concurrently (the phase takes their max); ``overlap=False`` serialises
-    communication before computation.  ``collective=True`` marks the
-    communication as a modelled collective (broadcast/all-reduce) rather than
-    a point-to-point shift.
+    communication before computation.  The communication, a point-to-point
+    shift or one participant's share of a collective alike, is a fetch with
+    no source device on the copy queue.
     """
 
     label: str
@@ -47,7 +46,6 @@ class Phase:
     comm: float = 0.0
     overlap: bool = True
     repeat: int = 1
-    collective: bool = False
 
 
 def _one_d(algorithm: OneDRing, t: dict, machine: MachineSpec):
@@ -65,7 +63,7 @@ def _one_d(algorithm: OneDRing, t: dict, machine: MachineSpec):
 def _summa(algorithm: Summa, t: dict, machine: MachineSpec):
     """``steps`` identical panel updates: broadcast the panels, rank-kb update."""
     return [Phase("panel-update", compute=t["gemm_step"], comm=t["comm_step"],
-                  overlap=algorithm.overlap, repeat=t["steps"], collective=True)
+                  overlap=algorithm.overlap, repeat=t["steps"])
             ], machine.num_devices
 
 
@@ -90,17 +88,16 @@ def _one_and_half_d(algorithm: OneAndHalfD, t: dict, machine: MachineSpec):
                             overlap=algorithm.overlap, repeat=t["steps"] - 1))
     phases.append(Phase("final-multiply", compute=t["gemm_step"]))
     if t["reduce_total"] > 0.0:
-        phases.append(Phase("replica-allreduce", comm=t["reduce_total"],
-                            collective=True))
+        phases.append(Phase("replica-allreduce", comm=t["reduce_total"]))
     return phases, machine.num_devices
 
 
 def _layered_summa(algorithm, t: dict, steps: int, reduce_label: str):
     """SUMMA panel updates within each layer, then the cross-layer all-reduce."""
     phases = [Phase("panel-update", compute=t["gemm_step"], comm=t["comm_step"],
-                    overlap=algorithm.overlap, repeat=steps, collective=True)]
+                    overlap=algorithm.overlap, repeat=steps)]
     if t["reduce_total"] > 0.0:
-        phases.append(Phase(reduce_label, comm=t["reduce_total"], collective=True))
+        phases.append(Phase(reduce_label, comm=t["reduce_total"]))
     return phases
 
 
@@ -145,7 +142,7 @@ def schedule(
 
 
 def _emit_phase(
-    engine: EventEngine,
+    engine: OracleEngine,
     device: int,
     phase: Phase,
     label: str,
@@ -153,25 +150,18 @@ def _emit_phase(
 ) -> Optional[ScheduledEvent]:
     """Emit one repetition of a phase; returns the new chain barrier."""
 
-    def comm_event(deps) -> ScheduledEvent:
-        if phase.collective:
-            # One participant's share of the collective, FIFO on its copy engine.
-            return engine._reserve_fifo(EventKind.COLLECTIVE, device, COPY,
-                                        phase.comm, 0.0, deps, label)
-        return engine.fetch(device, phase.comm, deps=deps, label=label)
-
     if not phase.overlap:
         # Serial: communication completes before the local update starts.
         tail = barrier
         if phase.comm > 0.0:
-            tail = comm_event((tail,))
+            tail = engine.fetch(device, phase.comm, deps=(tail,), label=label)
         if phase.compute > 0.0:
             tail = engine.gemm(device, phase.compute, deps=(tail,), label=label)
         return tail
 
     concurrent: List[Optional[ScheduledEvent]] = []
     if phase.comm > 0.0:
-        concurrent.append(comm_event((barrier,)))
+        concurrent.append(engine.fetch(device, phase.comm, deps=(barrier,), label=label))
     if phase.compute > 0.0:
         concurrent.append(engine.gemm(device, phase.compute, deps=(barrier,),
                                       label=label))
@@ -189,7 +179,7 @@ def simulate_events(
     k: int,
     machine: MachineSpec,
     itemsize: int = 4,
-) -> EventEngine:
+) -> OracleEngine:
     """Emit the algorithm's schedule as typed events on every participating device.
 
     Every participating device executes the same bulk-synchronous phase
@@ -197,7 +187,7 @@ def simulate_events(
     ``simulate`` time.  Returns the engine for trace inspection and
     makespan queries.
     """
-    engine = EventEngine(machine.num_devices)
+    engine = OracleEngine(machine.num_devices)
     phases, active_devices = schedule(algorithm, m, n, k, machine, itemsize)
     for device in range(active_devices):
         barrier: Optional[ScheduledEvent] = None

@@ -35,10 +35,10 @@ from repro.core.structure import ROLE_A, ROLE_B, WorkloadStructure, resolve_stru
 from repro.dist.matrix import DistributedMatrix
 from repro.planner.search import enumerate_candidates
 from repro.runtime.runtime import Runtime
-from repro.sim.engine import EventEngine
 from repro.topology.machines import MachineSpec
 from repro.util.validation import float_dtype
 from tests.direct_oracle import OracleExecutor
+from tests.engine_oracle import OracleEngine
 from tests.pricing_oracle import (
     accumulate_time,
     device_link_time,
@@ -156,7 +156,7 @@ def critical_path_lower_bound(
     the iteration offset first when the config enables it.
     """
     config = (config or ExecutionConfig(simulate_only=True)).evolve(simulate_only=True)
-    engine = EventEngine(cost_model.machine.num_devices, contention=False)
+    engine = OracleEngine(cost_model.machine.num_devices, contention=False)
     OracleExecutor(a, b, c, cost_model, config=config, engine=engine,
                    structure=structure).execute(
         {rank: list(ops) for rank, ops in per_rank_ops.items()})

@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.core.config import ExecutionConfig
+from repro.core.config import ExecutionConfig, ExecutionMode, LoweringStrategy
 from repro.core.cost_model import CostModel
 from repro.core.direct import DirectExecutor
+from repro.core.lowering import lower_all_ranks
 from repro.core.matmul import universal_matmul
-from repro.core.slicing import generate_all_ops
+from repro.core.schedule_sim import IRExecutor
+from repro.core.slicing import generate_all_ops, ops_table
 from repro.core.stationary import Stationary
 from repro.dist.matrix import DistributedMatrix
 from repro.dist.partition import Block2D, ColumnBlock, RowBlock
 from repro.runtime.runtime import Runtime
 from repro.sim.engine import EventEngine
-from repro.sim.events import ScheduledEvent
+from repro.sim.events import EventKind, ScheduledEvent
 from repro.topology.machines import h100_system, pvc_system, uniform_system
 from tests.pricing_oracle import op_compute_time
 from tests.slicing_oracle import apply_iteration_offset
@@ -183,11 +185,20 @@ class TestPrefetchDepths:
         assert times[2] <= times[0] + 1e-12
 
 
+def _run_ir(a, b, c, config, engine):
+    """The IR executor on stationary A's lowered programs, recording to ``engine``."""
+    executor = IRExecutor(a, b, c, CostModel(a.runtime.machine), config, engine=engine)
+    cols = executor.price(ops_table(a, b, c, generate_all_ops(a, b, c, Stationary.A)))
+    return executor.execute(cols, lower_all_ranks(cols, config))
+
+
 class TestEngineOnlyRecords:
     """The walk times with plain floats; an event engine only records it."""
 
+    @pytest.mark.parametrize("mode", list(ExecutionMode), ids=lambda mode: mode.value)
     @pytest.mark.parametrize("materialize", [True, False])
-    def test_universal_matmul_builds_no_engine_or_event(self, monkeypatch, materialize):
+    def test_universal_matmul_builds_no_engine_or_event(self, monkeypatch, materialize,
+                                                        mode):
         built = []
         for cls in (EventEngine, ScheduledEvent):
             def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
@@ -196,7 +207,7 @@ class TestEngineOnlyRecords:
             monkeypatch.setattr(cls, "__init__", counting)
         runtime, a, b, c = build_problem(parts=(RowBlock(), ColumnBlock(), Block2D()),
                                          materialize=materialize)
-        config = ExecutionConfig(simulate_only=not materialize)
+        config = ExecutionConfig(simulate_only=not materialize, mode=mode)
         result = universal_matmul(a, b, c, stationary="A", config=config)
         assert result.remote_get_bytes > 0 and result.remote_accumulate_bytes > 0
         assert built == []
@@ -204,10 +215,30 @@ class TestEngineOnlyRecords:
             np.testing.assert_allclose(c.to_dense(), a.to_dense() @ b.to_dense(),
                                        rtol=1e-9)
         # The counters see an engine that is asked for.
-        DirectExecutor(a, b, c, CostModel(runtime.machine), config,
-                       engine=EventEngine(runtime.num_ranks)).execute(
-            generate_all_ops(a, b, c, Stationary.A))
+        engine = EventEngine(runtime.num_ranks)
+        if mode is ExecutionMode.DIRECT:
+            DirectExecutor(a, b, c, CostModel(runtime.machine), config,
+                           engine=engine).execute(generate_all_ops(a, b, c, Stationary.A))
+        else:
+            _run_ir(a, b, c, config, engine)
         assert "EventEngine" in built and "ScheduledEvent" in built
+
+    @pytest.mark.parametrize("lowering", list(LoweringStrategy), ids=lambda s: s.value)
+    def test_ir_executor_records_to_an_engine_it_is_handed(self, lowering):
+        """The positive control: handed an engine, the IR executor records
+        every kind of step event, and the engine's makespan is its own."""
+        machine = h100_system(4)
+        runtime, a, b, c = build_problem(parts=(RowBlock(), ColumnBlock(), Block2D()),
+                                         materialize=False, machine=machine)
+        config = ExecutionConfig(simulate_only=True, mode=ExecutionMode.IR,
+                                 lowering=lowering)
+        engine = EventEngine(runtime.num_ranks)
+        makespan, stats = _run_ir(a, b, c, config, engine)
+        kinds = {event.kind for event in engine.events}
+        assert kinds == {EventKind.FETCH, EventKind.GEMM, EventKind.ACCUMULATE,
+                         EventKind.SYNC}
+        assert engine.makespan() == makespan > 0.0
+        assert (makespan, stats) == _run_ir(a, b, c, config, None)
 
     @pytest.mark.parametrize("contention", [True, False])
     def test_recording_changes_nothing(self, contention):

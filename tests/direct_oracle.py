@@ -7,7 +7,9 @@ asynchronous GEMM/accumulate windows, the memory pool and the per-rank
 remote-tile cache).  The library executor,
 :class:`repro.core.direct.DirectExecutor`, walks priced slicing-table
 columns; the property suite checks that both emit the same events,
-statistics and C bytes.  Import it as ``tests.direct_oracle`` (run pytest
+statistics and C bytes.  It schedules every fetch, GEMM and accumulate on
+the scheduling engine of ``tests/engine_oracle.py``, so its timing rules are
+independent of the walk's.  Import it as ``tests.direct_oracle`` (run pytest
 from the repository root).
 """
 
@@ -24,10 +26,9 @@ from repro.core.ops import LocalMatmulOp
 from repro.core.result import RankStats
 from repro.core.structure import WorkloadStructure, resolve_structure
 from repro.dist.matrix import DistributedMatrix
-from repro.runtime.clock import ACCUMULATE, COMPUTE, COPY
-from repro.sim.engine import EventEngine
-from repro.sim.events import ScheduledEvent
+from repro.sim.events import ACCUMULATE, COMPUTE, COPY, ScheduledEvent
 from tests import structure_oracle as geometry
+from tests.engine_oracle import OracleEngine
 from tests.pricing_oracle import (
     accumulate_time,
     device_link_time,
@@ -74,7 +75,7 @@ class OracleExecutor:
         c: DistributedMatrix,
         cost_model: CostModel,
         config: Optional[ExecutionConfig] = None,
-        engine: Optional[EventEngine] = None,
+        engine: Optional[OracleEngine] = None,
         structure: Optional[WorkloadStructure] = None,
     ) -> None:
         self.a = a
@@ -83,7 +84,7 @@ class OracleExecutor:
         self.runtime = a.runtime
         self.cost_model = cost_model
         self.config = config or ExecutionConfig()
-        self.engine = engine or EventEngine(self.runtime.num_ranks)
+        self.engine = engine or OracleEngine(self.runtime.num_ranks)
         self.clock = self.engine.clock
         # Normalized to None for dense so the hot path stays the historical
         # arithmetic (bit-exact with the committed snapshots); non-dense

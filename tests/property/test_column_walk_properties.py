@@ -4,8 +4,8 @@
 ``repro.core.walk.walk_columns``, the direct executor's walk: the contended
 timing walk of a program's priced execution-order columns, its state held as
 plain floats and lists.  The oracle is ``tests/direct_oracle.OracleExecutor``
-on a fresh contended ``EventEngine``, walking the same candidate's op
-objects.  The makespan and both remote-byte totals must be equal with ``==``
+on a fresh contended scheduling engine (``tests/engine_oracle.py``), walking
+the same candidate's op objects.  The makespan and both remote-byte totals must be equal with ``==``
 across machines (with and without accumulate-compute interference), every
 ``ExecutionConfig`` window, dense, block-sparse and MoE workloads, uneven
 ``CustomTiles`` and replication.
@@ -27,9 +27,9 @@ from repro.core.walk import walk_columns
 from repro.dist.partition import CustomTiles
 from repro.planner.search import enumerate_candidates
 from repro.sim.batch import BatchEvaluator
-from repro.sim.engine import EventEngine
 from repro.topology.machines import h100_system, pvc_system, uniform_system
 from tests.direct_oracle import OracleExecutor
+from tests.engine_oracle import OracleEngine
 from tests.property.test_direct_oracle_properties import _oracle_ops
 
 MACHINES = {
@@ -122,11 +122,11 @@ def column_walk(evaluator: BatchEvaluator, program, cols):
 
 
 def oracle_walk(evaluator: BatchEvaluator, program):
-    """The oracle: the op-object executor on a fresh contended ``EventEngine``."""
+    """The oracle: the op-object executor on a fresh contended scheduling engine."""
     cls = program.cls
     config = evaluator.config
     executor = OracleExecutor(cls.a, cls.b, cls.c, evaluator.cost_model, config,
-                              engine=EventEngine(evaluator.machine.num_devices),
+                              engine=OracleEngine(evaluator.machine.num_devices),
                               structure=evaluator.structure)
     ops = _oracle_ops(cls.a, cls.b, cls.c, parse_stationary(program.candidate.stationary),
                       config, evaluator.structure)

@@ -5,7 +5,9 @@ keeps the executor that walked ``LocalMatmulOp`` objects and priced each op
 with scalar ``CostModel`` calls.  On the same inputs both must emit the same
 events (every ``ScheduledEvent`` field, labels included), the same per-rank
 ``RankStats`` and makespan, the same memory-pool statistics, and — when
-materialized — byte-identical C tiles in every replica.  Three ways into the
+materialized — byte-identical C tiles in every replica.  The oracle
+schedules on ``tests/engine_oracle.py``; the walk records on an
+``EventEngine``, whose makespan must equal the scheduling engine's.  Three ways into the
 walk are checked against the oracle:
 
 * the op-list adapter ``DirectExecutor.execute``;
@@ -46,6 +48,7 @@ from repro.sim.batch import BatchEvaluator
 from repro.sim.engine import EventEngine
 from repro.topology.machines import GB, h100_system, pvc_system, uniform_system
 from tests.direct_oracle import OracleExecutor
+from tests.engine_oracle import OracleEngine
 from tests.property.test_batch_evaluator_properties import CUPY_SPLITS
 from tests.slicing_oracle import apply_iteration_offset, prune_structured_ops
 
@@ -120,6 +123,7 @@ def _oracle_ops(a, b, c, stationary, config, structure=None):
 
 def _outcome(runtime, matrices, engine, makespan, stats):
     outcome = {"makespan": makespan, "stats": stats, "events": list(engine.events),
+               "engine_makespan": engine.makespan(),
                "pools": [runtime.pool(rank).stats for rank in range(runtime.num_ranks)]}
     c = matrices[2]
     if c.materialized:
@@ -136,7 +140,8 @@ def _check_walks(machine, shapes, parts, replication, stationary, config, conten
     for way in ("oracle", "adapter", "table"):
         runtime, matrices = _operands(machine, shapes, parts, replication, materialize)
         a, b, c = matrices
-        engine = EventEngine(machine.num_devices, contention=contention)
+        engine = (OracleEngine if way == "oracle" else EventEngine)(
+            machine.num_devices, contention=contention)
         if way == "oracle":
             executor = OracleExecutor(a, b, c, cost_model, config, engine=engine)
             result = executor.execute(_oracle_ops(a, b, c, stationary, config))
@@ -236,7 +241,8 @@ class TestBatchProgramsEqualOracle:
         cost_model = CostModel(machine)
         runs = []
         for walk in ("oracle", "columns"):
-            engine = EventEngine(machine.num_devices, contention=contention)
+            engine = (OracleEngine if walk == "oracle" else EventEngine)(
+                machine.num_devices, contention=contention)
             if walk == "oracle":
                 executor = OracleExecutor(cls.a, cls.b, cls.c, cost_model, config,
                                           engine=engine, structure=structure)
@@ -247,5 +253,5 @@ class TestBatchProgramsEqualOracle:
                                           engine=engine, structure=structure)
                 result = executor.execute_columns(
                     program.exec_columns(config.iteration_offset))
-            runs.append((result, list(engine.events)))
+            runs.append((result, list(engine.events), engine.makespan()))
         assert runs[0] == runs[1]

@@ -1,6 +1,10 @@
-"""Property-based invariants of the unified event engine.
+"""Property-based invariants of the direct walk's schedule and the event oracles.
 
-Three families of properties, as demanded by the engine's contract:
+The walk (:func:`repro.core.walk.walk_columns`) keeps time and an
+``EventEngine`` records it; only the scheduling oracle
+(``tests/engine_oracle.py``) keeps the shared egress/ingress timelines.
+Where a property needs those timelines, it is checked on the oracle's run
+of the same case, whose makespan must equal the walk's.  Three families:
 
 1. **Timeline sanity** — per-engine occupancy intervals are monotone and
    non-overlapping (engines are single-server queues), and every realized
@@ -10,8 +14,8 @@ Three families of properties, as demanded by the engine's contract:
    busy time across all engines (the schedule has no globally idle instant
    before the makespan).
 3. **Baseline parity** — the baselines' schedules, emitted through the
-   engine by the oracle ``tests/baseline_oracle.py``, reproduce their
-   closed-form models.
+   scheduling engine by the oracle ``tests/baseline_oracle.py``, reproduce
+   their closed-form models.
 """
 
 import math
@@ -29,11 +33,12 @@ from repro.core.cost_model import CostModel
 from repro.core.direct import DirectExecutor
 from repro.core.matmul import model_reduce_time, plan_ops
 from repro.dist.matrix import DistributedMatrix
-from repro.runtime.clock import ENGINES
 from repro.sim import EventEngine
 from repro.topology.machines import GB, uniform_system
 from tests.baseline_oracle import simulate_events
 from tests.bound_oracle import critical_path_lower_bound, direct_lower_bound
+from tests.direct_oracle import OracleExecutor
+from tests.engine_oracle import ENGINES, OracleEngine
 from tests.slicing_oracle import apply_iteration_offset
 
 _SCHEMES = {scheme.name: scheme for scheme in ua_schemes()}
@@ -71,7 +76,10 @@ def _simulate(case):
     return machine, point
 
 
-def _build_executor(case, contention=True):
+def _build_executor(case, contention=True, oracle=False):
+    """The case's operands and op lists, and an executor with its engine:
+    the walk on a recording ``EventEngine``, or with ``oracle`` the
+    op-object oracle on the scheduling engine."""
     num_devices, workload, scheme, replication, stationary, link_gb, config = case
     machine = uniform_system(num_devices, link_bandwidth=link_gb * GB)
     from repro.runtime.runtime import Runtime
@@ -93,9 +101,28 @@ def _build_executor(case, contention=True):
     if config.iteration_offset:
         per_rank_ops = {rank: apply_iteration_offset(ops)
                         for rank, ops in per_rank_ops.items()}
-    engine = EventEngine(machine.num_devices, contention=contention)
-    executor = DirectExecutor(a, b, c, CostModel(machine), config, engine=engine)
+    if oracle:
+        engine = OracleEngine(machine.num_devices, contention=contention)
+        executor = OracleExecutor(a, b, c, CostModel(machine), config, engine=engine)
+    else:
+        engine = EventEngine(machine.num_devices, contention=contention)
+        executor = DirectExecutor(a, b, c, CostModel(machine), config, engine=engine)
     return a, b, c, per_rank_ops, engine, executor
+
+
+def _oracle_run(case):
+    """The oracle's makespan and scheduling engine on the case."""
+    a, b, c, per_rank_ops, engine, executor = _build_executor(case, oracle=True)
+    makespan, _ = executor.execute(per_rank_ops)
+    return makespan, engine
+
+
+def _assert_monotone_non_overlapping(intervals, where):
+    intervals = sorted(intervals, key=lambda interval: interval[0])
+    for start, end in intervals:
+        assert end >= start
+    for earlier, later in zip(intervals, intervals[1:]):
+        assert earlier[1] <= later[0], f"overlap on {where}"
 
 
 class TestTimelineInvariants:
@@ -104,17 +131,26 @@ class TestTimelineInvariants:
     @given(case=sim_case())
     def test_timelines_monotone_and_non_overlapping(self, case):
         a, b, c, per_rank_ops, engine, executor = _build_executor(case)
-        executor.execute(per_rank_ops)
-        for device in range(engine.num_devices):
-            timeline = engine.clock.device(device)
+        makespan, _ = executor.execute(per_rank_ops)
+        # The walk's own queues, from the events it recorded.
+        queues = {}
+        for event in engine.events:
+            if event.engine is not None:
+                queues.setdefault((event.device, event.engine), []).append(
+                    (event.start, event.end))
+        for (device, name), intervals in queues.items():
+            _assert_monotone_non_overlapping(intervals,
+                                             f"device {device} engine {name}")
+        # Every engine, egress and ingress included, on the oracle's
+        # timelines of the same schedule.
+        oracle_makespan, oracle = _oracle_run(case)
+        assert makespan == oracle_makespan == engine.makespan()
+        for device in range(oracle.num_devices):
+            timeline = oracle.clock.device(device)
             for name in ENGINES:
-                entries = sorted(timeline.entries(name), key=lambda e: e.start)
-                for entry in entries:
-                    assert entry.end >= entry.start
-                for earlier, later in zip(entries, entries[1:]):
-                    assert earlier.end <= later.start, (
-                        f"overlap on device {device} engine {name}"
-                    )
+                _assert_monotone_non_overlapping(
+                    [(entry.start, entry.end) for entry in timeline.entries(name)],
+                    f"device {device} engine {name}")
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -146,10 +182,13 @@ class TestBoundSandwich:
 
         # Upper half of the sandwich: the schedule is never globally idle
         # before the makespan, so the contended run's summed busy time
-        # dominates it.
+        # (egress and ingress included, read on the oracle's timelines of
+        # the same schedule) dominates it.
         a2, b2, c2, ops2, engine2, executor2 = _build_executor(case)
         makespan, _ = executor2.execute(ops2)
-        assert makespan <= engine2.total_busy_time() * (1 + 1e-12)
+        oracle_makespan, oracle = _oracle_run(case)
+        assert makespan == oracle_makespan
+        assert makespan <= oracle.total_busy_time() * (1 + 1e-12)
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -12,6 +12,7 @@ from repro.dist.matrix import DistributedMatrix
 from repro.dist.partition import ColumnBlock, RowBlock
 from repro.runtime.runtime import Runtime
 from repro.sim import EventEngine, EventKind, InMemoryTraceRecorder
+from repro.sim.events import COMPUTE, COPY
 from repro.topology.machines import uniform_system
 
 
@@ -59,9 +60,10 @@ class TestChromeExport:
     def test_chrome_trace_roundtrips_as_json(self, tmp_path):
         recorder = InMemoryTraceRecorder()
         engine = EventEngine(2, recorder=recorder)
-        fetch = engine.fetch(0, 1.0, src=1, occupancy=1.0, label="get:A(0, 0)")
-        engine.gemm(0, 2.0, deps=(fetch,), label="gemm")
-        engine.sync(0, deps=(fetch,))
+        fetch = engine.record(EventKind.FETCH, 0, COPY, 0.0, 1.0, peer=1, occupancy=1.0,
+                              label="get:A(0, 0)")
+        engine.record(EventKind.GEMM, 0, COMPUTE, 1.0, 2.0, deps=(fetch,), label="gemm")
+        engine.record(EventKind.SYNC, 0, None, 1.0, 0.0, deps=(fetch,), label="sync")
 
         path = recorder.dump_chrome_trace(str(tmp_path / "trace.json"))
         with open(path, "r", encoding="utf-8") as handle:

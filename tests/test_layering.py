@@ -4,9 +4,10 @@
 tests pin the edges of it that the comparators and the benchmark package
 keep: the baselines price with closed forms and need no event engine, the
 collective models sit directly on the machine model, the benchmark package
-never reaches up into the planner, not even from inside a function, and the
+never reaches up into the planner, not even from inside a function, the
 planner's batch evaluator walks its priced columns without the direct
-executor or the event engine (they are its test oracle).
+executor or the event engine (they are its test oracle), and the event
+recorder is a leaf: it imports nothing of ``repro`` outside ``repro.sim``.
 """
 
 from __future__ import annotations
@@ -92,3 +93,15 @@ def test_batch_evaluator_builds_no_executor_or_engine():
         if name in ("repro.core", "repro.sim")
         or any(_within(name, module) for module in forbidden)
     )
+
+
+def test_the_event_recorder_is_a_leaf():
+    """``repro.sim.engine``, ``events`` and ``trace`` only record what the
+    walks timed, so they import nothing of ``repro`` outside ``repro.sim``."""
+    found = {}
+    for module in ("engine", "events", "trace"):
+        names = _imports(SRC / "repro" / "sim" / f"{module}.py")
+        found[module] = sorted(name for name in names
+                               if _within(name, "repro") and not _within(name, "repro.sim"))
+        assert module == "events" or "repro.sim.events" in names
+    assert found == {"engine": [], "events": [], "trace": []}
