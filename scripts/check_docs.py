@@ -10,10 +10,12 @@ Two checks, both offline and stdlib-only:
    counted but not fetched (CI has no network guarantee).
 
 2. **Snippet smoke** — every fenced ``python`` code block in the
-   executable docs (docs/serving.md, docs/observability.md,
+   executable docs (README.md, docs/serving.md, docs/observability.md,
    docs/adaptive.md, docs/graph_planning.md) is extracted and executed
-   *in order in one shared namespace per file*, so the documented
-   quickstarts provably run against the current code.
+   *in order in one shared namespace per file*, from a fresh temporary
+   working directory (so files a snippet writes, such as README's Chrome
+   trace, land outside the checkout), so the documented quickstarts
+   provably run against the current code.
 
 Usage:
     python scripts/check_docs.py
@@ -24,6 +26,7 @@ from __future__ import annotations
 import os
 import re
 import sys
+import tempfile
 from typing import Dict, List, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -35,7 +38,8 @@ if os.path.isdir(SRC) and SRC not in sys.path:
 LINKED_FILES = ["README.md", "ROADMAP.md"]
 
 #: Documentation files whose python blocks must execute.
-EXECUTABLE_DOCS = [os.path.join("docs", "serving.md"),
+EXECUTABLE_DOCS = ["README.md",
+                   os.path.join("docs", "serving.md"),
                    os.path.join("docs", "observability.md"),
                    os.path.join("docs", "adaptive.md"),
                    os.path.join("docs", "graph_planning.md")]
@@ -144,18 +148,25 @@ def extract_python_blocks(path: str) -> List[Tuple[int, str]]:
 
 
 def run_python_blocks(path: str) -> List[str]:
-    """Execute every python block sequentially in one namespace."""
+    """Execute every python block sequentially in one namespace, from a
+    fresh temporary working directory."""
     blocks = extract_python_blocks(os.path.join(ROOT, path))
     namespace: Dict[str, object] = {"__name__": "__docs__"}
     errors: List[str] = []
-    for index, (line, source) in enumerate(blocks, start=1):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
         try:
-            code = compile(source, f"{path}:block{index}@line{line}", "exec")
-            exec(code, namespace)  # noqa: S102 - executing our own docs is the point
-        except BaseException as error:  # noqa: BLE001 - report, keep format
-            errors.append(f"{path} block {index} (line {line}): "
-                          f"{type(error).__name__}: {error}")
-            break  # later blocks depend on earlier state; stop at first failure
+            for index, (line, source) in enumerate(blocks, start=1):
+                try:
+                    code = compile(source, f"{path}:block{index}@line{line}", "exec")
+                    exec(code, namespace)  # noqa: S102 - executing our own docs is the point
+                except BaseException as error:  # noqa: BLE001 - report, keep format
+                    errors.append(f"{path} block {index} (line {line}): "
+                                  f"{type(error).__name__}: {error}")
+                    break  # later blocks depend on earlier state; stop at first failure
+        finally:
+            os.chdir(cwd)
     print(f"executed {len(blocks)} python blocks from {path}")
     return errors
 

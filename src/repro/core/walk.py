@@ -23,8 +23,8 @@ Each device's shared egress and ingress capacity is kept as sorted
 ``(start, end)`` reservations; a transfer takes the earliest gap that fits
 it at or after its ready time, so one-to-many tile fan-out serialises at the
 owner's egress and many-to-one accumulate fan-in at the destination's
-ingress, whatever order the walk posts them in.  That contention is the effect the paper's
-iteration offset exists to mitigate.  A remote accumulate also steals the
+ingress, whatever order the walk posts them in.  That contention is the
+effect the paper's iteration offset exists to mitigate.  A remote accumulate also steals the
 machine's interference share of the initiator's compute.
 
 Two things are optional.  Unless ``config.simulate_only`` is set the
@@ -101,10 +101,9 @@ def walk_columns(cols: Dict[str, np.ndarray], matrices: Sequence,
     an optional :class:`~repro.sim.engine.EventEngine`, records the walk.  Each
     rank's busy times are its events' ``end - start``, summed in posting
     order, and its finish time includes its device's egress and ingress
-    ends.  The GEMM
-    window (``max_concurrent_gemms``) never moves a start, because GEMMs run
-    FIFO on the compute engine; it only shapes the dependency edge a traced
-    run records.
+    ends.  The GEMM window (``max_concurrent_gemms``) never moves a start,
+    because GEMMs run FIFO on the compute engine; it only shapes the
+    dependency edge a traced run records.
     """
     runtime = matrices[0].runtime
     p = runtime.num_ranks
