@@ -27,6 +27,7 @@ Exits non-zero if any surface comes back empty or inconsistent.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -56,14 +57,19 @@ def main() -> None:
                         help="requests for the hot workload (cold spread on top)")
     parser.add_argument("--out", default=None,
                         help="directory for request logs + the exported trace "
-                             "(default: a temporary directory)")
+                             "(default: a temporary directory, removed on exit)")
     args = parser.parse_args()
+    with (contextlib.nullcontext(args.out) if args.out
+          else tempfile.TemporaryDirectory(prefix="fleet-obs-")) as out_dir:
+        observe(args, out_dir)
 
+
+def observe(args: argparse.Namespace, out_dir: str) -> None:
+    """Run the demo, writing request logs and the trace under ``out_dir``."""
     machine = uniform_system(args.devices)
     hot = attention_workload(256)
     cold = [mlp1_workload(512), mlp1_workload(1024), attention_workload(384)]
 
-    out_dir = args.out or tempfile.mkdtemp(prefix="fleet-obs-")
     reqlog_dir = os.path.join(out_dir, "reqlogs")
 
     # A deliberately short TTL plus a generous grace window: the demo lets
@@ -159,7 +165,8 @@ def main() -> None:
     last = hot_responses[-1]
     trace_path = os.path.join(out_dir, "request_trace.json")
     tracer.dump_chrome_trace(trace_path, last.trace_id)
-    events = json.load(open(trace_path))["traceEvents"]
+    with open(trace_path, encoding="utf-8") as handle:
+        events = json.load(handle)["traceEvents"]
     slices = [e for e in events if e["ph"] == "X"]
     roles = {e["tid"] for e in slices}
     print(f"\nChrome trace for request {last.trace_id}: {trace_path}")

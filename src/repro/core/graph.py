@@ -25,7 +25,7 @@ satisfied."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -62,9 +62,11 @@ class ComputationGraph:
     acc: List[float]
     c_remote: List[bool]
     data_nodes: Dict[DataKey, DataNode] = field(default_factory=dict)
-    #: op index -> data keys it depends on (only remote dependencies carry cost,
-    #: but local ones are kept, marked satisfied, for completeness).
-    dependencies: Dict[int, FrozenSet[DataKey]] = field(default_factory=dict)
+    #: op index -> data keys it depends on, A then B (only remote dependencies
+    #: carry cost, but local ones are kept, marked satisfied, for completeness).
+    #: A tuple, not a set: the lowerings visit dependencies in this order, and
+    #: a set's order would follow the process's string hash seed.
+    dependencies: Dict[int, Tuple[DataKey, ...]] = field(default_factory=dict)
     #: data keys whose dependency edges start in the satisfied state (local tiles).
     initially_satisfied: Set[DataKey] = field(default_factory=set)
 
@@ -94,7 +96,7 @@ class ComputationGraph:
                                                      0.0 if local else fetch[index])
                     if local:
                         graph.initially_satisfied.add(key)
-            graph.dependencies[index] = frozenset(deps)
+            graph.dependencies[index] = tuple(deps)
         return graph
 
     # ------------------------------------------------------------------ #
@@ -108,7 +110,7 @@ class ComputationGraph:
 
     def is_ready(self, op_index: int, satisfied: Set[DataKey]) -> bool:
         """True if all of an op's dependencies are in the satisfied state."""
-        return self.dependencies[op_index] <= satisfied
+        return satisfied.issuperset(self.dependencies[op_index])
 
     def unsatisfied_deps(self, op_index: int, satisfied: Set[DataKey]) -> List[DataKey]:
         """The data op ``op_index`` still needs that is not in ``satisfied``."""

@@ -47,7 +47,7 @@ import tempfile
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.bench.schemes import scheme_by_name
@@ -104,6 +104,12 @@ class PlanEntry:
     #: (:meth:`repro.core.cost_model.CostModel.fingerprint`); ``None`` for
     #: entries built outside a service context.
     fingerprint: Optional[str] = None
+    #: The encoded entry-invariant runs of this entry's wire reply, filled
+    #: by :func:`repro.serve.protocol.reply_frame` the first time the entry
+    #: is served over the wire; never persisted.  A refreshed or replaced
+    #: entry is a new object, so its memo goes with it.
+    wire_parts: Optional[List[bytes]] = field(default=None, init=False,
+                                              repr=False, compare=False)
 
     @property
     def best(self) -> PartitioningRecommendation:

@@ -42,7 +42,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.schemes import PartitioningScheme
@@ -97,6 +97,8 @@ class PlanResponse:
     stale: bool = False
     #: Search bookkeeping; ``None`` for cache hits and coalesced waits.
     search_stats: Optional[SearchStats] = None
+    #: The cached entry this answer serves (its wire reply is memoised on it).
+    entry: Optional[PlanEntry] = field(default=None, repr=False, compare=False)
 
     @property
     def recommendation(self) -> PartitioningRecommendation:
@@ -111,7 +113,7 @@ class PlanResponse:
                    recommendations=list(entry.recommendations),
                    cache_hit=cache_hit, coalesced=coalesced,
                    planning_time=planning_time, plan_age=plan_age, stale=stale,
-                   search_stats=search_stats)
+                   search_stats=search_stats, entry=entry)
 
 
 @dataclass
@@ -143,7 +145,7 @@ class GraphPlanResponse(PlanResponse):
                    recommendations=list(entry.recommendations),
                    cache_hit=cache_hit, coalesced=coalesced,
                    planning_time=planning_time, plan_age=plan_age, stale=stale,
-                   search_stats=search_stats, graph=entry.graph,
+                   search_stats=search_stats, entry=entry, graph=entry.graph,
                    assignment=entry.assignment, makespan=entry.makespan,
                    greedy_makespan=entry.greedy_makespan, method=entry.method)
 

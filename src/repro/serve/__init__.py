@@ -1,11 +1,11 @@
 """Multi-process plan serving: the shared-nothing front over the planner.
 
-PR 2 made plan selection a thread-safe in-process service
-(:class:`~repro.planner.service.PlannerService`); this package makes it a
-*deployable* one.  :class:`~repro.serve.server.PlanServer` pre-forks N
-workers — each owning a private planner service, plan cache, and simulated
-runtimes — behind one Unix/TCP listening socket whose connections the parent
-deals round-robin; :class:`~repro.serve.client.PlanClient` talks to it over
+This package makes the in-process
+:class:`~repro.planner.service.PlannerService` a *deployable* one.
+:class:`~repro.serve.server.PlanServer` pre-forks N workers — each owning a
+private planner service, plan cache, and simulated runtimes — behind one
+Unix/TCP listening socket whose connections the parent deals round-robin;
+:class:`~repro.serve.client.PlanClient` talks to it over
 a length-prefixed JSON protocol (:mod:`repro.serve.protocol`) with
 connection pooling and transport retries; :mod:`repro.serve.stats`
 aggregates per-worker counters into the fleet-wide view.
@@ -47,7 +47,6 @@ from repro.serve.protocol import (
     plan_request,
     plan_response_payload,
     recv_message,
-    send_frame,
     send_message,
     stats_request,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "plan_request",
     "plan_response_payload",
     "recv_message",
-    "send_frame",
     "send_message",
     "stats_request",
     "PlanClient",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import queue
 import socket
+import struct
 import threading
 import time
 from typing import Dict, Optional, Tuple, Union
@@ -57,7 +58,9 @@ class PlanClient:
             request that does not count against this budget — see
             :meth:`_request`.
         retry_delay: base back-off between retries, doubled per attempt.
-        timeout: per-operation socket timeout in seconds.
+        timeout: per-operation socket timeout in seconds, > 0 (after
+            ``connect``, kernel ``SO_SNDTIMEO``/``SO_RCVTIMEO`` on a blocking
+            socket; expiry raises ``BlockingIOError``, a transport failure).
         tracer: a :class:`~repro.obs.tracing.Tracer`; when given (and
             enabled), every :meth:`plan` runs inside a ``client.plan`` span
             whose trace id is stamped into the wire request, and the
@@ -81,6 +84,8 @@ class PlanClient:
             raise ValueError(f"pool_size must be >= 1, got {pool_size}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
+        if not timeout > 0:
+            raise ValueError(f"timeout must be > 0, got {timeout}")
         self.address = address
         self.pool_size = pool_size
         self.retries = retries
@@ -99,13 +104,17 @@ class PlanClient:
     # ------------------------------------------------------------------ #
     def _connect(self) -> socket.socket:
         """Open one fresh connection to the server."""
-        if isinstance(self.address, str):
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        else:
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        family = socket.AF_UNIX if isinstance(self.address, str) else socket.AF_INET
+        sock = socket.socket(family, socket.SOCK_STREAM)
         sock.settimeout(self.timeout)
         try:
             sock.connect(self.address)
+            sock.settimeout(None)  # blocking: CPython adds no poll per call
+            # A struct timeval of at least 1 us: a zero one never expires.
+            micros = max(1, round(self.timeout * 1e6))
+            timeval = struct.pack("@ll", *divmod(micros, 1_000_000))
+            for option in (socket.SO_SNDTIMEO, socket.SO_RCVTIMEO):
+                sock.setsockopt(socket.SOL_SOCKET, option, timeval)
         except OSError:
             sock.close()
             raise
@@ -189,21 +198,17 @@ class PlanClient:
                 last_error = error
                 attempt += 1
                 continue
-            failure: Optional[BaseException] = None
-            message: Optional[Dict[str, object]] = None
             try:
-                protocol.send_frame(sock, frame, timeout=self.timeout)
+                sock.sendall(frame)
                 message = protocol.recv_message(sock)
+                if message is None:
+                    # Orderly close mid-conversation: same staleness signal
+                    # as a reset — a restarted worker's old sockets EOF.
+                    raise protocol.ProtocolError(
+                        "server closed the connection before answering")
             except (OSError, protocol.ProtocolError) as error:
-                failure = error
-            if failure is None and message is None:
-                # Orderly close mid-conversation: same staleness signal as a
-                # reset — a restarted worker's old sockets EOF cleanly.
-                failure = protocol.ProtocolError(
-                    "server closed the connection before answering")
-            if failure is not None:
                 self._close_socket(sock)
-                last_error = failure
+                last_error = error
                 if pooled and pool_freebie_available:
                     # Stale pool, not a sick server: drop every parked
                     # connection and go again on a fresh socket for free.
@@ -212,7 +217,6 @@ class PlanClient:
                     continue
                 attempt += 1
                 continue
-            assert message is not None
             self._release(sock)
             if not message.get("ok"):
                 detail = message.get("error") or {}

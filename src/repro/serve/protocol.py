@@ -9,8 +9,9 @@ JSON keeps the protocol debuggable (``socat`` + eyeballs) and reuses the
 serializers the persistent plan store already has
 (:func:`repro.planner.cache.recommendation_to_dict`,
 :meth:`repro.bench.workloads.Workload.to_dict`); the length prefix makes
-framing trivial on both blocking sockets (:func:`recv_message`) and
-non-blocking event loops (:class:`FrameDecoder`).
+framing trivial: one :class:`FrameDecoder` reads the worker's non-blocking
+feeds and the client's blocking sockets, whose timeouts are kernel socket
+options, so a round trip is one ``sendall`` and one ``recv``.
 
 Requests are objects with an ``"op"`` discriminator:
 
@@ -35,10 +36,13 @@ client re-raises failures as :class:`~repro.serve.client.RemotePlanError`.
 
 ``plan`` and ``plan_graph`` share one wire shape, because a graph plan is a
 plan plus graph fields: both requests are built by one helper (subject,
-option, optional trace), and a ``plan_graph`` result is the
-:func:`plan_response_payload` dict plus ``assignment``, ``makespan``,
-``greedy_makespan`` and ``method`` — read back as a
-:class:`RemoteGraphPlanResponse`, a :class:`RemotePlanResponse` subclass.
+option, optional trace), and a ``plan_graph`` result is a ``plan`` result
+plus ``assignment``, ``makespan``, ``greedy_makespan`` and ``method`` —
+read back as a :class:`RemoteGraphPlanResponse`, a
+:class:`RemotePlanResponse` subclass.  One ordered field table per reply
+(:data:`PLAN_REPLY_FIELDS`) drives the payload, the worker's frame writer
+and the client's reader.  A hit's reply is spliced from the served entry's
+cached bytes (:func:`reply_frame`): only its per-request fields are encoded.
 
 Versioning: replies have one dialect (:data:`PROTOCOL_VERSION`).  A
 fleet's parent, workers and clients are one build, so every field a server
@@ -54,32 +58,19 @@ receive — a corrupt length header must fail fast, not allocate gigabytes.
 from __future__ import annotations
 
 import json
-import select
 import socket
 import struct
-import time
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Dict, List, Optional
 
 from repro.bench.selector import PartitioningRecommendation
 from repro.bench.workloads import Workload
 from repro.planner.cache import recommendation_from_dict, recommendation_to_dict
-from repro.planner.service import PlanResponse
+from repro.planner.service import GraphPlanResponse, PlanResponse
 
-#: The protocol dialect this build speaks, as ``(major, minor)``.  1.0 was
-#: the original plan/ping/stats protocol; 1.1 added the optional ``trace``
-#: request field, the ``metrics`` op, and the ``plan_age``/``trace_id``/
-#: ``spans`` response fields; 1.2 added the ``stale`` response flag (a plan
-#: served from an expired-but-in-grace cache entry while a background
-#: refresh recomputes it); 1.3 added the ``plan_graph`` op (joint layout
-#: planning over an op chain/DAG, carrying the graph as
-#: ``OpGraph.to_dict()``); 1.4 added the ``generation`` response field on
-#: ``plan``/``plan_graph``/``ping`` — the answering worker's restart
-#: incarnation (0 for the originally forked worker, +1 per supervised
-#: restart), so clients and tests can tell a fresh-cache restarted worker
-#: from its predecessor; 1.5 dropped the two cross-fingerprint seeding
-#: counters from the ``stats`` reply's service counters (the seeding was
-#: removed).
+#: The protocol dialect this build speaks, as ``(major, minor)`` (the
+#: ``ping`` reply carries it; see "Versioning" above).
 PROTOCOL_VERSION = (1, 5)
 
 #: Frame header: one network-order unsigned 32-bit payload length.
@@ -90,8 +81,12 @@ HEADER = struct.Struct("!I")
 #: kilobytes).
 MAX_MESSAGE_BYTES = 64 << 20
 
-#: How long a send may wait for a congested peer before giving up (seconds).
-SEND_TIMEOUT = 30.0
+#: The frame body encoder: ``json.dumps`` with compact separators, built once.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+#: Bytes a blocking :meth:`FrameDecoder.read` asks ``recv`` for at once:
+#: more than any plan reply, so a reply takes one ``recv``.
+READ_SIZE = 64 << 10
 
 
 class ProtocolError(RuntimeError):
@@ -100,106 +95,38 @@ class ProtocolError(RuntimeError):
 
 def encode_frame(payload: Dict[str, object]) -> bytes:
     """Serialize one message object to its on-wire frame (header + JSON)."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    return _checked_frame(_encode(payload).encode("utf-8"))
+
+
+def _checked_frame(body: bytes) -> bytes:
+    """``body`` behind its length header; oversized bodies raise."""
     if len(body) > MAX_MESSAGE_BYTES:
         raise ProtocolError(f"message of {len(body)} bytes exceeds "
                             f"MAX_MESSAGE_BYTES={MAX_MESSAGE_BYTES}")
     return HEADER.pack(len(body)) + body
 
 
-def send_message(sock: socket.socket, payload: Dict[str, object],
-                 timeout: float = SEND_TIMEOUT) -> None:
-    """Encode ``payload`` and write it as one frame (see :func:`send_frame`)."""
-    send_frame(sock, encode_frame(payload), timeout)
-
-
-def send_frame(sock: socket.socket, frame: bytes,
-               timeout: float = SEND_TIMEOUT) -> None:
-    """Write one pre-encoded frame to ``sock``, tolerating non-blocking sockets.
-
-    Args:
-        sock: a connected stream socket (blocking or non-blocking).
-        frame: the :func:`encode_frame` output to send.
-        timeout: ceiling on total time spent waiting for writability.
-
-    Raises:
-        ProtocolError: if the peer stays unwritable past ``timeout``.
-        OSError: on a broken connection.
-    """
-    view = memoryview(frame)
-    deadline = time.monotonic() + timeout
-    while view:
-        # select-before-send enforces the deadline on *blocking* sockets too
-        # (a bare blocking send() could wait on a full peer buffer forever);
-        # once writable, send() returns promptly with a partial count.
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise ProtocolError("send timed out waiting for a writable peer")
-        _, writable, _ = select.select([], [sock], [], min(remaining, 1.0))
-        if not writable:
-            continue
-        try:
-            sent = sock.send(view)
-        except (BlockingIOError, InterruptedError):
-            continue
-        if sent == 0:
-            raise ProtocolError("connection closed mid-frame during send")
-        view = view[sent:]
-
-
-def _recv_exact(sock: socket.socket, count: int, *, at_boundary: bool) -> Optional[bytes]:
-    """Read exactly ``count`` bytes from a blocking socket.
-
-    Returns ``None`` on a clean EOF at a frame boundary (``at_boundary``);
-    raises :class:`ProtocolError` if the peer disconnects mid-frame.
-    """
-    chunks: List[bytes] = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if at_boundary and remaining == count:
-                return None
-            raise ProtocolError(f"connection closed mid-frame ({remaining} of "
-                                f"{count} bytes outstanding)")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+def send_message(sock: socket.socket, payload: Dict[str, object]) -> None:
+    """Write ``payload`` to ``sock`` as one frame, in one ``sendall`` that the
+    socket's own timeout bounds (``SO_SNDTIMEO`` on a client connection)."""
+    sock.sendall(encode_frame(payload))
 
 
 def recv_message(sock: socket.socket) -> Optional[Dict[str, object]]:
-    """Read one frame from a blocking socket; ``None`` on clean EOF.
-
-    Raises:
-        ProtocolError: on truncated frames, oversized lengths, or bad JSON.
-    """
-    header = _recv_exact(sock, HEADER.size, at_boundary=True)
-    if header is None:
-        return None
-    (length,) = HEADER.unpack(header)
-    if length > MAX_MESSAGE_BYTES:
-        raise ProtocolError(f"frame of {length} bytes exceeds "
-                            f"MAX_MESSAGE_BYTES={MAX_MESSAGE_BYTES}")
-    return _decode_body(_recv_exact(sock, length, at_boundary=False))
-
-
-def _decode_body(body: bytes) -> Dict[str, object]:
-    """Parse and validate one frame body (shared by both read paths)."""
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as error:
-        raise ProtocolError(f"undecodable frame body: {error}") from error
-    if not isinstance(payload, dict):
-        raise ProtocolError(f"frame body must be a JSON object, got {type(payload).__name__}")
-    return payload
+    """The one reply of a round trip (:meth:`FrameDecoder.read` on a fresh
+    decoder; ``None`` on clean EOF).  Bytes past it raise :class:`ProtocolError`:
+    read pipelined frames with one decoder's :meth:`~FrameDecoder.read`."""
+    decoder = FrameDecoder()
+    message = decoder.read(sock)
+    if decoder.pending_bytes:
+        raise ProtocolError(f"{decoder.pending_bytes} bytes past the reply frame")
+    return message
 
 
 class FrameDecoder:
-    """Incremental frame parser for non-blocking reads (the server side).
-
-    Feed whatever bytes ``recv`` produced; complete messages pop out in
-    order, partial frames wait in the buffer for the next feed.
-    """
+    """The one frame reader: :meth:`feed` it a non-blocking ``recv``'s bytes
+    (the worker) or :meth:`read` a blocking socket (the client); messages
+    come out in order and partial frames wait in the buffer."""
 
     def __init__(self) -> None:
         self._buffer = bytearray()
@@ -212,19 +139,50 @@ class FrameDecoder:
         """
         self._buffer.extend(data)
         messages: List[Dict[str, object]] = []
-        while True:
-            if len(self._buffer) < HEADER.size:
-                return messages
-            (length,) = HEADER.unpack(bytes(self._buffer[:HEADER.size]))
-            if length > MAX_MESSAGE_BYTES:
-                raise ProtocolError(f"frame of {length} bytes exceeds "
-                                    f"MAX_MESSAGE_BYTES={MAX_MESSAGE_BYTES}")
-            end = HEADER.size + length
-            if len(self._buffer) < end:
-                return messages
-            body = bytes(self._buffer[HEADER.size:end])
-            del self._buffer[:end]
-            messages.append(_decode_body(body))
+        while (message := self._pop()) is not None:
+            messages.append(message)
+        return messages
+
+    def read(self, sock: socket.socket) -> Optional[Dict[str, object]]:
+        """The next message from blocking ``sock``; ``None`` on clean EOF.
+
+        One ``recv`` of up to :data:`READ_SIZE` bytes per frame, looping
+        only on short reads; bytes past the message stay buffered.  Raises
+        :class:`ProtocolError` on a mid-frame disconnect or a bad frame, and
+        ``OSError`` on a broken connection (``BlockingIOError`` when the
+        socket's receive timeout expires).
+        """
+        while (message := self._pop()) is None:
+            data = sock.recv(READ_SIZE)
+            if not data:
+                if self._buffer:
+                    raise ProtocolError(f"connection closed mid-frame "
+                                        f"({len(self._buffer)} bytes buffered)")
+                return None
+            self._buffer.extend(data)
+        return message
+
+    def _pop(self) -> Optional[Dict[str, object]]:
+        """Remove and decode the buffer's first frame, if it is whole."""
+        buffer = self._buffer
+        if len(buffer) < HEADER.size:
+            return None
+        (length,) = HEADER.unpack_from(buffer)
+        if length > MAX_MESSAGE_BYTES:
+            raise ProtocolError(f"frame of {length} bytes exceeds "
+                                f"MAX_MESSAGE_BYTES={MAX_MESSAGE_BYTES}")
+        end = HEADER.size + length
+        if len(buffer) < end:
+            return None
+        body = buffer[HEADER.size:end]
+        del buffer[:end]
+        try:
+            payload = json.loads(body.decode("utf-8"))
+        except (UnicodeDecodeError, ValueError) as error:
+            raise ProtocolError(f"undecodable frame body: {error}") from error
+        if not isinstance(payload, dict):
+            raise ProtocolError(f"frame body must be a JSON object, got {type(payload).__name__}")
+        return payload
 
     @property
     def pending_bytes(self) -> int:
@@ -244,7 +202,7 @@ def plan_request(workload: Workload, top_k: Optional[int] = None,
         top_k: ranked plans wanted (``None``: server default).
         trace: optional tracing context to propagate —
             ``{"trace_id": ..., "parent_span_id": ...}`` (omitted from the
-            wire when ``None``, keeping 1.0-compatible frames byte-identical).
+            wire when ``None``).
     """
     return _plan_message("plan", "workload", workload, "top_k", top_k, trace)
 
@@ -302,8 +260,46 @@ def error_response(error: BaseException) -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------------- #
-# plan response payloads
+# plan replies
 # ---------------------------------------------------------------------- #
+#: A plan reply's fields in wire order: ``(name, entry value, reader)``.  The
+#: entry value reads a field that is the same on every serve of one cached
+#: entry (a hit splices it from the entry's memo) off the response; ``None``
+#: marks a per-request field.  The reader makes the client's field.
+PLAN_REPLY_FIELDS = (
+    ("recommendations",
+     lambda response: [recommendation_to_dict(r) for r in response.recommendations],
+     lambda value: [recommendation_from_dict(item) for item in value]),
+    ("signature_key", lambda response: response.signature.key(), str),
+    ("cache_hit", None, bool), ("coalesced", None, bool),
+    ("planning_time", None, float), ("num_simulated", None, int),
+    ("num_pruned", None, int), ("worker", None, int), ("pid", None, int),
+    ("plan_age", None, float), ("stale", None, bool),
+    ("generation", None, int), ("trace_id", None, str), ("spans", None, list),
+)
+
+#: A graph plan reply: the plan fields, then the graph fields.
+GRAPH_PLAN_REPLY_FIELDS = PLAN_REPLY_FIELDS + (
+    ("assignment", lambda response: list(response.assignment),
+     lambda value: [int(x) for x in value]),
+    ("makespan", lambda response: response.makespan, float),
+    ("greedy_makespan", lambda response: response.greedy_makespan, float),
+    ("method", lambda response: response.method, str),
+)
+
+#: The fields a reply may leave out (tracing is per request).
+_OPTIONAL = frozenset({"trace_id", "spans"})
+
+#: Each table cut into (invariant, [(name, entry value, JSON key)]) runs.
+_PLAN_RUNS, _GRAPH_PLAN_RUNS = (
+    [(invariant, [(name, value, _encode(name) + ":") for name, value, _ in run])
+     for invariant, run in groupby(fields, key=lambda f: f[1] is not None)]
+    for fields in (PLAN_REPLY_FIELDS, GRAPH_PLAN_REPLY_FIELDS))
+
+#: ``ok_response``'s frame body around its result object's members.
+_OK_OPEN, _OK_CLOSE = _encode(ok_response({"": 0})).encode().split(b'"":0')
+
+
 @dataclass
 class RemotePlanResponse:
     """A served plan as seen by the client, plus which worker answered.
@@ -313,6 +309,8 @@ class RemotePlanResponse:
     with the process-boundary extras: the answering worker's index and pid,
     and the signature key the plan is cached under.
     """
+
+    _wire_fields = PLAN_REPLY_FIELDS
 
     recommendations: List[PartitioningRecommendation]
     signature_key: str
@@ -348,32 +346,12 @@ class RemotePlanResponse:
         :func:`graph_plan_response_payload`); raises :class:`ProtocolError`
         when a required field is missing or malformed."""
         try:
-            return cls(**cls._fields(payload))
+            return cls(**{name: read(payload[name])
+                          for name, _, read in cls._wire_fields
+                          if name not in _OPTIONAL or payload.get(name) is not None})
         except (KeyError, TypeError, ValueError) as error:
             raise ProtocolError(f"malformed {cls.__name__} reply: "
                                 f"{type(error).__name__}: {error}") from error
-
-    @staticmethod
-    def _fields(payload: Dict[str, object]) -> Dict[str, object]:
-        """Constructor arguments read from the wire form (KeyError if absent)."""
-        trace_id = payload.get("trace_id")
-        return dict(
-            recommendations=[recommendation_from_dict(item)
-                             for item in payload["recommendations"]],  # type: ignore[union-attr]
-            signature_key=str(payload["signature_key"]),
-            cache_hit=bool(payload["cache_hit"]),
-            coalesced=bool(payload["coalesced"]),
-            planning_time=float(payload["planning_time"]),  # type: ignore[arg-type]
-            num_simulated=int(payload["num_simulated"]),  # type: ignore[arg-type]
-            num_pruned=int(payload["num_pruned"]),  # type: ignore[arg-type]
-            worker=int(payload["worker"]),  # type: ignore[arg-type]
-            pid=int(payload["pid"]),  # type: ignore[arg-type]
-            plan_age=float(payload["plan_age"]),  # type: ignore[arg-type]
-            stale=bool(payload["stale"]),
-            generation=int(payload["generation"]),  # type: ignore[arg-type]
-            trace_id=str(trace_id) if trace_id is not None else None,
-            spans=list(payload.get("spans") or []),  # type: ignore[arg-type]
-        )
 
 
 @dataclass
@@ -385,6 +363,8 @@ class RemoteGraphPlanResponse(RemotePlanResponse):
     :class:`repro.planner.service.GraphPlanResponse`.
     """
 
+    _wire_fields = GRAPH_PLAN_REPLY_FIELDS
+
     #: Chosen candidate index per op (into each op's layout lattice).
     assignment: List[int] = field(default_factory=list)
     #: End-to-end modelled makespan of the joint assignment.
@@ -394,17 +374,65 @@ class RemoteGraphPlanResponse(RemotePlanResponse):
     #: Which solver produced the assignment (chain DP or branch-and-bound).
     method: str = ""
 
-    @staticmethod
-    def _fields(payload: Dict[str, object]) -> Dict[str, object]:
-        """The plan fields plus the graph fields (KeyError if absent)."""
-        fields = RemotePlanResponse._fields(payload)
-        fields.update(
-            assignment=[int(x) for x in payload["assignment"]],  # type: ignore[union-attr]
-            makespan=float(payload["makespan"]),  # type: ignore[arg-type]
-            greedy_makespan=float(payload["greedy_makespan"]),  # type: ignore[arg-type]
-            method=str(payload["method"]),
-        )
-        return fields
+
+def _request_values(response: PlanResponse, worker: int, pid: int, trace_id: Optional[str],
+                    spans: Optional[List[Dict[str, object]]], generation: int) -> Dict[str, object]:
+    """The per-request reply fields (``trace_id``/``spans`` when given)."""
+    stats = response.search_stats
+    values: Dict[str, object] = {
+        "cache_hit": response.cache_hit, "coalesced": response.coalesced,
+        "planning_time": response.planning_time,
+        "num_simulated": stats.num_simulated if stats is not None else 0,
+        "num_pruned": stats.num_pruned if stats is not None else 0,
+        "worker": worker, "pid": pid, "plan_age": response.plan_age,
+        "stale": response.stale, "generation": generation,
+    }
+    if trace_id is not None:
+        values["trace_id"] = trace_id
+    if spans is not None:
+        values["spans"] = spans
+    return values
+
+
+def _json_text(value: object) -> str:
+    """``value`` as the encoder writes it (scalars without its set-up)."""
+    kind = type(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and value - value == 0.0:
+        return float.__repr__(value)
+    return _encode(value)
+
+
+def _members(run, values: Dict[str, object]) -> bytes:
+    """The fields of ``run`` found in ``values``, as a frame encodes them."""
+    return ",".join([key + _json_text(values[name])
+                     for name, _, key in run if name in values]).encode("utf-8")
+
+
+def reply_frame(response: PlanResponse, worker: int, pid: int,
+                trace_id: Optional[str] = None,
+                spans: Optional[List[Dict[str, object]]] = None,
+                generation: int = 0) -> bytes:
+    """The worker's reply frame for one served plan, spliced from cached bytes.
+
+    Equal byte for byte to ``encode_frame(ok_response(plan_response_payload(
+    ...)))`` (raising :class:`ProtocolError` past :data:`MAX_MESSAGE_BYTES`).
+    The entry-invariant runs are encoded on the entry's first trip over the
+    wire and kept on it (``PlanEntry.wire_parts``).
+    """
+    runs = _GRAPH_PLAN_RUNS if isinstance(response, GraphPlanResponse) else _PLAN_RUNS
+    entry = response.entry
+    if entry.wire_parts is None:
+        entry.wire_parts = [_members(run, {name: value(response) for name, value, _ in run})
+                            for invariant, run in runs if invariant]
+    request = _request_values(response, worker, pid, trace_id, spans, generation)
+    cached = iter(entry.wire_parts)
+    return _checked_frame(b"".join((_OK_OPEN, b",".join([
+        next(cached) if invariant else _members(run, request) for invariant, run in runs]),
+        _OK_CLOSE)))
 
 
 def plan_response_payload(response: PlanResponse, worker: int, pid: int,
@@ -412,7 +440,9 @@ def plan_response_payload(response: PlanResponse, worker: int, pid: int,
                           spans: Optional[List[Dict[str, object]]] = None,
                           generation: int = 0,
                           ) -> Dict[str, object]:
-    """Wire form of one :class:`~repro.planner.service.PlanResponse`.
+    """Wire form of one :class:`~repro.planner.service.PlanResponse`: the
+    :data:`PLAN_REPLY_FIELDS`, or the :data:`GRAPH_PLAN_REPLY_FIELDS` of a
+    :class:`~repro.planner.service.GraphPlanResponse`.
 
     Args:
         response: the in-process service's answer.
@@ -423,39 +453,13 @@ def plan_response_payload(response: PlanResponse, worker: int, pid: int,
             dicts); omitted from the payload when ``None``.
         generation: the worker's restart incarnation.
     """
-    stats = response.search_stats
-    payload: Dict[str, object] = {
-        "recommendations": [recommendation_to_dict(r) for r in response.recommendations],
-        "signature_key": response.signature.key(),
-        "cache_hit": response.cache_hit,
-        "coalesced": response.coalesced,
-        "planning_time": response.planning_time,
-        "num_simulated": stats.num_simulated if stats is not None else 0,
-        "num_pruned": stats.num_pruned if stats is not None else 0,
-        "worker": worker,
-        "pid": pid,
-        "plan_age": response.plan_age,
-        "stale": response.stale,
-        "generation": generation,
-    }
-    if trace_id is not None:
-        payload["trace_id"] = trace_id
-    if spans is not None:
-        payload["spans"] = spans
-    return payload
+    fields = (GRAPH_PLAN_REPLY_FIELDS if isinstance(response, GraphPlanResponse)
+              else PLAN_REPLY_FIELDS)
+    request = _request_values(response, worker, pid, trace_id, spans, generation)
+    return {name: value(response) if value is not None else request[name]
+            for name, value, _ in fields if value is not None or name in request}
 
 
-def graph_plan_response_payload(response, worker: int, pid: int,
-                                trace_id: Optional[str] = None,
-                                spans: Optional[List[Dict[str, object]]] = None,
-                                generation: int = 0,
-                                ) -> Dict[str, object]:
-    """Wire form of one :class:`~repro.planner.service.GraphPlanResponse`:
-    the :func:`plan_response_payload` fields plus the graph fields."""
-    payload = plan_response_payload(response, worker, pid, trace_id=trace_id,
-                                    spans=spans, generation=generation)
-    payload["assignment"] = list(response.assignment)
-    payload["makespan"] = response.makespan
-    payload["greedy_makespan"] = response.greedy_makespan
-    payload["method"] = response.method
-    return payload
+#: The wire form of a :class:`~repro.planner.service.GraphPlanResponse`:
+#: :func:`plan_response_payload` writes its graph fields too.
+graph_plan_response_payload = plan_response_payload

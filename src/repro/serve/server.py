@@ -1,8 +1,6 @@
 """PlanServer: a shared-nothing multi-process front over the PlannerService.
 
-The ROADMAP's serving target ("heavy traffic from millions of users") needs
-plan selection to scale past one process.  :class:`PlanServer` is the first
-process boundary in the codebase:
+:class:`PlanServer` serves plans from several processes:
 
 * the **parent** binds one listening socket (Unix-domain by default, TCP on
   request), accepts connections, and deals each accepted descriptor to a
@@ -913,13 +911,9 @@ def _worker_main(index: int, ctrl, unwanted, listener,
                             break
                         if fault.action == FAULT_DELAY:
                             time.sleep(fault.delay_seconds)
-                    response = _dispatch(index, service, message,
-                                         tracer=tracer, generation=generation)
-                    try:
-                        conn.outbuf.extend(protocol.encode_frame(response))
-                    except protocol.ProtocolError:  # pragma: no cover - oversized
-                        close_connection(fd)
-                        break
+                    conn.outbuf.extend(_dispatch(index, service, message,
+                                                 tracer=tracer,
+                                                 generation=generation))
                 else:
                     pump(fd, conn)
     finally:
@@ -982,24 +976,24 @@ _SNAPSHOT_OPS = {
 
 
 #: The two plan ops share one dispatch path: op -> (request subject key,
-#: subject decoder, option key, worker span name, service call, response
-#: encoder).  The service calls resolve ``service.plan`` per request.
+#: subject decoder, option key, worker span name, service call).  The
+#: service calls resolve ``service.plan`` per request.
 _PLAN_OPS = {
     "plan": ("workload", Workload.from_dict, "top_k", "worker.plan",
-             lambda service, workload, top_k: service.plan(workload, top_k=top_k),
-             protocol.plan_response_payload),
+             lambda service, workload, top_k: service.plan(workload, top_k=top_k)),
     "plan_graph": ("graph", OpGraph.from_dict, "lattice_size", "worker.plan_graph",
                    lambda service, graph, lattice: service.plan_graph(
-                       graph, lattice_size=lattice),
-                   protocol.graph_plan_response_payload),
+                       graph, lattice_size=lattice)),
 }
 
 
 def _dispatch(index: int, service: PlannerService,
               message: Dict[str, object],
               tracer: Optional[Tracer] = None,
-              generation: int = 0) -> Dict[str, object]:
-    """Answer one decoded request; failures become error responses.
+              generation: int = 0) -> bytes:
+    """Answer one decoded request with its reply frame (a plan reply is
+    spliced by :func:`repro.serve.protocol.reply_frame`); failures become
+    error replies.
 
     A ``plan``/``plan_graph`` request carrying a ``trace`` context on a
     tracing-enabled worker runs inside an adopted remote context under a
@@ -1015,7 +1009,7 @@ def _dispatch(index: int, service: PlannerService,
         op = message.get("op")
         served = _PLAN_OPS.get(op) if isinstance(op, str) else None
         if served is not None:
-            subject_key, decode, option_key, span_name, serve, encode = served
+            subject_key, decode, option_key, span_name, serve = served
             subject = decode(message[subject_key])
             raw_option = message.get(option_key)
             option = None if raw_option is None else read_int(raw_option, option_key)
@@ -1027,19 +1021,19 @@ def _dispatch(index: int, service: PlannerService,
                         trace_id, str(parent) if parent is not None else None):
                     with tracer.span(span_name, worker=index):
                         response = serve(service, subject, option)
-                return protocol.ok_response(encode(
+                return protocol.reply_frame(
                     response, index, os.getpid(), trace_id=trace_id,
-                    spans=tracer.drain(trace_id), generation=generation))
+                    spans=tracer.drain(trace_id), generation=generation)
             response = serve(service, subject, option)
-            return protocol.ok_response(
-                encode(response, index, os.getpid(), generation=generation))
+            return protocol.reply_frame(response, index, os.getpid(),
+                                        generation=generation)
         if op == "ping":
-            return protocol.ok_response({"worker": index, "pid": os.getpid(),
-                                         "generation": generation,
-                                         "protocol": list(protocol.PROTOCOL_VERSION)})
+            return protocol.encode_frame(protocol.ok_response({
+                "worker": index, "pid": os.getpid(), "generation": generation,
+                "protocol": list(protocol.PROTOCOL_VERSION)}))
         read = _SNAPSHOT_OPS.get(op) if isinstance(op, str) else None
         if read is not None:
-            return protocol.ok_response(read(index, service))
+            return protocol.encode_frame(protocol.ok_response(read(index, service)))
         raise ValueError(f"unknown op: {op!r}")
     except Exception as error:  # noqa: BLE001 - every failure must answer
-        return protocol.error_response(error)
+        return protocol.encode_frame(protocol.error_response(error))

@@ -1,6 +1,7 @@
 """Unit tests for the length-prefixed JSON wire protocol."""
 
 import socket
+import threading
 
 import pytest
 
@@ -72,6 +73,44 @@ class TestFraming:
             left.sendall(HEADER.pack(len(body)) + body)
             with pytest.raises(ProtocolError):
                 recv_message(right)
+        finally:
+            left.close()
+            right.close()
+
+
+    def test_recv_rejects_bytes_past_its_frame(self):
+        left, right = socket.socketpair()
+        try:
+            left.sendall(encode_frame({"a": 1}) + encode_frame({"b": 2}))
+            with pytest.raises(ProtocolError):
+                recv_message(right)
+        finally:
+            left.close()
+            right.close()
+
+
+class TestBlockingRead:
+    def test_pipelined_frames_come_out_one_at_a_time(self):
+        left, right = socket.socketpair()
+        try:
+            left.sendall(encode_frame({"a": 1}) + encode_frame({"b": 2}))
+            left.close()
+            reader = FrameDecoder()
+            assert reader.read(right) == {"a": 1}
+            assert reader.read(right) == {"b": 2}
+            assert reader.read(right) is None
+        finally:
+            right.close()
+
+    def test_a_frame_longer_than_one_recv_is_assembled(self):
+        big = {"blob": "x" * (3 * protocol.READ_SIZE)}
+        left, right = socket.socketpair()
+        try:
+            sender = threading.Thread(target=left.sendall, args=(encode_frame(big),))
+            sender.start()
+            assert FrameDecoder().read(right) == big
+            sender.join(timeout=10)
+            assert not sender.is_alive()
         finally:
             left.close()
             right.close()

@@ -152,7 +152,8 @@ class TestPipelining:
             sock.connect(server.address)
             blob = b"".join(encode_frame(protocol.ping_request()) for _ in range(64))
             sock.sendall(blob)
-            answers = [protocol.recv_message(sock) for _ in range(64)]
+            reader = protocol.FrameDecoder()
+            answers = [reader.read(sock) for _ in range(64)]
         finally:
             sock.close()
         assert all(a is not None and a["ok"] for a in answers)
@@ -193,12 +194,13 @@ class TestPipelining:
                 # which surfaces either as EPIPE/ECONNRESET while we are
                 # still sending or as EOF/reset when we finally read.
                 dropped = False
+                reader = protocol.FrameDecoder()
                 try:
                     hoarder.sendall(b"".join(
                         encode_frame(protocol.ping_request())
                         for _ in range(20000)))
                     for _ in range(20000):
-                        if protocol.recv_message(hoarder) is None:
+                        if reader.read(hoarder) is None:
                             dropped = True
                             break
                 except (protocol.ProtocolError, OSError):

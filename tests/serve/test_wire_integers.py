@@ -21,6 +21,12 @@ def service():
         yield planner
 
 
+def dispatch(service, message):
+    """The worker's decoded reply to ``message``."""
+    (reply,) = protocol.FrameDecoder().feed(_dispatch(0, service, message))
+    return reply
+
+
 def expected_recommendations(top_k):
     with PlannerService(MACHINE, **SERVICE_OPTIONS) as reference:
         response = reference.plan(WORKLOAD, top_k=top_k)
@@ -35,13 +41,13 @@ def test_non_integer_plan_field_is_a_typed_error(service, field, value):
         message["top_k"] = value
     else:
         message["workload"]["m"] = value
-    reply = _dispatch(0, service, message)
+    reply = dispatch(service, message)
     assert reply["ok"] is False
     assert reply["error"]["type"] == "PayloadError"
     assert field in reply["error"]["message"]
     assert service.stats().plans_computed == 0
 
-    good = _dispatch(0, service, protocol.plan_request(WORKLOAD, top_k=2))
+    good = dispatch(service, protocol.plan_request(WORKLOAD, top_k=2))
     assert good["ok"] is True
     assert good["result"]["recommendations"] == expected_recommendations(2)
 
@@ -57,7 +63,7 @@ def test_non_integer_graph_field_is_a_typed_error(service, place):
         message["graph"]["ops"][0]["n"] = "80"
     else:
         message["graph"]["edges"][0]["dst"] = True
-    reply = _dispatch(0, service, message)
+    reply = dispatch(service, message)
     assert reply["ok"] is False
     assert reply["error"]["type"] == "PayloadError"
     assert service.stats().plans_computed == 0
@@ -76,7 +82,7 @@ def test_non_integer_structure_field_is_a_typed_error(service, workload, field):
         structure[field][1] = 2.7
     else:
         structure[field] = 2.7
-    reply = _dispatch(0, service, message)
+    reply = dispatch(service, message)
     assert reply["ok"] is False
     assert reply["error"]["type"] == "PayloadError"
     assert field in reply["error"]["message"]
